@@ -168,12 +168,8 @@ def _sharp_component(inst: ProblemInstance, fc, z: float) -> np.ndarray:
     X = inst.X
     w = sieve.sieve_survivor_mask(X, z).astype(np.float64)
     w *= sieve.c_of_z_float(z)
-    D = fc.spec.modulus
-    if D > 1:
-        tab = np.zeros(D)
-        for r in fc.cls.coset:
-            tab[r] = sieve._phi(D) / len(fc.cls.coset)
-        w *= tab[np.arange(X + 1) % D]
+    lam = sieve.lambda_kc_table(fc.spec, fc.cls)
+    w *= lam[np.arange(X + 1) % len(lam)]
     return w
 
 
@@ -247,8 +243,7 @@ def verify_theorem(inst: ProblemInstance, z: float, N_list,
     lo, hi = inst.attainable_range
     span = hi - lo
     rows = []
-    for N in N_list:
-        rep = singular.main_term(inst, N, P_max)
+    for N, rep in zip(N_list, singular.main_terms(inst, N_list, P_max)):
         sw = coeffs.weighted_at(N)
         su = coeffs.unweighted_at(N)
         flags = []

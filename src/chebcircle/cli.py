@@ -41,27 +41,34 @@ def _parse_alpha(text: str):
     return float(text)
 
 
-def _load_instance_doc(path_or_name: str) -> dict:
-    if path_or_name in BUILTIN_INSTANCES:
-        return json.loads(json.dumps(BUILTIN_INSTANCES[path_or_name]))
-    with open(path_or_name) as fh:
+def _read_json(path: str):
+    with open(path) as fh:
         return json.load(fh)
 
 
-def _field_from_doc(doc: dict) -> FieldClass:
-    if "builtin" in doc:
-        spec = galois.builtin_spec(doc["builtin"])
-    else:
-        spec = galois.spec_from_json(doc["spec"])
-    galois.validate_spec(spec).raise_if_invalid()
-    return FieldClass(spec, spec.class_by_label(doc["class"]))
+def _load_instance_doc(path_or_name: str) -> dict:
+    if path_or_name in BUILTIN_INSTANCES:
+        return json.loads(json.dumps(BUILTIN_INSTANCES[path_or_name]))
+    return _read_json(path_or_name)
+
+
+def _specs_from_docs(docs) -> list:
+    """The spec of each field doc (a builtin name or an inline JSON spec),
+    each distinct spec validated once."""
+    specs = [galois.builtin_spec(d["builtin"]) if "builtin" in d
+             else galois.spec_from_json(d["spec"]) for d in docs]
+    for spec in dict.fromkeys(specs):
+        galois.validate_spec(spec).raise_if_invalid()
+    return specs
 
 
 def _instance_from_doc(doc: dict):
     for key in ("fields", "a", "X"):
         if key not in doc:
             raise ValidationError([("MissingKey", f"instance lacks {key!r}")])
-    comps = tuple(_field_from_doc(f) for f in doc["fields"])
+    specs = _specs_from_docs(doc["fields"])
+    comps = tuple(FieldClass(spec, spec.class_by_label(f["class"]))
+                  for spec, f in zip(specs, doc["fields"]))
     sv = doc.get("sieve", {})
     params = sieve.SieveParams.for_x(doc["X"], A=sv.get("A", 1.0),
                                      B=sv.get("B"))
@@ -196,9 +203,9 @@ def cmd_ratapprox(args) -> int:
 
 
 def cmd_ec_construct(args) -> int:
-    spec = galois.builtin_spec(args.field) if args.field in \
-        galois.BUILTIN_NAMES else galois.spec_from_json(
-            json.load(open(args.field)))
+    field = ({"builtin": args.field} if args.field in galois.BUILTIN_NAMES
+             else {"spec": _read_json(args.field)})
+    [spec] = _specs_from_docs([field])
     cert = ecapp.construct_curve(spec, args.limit)
     check = ecapp.check_certificate(cert, spec)
     doc = cert.to_json()
@@ -212,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chebcircle",
         description="desk-scale circle-method verification for primes in "
                     "Chebotarev classes")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="cap on internal parallelism (results do not "
-                         "depend on it)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="S(N) vs main term, CSV + summary")

@@ -259,8 +259,8 @@ def poly_discriminant(coeffs):
 
 
 def _resultant(f, g):
-    """Integer resultant by fraction-free (Bareiss) elimination of the
-    Sylvester matrix."""
+    """Integer resultant: the determinant of the Sylvester matrix by
+    Gaussian elimination over Fractions."""
     m, n = len(f) - 1, len(g) - 1
     size = m + n
     rows = []

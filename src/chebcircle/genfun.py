@@ -72,14 +72,8 @@ class GenfunContext:
         """(n values surviving the z-sieve, combined double weights)."""
         mask = sieve.sieve_survivor_mask(self.X, self.params.z)
         ns = np.nonzero(mask)[0].astype(np.int64)
-        D = self.spec.modulus
-        if D == 1:
-            lam = np.ones(len(ns))
-        else:
-            tab = np.zeros(D)
-            for r in self.cls.coset:
-                tab[r] = sieve._phi(D) / len(self.cls.coset)
-            lam = tab[ns % D]
+        lam = sieve.lambda_kc_table(self.spec, self.cls)
+        lam = lam[ns % len(lam)]
         keep = lam != 0
         ns, lam = ns[keep], lam[keep]
         cz = sieve.c_of_z_float(self.params.z)

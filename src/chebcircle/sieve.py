@@ -8,7 +8,6 @@ from it or from direct enumeration.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,8 +16,6 @@ import numpy as np
 
 from . import galois
 from .errors import DomainError
-
-CACHE_MAGIC = b"CHB1"
 
 
 @dataclass
@@ -61,25 +58,6 @@ class PrimeTable:
                 e += 1
             out.append((p, e))
         return out
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(self.spf.astype("<u4").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "PrimeTable":
-        with open(path, "rb") as fh:
-            if fh.read(4) != CACHE_MAGIC:
-                raise DomainError("bad prime table cache magic")
-            (limit,) = struct.unpack("<Q", fh.read(8))
-            spf = np.frombuffer(fh.read(), dtype="<u4").astype(np.uint32)
-        if len(spf) != limit + 1:
-            raise DomainError("truncated prime table cache")
-        primes = np.nonzero(spf == np.arange(limit + 1, dtype=np.uint32))[0]
-        primes = primes[primes >= 2].astype(np.int64)
-        return cls(int(limit), spf, primes)
 
 
 @dataclass(frozen=True)
@@ -169,6 +147,17 @@ def lambda_kc(spec: galois.GaloisSpec, cls: galois.ClassSpec,
     if n % D in cls.coset:
         return Fraction(_phi(D), len(cls.coset))
     return Fraction(0)
+
+
+def lambda_kc_table(spec: galois.GaloisSpec,
+                    cls: galois.ClassSpec) -> np.ndarray:
+    """lambda_kc as floats over the residues mod the spec's modulus, for
+    indexing by n % D."""
+    D = spec.modulus
+    tab = np.zeros(D)
+    for r in cls.coset:
+        tab[r] = _phi(D) / len(cls.coset)
+    return tab
 
 
 @lru_cache(maxsize=256)

@@ -1,13 +1,17 @@
 """The main-term components: archimedean density, the D-adic factor, the
-unramified Euler factors with closed forms, and their assembly."""
+unramified Euler factors with closed forms, and their assembly for a whole
+list of N at once."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import sieve
 from .errors import DomainError
@@ -18,74 +22,34 @@ from .instance import ProblemInstance
 # archimedean factor
 # ---------------------------------------------------------------------------
 
-def _interval(ai: int, X: float):
-    lo, hi = sorted((0.0, ai * X))
-    return lo, hi
-
-
-def _density2(t: float, a1: int, a2: int, X: float) -> float:
-    """Exact two-variable slice density: the convolution of the uniform
-    densities pushed forward by a1 and a2, evaluated at t."""
-    lo1, hi1 = _interval(a1, X)
-    # s in [0, X] with t - a2*s inside [lo1, hi1]
-    b1, b2 = (t - hi1) / a2, (t - lo1) / a2
-    lo, hi = min(b1, b2), max(b1, b2)
-    length = max(0.0, min(hi, X) - max(lo, 0.0))
-    return length / abs(a1)
-
-
-def _adaptive_simpson(f, lo, hi, tol, depth=28):
-    def simp(a, b, fa, fm, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simp(a, m, fa, flm, fm)
-        right = simp(m, b, fm, frm, fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(a, m, fa, flm, fm, left, tol / 2.0, depth - 1) +
-                rec(m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
-    fa, fb, fm = f(lo), f(hi), f(0.5 * (lo + hi))
-    whole = simp(lo, hi, fa, fm, fb)
-    return rec(lo, hi, fa, fm, fb, whole, tol, depth)
-
-
-def c_infinity(a, X: float, N: float, rel_tol: float = 1e-8) -> float:
+def c_infinity(a, X: float, N: float) -> float:
     """Density of the slice {x in [0,X]^k : sum a_i x_i = N}, normalized so
-    the integer-point count on the slice is this value up to O(X^(k-2));
-    computed by recursive one-dimensional convolution."""
+    the integer-point count on the slice is this value up to O(X^(k-2)).
+
+    Closed form (Irwin 1927, Hall 1927): reflecting x_i -> X - x_i where
+    a_i < 0 turns the slice into sum |a_i| y_i = N'; its density is the sum
+    over subsets S of (-1)^|S| * max(0, N' - X * sum_S |a_i|)^(k-1), divided
+    by (k-1)! * prod |a_i|.  The sum is exact in rationals, rounded once."""
     a = [int(v) for v in a]
     if len(a) < 2:
         raise DomainError("need at least two variables")
     if any(v == 0 for v in a):
         raise DomainError("coefficients must be nonzero")
     k = len(a)
-
-    def V(j, t):
-        if j == 2:
-            return _density2(t, a[0], a[1], X)
-        lo, hi = _interval(a[j - 1], X)
-        # support of V_{j-1} is the sumset of the first j-1 intervals
-        slo = sum(_interval(v, X)[0] for v in a[:j - 1])
-        shi = sum(_interval(v, X)[1] for v in a[:j - 1])
-        # s contributes only where t - a_j s lies in [slo, shi]
-        b1, b2 = (t - shi) / a[j - 1], (t - slo) / a[j - 1]
-        s_lo, s_hi = max(0.0, min(b1, b2)), min(float(X), max(b1, b2))
-        if s_hi <= s_lo:
-            return 0.0
-        scale = max(1.0, X ** (j - 2))
-        return _adaptive_simpson(lambda s: V(j - 1, t - a[j - 1] * s),
-                                 s_lo, s_hi, rel_tol * scale)
-
-    lo = sum(_interval(v, X)[0] for v in a)
-    hi = sum(_interval(v, X)[1] for v in a)
+    X = Fraction(X)
+    lo = X * sum(v for v in a if v < 0)
+    hi = X * sum(v for v in a if v > 0)
     if not (lo <= N <= hi):
         return 0.0
-    return max(0.0, V(k, float(N)))
+    b = [abs(v) for v in a]
+    t = Fraction(N) - lo
+    total = Fraction(0)
+    for r in range(k + 1):
+        for S in itertools.combinations(b, r):
+            s = t - X * sum(S)
+            if s > 0:
+                total += (-1) ** r * s ** (k - 1)
+    return float(total / (math.factorial(k - 1) * math.prod(b)))
 
 
 def c_infinity_ternary(N: float, X: float) -> float:
@@ -164,65 +128,55 @@ def c_p_bruteforce(p: int, a, N: int) -> Fraction:
     return Fraction(p * count, (p - 1) ** k)
 
 
-def euler_product(a, N: int, D: int, P_max: int = 10**4):
-    """(product of C_p over p <= P_max with p not dividing D, tail bound,
-    first vanishing prime or None)."""
+def _euler_rows(a, Ns, D: int, P_max: int):
+    """(product of C_p, first vanishing prime or 0) for each N in Ns, over
+    p <= P_max with p not dividing D.
+
+    The one loop over the primes: each N adds log C_p for ascending p, as a
+    scalar loop per N would, so the values do not depend on the other N."""
     if P_max < 2:
         raise DomainError("P_max must be >= 2")
-    k = len(a)
-    log_acc = 0.0
-    for p in sieve._small_primes(P_max):
-        if D % p == 0:
-            continue
-        cp = c_p(p, a, N)
-        if cp == 0:
-            return 0.0, 0.0, p
-        log_acc += math.log(float(cp))
-    # |C_p - 1| is (p-1)^(1-k) when p | N and (p-1)^(-k) otherwise
-    generic = 2.0 * (P_max - 1.0) ** (1 - k) / max(1, k - 1)
-    n_big_divisors = max(0.0, math.log(max(abs(N), 2)) / math.log(P_max))
-    tail = generic + 2.0 * n_big_divisors * (P_max - 1.0) ** (1 - k)
-    return math.exp(log_acc), tail, None
-
-
-def euler_product_bulk(a, Ns, D: int, P_max: int = 10**4):
-    """Euler products for a whole array of N at once: the generic value is
-    shared, and each prime adjusts only the N it divides."""
-    import numpy as np
     Ns = np.asarray(Ns, dtype=np.int64)
-    out = np.ones(len(Ns))
-    k = len(a)
-    base = 1.0
+    logs = np.zeros(len(Ns))
+    bad = np.zeros(len(Ns), dtype=np.int64)
     for p in sieve._small_primes(P_max):
         if D % p == 0:
             continue
         if all(v % p != 0 for v in a):
             # C_p depends only on whether p divides N
-            generic = float(c_p(p, a, 1))
-            special = float(c_p(p, a, 0))
-            sel = Ns % p == 0
-            if generic == 0.0:
-                out[~sel] = 0.0
-                out[sel] *= special
-            else:
-                base *= generic
-                out[sel] *= special / generic
-        else:  # p divides a coefficient: full residue dependence
-            vals = np.array([float(c_p(p, a, int(r))) for r in range(p)])
-            out *= vals[Ns % p]
-    return out * base
-
-
-def classical_ternary_series(N: int, P_max: int = 10**4) -> float:
-    """The classical three-prime singular series, truncated: a separate
-    formula path used to cross-check the generic Euler product."""
-    out = 1.0
-    for p in sieve._small_primes(P_max):
-        if N % p == 0:
-            out *= 1.0 - (p - 1.0) ** -2
+            keys, idx = (0, 1), (Ns % p != 0).astype(np.intp)
         else:
-            out *= 1.0 + (p - 1.0) ** -3
-    return out
+            keys, idx = np.unique(Ns % p, return_inverse=True)
+        cps = [c_p(p, a, int(r)) for r in keys]
+        logs += np.array([math.log(float(c)) if c else 0.0 for c in cps])[idx]
+        if not all(cps):
+            zero = np.array([c == 0 for c in cps])[idx]
+            bad[zero & (bad == 0)] = p
+    values = np.array([0.0 if p else math.exp(x) for x, p in zip(logs, bad)])
+    return values, bad
+
+
+def _tail_bound(k: int, N: int, P_max: int) -> float:
+    """Bound on |log of the Euler factors beyond P_max|: |C_p - 1| is
+    (p-1)^(1-k) when p | N and (p-1)^(-k) otherwise."""
+    generic = 2.0 * (P_max - 1.0) ** (1 - k) / max(1, k - 1)
+    n_big_divisors = max(0.0, math.log(max(abs(N), 2)) / math.log(P_max))
+    return generic + 2.0 * n_big_divisors * (P_max - 1.0) ** (1 - k)
+
+
+def euler_product(a, N: int, D: int, P_max: int = 10**4):
+    """(product of C_p over p <= P_max with p not dividing D, tail bound,
+    first vanishing prime or None)."""
+    values, bad = _euler_rows(a, [N], D, P_max)
+    if bad[0]:
+        return 0.0, 0.0, int(bad[0])
+    return float(values[0]), _tail_bound(len(a), N, P_max), None
+
+
+def euler_product_bulk(a, Ns, D: int, P_max: int = 10**4) -> np.ndarray:
+    """Euler products for a whole array of N at once; 0 where some C_p
+    vanishes."""
+    return _euler_rows(a, Ns, D, P_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +212,37 @@ class LocalFactorReport:
         return json.dumps(self.to_json(), indent=2)
 
 
-def main_term(inst: ProblemInstance, N: int,
-              P_max: int = 10**4) -> LocalFactorReport:
+def main_terms(inst: ProblemInstance, Ns,
+               P_max: int = 10**4) -> list:
+    """One LocalFactorReport per N in Ns, from one pass of the Euler loop;
+    C_D depends only on N mod D and is computed once per residue."""
     D = inst.modulus
     pref = inst.prefactor
-    cinf = c_infinity(inst.a, inst.X, N)
-    cd = c_D(inst.lifted_cosets(), inst.a, N, D)
-    if cd == 0:
-        return LocalFactorReport(pref, cinf, cd, 0.0, P_max, 0.0, 0.0,
-                                 "CD_zero")
-    value, tail, bad_p = euler_product(inst.a, N, D, P_max)
-    if bad_p is not None:
-        return LocalFactorReport(pref, cinf, cd, 0.0, P_max, 0.0, 0.0,
-                                 f"Cp_zero({bad_p})")
-    mt = float(pref) * cinf * float(cd) * value
-    return LocalFactorReport(pref, cinf, cd, value, P_max, tail, mt)
+    cosets = inst.lifted_cosets()
+    c_ds = {}
+    values, bad = _euler_rows(inst.a, Ns, D, P_max)
+    out = []
+    for N, value, bad_p in zip(Ns, values, bad):
+        N = int(N)
+        cinf = c_infinity(inst.a, inst.X, N)
+        if N % D not in c_ds:
+            c_ds[N % D] = c_D(cosets, inst.a, N, D)
+        cd = c_ds[N % D]
+        if cd == 0:
+            rep = LocalFactorReport(pref, cinf, cd, 0.0, P_max, 0.0, 0.0,
+                                    "CD_zero")
+        elif bad_p:
+            rep = LocalFactorReport(pref, cinf, cd, 0.0, P_max, 0.0, 0.0,
+                                    f"Cp_zero({bad_p})")
+        else:
+            value = float(value)
+            mt = float(pref) * cinf * float(cd) * value
+            rep = LocalFactorReport(pref, cinf, cd, value, P_max,
+                                    _tail_bound(inst.k, N, P_max), mt)
+        out.append(rep)
+    return out
+
+
+def main_term(inst: ProblemInstance, N: int,
+              P_max: int = 10**4) -> LocalFactorReport:
+    return main_terms(inst, [N], P_max)[0]

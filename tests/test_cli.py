@@ -86,6 +86,17 @@ class TestSimpleCommands:
                            "--limit", "10")
         assert code == 3
 
+    def test_ec_construct_rejects_invalid_spec(self, tmp_path, capsys):
+        spec = {"kind": "abelian", "modulus": 5,
+                "classes": [{"label": "e", "coset": [1, 2, 3, 4]},
+                            {"label": "z", "coset": [0]}]}
+        path = write_instance(tmp_path, spec, "spec.json")
+        code, out, err = run(capsys, "ec-construct", "--field", path,
+                             "--limit", "2000")
+        assert code == 2
+        assert "InvalidCoset" in err
+        assert out == ""
+
 
 class TestVerify:
     def test_end_to_end(self, tmp_path, capsys):

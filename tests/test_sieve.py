@@ -27,21 +27,6 @@ class TestPrimeTable:
         with pytest.raises(DomainError):
             table_small.is_prime(10**5)
 
-    def test_cache_roundtrip(self, table_small, tmp_path):
-        path = tmp_path / "primes.bin"
-        table_small.save(path)
-        again = sieve.PrimeTable.load(path)
-        assert again.limit == table_small.limit
-        assert np.array_equal(again.primes, table_small.primes)
-        with open(path, "rb") as fh:
-            assert fh.read(4) == b"CHB1"
-
-    def test_corrupt_cache_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXXX" + b"\0" * 32)
-        with pytest.raises(DomainError):
-            sieve.PrimeTable.load(path)
-
 
 class TestLambdaFamily:
     def test_lambda_p(self):

@@ -47,16 +47,34 @@ class TestCInfinity:
             assert abs(got - counts[N]) <= 3 * X
 
     def test_mixed_signs_against_lattice(self):
-        X = 30
-        a = (1, -1, 2)
-        counts = {}
-        for x in range(X + 1):
-            for y in range(X + 1):
-                for w in range(X + 1):
-                    counts[x - y + 2 * w] = counts.get(x - y + 2 * w, 0) + 1
-        for N in range(-X, 3 * X + 1, 5):
-            got = singular.c_infinity(a, X, N)
-            assert abs(got - counts.get(N, 0)) <= 3 * X
+        # |C_inf(N) - #lattice solutions| <= 3 * X^(k-2)
+        for a, X in (((1, -1, 2), 30), ((2, -3), 60), ((1, -1, 1, 2), 12)):
+            counts = {}
+            for x in itertools.product(range(X + 1), repeat=len(a)):
+                n = sum(ai * xi for ai, xi in zip(a, x))
+                counts[n] = counts.get(n, 0) + 1
+            lo = X * sum(v for v in a if v < 0)
+            hi = X * sum(v for v in a if v > 0)
+            for N in range(lo, hi + 1):
+                got = singular.c_infinity(a, X, N)
+                assert abs(got - counts.get(N, 0)) <= 3 * X ** (len(a) - 2)
+
+    def test_matches_numerical_integration(self):
+        # midpoint rule in x3 over the exact two-variable density of
+        # a1 x1 + a2 x2; (2, 3, 3) at X = 344, N = 1336 is a slice where
+        # adaptive quadrature once missed the density by 0.26 X
+        n = 200000
+        for a, X, N in (((2, 3, 3), 344, 1336), ((1, -2, 3), 100, 77),
+                        ((-3, 1, 2), 50, -20)):
+            x3 = (np.arange(n) + 0.5) * X / n
+            t = N - a[2] * x3
+            b1 = (t - max(0, a[0] * X)) / a[1]
+            b2 = (t - min(0, a[0] * X)) / a[1]
+            length = (np.minimum(X, np.maximum(b1, b2)) -
+                      np.maximum(0, np.minimum(b1, b2)))
+            want = float(np.sum(np.maximum(0, length))) * X / n / abs(a[0])
+            assert singular.c_infinity(a, X, N) == pytest.approx(want,
+                                                                 rel=1e-8)
 
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
@@ -221,6 +239,31 @@ class TestMainTerm:
         rep = singular.main_term(inst, 10**4 + 2)
         assert rep.vanishing_reason == "Cp_zero(2)"
         assert rep.main_term == 0.0
+
+    def test_main_terms_rows_are_independent(self):
+        # live, CD_zero and Cp_zero(2) rows in one N list: each row gets
+        # the report it gets alone
+        gauss = uniform_instance("gaussian", "e", 3, (1, 1, 1), 10**4)
+        diff = uniform_instance("trivial", "e", 3, (1, 1, -1), 10**4)
+        for inst, Ns, reasons in (
+                (gauss, [10**4 + 3, 10**4 + 1, 10**4 + 7, 10**4 + 5],
+                 [None, "CD_zero", None, "CD_zero"]),
+                (diff, [1, 0, 3, 2],
+                 [None, "Cp_zero(2)", None, "Cp_zero(2)"])):
+            reps = singular.main_terms(inst, Ns)
+            assert [r.vanishing_reason for r in reps] == reasons
+            for N, rep in zip(Ns, reps):
+                assert rep == singular.main_term(inst, N)
+                assert rep.C_inf == singular.c_infinity(inst.a, inst.X, N)
+                if rep.vanishing_reason is None:
+                    assert rep.main_term > 0 and rep.tail_bound > 0
+                else:
+                    assert rep.main_term == rep.euler_truncated == 0.0
+        # the live Goldbach-type rows differ only at p = 3, which divides
+        # N = 3: C_3 = 1 - 1/4 there against 1 + 1/8 at N = 1
+        one, _, three, _ = singular.main_terms(diff, [1, 0, 3, 2])
+        assert three.euler_truncated / one.euler_truncated == \
+            pytest.approx((1 - 1 / 4) / (1 + 1 / 8), rel=1e-12)
 
     def test_json_report(self):
         inst = classical_instance(10**4)
