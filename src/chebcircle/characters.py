@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import factorint, phi
 from .errors import DomainError
 
 
@@ -86,41 +87,13 @@ def kronecker_character(d: int) -> DirichletCharacter:
 
 def _primitive_root(q: int) -> int:
     """Primitive root mod q for q an odd prime power or 2 or 4."""
-    phi = _phi_pp(q)
-    factors = _factorint(phi)
+    order = phi(q)
     for g in range(2, q):
         if math.gcd(g, q) != 1:
             continue
-        if all(pow(g, phi // p, q) != 1 for p in factors):
+        if all(pow(g, order // p, q) != 1 for p in factorint(order)):
             return g
     raise DomainError(f"no primitive root mod {q}")
-
-
-def _phi_pp(q: int) -> int:
-    p = _least_factor(q)
-    return q - q // p
-
-
-def _least_factor(n: int) -> int:
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return i
-        i += 1
-    return n
-
-
-def _factorint(n: int):
-    out = {}
-    i = 2
-    while i * i <= n:
-        while n % i == 0:
-            out[i] = out.get(i, 0) + 1
-            n //= i
-        i += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @lru_cache(maxsize=32)
@@ -130,7 +103,7 @@ def dirichlet_characters(D: int) -> tuple:
         return (principal_character(D),)
     # generators of (Z/D)^* with their orders, via CRT components
     gens = []  # (generator mod D, order)
-    for q, e in _factorint(D).items():
+    for q, e in factorint(D).items():
         pe = q ** e
         rest = D // pe
         if q == 2:
@@ -139,7 +112,7 @@ def dirichlet_characters(D: int) -> tuple:
             comps = [(-1 % pe, 2)] if e == 2 else [(-1 % pe, 2),
                                                    (3, 2 ** (e - 2))]
         else:
-            comps = [(_primitive_root(pe), _phi_pp(pe))]
+            comps = [(_primitive_root(pe), phi(pe))]
         for g, order in comps:
             lifted = _crt_lift(g, pe, 1, rest)
             gens.append((lifted % D, order))

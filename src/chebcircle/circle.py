@@ -10,12 +10,18 @@ from typing import Optional
 
 import numpy as np
 
-from . import galois, genfun, sieve, singular
+from . import galois, sieve, singular
 from .errors import ResourceLimit
 from .instance import ProblemInstance
 
-MAX_ARRAY = 10**8
+MAX_BYTES = 4 * 2**30
 EXACT_X_LIMIT = 10**4
+# Peak bytes per FFT point, per coefficient of S and per prime variable and
+# unit of X; fitted to the peak RSS of `verify` on eight trivial-field
+# instances (k = 2..4, X = 2.5e5..2e6) and rounded up.
+BYTES_PER_FFT_POINT = 36
+BYTES_PER_COEFF = 20
+BYTES_PER_COMPONENT_X = 21
 
 
 @dataclass
@@ -76,21 +82,40 @@ def _exact_convolve(arrays):
     return np.frombuffer(data, dtype="<u8").astype(np.int64)
 
 
+def estimated_bytes(inst: ProblemInstance) -> int:
+    """Estimated peak memory of representation_counts on inst, prime table
+    included; allocates nothing."""
+    total_len = sum(abs(v) for v in inst.a) * inst.X + 1
+    fft_len = 1 << max(1, (total_len - 1).bit_length())
+    return (BYTES_PER_FFT_POINT * fft_len + BYTES_PER_COEFF * total_len
+            + BYTES_PER_COMPONENT_X * inst.k * (inst.X + 1))
+
+
+def check_memory(inst: ProblemInstance):
+    """Raise ResourceLimit when inst would need more than MAX_BYTES."""
+    need = estimated_bytes(inst)
+    if need > MAX_BYTES:
+        raise ResourceLimit(f"X={inst.X}, a={inst.a} needs about "
+                            f"{need / 2**30:.1f} GiB; the limit is "
+                            f"{MAX_BYTES / 2**30:.0f} GiB")
+
+
 def _component_arrays(inst: ProblemInstance, table: sieve.PrimeTable):
-    out = []
-    for fc in inst.components:
-        wpa = sieve.weighted_prime_array(table, fc.spec, fc.cls, inst.X)
-        out.append(wpa)
-    return out
+    """One WeightedPrimeArray per component; the primes are classified once
+    per distinct spec."""
+    ps = table.primes_upto(inst.X)
+    labels = {spec: galois.classify_batch(spec, ps)
+              for spec in dict.fromkeys(fc.spec for fc in inst.components)}
+    return [sieve.weighted_prime_array(table, fc.spec, fc.cls, inst.X,
+                                       labels[fc.spec])
+            for fc in inst.components]
 
 
 def representation_counts(inst: ProblemInstance,
                           table: sieve.PrimeTable) -> CoefficientArray:
     """S(N) for every attainable N: weighted by the product of log p and
     as a plain solution count."""
-    total_len = sum(abs(v) for v in inst.a) * inst.X + 1
-    if total_len > MAX_ARRAY:
-        raise ResourceLimit(f"coefficient array of length {total_len}")
+    check_memory(inst)
     comps = _component_arrays(inst, table)
     w_arrays, u_arrays, offset = [], [], 0
     for wpa, ai in zip(comps, inst.a):
@@ -176,9 +201,7 @@ def _sharp_component(inst: ProblemInstance, fc, z: float) -> np.ndarray:
 def h_sharp_array(inst: ProblemInstance, z: float) -> CoefficientArray:
     """Coefficients of H_sharp: the prefactor times the convolution of the
     congruence-sieve weight arrays."""
-    total_len = sum(abs(v) for v in inst.a) * inst.X + 1
-    if total_len > MAX_ARRAY:
-        raise ResourceLimit(f"coefficient array of length {total_len}")
+    check_memory(inst)
     arrays, offset = [], 0
     for fc, ai in zip(inst.components, inst.a):
         w, off = _embed(_sharp_component(inst, fc, z), ai)

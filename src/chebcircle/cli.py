@@ -102,6 +102,7 @@ def _timestamp_line(fh, suppress: bool):
 def cmd_verify(args) -> int:
     t0 = time.time()
     inst, doc = _instance_from_doc(_load_instance_doc(args.instance))
+    circle.check_memory(inst)
     table = sieve.PrimeTable.build(inst.X)
     pmax = args.pmax or doc.get("euler_pmax", 10**4)
     result = circle.verify_theorem(inst, inst.params.z, _n_list(doc, inst),

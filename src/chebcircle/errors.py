@@ -11,7 +11,8 @@ class DomainError(ChebCircleError):
 
 class InconsistentSpec(ChebCircleError):
     """A Galois spec turned out to be internally inconsistent at use time
-    (e.g. a polynomial whose factor degrees mod p are not all equal)."""
+    (e.g. a prime whose Frobenius order on the roots of f and residue mod
+    D form the key of no class)."""
 
 
 class ValidationError(ChebCircleError):

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .arith import factorint
 from .characters import DirichletCharacter, kronecker_character
 from .errors import DegenerateAlpha, DomainError, UnsupportedCharacter
 
@@ -174,24 +175,15 @@ def covering_holds(ss: StructureSet, alpha) -> bool:
 # quadratic fields via norm counts
 # ---------------------------------------------------------------------------
 
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    i = 2
-    while i * i <= n:
-        if n % (i * i) == 0:
-            return False
-        i += 1
-    return True
-
-
 @dataclass(frozen=True)
 class QuadraticField:
     d: int  # fundamental discriminant
 
     def __post_init__(self):
         d = self.d
-        ok = (d % 4 == 1 and d != 1 and _squarefree(d)) or \
-             (d % 4 == 0 and (d // 4) % 4 in (2, 3) and _squarefree(d // 4))
+        m = d if d % 4 == 1 else d // 4
+        ok = (d % 4 == 1 and d != 1 or d % 4 == 0 and m % 4 in (2, 3)) \
+            and all(e == 1 for e in factorint(m).values())
         if not ok:
             raise DomainError(f"{d} is not a fundamental discriminant")
 

@@ -1,23 +1,27 @@
 """Galois extensions of Q and classification of primes by Frobenius class.
 
 A field is described either by abelian congruence data (a modulus and a
-partition of the units into cosets) or by a monic integer polynomial that
-generates a Galois extension, together with a class table and the coset
-data of its abelianization.  Conjugacy classes of polynomial specs are
-identified purely by the order of the Frobenius element, which equals the
-common degree of the irreducible factors of f mod p.
+partition of the units into cosets) or by a monic irreducible integer
+polynomial f whose splitting field is the Galois extension K, together
+with a class table and the coset data of the abelianization of
+Gal(K/Q), read modulo D.  Every class has one key: the order of Frobenius
+acting on the roots of f, which is the lcm of the degrees of the
+irreducible factors of f mod p, and the residue of p mod D.  An abelian
+spec has no f and is keyed by its residue alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from .arith import factorint
 from .errors import InconsistentSpec, ValidationError
 
 ABELIAN = "abelian"
@@ -57,8 +61,15 @@ class GaloisSpec:
             object.__setattr__(self, "group_order", len(self.classes))
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else 1
+    def poly(self):
+        """f, or x for an abelian spec: Frobenius fixes its one root."""
+        return self.coeffs or (0, 1)
+
+    def class_keys(self):
+        """[((Frobenius order on the roots of f, residue mod D), class
+        index)], one entry per coset residue of each class."""
+        return [((c.element_order if self.coeffs else 1, r % self.modulus), i)
+                for i, c in enumerate(self.classes) for r in c.coset]
 
     @property
     def ramified_modulus(self):
@@ -301,26 +312,16 @@ def _units(D):
 # ---------------------------------------------------------------------------
 
 def frobenius_class(spec: GaloisSpec, p: int) -> FrobeniusResult:
-    """Artin-symbol class of an unramified prime p, or RAMIFIED."""
-    if spec.kind == ABELIAN:
-        if spec.modulus > 1 and spec.modulus % p == 0:
-            return RAMIFIED
-        r = p % spec.modulus if spec.modulus > 1 else 0
-        for c in spec.classes:
-            if r in c.coset:
-                return FrobeniusResult(c.label)
-        raise InconsistentSpec(f"residue {r} not covered by any coset")
+    """Artin-symbol class of an unramified prime p, or RAMIFIED.  The order
+    of Frobenius is the lcm of the factor degrees of f mod p; this is the
+    scalar oracle of classify_batch and shares none of its arithmetic."""
     if spec.ramified_modulus % p == 0:
         return RAMIFIED
-    degs = poly_factor_degrees(spec.coeffs, p)
-    if len(set(degs)) != 1:
-        raise InconsistentSpec(
-            f"factor degrees of f mod {p} are {degs}; spec is not Galois")
-    d = degs[0]
-    for c in spec.classes:
-        if c.element_order == d:
-            return FrobeniusResult(c.label)
-    raise InconsistentSpec(f"no class with element order {d}")
+    key = (math.lcm(*poly_factor_degrees(spec.poly, p)), p % spec.modulus)
+    for k, i in spec.class_keys():
+        if k == key:
+            return FrobeniusResult(spec.classes[i].label)
+    raise InconsistentSpec(f"no class has the key {key} of p={p}")
 
 
 def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
@@ -330,28 +331,30 @@ def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
     """
     ps = np.asarray(primes, dtype=np.int64)
     out = np.full(ps.shape, -1, dtype=np.int64)
-    if spec.kind == ABELIAN:
-        D = spec.modulus
-        if D == 1:
-            out[:] = 0
-            return out
-        lookup = np.full(D, -1, dtype=np.int64)
-        for idx, c in enumerate(spec.classes):
-            for r in c.coset:
-                lookup[r % D] = idx
-        unram = np.array([D % int(p) != 0 for p in ps])
-        out[unram] = lookup[ps[unram] % D]
-        return out
-    ram = spec.ramified_modulus
-    unram = np.array([ram % int(p) != 0 for p in ps])
-    orders = _frobenius_orders_batch(spec.coeffs, ps[unram])
-    order_to_idx = {c.element_order: i for i, c in enumerate(spec.classes)}
-    mapped = np.array([order_to_idx.get(int(d), -2) for d in orders])
+    unram = ~_divides(spec.ramified_modulus, ps)
+    good = ps[unram]
+    orders = _frobenius_orders_batch(spec.poly, good)
+    keys = spec.class_keys()
+    top = max([d for (d, _), _ in keys] + [int(orders.max(initial=0))])
+    lookup = np.full((top + 1, spec.modulus), -2, dtype=np.int64)
+    for (d, r), i in keys:
+        lookup[d, r] = i
+    mapped = lookup[orders, good % spec.modulus]
     if (mapped == -2).any():
-        bad = ps[unram][mapped == -2][0]
-        raise InconsistentSpec(f"unmatched Frobenius order at p={bad}")
+        raise InconsistentSpec(
+            f"no class has the key of p={good[mapped == -2][0]}")
     out[unram] = mapped
     return out
+
+
+def _divides(n: int, ps) -> np.ndarray:
+    """Mask of the entries of ps (int64, 0 < p < 2**31) that divide n, by
+    Horner's rule over the base-2**31 digits of |n|."""
+    n = abs(n)
+    r = np.zeros_like(ps)
+    for shift in range(31 * (n.bit_length() // 31), -1, -31):
+        r = (r * 2**31 + ((n >> shift) & (2**31 - 1))) % ps
+    return r == 0
 
 
 def _batch_mulmod(a, b, fmods, ps):
@@ -371,11 +374,14 @@ def _batch_mulmod(a, b, fmods, ps):
 
 
 def _frobenius_orders_batch(coeffs, ps):
-    """Order of Frobenius (= common irreducible factor degree of f mod p)
-    for each unramified prime, computed as the least d with x^(p^d) = x."""
+    """Order of Frobenius on the roots of f (the lcm of the irreducible
+    factor degrees of f mod p) for each unramified prime, computed as the
+    least d with x^(p^d) = x mod (f, p)."""
     ps = np.asarray(ps, dtype=np.int64)
     N = len(ps)
     n = len(coeffs) - 1
+    if n == 1:
+        return np.ones(N, dtype=np.int64)
     if N == 0:
         return np.zeros(0, dtype=np.int64)
     fl = np.array(coeffs[:-1], dtype=np.int64)[None, :] % ps[:, None]
@@ -399,7 +405,7 @@ def _frobenius_orders_batch(coeffs, ps):
     orders = np.zeros(N, dtype=np.int64)
     cur = pi.copy()
     remaining = np.arange(N)
-    for d in range(1, n + 1):
+    for d in range(1, math.lcm(*range(1, n + 1)) + 1):
         fixed = (cur[remaining] == x_poly[remaining]).all(axis=1)
         orders[remaining[fixed]] = d
         remaining = remaining[~fixed]
@@ -409,8 +415,6 @@ def _frobenius_orders_batch(coeffs, ps):
         sub = _compose_batch(cur[remaining], pi[remaining],
                              fl[remaining], ps[remaining])
         cur[remaining] = sub
-    if len(remaining):
-        raise InconsistentSpec("Frobenius order exceeds deg f")
     return orders
 
 
@@ -441,6 +445,10 @@ def validate_spec(spec: GaloisSpec) -> ValidationReport:
         if bad:
             rep.add("InvalidCoset",
                     f"class {c.label}: {sorted(bad)} not units mod {D}")
+    keys = [k for k, _ in spec.class_keys()]
+    if len(set(keys)) != len(keys):
+        rep.add("UnidentifiableClasses",
+                "two classes share an element order and a coset residue")
     if spec.kind == ABELIAN:
         seen = []
         for c in spec.classes:
@@ -462,13 +470,6 @@ def validate_spec(spec: GaloisSpec) -> ValidationReport:
     G = spec.group_order or 0
     if sum(c.class_size for c in spec.classes) != G:
         rep.add("ClassSizeSum", "class sizes do not sum to the group order")
-    if len(f) - 1 != G:
-        rep.add("DegreeMismatch", "deg f must equal the group order")
-    orders = [c.element_order for c in spec.classes]
-    if len(set(orders)) != len(orders):
-        rep.add("UnidentifiableClasses",
-                "two classes share an element order; classification by "
-                "factor degree cannot distinguish them")
     for c in spec.classes:
         if G and G % c.element_order != 0:
             rep.add("OrderDividesGroup",
@@ -478,28 +479,15 @@ def validate_spec(spec: GaloisSpec) -> ValidationReport:
     if disc == 0:
         rep.add("SquarefulPolynomial", "discriminant of f is zero")
         return rep
-    d = D
-    while d > 1:
-        p = _least_factor(d)
+    for p in factorint(D):
         if disc % p != 0:
             rep.add("ModulusRamification",
                     f"prime {p} divides the modulus but not disc(f)")
-        while d % p == 0:
-            d //= p
     if len(f) > 2 and _has_rational_root(f):
         rep.add("Reducible", "polynomial has a rational root")
     if rep.ok:
-        _check_galois_shape(spec, rep)
+        _check_keys(spec, rep)
     return rep
-
-
-def _least_factor(n):
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return i
-        i += 1
-    return n
 
 
 def _has_rational_root(f):
@@ -513,33 +501,18 @@ def _has_rational_root(f):
     return any(sum(c * r**i for i, c in enumerate(f)) == 0 for r in cands)
 
 
-def _check_galois_shape(spec, rep, n_primes=25):
-    """Factor f mod the first few unramified primes; a Galois polynomial
-    has all factor degrees equal, with the degree among the class orders."""
-    orders = {c.element_order for c in spec.classes}
-    tested = 0
-    p = 1
-    while tested < n_primes:
-        p = _next_prime(p)
-        if spec.ramified_modulus % p == 0:
-            continue
-        degs = poly_factor_degrees(spec.coeffs, p)
-        if len(set(degs)) != 1:
-            rep.add("NotGalois", f"unequal factor degrees mod {p}: {degs}")
+def _check_keys(spec, rep, n_primes=25):
+    """Each of the first n_primes unramified primes matches exactly one
+    class: the keys are distinct, so frobenius_class finds at most one."""
+    ram = spec.ramified_modulus
+    primes = (p for p in itertools.count(2)
+              if factorint(p) == {p: 1} and ram % p != 0)
+    for p in itertools.islice(primes, n_primes):
+        try:
+            frobenius_class(spec, p)
+        except InconsistentSpec as exc:
+            rep.add("MissingClass", str(exc))
             return
-        if degs[0] not in orders:
-            rep.add("MissingClass",
-                    f"factor degree {degs[0]} mod {p} matches no class")
-            return
-        tested += 1
-
-
-def _next_prime(n):
-    n += 1
-    while True:
-        if n > 1 and all(n % i for i in range(2, int(math.isqrt(n)) + 1)):
-            return n
-        n += 1
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +559,20 @@ def builtin_spec(name: str) -> GaloisSpec:
             (ClassSpec("1", frozenset({1}), class_size=1, element_order=1),
              ClassSpec("2", frozenset({2}), class_size=3, element_order=2),
              ClassSpec("3", frozenset({1}), class_size=2, element_order=3)),
-            coeffs=(108, 0, 0, 0, 0, 0, 1),
+            coeffs=(-2, 0, 0, 1),
             group_order=6)
+    if name == "d4-qrt2":
+        # Q(2^(1/4), i); its abelianization is Gal(Q(zeta_8)/Q)
+        return GaloisSpec(
+            POLYNOMIAL, 8,
+            (ClassSpec("e", frozenset({1}), class_size=1, element_order=1),
+             ClassSpec("r2", frozenset({1}), class_size=1, element_order=2),
+             ClassSpec("r", frozenset({5}), class_size=2, element_order=4),
+             ClassSpec("s", frozenset({3}), class_size=2, element_order=2),
+             ClassSpec("t", frozenset({7}), class_size=2, element_order=2)),
+            coeffs=(-2, 0, 0, 0, 1),
+            group_order=8)
     raise KeyError(f"unknown built-in spec {name!r}")
 
 
-BUILTIN_NAMES = ("trivial", "gaussian", "s3-cbrt2")
+BUILTIN_NAMES = ("trivial", "gaussian", "s3-cbrt2", "d4-qrt2")

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import galois, sieve
+from .arith import phi
 from .characters import (DirichletCharacter, characters_trivial_on,
                          principal_character)
 from .errors import DomainError, UnsupportedInstantiation
@@ -189,7 +190,7 @@ def eval_F_sharp(fieldL: Optional[QuadraticField], xi: IdealCharacter,
     if m > 1:
         sel = np.isin(ns % m, list(H))
         ns = ns[sel]
-        lam = sieve._phi(m) / len(H)
+        lam = phi(m) / len(H)
     else:
         lam = 1.0
     if len(ns) == 0:
@@ -252,7 +253,7 @@ def gf_relation_residual(ctx: GenfunContext, alpha, via: str = "auto") -> float:
                               if 1 in cc.coset)
         chars = characters_trivial_on(D, identity_coset)
         c = min(cls.coset)
-        pref = len(identity_coset) / sieve._phi(D)
+        pref = len(identity_coset) / phi(D)
     acc = 0j
     for ch in chars:
         F = eval_F(None, IdealCharacter("norm", ch), ctx.X, alpha, ctx.table)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import galois
+from .arith import phi
 from .errors import DomainError
 
 
@@ -79,17 +79,9 @@ class SieveParams:
             raise DomainError("z != log(X)^B for this X")
 
 
-@lru_cache(maxsize=64)
-def _small_primes(z: float) -> tuple:
-    n = int(z)
-    if n < 2:
-        return ()
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = False
-    return tuple(int(p) for p in np.nonzero(sieve)[0])
+def primes_upto(z: float) -> list:
+    """The primes p <= z as Python ints, from a PrimeTable."""
+    return PrimeTable.build(max(int(z), 2)).primes_upto(z).tolist()
 
 
 def lambda_p(p: int, n: int) -> Fraction:
@@ -101,7 +93,7 @@ def lambda_p(p: int, n: int) -> Fraction:
 
 def lambda_z(z: float, n: int) -> Fraction:
     """Product of lambda_p over p <= z; equals 0 or C(z)."""
-    for p in _small_primes(z):
+    for p in primes_upto(z):
         if n % p == 0:
             return Fraction(0)
     return c_of_z(z)
@@ -109,7 +101,7 @@ def lambda_z(z: float, n: int) -> Fraction:
 
 def c_of_z(z: float) -> Fraction:
     out = Fraction(1)
-    for p in _small_primes(z):
+    for p in primes_upto(z):
         out *= Fraction(p, p - 1)
     return out
 
@@ -117,7 +109,7 @@ def c_of_z(z: float) -> Fraction:
 def c_of_z_float(z: float) -> float:
     """C(z) in double precision, summed in log space; use for bulk arrays
     where the exact rational would be astronomically large."""
-    ps = np.array(_small_primes(z), dtype=np.float64)
+    ps = np.array(primes_upto(z), dtype=np.float64)
     if len(ps) == 0:
         return 1.0
     return float(np.exp(-np.sum(np.log1p(-1.0 / ps))))
@@ -125,14 +117,14 @@ def c_of_z_float(z: float) -> float:
 
 def p_of_z(z: float) -> int:
     out = 1
-    for p in _small_primes(z):
+    for p in primes_upto(z):
         out *= p
     return out
 
 
 def p_of_z_q(z: float, q: int) -> int:
     out = 1
-    for p in _small_primes(z):
+    for p in primes_upto(z):
         if q % p != 0:
             out *= p
     return out
@@ -145,7 +137,7 @@ def lambda_kc(spec: galois.GaloisSpec, cls: galois.ClassSpec,
     if D == 1:
         return Fraction(1)
     if n % D in cls.coset:
-        return Fraction(_phi(D), len(cls.coset))
+        return Fraction(phi(D), len(cls.coset))
     return Fraction(0)
 
 
@@ -156,23 +148,14 @@ def lambda_kc_table(spec: galois.GaloisSpec,
     D = spec.modulus
     tab = np.zeros(D)
     for r in cls.coset:
-        tab[r] = _phi(D) / len(cls.coset)
+        tab[r] = phi(D) / len(cls.coset)
     return tab
-
-
-@lru_cache(maxsize=256)
-def _phi(D: int) -> int:
-    out = 0
-    for u in range(1, D + 1):
-        if math.gcd(u, D) == 1:
-            out += 1
-    return out if D > 1 else 1
 
 
 def smooth_count(z: float, Y: float) -> int:
     """Number of squarefree z-smooth n <= Y (n=1 included), by depth-first
     product enumeration; never materializes non-smooth integers."""
-    primes = _small_primes(z)
+    primes = primes_upto(z)
 
     def walk(i, prod):
         count = 1
@@ -200,12 +183,17 @@ class WeightedPrimeArray:
 
 
 def weighted_prime_array(table: PrimeTable, spec: galois.GaloisSpec,
-                         cls: galois.ClassSpec, X: int) -> WeightedPrimeArray:
+                         cls: galois.ClassSpec, X: int,
+                         labels=None) -> WeightedPrimeArray:
+    """The primes <= X of class cls.  labels, when given, is
+    galois.classify_batch(spec, table.primes_upto(X)), so that the classes
+    of one spec share one classification."""
     if X > table.limit:
         raise DomainError("X exceeds the prime table limit")
     ps = table.primes_upto(X)
     idx = list(spec.classes).index(cls)
-    labels = galois.classify_batch(spec, ps)
+    if labels is None:
+        labels = galois.classify_batch(spec, ps)
     mine = ps[labels == idx]
     weights = np.zeros(X + 1)
     weights[mine] = np.log(mine.astype(np.float64))
@@ -219,7 +207,7 @@ def sieve_survivor_mask(X: int, z: float) -> np.ndarray:
     the support of lambda_z."""
     mask = np.ones(X + 1, dtype=bool)
     mask[0] = False
-    for p in _small_primes(z):
+    for p in primes_upto(z):
         if p > X:
             break
         mask[p::p] = False

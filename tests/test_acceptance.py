@@ -63,6 +63,23 @@ def test_classical_ternary_ratios_at_two_hundred_thousand(table_million):
     assert time.time() - t0 < 600
 
 
+def test_d4_ratios_at_a_hundred_thousand(table_million):
+    # d4-qrt2: r, s and t have orders 4, 2, 2 and residues 5, 3, 7 mod 8;
+    # e and r2 share residue 1 and differ in order
+    X = 10**5
+    spec = galois.builtin_spec("d4-qrt2")
+    for labels in (("r", "s", "t"), ("e", "r2", "s")):
+        comps = tuple(FieldClass(spec, spec.class_by_label(lb))
+                      for lb in labels)
+        inst = ProblemInstance(comps, (1, 1, 1), X)
+        residue = sum(min(fc.cls.coset) for fc in comps) % 8
+        start = 3 * X // 2 + (residue - 3 * X // 2) % 8
+        Ns = list(range(start, start + 8 * 30, 8))
+        res = circle.verify_theorem(inst, inst.params.z, Ns, table_million)
+        assert all(row.ratio is not None for row in res.rows)
+        assert res.median_abs_dev <= 0.03
+
+
 def test_gaussian_identity_congruence_and_ratios(table_million):
     X = 2 * 10**5
     inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), X)

@@ -92,6 +92,36 @@ class TestRepresentationCounts:
         with pytest.raises(ResourceLimit):
             circle.representation_counts(inst, table_small)
 
+    def test_memory_estimate_tracks_measured_peak(self):
+        # peak RSS of `verify` on trivial x3, a = (1, 1, 1): 278 MiB at
+        # X = 10^6 and 1019 MiB at 4 * 10^6, about 30 MiB of it the
+        # interpreter and numpy
+        for X, rss_mib in ((10**6, 278), (4 * 10**6, 1019)):
+            est = circle.estimated_bytes(classical_instance(X)) / 2**20
+            assert 0.8 * rss_mib <= est <= 1.2 * rss_mib
+
+    def test_memory_gate_allocates_nothing(self):
+        inst = classical_instance(10**9)
+        assert circle.estimated_bytes(inst) > circle.MAX_BYTES
+        with pytest.raises(ResourceLimit):
+            circle.check_memory(inst)
+        circle.check_memory(classical_instance(10**6))
+
+    def test_one_classification_per_spec(self, table_small, monkeypatch):
+        calls = []
+        real = galois.classify_batch
+
+        def counting(spec, primes):
+            calls.append(spec)
+            return real(spec, primes)
+
+        monkeypatch.setattr(galois, "classify_batch", counting)
+        spec = galois.builtin_spec("s3-cbrt2")
+        inst = ProblemInstance(tuple(FieldClass(spec, c)
+                                     for c in spec.classes), (1, 1, 1), 3000)
+        circle.verify_theorem(inst, inst.params.z, [4501, 4507], table_small)
+        assert calls == [spec]
+
     def test_random_instances_match_oracle(self, table_small):
         rng = random.Random(101)
         names = ["trivial", "gaussian", "s3-cbrt2"]

@@ -136,6 +136,19 @@ class TestVerify:
         assert code == 2
         assert "common divisor" in err
 
+    def test_memory_gate_exit_3_before_prime_table(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_table(limit):
+            raise AssertionError("prime table built past the memory gate")
+
+        monkeypatch.setattr(cli.circle, "MAX_BYTES", 2**16)
+        monkeypatch.setattr(cli.sieve.PrimeTable, "build", no_table)
+        inst = write_instance(tmp_path, SMALL_CLASSICAL)
+        code, _, err = run(capsys, "verify", inst, "--out-dir",
+                           str(tmp_path / "out"))
+        assert code == 3
+        assert "GiB" in err
+
     def test_unwritable_out_dir_exit_3(self, tmp_path, capsys):
         if os.geteuid() == 0:
             pytest.skip("running as root: directory modes are not enforced")

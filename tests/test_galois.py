@@ -13,6 +13,15 @@ def s3():
     return galois.builtin_spec("s3-cbrt2")
 
 
+SEXTIC = (108, 0, 0, 0, 0, 0, 1)  # x^6 + 108, Galois over Q with group S3
+
+
+def s3_sextic():
+    """s3-cbrt2's classes on the Galois polynomial x^6 + 108."""
+    return galois.GaloisSpec("polynomial", 3, s3().classes, coeffs=SEXTIC,
+                             group_order=6)
+
+
 class TestFrobeniusClass:
     def test_split_prime_in_gaussian(self):
         assert galois.frobenius_class(gaussian(), 5).class_label == "e"
@@ -24,7 +33,7 @@ class TestFrobeniusClass:
         assert galois.frobenius_class(gaussian(), 2).ramified
 
     def test_sextic_order_one(self):
-        # x^6 + 108 splits into linear factors mod 31
+        # x^3 - 2 and x^6 + 108 split into linear factors mod 31 (4^3 = 2)
         assert galois.frobenius_class(s3(), 31).class_label == "1"
 
     def test_sextic_order_two(self):
@@ -58,14 +67,13 @@ class TestPolyFactorDegrees:
         assert degs == [1, 1, 1, 1, 1, 1]
 
     def test_galois_shape_all_unramified_primes(self, table_small):
-        # all factor degrees equal, d * count = deg f
-        spec = s3()
-        ram = spec.ramified_modulus
+        # a Galois f: all factor degrees equal, d * count = deg f
+        ram = galois.poly_discriminant(SEXTIC)
         for p in table_small.primes_upto(10**4):
             p = int(p)
             if ram % p == 0:
                 continue
-            degs = galois.poly_factor_degrees(spec.coeffs, p)
+            degs = galois.poly_factor_degrees(SEXTIC, p)
             assert len(set(degs)) == 1
             assert degs[0] * len(degs) == 6
 
@@ -83,13 +91,37 @@ class TestValidateSpec:
         assert any(code == "InvalidCoset" for code, _ in rep.issues)
 
     def test_duplicate_orders_rejected(self):
+        # same order and same residue: no prime can tell a from b
         spec = galois.GaloisSpec(
-            "polynomial", 3,
+            "polynomial", 4,
             (galois.ClassSpec("a", frozenset({1}), 1, 2),
-             galois.ClassSpec("b", frozenset({2}), 1, 2)),
+             galois.ClassSpec("b", frozenset({1, 3}), 1, 2)),
             coeffs=(1, 0, 1), group_order=2)
         rep = galois.validate_spec(spec)
         assert any(code == "UnidentifiableClasses" for code, _ in rep.issues)
+
+    def test_shared_order_with_distinct_residues_accepted(self):
+        # d4-qrt2's r2, s and t all have order 2
+        spec = galois.builtin_spec("d4-qrt2")
+        assert len([c for c in spec.classes if c.element_order == 2]) == 3
+        assert galois.validate_spec(spec).ok
+
+    def test_swapped_cosets_rejected(self):
+        # classes 2 and 3 of s3-cbrt2 with their cosets exchanged: p = 5
+        # has key (2, 2), which no class then carries
+        c1, c2, c3 = s3().classes
+        spec = galois.GaloisSpec(
+            "polynomial", 3,
+            (c1, galois.ClassSpec("2", c3.coset, 3, 2),
+             galois.ClassSpec("3", c2.coset, 2, 3)),
+            coeffs=s3().coeffs, group_order=6)
+        rep = galois.validate_spec(spec)
+        assert any(code == "MissingClass" for code, _ in rep.issues)
+        with pytest.raises(InconsistentSpec):
+            galois.classify_batch(spec, [5])
+
+    def test_sextic_spec_still_valid(self):
+        assert galois.validate_spec(s3_sextic()).ok
 
     def test_partition_required(self):
         spec = galois.GaloisSpec("abelian", 4,
@@ -117,8 +149,13 @@ class TestBatchClassifier:
                 else:
                     assert labels[i] == res.class_label
 
+    def test_cubic_matches_sextic_to_a_hundred_thousand(self, table_million):
+        ps = table_million.primes_upto(10**5)
+        assert np.array_equal(galois.classify_batch(s3(), ps),
+                              galois.classify_batch(s3_sextic(), ps))
+
     def test_empirical_density_within_three_percent(self, table_million):
-        for name in ("gaussian", "s3-cbrt2"):
+        for name in ("gaussian", "s3-cbrt2", "d4-qrt2"):
             spec = galois.builtin_spec(name)
             idx = galois.classify_batch(spec, table_million.primes)
             unram = int((idx >= 0).sum())
