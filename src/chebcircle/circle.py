@@ -16,12 +16,12 @@ from .instance import ProblemInstance
 
 MAX_BYTES = 4 * 2**30
 EXACT_X_LIMIT = 10**4
-# Peak bytes per FFT point, per coefficient of S and per prime variable and
-# unit of X; fitted to the peak RSS of `verify` on eight trivial-field
-# instances (k = 2..4, X = 2.5e5..2e6) and rounded up.
-BYTES_PER_FFT_POINT = 36
-BYTES_PER_COEFF = 20
-BYTES_PER_COMPONENT_X = 21
+# Peak bytes per FFT point, per unit of X, and per distinct component and
+# unit of X; fitted to the peak RSS of `verify` on sixteen instances
+# (k = 2..4, X = 2.5e5..2e6, one to four distinct components).
+BYTES_PER_FFT_POINT = 44
+BYTES_PER_X = 14
+BYTES_PER_COMPONENT_X = 10
 
 
 @dataclass
@@ -49,46 +49,53 @@ class CoefficientArray:
         return self.offset, self.offset + len(self.weighted) - 1
 
 
-def _embed(values: np.ndarray, ai: int):
-    """Spread values[n] to index |ai|*n, reversing when ai < 0; returns
-    (array, offset of index 0 in N-space)."""
-    X = len(values) - 1
-    out = np.zeros(abs(ai) * X + 1, dtype=values.dtype)
-    out[::abs(ai)] = values
-    if ai < 0:
-        return out[::-1].copy(), ai * X
-    return out, 0
+def _embed(values: np.ndarray, ai: int) -> np.ndarray:
+    """Spread values[n] to index |ai|*n, reversed when ai < 0; values
+    itself (or a reversed view of it) when |ai| = 1."""
+    out = values
+    if abs(ai) > 1:
+        out = np.zeros(abs(ai) * (len(values) - 1) + 1, dtype=values.dtype)
+        out[::abs(ai)] = values
+    return out[::-1] if ai < 0 else out
 
 
-def _fft_convolve(arrays):
-    total = sum(len(a) - 1 for a in arrays) + 1
-    M = 1 << max(1, (total - 1).bit_length())
+def _fft_len(inst: ProblemInstance) -> int:
+    lo, hi = inst.attainable_range
+    return 1 << max(1, (hi - lo).bit_length())
+
+
+def _convolve(inst: ProblemInstance, arrays) -> np.ndarray:
+    """Coefficients of prod_i sum_n arrays[i][n] x^(a_i n) over
+    inst.attainable_range, one array over 0..X per component, by FFT; a
+    repeated (array, a_i) is transformed once and held until its last use."""
+    lo, hi = inst.attainable_range
+    M = _fft_len(inst)
+    keys = [(id(v), ai) for v, ai in zip(arrays, inst.a)]
+    held = {}
     spec = np.ones(M // 2 + 1, dtype=complex)
-    for a in arrays:
-        spec *= np.fft.rfft(a, M)
-    return np.fft.irfft(spec, M)[:total]
+    for i, (key, v, ai) in enumerate(zip(keys, arrays, inst.a)):
+        if key not in held:
+            held[key] = np.fft.rfft(_embed(v, ai), M)
+        spec *= held[key] if key in keys[i + 1:] else held.pop(key)
+    return np.fft.irfft(spec, M)[:hi - lo + 1]
 
 
-def _exact_convolve(arrays):
-    """Integer convolution through big-integer multiplication (Kronecker
-    substitution, base 2^64); exact for nonnegative entries."""
-    shift = 64
-    acc = None
-    for a in arrays:
-        packed = sum(int(v) << (shift * i) for i, v in enumerate(a))
-        acc = packed if acc is None else acc * packed
-    total = sum(len(a) - 1 for a in arrays) + 1
-    data = acc.to_bytes(total * 8, "little")
+def _exact_convolve(inst: ProblemInstance, arrays) -> np.ndarray:
+    """_convolve by big-integer multiplication (Kronecker substitution,
+    base 2^64); exact for nonnegative integer entries."""
+    lo, hi = inst.attainable_range
+    acc = math.prod(int.from_bytes(_embed(v, ai).astype("<u8").tobytes(),
+                                   "little")
+                    for v, ai in zip(arrays, inst.a))
+    data = acc.to_bytes((hi - lo + 1) * 8, "little")
     return np.frombuffer(data, dtype="<u8").astype(np.int64)
 
 
 def estimated_bytes(inst: ProblemInstance) -> int:
     """Estimated peak memory of representation_counts on inst, prime table
     included; allocates nothing."""
-    total_len = sum(abs(v) for v in inst.a) * inst.X + 1
-    fft_len = 1 << max(1, (total_len - 1).bit_length())
-    return (BYTES_PER_FFT_POINT * fft_len + BYTES_PER_COEFF * total_len
-            + BYTES_PER_COMPONENT_X * inst.k * (inst.X + 1))
+    per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * len(set(inst.components))
+    return BYTES_PER_FFT_POINT * _fft_len(inst) + per_x * (inst.X + 1)
 
 
 def check_memory(inst: ProblemInstance):
@@ -101,14 +108,15 @@ def check_memory(inst: ProblemInstance):
 
 
 def _component_arrays(inst: ProblemInstance, table: sieve.PrimeTable):
-    """One WeightedPrimeArray per component; the primes are classified once
-    per distinct spec."""
+    """One WeightedPrimeArray per component, shared by equal components;
+    the primes are classified once per distinct spec."""
     ps = table.primes_upto(inst.X)
     labels = {spec: galois.classify_batch(spec, ps)
               for spec in dict.fromkeys(fc.spec for fc in inst.components)}
-    return [sieve.weighted_prime_array(table, fc.spec, fc.cls, inst.X,
-                                       labels[fc.spec])
-            for fc in inst.components]
+    arrays = {fc: sieve.weighted_prime_array(table, fc.spec, fc.cls, inst.X,
+                                             labels[fc.spec])
+              for fc in dict.fromkeys(inst.components)}
+    return [arrays[fc] for fc in inst.components]
 
 
 def representation_counts(inst: ProblemInstance,
@@ -117,23 +125,15 @@ def representation_counts(inst: ProblemInstance,
     as a plain solution count."""
     check_memory(inst)
     comps = _component_arrays(inst, table)
-    w_arrays, u_arrays, offset = [], [], 0
-    for wpa, ai in zip(comps, inst.a):
-        w, off = _embed(wpa.weights, ai)
-        u, _ = _embed(wpa.indicator.astype(np.float64), ai)
-        w_arrays.append(w)
-        u_arrays.append(u)
-        offset += off
-    weighted = _fft_convolve(w_arrays)
+    weighted = _convolve(inst, [wpa.weights for wpa in comps])
     np.maximum(weighted, 0.0, out=weighted)
+    indicators = [wpa.indicator for wpa in comps]
     if inst.X <= EXACT_X_LIMIT:
-        ints = [_embed(wpa.indicator.astype(np.int64), ai)[0]
-                for wpa, ai in zip(comps, inst.a)]
-        unweighted = _exact_convolve(ints)
+        unweighted = _exact_convolve(inst, indicators)
     else:
-        unweighted = np.rint(_fft_convolve(u_arrays)).astype(np.int64)
+        unweighted = np.rint(_convolve(inst, indicators)).astype(np.int64)
         np.maximum(unweighted, 0, out=unweighted)
-    return CoefficientArray(offset, weighted, unweighted)
+    return CoefficientArray(inst.attainable_range[0], weighted, unweighted)
 
 
 def _oracle_tables(inst: ProblemInstance, table: sieve.PrimeTable):
@@ -202,13 +202,12 @@ def h_sharp_array(inst: ProblemInstance, z: float) -> CoefficientArray:
     """Coefficients of H_sharp: the prefactor times the convolution of the
     congruence-sieve weight arrays."""
     check_memory(inst)
-    arrays, offset = [], 0
-    for fc, ai in zip(inst.components, inst.a):
-        w, off = _embed(_sharp_component(inst, fc, z), ai)
-        arrays.append(w)
-        offset += off
-    vals = _fft_convolve(arrays) * float(inst.prefactor)
-    return CoefficientArray(offset, vals, np.zeros(0, dtype=np.int64))
+    arrays = {fc: _sharp_component(inst, fc, z)
+              for fc in dict.fromkeys(inst.components)}
+    vals = _convolve(inst, [arrays[fc] for fc in inst.components])
+    vals *= float(inst.prefactor)
+    return CoefficientArray(inst.attainable_range[0], vals,
+                            np.zeros(0, dtype=np.int64))
 
 
 def h_sharp_coefficient(inst: ProblemInstance, z: float, N: int) -> float:

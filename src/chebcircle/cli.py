@@ -163,9 +163,7 @@ def cmd_genfun(args) -> int:
     ctx = _context_from_builtin(args.builtin, args.X, args.B, table)
     alphas = [_parse_alpha(t) for t in args.alpha]
     w = csv.writer(sys.stdout)
-    if not args.no_timestamp:
-        sys.stdout.write(
-            f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+    _timestamp_line(sys.stdout, args.no_timestamp)
     w.writerow(["alpha", "q_of_alpha", "G_re", "G_im", "Gsharp_re",
                 "Gsharp_im", "Gflat_abs", "X", "z"])
     for a in alphas:

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,7 +72,7 @@ class GaloisSpec:
         return [((c.element_order if self.coeffs else 1, r % self.modulus), i)
                 for i, c in enumerate(self.classes) for r in c.coset]
 
-    @property
+    @cached_property
     def ramified_modulus(self):
         """Primes dividing this are treated as ramified."""
         if self.kind == ABELIAN:
@@ -475,7 +476,7 @@ def validate_spec(spec: GaloisSpec) -> ValidationReport:
             rep.add("OrderDividesGroup",
                     f"class {c.label}: order {c.element_order} does not "
                     f"divide |G|={G}")
-    disc = poly_discriminant(f)
+    disc = spec.ramified_modulus
     if disc == 0:
         rep.add("SquarefulPolynomial", "discriminant of f is zero")
         return rep

@@ -93,10 +93,10 @@ class TestRepresentationCounts:
             circle.representation_counts(inst, table_small)
 
     def test_memory_estimate_tracks_measured_peak(self):
-        # peak RSS of `verify` on trivial x3, a = (1, 1, 1): 278 MiB at
-        # X = 10^6 and 1019 MiB at 4 * 10^6, about 30 MiB of it the
+        # peak RSS of `verify` on trivial x3, a = (1, 1, 1): 215 MiB at
+        # X = 10^6 and 764 MiB at 4 * 10^6, about 30 MiB of it the
         # interpreter and numpy
-        for X, rss_mib in ((10**6, 278), (4 * 10**6, 1019)):
+        for X, rss_mib in ((10**6, 215), (4 * 10**6, 764)):
             est = circle.estimated_bytes(classical_instance(X)) / 2**20
             assert 0.8 * rss_mib <= est <= 1.2 * rss_mib
 
@@ -286,7 +286,58 @@ class TestExactConvolutionChannel:
         co = circle.representation_counts(inst, table_small)
         # recompute the unweighted channel by FFT and compare
         comps = circle._component_arrays(inst, table_small)
-        arrs = [circle._embed(c.indicator.astype(np.float64), ai)[0]
-                for c, ai in zip(comps, inst.a)]
-        fft_u = np.rint(circle._fft_convolve(arrs)).astype(np.int64)
+        fft_u = np.rint(circle._convolve(
+            inst, [c.indicator for c in comps])).astype(np.int64)
         assert np.array_equal(np.maximum(fft_u, 0), co.unweighted)
+
+
+class TestFFTChannel:
+    X = 12000  # above EXACT_X_LIMIT: both channels go through the FFT
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return sieve.PrimeTable.build(self.X)
+
+    def instance(self, fields, a):
+        comps = []
+        for name, label in fields:
+            spec = galois.builtin_spec(name)
+            comps.append(FieldClass(spec, spec.class_by_label(label)))
+        return ProblemInstance(tuple(comps), a, self.X)
+
+    @pytest.mark.parametrize("fields,transforms", [
+        ((("trivial", "e"),) * 3, 2),  # one per channel
+        ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")), 6),
+    ])
+    def test_each_distinct_component_transformed_once(
+            self, table, monkeypatch, fields, transforms):
+        assert self.X > circle.EXACT_X_LIMIT
+        calls = []
+        real = np.fft.rfft
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        circle.representation_counts(self.instance(fields, (1, 1, 1)), table)
+        assert len(calls) == transforms
+
+    @pytest.mark.parametrize("fields,a", [
+        ((("trivial", "e"), ("gaussian", "c")), (2, -1)),
+        ((("gaussian", "e"), ("gaussian", "e")), (1, 1)),
+    ])
+    def test_matches_oracle(self, table, fields, a):
+        inst = self.instance(fields, a)
+        co = circle.representation_counts(inst, table)
+        oracle = circle.brute_force_all(inst, table)
+        lo, hi = inst.attainable_range
+        assert co.n_range == (lo, hi)
+        top = float(np.max(co.weighted))
+        for N in range(lo, hi + 1):
+            w, u = oracle.get(N, (0.0, 0))
+            assert co.unweighted_at(N) == u
+            if u:
+                assert co.weighted_at(N) == pytest.approx(w, rel=1e-6)
+            else:
+                assert abs(co.weighted_at(N)) <= 1e-6 * top

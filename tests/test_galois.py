@@ -173,6 +173,22 @@ class TestDiscriminant:
         # x^3 - 2 has discriminant -108
         assert galois.poly_discriminant((-2, 0, 0, 1)) == -108
 
+    def test_computed_once_per_spec(self, table_small, monkeypatch):
+        calls = []
+        real = galois.poly_discriminant
+
+        def counting(coeffs):
+            calls.append(coeffs)
+            return real(coeffs)
+
+        monkeypatch.setattr(galois, "poly_discriminant", counting)
+        spec = galois.builtin_spec("d4-qrt2")
+        for p in table_small.primes[:200]:
+            galois.frobenius_class(spec, int(p))
+        assert len(calls) == 1
+        assert spec == galois.builtin_spec("d4-qrt2")
+        assert hash(spec) == hash(galois.builtin_spec("d4-qrt2"))
+
 
 def test_json_roundtrip():
     for name in galois.BUILTIN_NAMES:
