@@ -119,14 +119,21 @@ def _component_arrays(inst: ProblemInstance, table: sieve.PrimeTable):
     return [arrays[fc] for fc in inst.components]
 
 
-def representation_counts(inst: ProblemInstance,
-                          table: sieve.PrimeTable) -> CoefficientArray:
-    """S(N) for every attainable N: weighted by the product of log p and
-    as a plain solution count."""
+def _weighted_counts(inst: ProblemInstance, table: sieve.PrimeTable):
+    """(component arrays, S(N) weighted by the product of log p for every
+    attainable N, clamped at 0 against FFT round-off)."""
     check_memory(inst)
     comps = _component_arrays(inst, table)
     weighted = _convolve(inst, [wpa.weights for wpa in comps])
     np.maximum(weighted, 0.0, out=weighted)
+    return comps, weighted
+
+
+def representation_counts(inst: ProblemInstance,
+                          table: sieve.PrimeTable) -> CoefficientArray:
+    """S(N) for every attainable N: weighted by the product of log p and
+    as a plain solution count."""
+    comps, weighted = _weighted_counts(inst, table)
     indicators = [wpa.indicator for wpa in comps]
     if inst.X <= EXACT_X_LIMIT:
         unweighted = _exact_convolve(inst, indicators)
@@ -221,9 +228,7 @@ def h_flat_norms(inst: ProblemInstance, z: float,
     unity."""
     if inst.X < 2:
         return 0.0, 0.0
-    H = representation_counts(inst, table)
-    Hs = h_sharp_array(inst, z)
-    diff = H.weighted - Hs.weighted
+    diff = _weighted_counts(inst, table)[1] - h_sharp_array(inst, z).weighted
     l2 = float(math.sqrt(np.sum(diff * diff)))
     M = 1 << max(2, (4 * len(diff) - 1).bit_length())
     vals = np.fft.fft(diff, M)
@@ -294,10 +299,9 @@ def parseval_check(inst: ProblemInstance, table: sieve.PrimeTable,
     """(sum of S(N)^2, grid quadrature of |H|^2) where the grid side
     evaluates H(alpha) = prod G_i(a_i alpha) from the prime sums directly,
     independent of the convolution path."""
-    coeffs = representation_counts(inst, table)
-    lhs = float(np.sum(coeffs.weighted ** 2))
-    M = oversample * len(coeffs.weighted)
-    comps = _component_arrays(inst, table)
+    comps, weighted = _weighted_counts(inst, table)
+    lhs = float(np.sum(weighted ** 2))
+    M = oversample * len(weighted)
     grid = np.arange(M) / M
     H = np.ones(M, dtype=complex)
     for wpa, ai in zip(comps, inst.a):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -13,8 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import circle, ecapp, expsum, galois, genfun, sieve, singular
-from .errors import (ChebCircleError, DomainError, NotFoundWithinLimit,
-                     ResourceLimit, ValidationError)
+from .errors import (ChebCircleError, NotFoundWithinLimit, ResourceLimit,
+                     ValidationError)
 from .instance import FieldClass, ProblemInstance
 
 SCHEMA = "chebotarev-circle/1"

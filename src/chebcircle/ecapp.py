@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import galois
 from .errors import DomainError, NotFoundWithinLimit

@@ -123,11 +123,6 @@ class StructureSet:
     def __post_init__(self):
         self.min_element = min(self.elements) if self.elements else 0
 
-    @property
-    def floor_ratio(self):
-        """min(S) divided by B/A; the empirical constant of the size floor."""
-        return self.min_element * self.A / self.B if self.B else float("inf")
-
     def reciprocal_sum(self):
         return sum(1.0 / s for s in self.elements)
 
@@ -239,13 +234,6 @@ class IdealCharacter:
     """trivial, or a Dirichlet character composed with the norm."""
     kind: str  # "trivial" | "norm" | "other"
     chi: Optional[DirichletCharacter] = None
-
-    def on_norm(self, n: int) -> complex:
-        if self.kind == "trivial":
-            return 1.0 + 0j
-        if self.kind == "norm":
-            return self.chi(n)
-        raise UnsupportedCharacter(self.kind)
 
     def norm_table(self, norms: np.ndarray) -> np.ndarray:
         if self.kind == "trivial":

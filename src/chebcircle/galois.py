@@ -8,6 +8,11 @@ Gal(K/Q), read modulo D.  Every class has one key: the order of Frobenius
 acting on the roots of f, which is the lcm of the degrees of the
 irreducible factors of f mod p, and the residue of p mod D.  An abelian
 spec has no f and is keyed by its residue alone.
+
+The batch classifier reads the order from the Frobenius matrix of
+GF(p)[x]/(f), for whole arrays of primes at once; the scalar oracle
+frobenius_class reads it from a distinct-degree factorization of f mod p,
+which is squarefree at every unramified p.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import factorint
-from .errors import InconsistentSpec, ValidationError
+from .errors import DomainError, InconsistentSpec, ValidationError
 
 ABELIAN = "abelian"
 POLYNOMIAL = "polynomial"
@@ -169,37 +174,6 @@ def _poly_deriv(f, p):
     return _trim([(i * c) % p for i, c in enumerate(f)][1:])
 
 
-def _squarefree_parts(f, p):
-    """Decompose monic f over GF(p) into [(g, m)] with g squarefree monic
-    and f = prod g^m (distinct g pairwise coprime)."""
-    out = []
-    if len(f) <= 1:
-        return out
-    inv = pow(f[-1], -1, p)
-    f = [(c * inv) % p for c in f]
-    e = 1
-    while len(f) > 1:
-        d = _poly_deriv(f, p)
-        if not d:
-            # f = h(x)^p since coefficients are Frobenius-fixed in GF(p)
-            f = _trim(f[::p])
-            e *= p
-            continue
-        g = _poly_gcd(f, d, p)
-        w = _poly_quo(f, g, p)  # product of factors with mult. not = 0 mod p
-        i = 1
-        while len(w) > 1:
-            y = _poly_gcd(w, g, p)
-            part = _poly_quo(w, y, p)  # factors of multiplicity exactly i
-            if len(part) > 1:
-                out.append((part, i * e))
-            w = y
-            g = _poly_quo(g, y, p)
-            i += 1
-        f = g  # all remaining multiplicities divisible by p
-    return out
-
-
 def _poly_quo(a, b, p):
     a = [c % p for c in a]
     db = len(b) - 1
@@ -237,19 +211,15 @@ def _distinct_degree_degrees(g, p):
 
 
 def poly_factor_degrees(coeffs, p):
-    """Multiset of degrees of the irreducible factors of f mod p.
-
-    Repeated factors are reported with multiplicity; the caller decides
-    how to treat non-squarefree reductions.
-    """
+    """Sorted degrees of the irreducible factors of f mod p, by
+    distinct-degree factorization; f must be squarefree mod p, which every
+    p not dividing disc(f) guarantees."""
     f = _poly_mod_p(list(coeffs), p)
     if len(f) - 1 != len(coeffs) - 1:
         raise InconsistentSpec(f"leading coefficient vanishes mod {p}")
-    out = []
-    for g, m in _squarefree_parts(f, p):
-        for d in sorted(_distinct_degree_degrees(list(g), p)):
-            out.extend([d] * m)
-    return sorted(out)
+    if len(_poly_gcd(f, _poly_deriv(f, p), p)) > 1:
+        raise DomainError(f"f is not squarefree mod {p}")
+    return sorted(_distinct_degree_degrees(f, p))
 
 
 # ---------------------------------------------------------------------------
@@ -358,76 +328,58 @@ def _divides(n: int, ps) -> np.ndarray:
     return r == 0
 
 
-def _batch_mulmod(a, b, fmods, ps):
+def _batch_mulmod(a, b, fl, ps):
     """Row-wise product of degree<n polys a, b modulo (f, p).  a, b are
-    (N, n) int64; fmods is (N, n) holding the low coefficients of monic f."""
-    n = a.shape[1]
-    prod = np.zeros((a.shape[0], 2 * n - 1), dtype=np.int64)
+    (N, n) int64; fl is (N, n) holding the low coefficients of monic f.
+    Each product is reduced mod p before it is added to another."""
+    n, pcol = a.shape[1], ps[:, None]
+    prod = np.zeros((len(ps), 2 * n - 1), dtype=np.int64)
     for i in range(n):
-        prod[:, i:i + n] += a[:, i:i + 1] * b
-        prod %= ps[:, None]
+        prod[:, i:i + n] += a[:, i:i + 1] * b % pcol
     for k in range(2 * n - 2, n - 1, -1):
-        c = prod[:, k].copy()
-        prod[:, k - n:k] -= c[:, None] * fmods
-        prod[:, k] = 0
-        prod %= ps[:, None]
-    return prod[:, :n]
+        prod[:, k - n:k] -= prod[:, k:k + 1] % pcol * fl % pcol
+    return prod[:, :n] % pcol
 
 
 def _frobenius_orders_batch(coeffs, ps):
     """Order of Frobenius on the roots of f (the lcm of the irreducible
-    factor degrees of f mod p) for each unramified prime, computed as the
-    least d with x^(p^d) = x mod (f, p)."""
+    factor degrees of f mod p) for each unramified prime: the least d with
+    e_x Q^d = e_x, where row i of the Frobenius matrix Q is x^(ip) mod
+    (f, p) and e_x is the coordinate vector of x."""
     ps = np.asarray(ps, dtype=np.int64)
-    N = len(ps)
-    n = len(coeffs) - 1
+    N, n = len(ps), len(coeffs) - 1
     if n == 1:
         return np.ones(N, dtype=np.int64)
-    if N == 0:
-        return np.zeros(0, dtype=np.int64)
-    fl = np.array(coeffs[:-1], dtype=np.int64)[None, :] % ps[:, None]
-    # x^p mod (f, p) by a shared square-and-multiply ladder
-    result = np.zeros((N, n), dtype=np.int64)
-    result[:, 0] = 1
-    base = np.zeros((N, n), dtype=np.int64)
-    base[:, min(1, n - 1)] = 1
-    e = ps.copy()
-    while (e > 0).any():
-        odd = (e & 1) == 1
-        if odd.any():
-            result[odd] = _batch_mulmod(result[odd], base[odd],
-                                        fl[odd], ps[odd])
-        e >>= 1
-        if (e > 0).any():
-            base = _batch_mulmod(base, base, fl, ps)
-    pi = result  # x^p mod (f, p)
-    x_poly = np.zeros((N, n), dtype=np.int64)
-    x_poly[:, 1] = 1
+    pcol = ps[:, None]
+    fl = np.array(coeffs[:-1], dtype=np.int64)[None, :] % pcol
+    # x^p mod (f, p), one squaring per bit of p and a multiply-by-x on the
+    # rows whose bit is set
+    xp = np.zeros((N, n), dtype=np.int64)
+    xp[:, 0] = 1
+    for bit in range(int(ps.max(initial=1)).bit_length() - 1, -1, -1):
+        xp = _batch_mulmod(xp, xp, fl, ps)
+        times_x = (np.pad(xp[:, :-1], ((0, 0), (1, 0)))
+                   - xp[:, -1:] * fl) % pcol
+        xp = np.where(((ps >> bit) & 1 == 1)[:, None], times_x, xp)
+    Q = np.zeros((N, n, n), dtype=np.int64)
+    Q[:, 0, 0] = 1
+    Q[:, 1] = xp
+    for i in range(2, n):
+        Q[:, i] = _batch_mulmod(Q[:, i - 1], xp, fl, ps)
+    e_x = np.eye(1, n, 1, dtype=np.int64)
     orders = np.zeros(N, dtype=np.int64)
-    cur = pi.copy()
-    remaining = np.arange(N)
+    rows = np.arange(N)
+    v = xp
     for d in range(1, math.lcm(*range(1, n + 1)) + 1):
-        fixed = (cur[remaining] == x_poly[remaining]).all(axis=1)
-        orders[remaining[fixed]] = d
-        remaining = remaining[~fixed]
-        if len(remaining) == 0:
+        fixed = (v == e_x).all(axis=1)
+        orders[rows[fixed]] = d
+        rows, v = rows[~fixed], v[~fixed]
+        if len(rows) == 0:
             break
-        # cur <- cur composed with pi  (x^(p^(d+1)))
-        sub = _compose_batch(cur[remaining], pi[remaining],
-                             fl[remaining], ps[remaining])
-        cur[remaining] = sub
+        # each product is reduced before the sum: n terms below p < 2**31
+        r = ps[rows, None, None]
+        v = (v[:, :, None] * Q[rows] % r).sum(axis=1) % r[:, 0]
     return orders
-
-
-def _compose_batch(outer, inner, fmods, ps):
-    """Evaluate outer(inner) mod (f, p), row-wise Horner."""
-    n = outer.shape[1]
-    acc = np.zeros_like(outer)
-    acc[:, 0] = outer[:, n - 1]
-    for j in range(n - 2, -1, -1):
-        acc = _batch_mulmod(acc, inner, fmods, ps)
-        acc[:, 0] = (acc[:, 0] + outer[:, j]) % ps
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ variants are the differences the approximation theorems bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -20,8 +20,7 @@ import numpy as np
 
 from . import galois, sieve
 from .arith import phi
-from .characters import (DirichletCharacter, characters_trivial_on,
-                         principal_character)
+from .characters import characters_trivial_on, principal_character
 from .errors import DomainError, UnsupportedInstantiation
 from .expsum import (IdealCharacter, QuadraticField, TRIVIAL_XI, best_approx,
                      norm_counts)
@@ -46,15 +45,13 @@ def phase_array(ns: np.ndarray, alpha) -> np.ndarray:
 @dataclass
 class GenfunContext:
     """Frozen inputs of one generating-function study: which primes (via a
-    Galois spec and class) or which field/character, the cutoff X, and the
-    sieve parameters fixing z."""
+    Galois spec and class), the cutoff X, and the sieve parameters fixing
+    z."""
     table: sieve.PrimeTable
     X: int
     params: sieve.SieveParams
     spec: Optional[galois.GaloisSpec] = None
     cls: Optional[galois.ClassSpec] = None
-    fieldL: Optional[QuadraticField] = None
-    xi: IdealCharacter = TRIVIAL_XI
 
     def __post_init__(self):
         if self.X > self.table.limit:
@@ -206,16 +203,6 @@ def eval_F_flat(fieldL, xi, X, z, alpha, table) -> complex:
         eval_F_sharp(fieldL, xi, X, z, alpha)
 
 
-_GAUSSIAN_FIELD = None
-
-
-def _gaussian_field() -> QuadraticField:
-    global _GAUSSIAN_FIELD
-    if _GAUSSIAN_FIELD is None:
-        _GAUSSIAN_FIELD = QuadraticField(-4)
-    return _GAUSSIAN_FIELD
-
-
 def gf_relation_residual(ctx: GenfunContext, alpha, via: str = "auto") -> float:
     """|G - (|C|/|G|) sum over characters of the matching F| — the residual
     that grows like sqrt(X).
@@ -238,7 +225,7 @@ def gf_relation_residual(ctx: GenfunContext, alpha, via: str = "auto") -> float:
                 and cls.coset == frozenset({1})):
             raise UnsupportedInstantiation(
                 "field instantiation requires Q(i) with the identity class")
-        F = eval_F(_gaussian_field(), TRIVIAL_XI, ctx.X, alpha, ctx.table)
+        F = eval_F(QuadraticField(-4), TRIVIAL_XI, ctx.X, alpha, ctx.table)
         return abs(G - 0.5 * F)
     if via != "dirichlet":
         raise UnsupportedInstantiation(via)

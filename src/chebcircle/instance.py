@@ -4,7 +4,7 @@ and cutoff that every pipeline consumes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Optional

@@ -217,6 +217,22 @@ class TestFlatNorms:
             vals.append(l2 / X**1.5)
         assert vals[1] < vals[0]
 
+    def test_no_unweighted_channel(self, table_small, monkeypatch):
+        calls = []
+        real = circle._exact_convolve
+
+        def counting(inst, arrays):
+            calls.append(inst)
+            return real(inst, arrays)
+
+        monkeypatch.setattr(circle, "_exact_convolve", counting)
+        X = 10**3
+        assert X <= circle.EXACT_X_LIMIT
+        inst = uniform_instance("trivial", "e", 2, (1, 1), X,
+                                params=params_b2(X))
+        circle.h_flat_norms(inst, inst.params.z, table_small)
+        assert calls == []
+
     def test_l2_parseval_vs_grid(self, table_small):
         X = 10**3
         inst = uniform_instance("trivial", "e", 2, (1, 1), X,
@@ -277,6 +293,23 @@ class TestParseval:
     def test_mixed_sign_instance(self, table_small):
         inst = uniform_instance("gaussian", "e", 2, (2, -1), 400)
         lhs, rhs = circle.parseval_check(inst, table_small)
+        assert rhs == pytest.approx(lhs, rel=0.005)
+
+
+    def test_one_classification_per_spec(self, table_small, monkeypatch):
+        calls = []
+        real = galois.classify_batch
+
+        def counting(spec, primes):
+            calls.append(spec)
+            return real(spec, primes)
+
+        monkeypatch.setattr(galois, "classify_batch", counting)
+        spec = galois.builtin_spec("s3-cbrt2")
+        inst = ProblemInstance(tuple(FieldClass(spec, c)
+                                     for c in spec.classes[:2]), (1, 1), 300)
+        lhs, rhs = circle.parseval_check(inst, table_small)
+        assert calls == [spec]
         assert rhs == pytest.approx(lhs, rel=0.005)
 
 

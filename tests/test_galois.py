@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from chebcircle import galois
-from chebcircle.errors import InconsistentSpec, ValidationError
+from chebcircle import galois, sieve
+from chebcircle.errors import DomainError, InconsistentSpec, ValidationError
 
 
 def gaussian():
@@ -20,6 +22,20 @@ def s3_sextic():
     """s3-cbrt2's classes on the Galois polynomial x^6 + 108."""
     return galois.GaloisSpec("polynomial", 3, s3().classes, coeffs=SEXTIC,
                              group_order=6)
+
+
+QUINTIC = (-1, -1, 0, 0, 0, 1)  # x^5 - x - 1: group S5, discriminant 2869
+
+
+def primes_below(n, count):
+    """The count largest primes below n, by trial division."""
+    small = sieve.PrimeTable.build(math.isqrt(n)).primes
+    out = []
+    for c in range(n - 1, 1, -1):
+        if (c % small != 0).all():
+            out.append(c)
+            if len(out) == count:
+                return out
 
 
 class TestFrobeniusClass:
@@ -65,6 +81,14 @@ class TestPolyFactorDegrees:
     def test_sextic_all_linear(self):
         degs = galois.poly_factor_degrees((108, 0, 0, 0, 0, 0, 1), 31)
         assert degs == [1, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("coeffs, p", [((1, 0, 1), 2),
+                                           ((-2, 0, 0, 1), 2),
+                                           ((-2, 0, 0, 1), 3)])
+    def test_repeated_factor_rejected(self, coeffs, p):
+        # x^2 + 1 = (x + 1)^2 mod 2; x^3 - 2 is x^3 mod 2 and (x + 1)^3 mod 3
+        with pytest.raises(DomainError):
+            galois.poly_factor_degrees(coeffs, p)
 
     def test_galois_shape_all_unramified_primes(self, table_small):
         # a Galois f: all factor degrees equal, d * count = deg f
@@ -148,6 +172,30 @@ class TestBatchClassifier:
                     assert res.ramified
                 else:
                     assert labels[i] == res.class_label
+
+    def test_matches_scalar_just_below_two_to_the_31(self):
+        # products of residues near 2**31 reach 2**62: each one must be
+        # reduced before it is added to another.  Powers of x modulo a
+        # radical f are monomials, so only the quintic adds such products.
+        ps = primes_below(2**31, 20)
+        for name in ("s3-cbrt2", "d4-qrt2"):
+            spec = galois.builtin_spec(name)
+            labels = [c.label for c in spec.classes]
+            got = [labels[i] for i in galois.classify_batch(spec, ps)]
+            assert got == [galois.frobenius_class(spec, p).class_label
+                           for p in ps]
+        assert galois._frobenius_orders_batch(QUINTIC, ps).tolist() == [
+            math.lcm(*galois.poly_factor_degrees(QUINTIC, p)) for p in ps]
+
+    def test_quintic_orders_match_factor_degrees(self, table_small):
+        # an S5 quintic: orders up to 6 = lcm(2, 3), above deg f
+        disc = galois.poly_discriminant(QUINTIC)
+        assert disc == 2869
+        ps = [int(p) for p in table_small.primes_upto(10**4) if disc % p]
+        orders = galois._frobenius_orders_batch(QUINTIC, ps)
+        assert orders.tolist() == [
+            math.lcm(*galois.poly_factor_degrees(QUINTIC, p)) for p in ps]
+        assert {5, 6} <= set(orders.tolist())
 
     def test_cubic_matches_sextic_to_a_hundred_thousand(self, table_million):
         ps = table_million.primes_upto(10**5)
