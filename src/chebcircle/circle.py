@@ -16,12 +16,17 @@ from .instance import ProblemInstance
 
 MAX_BYTES = 4 * 2**30
 EXACT_X_LIMIT = 10**4
-# Peak bytes per FFT point, per unit of X, and per distinct component and
-# unit of X; fitted to the peak RSS of `verify` on sixteen instances
-# (k = 2..4, X = 2.5e5..2e6, one to four distinct components).
-BYTES_PER_FFT_POINT = 44
-BYTES_PER_X = 14
-BYTES_PER_COMPONENT_X = 10
+# Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
+# and per distinct component and unit of X; fitted to the peak RSS of
+# `verify` on 21 instances (k = 2..4, X = 2e3..4e6, one to four distinct
+# components), each within 3% of its measurement.
+BYTES_BASE = 31 * 2**20
+BYTES_PER_FFT_POINT = 41
+BYTES_PER_X = 15
+BYTES_PER_COMPONENT_X = 9
+# Grid rows per block of parseval_check's phase matrix: a block holds
+# PARSEVAL_ROWS x (number of primes) complex phases, not the whole grid.
+PARSEVAL_ROWS = 1024
 
 
 @dataclass
@@ -95,7 +100,8 @@ def estimated_bytes(inst: ProblemInstance) -> int:
     """Estimated peak memory of representation_counts on inst, prime table
     included; allocates nothing."""
     per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * len(set(inst.components))
-    return BYTES_PER_FFT_POINT * _fft_len(inst) + per_x * (inst.X + 1)
+    return (BYTES_BASE + BYTES_PER_FFT_POINT * _fft_len(inst)
+            + per_x * (inst.X + 1))
 
 
 def check_memory(inst: ProblemInstance):
@@ -195,30 +201,17 @@ def brute_force_all(inst: ProblemInstance, table: sieve.PrimeTable):
     return {N: (w, c) for N, (c, w) in out.items()}
 
 
-def _sharp_component(inst: ProblemInstance, fc, z: float) -> np.ndarray:
-    """Weight array Lambda_{K,C}(n) * Lambda_z(n) over n = 0..X."""
-    X = inst.X
-    w = sieve.sieve_survivor_mask(X, z).astype(np.float64)
-    w *= sieve.c_of_z_float(z)
-    lam = sieve.lambda_kc_table(fc.spec, fc.cls)
-    w *= lam[np.arange(X + 1) % len(lam)]
-    return w
-
-
 def h_sharp_array(inst: ProblemInstance, z: float) -> CoefficientArray:
     """Coefficients of H_sharp: the prefactor times the convolution of the
     congruence-sieve weight arrays."""
     check_memory(inst)
-    arrays = {fc: _sharp_component(inst, fc, z)
+    arrays = {fc: sieve.sharp_weights(inst.X, z, fc.spec.modulus,
+                                      fc.cls.coset)
               for fc in dict.fromkeys(inst.components)}
     vals = _convolve(inst, [arrays[fc] for fc in inst.components])
     vals *= float(inst.prefactor)
     return CoefficientArray(inst.attainable_range[0], vals,
                             np.zeros(0, dtype=np.int64))
-
-
-def h_sharp_coefficient(inst: ProblemInstance, z: float, N: int) -> float:
-    return h_sharp_array(inst, z).weighted_at(N)
 
 
 def h_flat_norms(inst: ProblemInstance, z: float,
@@ -262,8 +255,7 @@ class VerifyResult:
 BOUNDARY_MARGIN = 0.05
 
 
-def verify_theorem(inst: ProblemInstance, z: float, N_list,
-                   table: sieve.PrimeTable,
+def verify_theorem(inst: ProblemInstance, N_list, table: sieve.PrimeTable,
                    P_max: int = 10**4) -> VerifyResult:
     """Per-N comparison of S(N) against the assembled main term."""
     coeffs = representation_counts(inst, table)
@@ -307,7 +299,9 @@ def parseval_check(inst: ProblemInstance, table: sieve.PrimeTable,
     for wpa, ai in zip(comps, inst.a):
         ps = wpa.primes.astype(np.float64)
         logs = np.log(ps)
-        phases = np.exp(2j * np.pi * ((ai * grid[:, None] * ps[None, :]) % 1.0))
-        H *= phases @ logs
+        for i in range(0, M, PARSEVAL_ROWS):
+            rows = grid[i:i + PARSEVAL_ROWS, None]
+            H[i:i + PARSEVAL_ROWS] *= np.exp(
+                2j * np.pi * ((ai * rows * ps[None, :]) % 1.0)) @ logs
     rhs = float(np.mean(np.abs(H) ** 2))
     return lhs, rhs

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -62,17 +63,34 @@ def _specs_from_docs(docs) -> list:
 
 
 def _instance_from_doc(doc: dict):
+    """(instance, doc, the sieve block's A, B and z)."""
     for key in ("fields", "a", "X"):
         if key not in doc:
             raise ValidationError([("MissingKey", f"instance lacks {key!r}")])
     specs = _specs_from_docs(doc["fields"])
     comps = tuple(FieldClass(spec, spec.class_by_label(f["class"]))
                   for spec, f in zip(specs, doc["fields"]))
-    sv = doc.get("sieve", {})
-    params = sieve.SieveParams.for_x(doc["X"], A=sv.get("A", 1.0),
-                                     B=sv.get("B"))
-    inst = ProblemInstance(comps, tuple(doc["a"]), int(doc["X"]), params)
-    return inst, doc
+    inst = ProblemInstance(comps, tuple(doc["a"]), int(doc["X"]))
+    return inst, doc, _sieve_level(doc.get("sieve", {}), inst.X)
+
+
+def _sieve_level(sv, X: int) -> dict:
+    """A and B of an instance's sieve block, with z = (log X)^B; B = 4A by
+    default.  summary.json records them; the count and main term do not
+    read them."""
+    bad = ValidationError([("BadSieve", "sieve takes finite numbers A and "
+                                        "B, with (log X)^B finite")])
+    if not isinstance(sv, dict) or any(
+            type(sv.get(k, 1.0)) not in (int, float) for k in ("A", "B")):
+        raise bad
+    A = sv.get("A", 1.0)
+    try:
+        B, z = sieve.level(X, A, sv.get("B"))
+        if all(math.isfinite(v) for v in (A, B, z)):
+            return {"A": A, "B": B, "z": z}
+    except OverflowError:
+        pass
+    raise bad
 
 
 def _n_list(doc: dict, inst: ProblemInstance):
@@ -100,12 +118,11 @@ def _timestamp_line(fh, suppress: bool):
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    inst, doc = _instance_from_doc(_load_instance_doc(args.instance))
+    inst, doc, level = _instance_from_doc(_load_instance_doc(args.instance))
     circle.check_memory(inst)
     table = sieve.PrimeTable.build(inst.X)
     pmax = args.pmax or doc.get("euler_pmax", 10**4)
-    result = circle.verify_theorem(inst, inst.params.z, _n_list(doc, inst),
-                                   table, pmax)
+    result = circle.verify_theorem(inst, _n_list(doc, inst), table, pmax)
     with _open_out(args.out_dir, "verify.csv") as fh:
         _timestamp_line(fh, args.no_timestamp)
         w = csv.writer(fh)
@@ -125,9 +142,8 @@ def cmd_verify(args) -> int:
                          if ratios else None),
         "median_abs_dev": result.median_abs_dev,
         "q90_abs_dev": result.q90_abs_dev,
-        "defaults": {"euler_pmax": pmax, "A": inst.params.A,
-                     "B": inst.params.B, "z": inst.params.z,
-                     "X": inst.X, "a": list(inst.a)},
+        "defaults": {"euler_pmax": pmax, **level, "X": inst.X,
+                     "a": list(inst.a)},
         "runtime_sec": round(time.time() - t0, 3),
     }
     with _open_out(args.out_dir, "summary.json") as fh:
@@ -137,7 +153,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_local_factors(args) -> int:
-    inst, doc = _instance_from_doc(_load_instance_doc(args.instance))
+    inst, doc, _ = _instance_from_doc(_load_instance_doc(args.instance))
     N = args.N if args.N is not None else _n_list(doc, inst)[0]
     pmax = args.pmax or doc.get("euler_pmax", 10**4)
     report = singular.main_term(inst, N, pmax)
@@ -153,8 +169,8 @@ def _context_from_builtin(name: str, X: int, B: float,
         raise ValidationError([("BadContext", f"cannot parse {name!r}")])
     spec = galois.builtin_spec(field_name)
     cls = spec.class_by_label(cls_label)
-    params = sieve.SieveParams.for_x(X, B=B)
-    return genfun.GenfunContext(table, X, params, spec=spec, cls=cls)
+    return genfun.GenfunContext(table, X, sieve.level(X, B=B)[1], spec=spec,
+                                cls=cls)
 
 
 def cmd_genfun(args) -> int:
@@ -171,7 +187,7 @@ def cmd_genfun(args) -> int:
         q = expsum.best_approx(a, 10**4).q
         w.writerow([float(a), q, f"{G.real:.6f}", f"{G.imag:.6f}",
                     f"{Gs.real:.6f}", f"{Gs.imag:.6f}",
-                    f"{abs(G - Gs):.6f}", args.X, f"{ctx.params.z:.3f}"])
+                    f"{abs(G - Gs):.6f}", args.X, f"{ctx.z:.3f}"])
     return EXIT_OK
 
 

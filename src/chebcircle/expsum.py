@@ -13,12 +13,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .arith import factorint
-from .characters import DirichletCharacter, kronecker_character
+from .characters import DirichletCharacter, kronecker, kronecker_character
 from .errors import DegenerateAlpha, DomainError, UnsupportedCharacter
 
 
@@ -186,9 +187,14 @@ class QuadraticField:
     def chi(self) -> DirichletCharacter:
         return kronecker_character(self.d)
 
-    def chi_int(self, n: int) -> int:
-        from .characters import kronecker
-        return kronecker(self.d, n)
+    @cached_property
+    def chi_table(self) -> np.ndarray:
+        """The Kronecker symbol (d/r) for r = 0..|d|-1 as read-only int64,
+        for indexing by n % |d|."""
+        tab = np.array([kronecker(self.d, r) for r in range(abs(self.d))],
+                       dtype=np.int64)
+        tab.flags.writeable = False
+        return tab
 
 
 _NORM_COUNT_CACHE = {}
@@ -202,7 +208,7 @@ def norm_counts(fieldK: QuadraticField, X: int) -> np.ndarray:
     if hit is not None:
         return hit
     m = abs(fieldK.d)
-    chtab = np.array([fieldK.chi_int(r) for r in range(m)], dtype=np.int64)
+    chtab = fieldK.chi_table
     r = np.zeros(X + 1, dtype=np.int64)
     for e in range(1, X + 1):
         c = chtab[e % m]

@@ -45,18 +45,16 @@ def phase_array(ns: np.ndarray, alpha) -> np.ndarray:
 @dataclass
 class GenfunContext:
     """Frozen inputs of one generating-function study: which primes (via a
-    Galois spec and class), the cutoff X, and the sieve parameters fixing
-    z."""
+    Galois spec and class), the cutoff X, and the sieve level z."""
     table: sieve.PrimeTable
     X: int
-    params: sieve.SieveParams
+    z: float
     spec: Optional[galois.GaloisSpec] = None
     cls: Optional[galois.ClassSpec] = None
 
     def __post_init__(self):
         if self.X > self.table.limit:
             raise DomainError("X exceeds the prime table limit")
-        self.params.check(self.X)
 
     @cached_property
     def prime_array(self) -> sieve.WeightedPrimeArray:
@@ -67,16 +65,11 @@ class GenfunContext:
 
     @cached_property
     def _sharp_support(self):
-        """(n values surviving the z-sieve, combined double weights)."""
-        mask = sieve.sieve_survivor_mask(self.X, self.params.z)
-        ns = np.nonzero(mask)[0].astype(np.int64)
-        lam = sieve.lambda_kc_table(self.spec, self.cls)
-        lam = lam[ns % len(lam)]
-        keep = lam != 0
-        ns, lam = ns[keep], lam[keep]
-        cz = sieve.c_of_z_float(self.params.z)
-        pref = float(self.spec.class_density(self.cls))
-        return ns, pref * cz * lam
+        """(n with a nonzero sieved weight, those weights times |C|/|G|)."""
+        w = sieve.sharp_weights(self.X, self.z, self.spec.modulus,
+                                self.cls.coset)
+        ns = np.nonzero(w)[0]
+        return ns, float(self.spec.class_density(self.cls)) * w[ns]
 
 
 def eval_G(ctx: GenfunContext, alpha) -> complex:
@@ -121,8 +114,7 @@ def _prime_power_terms(fieldL: Optional[QuadraticField],
                 pe *= int(p)
     else:
         m = abs(fieldL.d)
-        chtab = np.array([fieldL.chi_int(r) for r in range(m)],
-                         dtype=np.int64)
+        chtab = fieldL.chi_table
         chp = chtab[ps % m]
         split = ps[chp == 1]
         norms.append(split)
@@ -170,32 +162,21 @@ def _norm_image_subgroup(fieldL: Optional[QuadraticField]):
     if fieldL is None:
         return 1, {0}
     m = abs(fieldL.d)
-    return m, {r for r in range(m) if fieldL.chi_int(r) == 1}
+    return m, np.nonzero(fieldL.chi_table == 1)[0]
 
 
 def eval_F_sharp(fieldL: Optional[QuadraticField], xi: IdealCharacter,
                  X: int, z: float, alpha) -> complex:
     """The sieved approximant: zero unless xi is trivial or composed with
     the norm, else the congruence-weighted sum with the z-sieve."""
-    if xi.kind == "other":
+    if xi.kind == "other" or X < 1:
         return 0j
-    if X < 1:
-        return 0j
-    m, H = _norm_image_subgroup(fieldL)
-    mask = sieve.sieve_survivor_mask(X, z)
-    ns = np.nonzero(mask)[0].astype(np.int64)
-    if m > 1:
-        sel = np.isin(ns % m, list(H))
-        ns = ns[sel]
-        lam = phi(m) / len(H)
-    else:
-        lam = 1.0
-    if len(ns) == 0:
-        return 0j
-    cz = sieve.c_of_z_float(z)
-    chi_vals = (np.ones(len(ns), dtype=complex) if xi.kind == "trivial"
-                else xi.chi.value_table()[ns % xi.chi.modulus])
-    return complex(lam * cz * np.dot(chi_vals, phase_array(ns, alpha)))
+    w = sieve.sharp_weights(X, z, *_norm_image_subgroup(fieldL))
+    ns = np.nonzero(w)[0]
+    w = w[ns]
+    if xi.kind == "norm":
+        w = w * xi.chi.value_table()[ns % xi.chi.modulus]
+    return complex(np.dot(w, phase_array(ns, alpha)))
 
 
 def eval_F_flat(fieldL, xi, X, z, alpha, table) -> complex:

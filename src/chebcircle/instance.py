@@ -7,9 +7,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional
 
-from . import galois, sieve
+from . import galois
 from .errors import ValidationError
 
 
@@ -24,7 +23,6 @@ class ProblemInstance:
     components: tuple      # FieldClass per prime variable
     a: tuple               # nonzero integers, gcd 1
     X: int
-    params: Optional[sieve.SieveParams] = None
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -44,8 +42,6 @@ class ProblemInstance:
             issues.append(("CutoffTooSmall", "X must be at least 2"))
         if issues:
             raise ValidationError(issues)
-        if self.params is None:
-            self.params = sieve.SieveParams.for_x(self.X)
 
     @property
     def k(self) -> int:
@@ -87,14 +83,14 @@ class ProblemInstance:
         return lo, hi
 
 
-def uniform_instance(name: str, cls_label: str, k: int, a, X: int,
-                     params=None) -> ProblemInstance:
+def uniform_instance(name: str, cls_label: str, k: int, a,
+                     X: int) -> ProblemInstance:
     """All k components share one builtin field and class."""
     spec = galois.builtin_spec(name)
     cls = spec.class_by_label(cls_label)
     return ProblemInstance(tuple(FieldClass(spec, cls) for _ in range(k)),
-                           tuple(a), X, params)
+                           tuple(a), X)
 
 
-def classical_instance(X: int, k: int = 3, params=None) -> ProblemInstance:
-    return uniform_instance("trivial", "e", k, (1,) * k, X, params)
+def classical_instance(X: int, k: int = 3) -> ProblemInstance:
+    return uniform_instance("trivial", "e", k, (1,) * k, X)

@@ -60,23 +60,11 @@ class PrimeTable:
         return out
 
 
-@dataclass(frozen=True)
-class SieveParams:
-    A: float
-    B: float
-    z: float
-
-    @classmethod
-    def for_x(cls, X, A=1.0, B=None) -> "SieveParams":
-        """Default linkage B = 4A; z = log(X)^B."""
-        if B is None:
-            B = 4.0 * A
-        return cls(A, B, math.log(X) ** B)
-
-    def check(self, X):
-        expect = math.log(X) ** self.B
-        if abs(self.z - expect) > 1e-9 * max(1.0, expect):
-            raise DomainError("z != log(X)^B for this X")
+def level(X: int, A=1.0, B=None):
+    """(B, z) of the sieve level z = (log X)^B, where B = 4A unless given."""
+    if B is None:
+        B = 4.0 * A
+    return B, math.log(X) ** B
 
 
 def primes_upto(z: float) -> list:
@@ -141,17 +129,6 @@ def lambda_kc(spec: galois.GaloisSpec, cls: galois.ClassSpec,
     return Fraction(0)
 
 
-def lambda_kc_table(spec: galois.GaloisSpec,
-                    cls: galois.ClassSpec) -> np.ndarray:
-    """lambda_kc as floats over the residues mod the spec's modulus, for
-    indexing by n % D."""
-    D = spec.modulus
-    tab = np.zeros(D)
-    for r in cls.coset:
-        tab[r] = phi(D) / len(cls.coset)
-    return tab
-
-
 def smooth_count(z: float, Y: float) -> int:
     """Number of squarefree z-smooth n <= Y (n=1 included), by depth-first
     product enumeration; never materializes non-smooth integers."""
@@ -212,3 +189,15 @@ def sieve_survivor_mask(X: int, z: float) -> np.ndarray:
             break
         mask[p::p] = False
     return mask
+
+
+def sharp_weights(X: int, z: float, D: int, coset) -> np.ndarray:
+    """The sieved model Lambda_{K,C}(n) * Lambda_z(n) as floats over
+    n = 0..X: C(z) * phi(D)/|coset| where n survives the z-sieve and
+    n mod D lies in coset, else 0."""
+    w = sieve_survivor_mask(X, z).astype(np.float64)
+    w *= c_of_z_float(z)
+    lam = np.zeros(D)
+    lam[list(coset)] = phi(D) / len(coset)
+    w *= lam[np.arange(X + 1) % D]
+    return w

@@ -57,7 +57,7 @@ def test_classical_ternary_ratios_at_two_hundred_thousand(table_million):
     rng = random.Random(7)
     Ns = sorted(rng.sample(
         [n for n in range(int(0.8 * X) + 1, int(1.2 * X), 2)], 50))
-    res = circle.verify_theorem(inst, inst.params.z, Ns, table_million)
+    res = circle.verify_theorem(inst, Ns, table_million)
     assert res.median_abs_dev <= 0.05
     assert res.q90_abs_dev <= 0.15
     assert time.time() - t0 < 600
@@ -75,7 +75,7 @@ def test_d4_ratios_at_a_hundred_thousand(table_million):
         residue = sum(min(fc.cls.coset) for fc in comps) % 8
         start = 3 * X // 2 + (residue - 3 * X // 2) % 8
         Ns = list(range(start, start + 8 * 30, 8))
-        res = circle.verify_theorem(inst, inst.params.z, Ns, table_million)
+        res = circle.verify_theorem(inst, Ns, table_million)
         assert all(row.ratio is not None for row in res.rows)
         assert res.median_abs_dev <= 0.03
 
@@ -88,7 +88,7 @@ def test_gaussian_identity_congruence_and_ratios(table_million):
     off_class = co.unweighted[ns % 4 != 3]
     assert int(np.abs(off_class).sum()) == 0
     Ns = [n for n in range(X + 3, X + 3 + 30 * 4, 4)]
-    res = circle.verify_theorem(inst, inst.params.z, Ns, table_million)
+    res = circle.verify_theorem(inst, Ns, table_million)
     assert res.median_abs_dev <= 0.10
 
 
@@ -133,11 +133,11 @@ def test_relation_residual_grows_no_faster_than_sqrt(table_million):
     alphas = [rng.random() for _ in range(64)]
     medians = {"field": {}, "dirichlet": {}}
     for X in (10**4, 10**5):
-        params = sieve.SieveParams.for_x(X)
+        z = math.log(X) ** 4
         spec = galois.builtin_spec("gaussian")
-        ctx_e = genfun.GenfunContext(table_million, X, params, spec,
+        ctx_e = genfun.GenfunContext(table_million, X, z, spec,
                                      spec.class_by_label("e"))
-        ctx_c = genfun.GenfunContext(table_million, X, params, spec,
+        ctx_c = genfun.GenfunContext(table_million, X, z, spec,
                                      spec.class_by_label("c"))
         for via, ctx in (("field", ctx_e), ("dirichlet", ctx_c)):
             vals = sorted(genfun.gf_relation_residual(ctx, a, via=via)
@@ -178,8 +178,8 @@ def test_flat_generating_function_decay_on_fixed_grid(table_million):
         cls = spec.class_by_label(label)
         maxima = []
         for X in (10**4, 10**5, 10**6):
-            ctx = genfun.GenfunContext(table_million, X,
-                                       sieve.SieveParams.for_x(X), spec, cls)
+            ctx = genfun.GenfunContext(table_million, X, math.log(X) ** 4,
+                                       spec, cls)
             maxima.append(max(abs(genfun.eval_G_flat(ctx, a)) *
                               math.log(X) / X for a in GRID_116))
         assert maxima[0] >= maxima[1] >= maxima[2]

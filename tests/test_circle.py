@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,6 @@ from chebcircle import circle, galois, sieve
 from chebcircle.errors import ResourceLimit, ValidationError
 from chebcircle.instance import (FieldClass, ProblemInstance,
                                  classical_instance, uniform_instance)
-
-
-def params_b2(X):
-    return sieve.SieveParams(1.0, 2.0, math.log(X) ** 2)
 
 
 class TestInstanceValidation:
@@ -93,10 +90,10 @@ class TestRepresentationCounts:
             circle.representation_counts(inst, table_small)
 
     def test_memory_estimate_tracks_measured_peak(self):
-        # peak RSS of `verify` on trivial x3, a = (1, 1, 1): 215 MiB at
-        # X = 10^6 and 764 MiB at 4 * 10^6, about 30 MiB of it the
-        # interpreter and numpy
-        for X, rss_mib in ((10**6, 215), (4 * 10**6, 764)):
+        # peak RSS of `verify` on trivial x3, a = (1, 1, 1): 32 MiB at
+        # X = 10^4, 215 MiB at 10^6 and 764 MiB at 4 * 10^6, about 30 MiB
+        # of it the interpreter and numpy
+        for X, rss_mib in ((10**4, 32), (10**6, 215), (4 * 10**6, 764)):
             est = circle.estimated_bytes(classical_instance(X)) / 2**20
             assert 0.8 * rss_mib <= est <= 1.2 * rss_mib
 
@@ -119,7 +116,7 @@ class TestRepresentationCounts:
         spec = galois.builtin_spec("s3-cbrt2")
         inst = ProblemInstance(tuple(FieldClass(spec, c)
                                      for c in spec.classes), (1, 1, 1), 3000)
-        circle.verify_theorem(inst, inst.params.z, [4501, 4507], table_small)
+        circle.verify_theorem(inst, [4501, 4507], table_small)
         assert calls == [spec]
 
     def test_random_instances_match_oracle(self, table_small):
@@ -191,29 +188,21 @@ class TestSharpCoefficients:
     def test_ratio_near_one_with_effective_sieve(self, table_small):
         # z must stay below sqrt(X) for the almost-prime mass to survive
         X = 10**4
-        inst = classical_instance(X, params=params_b2(X))
-        z = inst.params.z
+        inst = classical_instance(X)
+        z = math.log(X) ** 2
         arr = circle.h_sharp_array(inst, z)
         from chebcircle import singular
         for N in range(X - 19, X + 20, 2):
             main = singular.main_term(inst, N).main_term
             assert arr.weighted_at(N) / main == pytest.approx(1.0, abs=0.15)
 
-    def test_single_coefficient_path(self, table_small):
-        X = 100
-        inst = classical_instance(X)
-        arr = circle.h_sharp_array(inst, inst.params.z)
-        assert circle.h_sharp_coefficient(inst, inst.params.z, 50) == \
-            arr.weighted_at(50)
-
 
 class TestFlatNorms:
     def test_l2_decay_binary(self, table_small):
         vals = []
         for X in (10**3, 10**4):
-            inst = uniform_instance("trivial", "e", 2, (1, 1), X,
-                                    params=params_b2(X))
-            _, l2 = circle.h_flat_norms(inst, inst.params.z, table_small)
+            inst = uniform_instance("trivial", "e", 2, (1, 1), X)
+            _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2, table_small)
             vals.append(l2 / X**1.5)
         assert vals[1] < vals[0]
 
@@ -228,19 +217,17 @@ class TestFlatNorms:
         monkeypatch.setattr(circle, "_exact_convolve", counting)
         X = 10**3
         assert X <= circle.EXACT_X_LIMIT
-        inst = uniform_instance("trivial", "e", 2, (1, 1), X,
-                                params=params_b2(X))
-        circle.h_flat_norms(inst, inst.params.z, table_small)
+        inst = uniform_instance("trivial", "e", 2, (1, 1), X)
+        circle.h_flat_norms(inst, math.log(X) ** 2, table_small)
         assert calls == []
 
     def test_l2_parseval_vs_grid(self, table_small):
         X = 10**3
-        inst = uniform_instance("trivial", "e", 2, (1, 1), X,
-                                params=params_b2(X))
+        inst = uniform_instance("trivial", "e", 2, (1, 1), X)
         H = circle.representation_counts(inst, table_small)
-        Hs = circle.h_sharp_array(inst, inst.params.z)
+        Hs = circle.h_sharp_array(inst, math.log(X) ** 2)
         diff = H.weighted - Hs.weighted
-        _, l2 = circle.h_flat_norms(inst, inst.params.z, table_small)
+        _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2, table_small)
         assert l2 == pytest.approx(math.sqrt(np.sum(diff * diff)),
                                    rel=1e-12)
         # direct quadrature of |H_flat|^2 on an oversampled alpha grid
@@ -254,7 +241,7 @@ class TestVerifyTheorem:
     def test_congruence_vanishing_consistency(self, table_small):
         inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), 10**4)
         Ns = [n for n in range(10**4 + 1, 10**4 + 200, 4)]  # 1 mod 4
-        res = circle.verify_theorem(inst, inst.params.z, Ns, table_small)
+        res = circle.verify_theorem(inst, Ns, table_small)
         for row in res.rows:
             assert "vanishing" in row.flags
             assert row.S_unweighted == 0
@@ -262,8 +249,7 @@ class TestVerifyTheorem:
 
     def test_even_targets_flagged(self, table_small):
         inst = classical_instance(10**4)
-        res = circle.verify_theorem(inst, inst.params.z,
-                                    [10**4, 10**4 + 2], table_small)
+        res = circle.verify_theorem(inst, [10**4, 10**4 + 2], table_small)
         for row in res.rows:
             assert "vanishing" in row.flags
             assert row.ratio is None
@@ -272,15 +258,14 @@ class TestVerifyTheorem:
         X = 10**4
         inst = classical_instance(X)
         Ns = list(range(X - 99, X + 100, 4))
-        res = circle.verify_theorem(inst, inst.params.z, Ns, table_small)
+        res = circle.verify_theorem(inst, Ns, table_small)
         assert res.median_abs_dev is not None
         assert res.median_abs_dev <= 0.10
 
     def test_boundary_flagging(self, table_small):
         X = 10**3
         inst = classical_instance(X)
-        res = circle.verify_theorem(inst, inst.params.z, [7, 3 * X - 4],
-                                    table_small)
+        res = circle.verify_theorem(inst, [7, 3 * X - 4], table_small)
         assert all("boundary" in row.flags for row in res.rows)
 
 
@@ -310,6 +295,19 @@ class TestParseval:
                                      for c in spec.classes[:2]), (1, 1), 300)
         lhs, rhs = circle.parseval_check(inst, table_small)
         assert calls == [spec]
+        assert rhs == pytest.approx(lhs, rel=0.005)
+
+
+    def test_phase_matrix_memory_bounded(self, table_small):
+        # the whole phase matrix of trivial x2 at X = 3000 peaks at 473 MiB
+        inst = uniform_instance("trivial", "e", 2, (1, 1), 3000)
+        tracemalloc.start()
+        try:
+            lhs, rhs = circle.parseval_check(inst, table_small)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
         assert rhs == pytest.approx(lhs, rel=0.005)
 
 

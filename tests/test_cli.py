@@ -136,6 +136,29 @@ class TestVerify:
         assert code == 2
         assert "common divisor" in err
 
+    def test_defaults_echo_sieve_block(self, tmp_path, capsys):
+        for block, A, B in (({"A": 1, "B": 2}, 1, 2), ({"A": 0.5}, 0.5, 2.0),
+                            (None, 1.0, 4.0)):
+            doc = dict(SMALL_CLASSICAL)
+            if block is not None:
+                doc["sieve"] = block
+            out = tmp_path / "out"
+            code, _, _ = run(capsys, "verify", write_instance(tmp_path, doc),
+                             "--out-dir", str(out), "--no-timestamp")
+            assert code == 0
+            got = json.loads((out / "summary.json").read_text())["defaults"]
+            assert (got["A"], got["B"]) == (A, B)
+            assert (type(got["A"]), type(got["B"])) == (type(A), type(B))
+            assert got["z"] == math.log(2000) ** B
+
+    def test_bad_sieve_block_exit_2(self, tmp_path, capsys):
+        for block in ({"B": "4"}, {"A": None}, {"B": 1e6}, []):
+            inst = write_instance(tmp_path, dict(SMALL_CLASSICAL, sieve=block))
+            code, out, err = run(capsys, "verify", inst, "--out-dir",
+                                 str(tmp_path / "out"))
+            assert code == 2, block
+            assert "BadSieve" in err
+
     def test_memory_gate_exit_3_before_prime_table(self, tmp_path, capsys,
                                                    monkeypatch):
         def no_table(limit):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chebcircle import galois, genfun, sieve
+from chebcircle import galois, genfun
 from chebcircle.errors import DomainError, UnsupportedInstantiation
 from chebcircle.expsum import (IdealCharacter, QuadraticField, TRIVIAL_XI,
                                norm_composed)
@@ -14,18 +14,11 @@ from chebcircle.characters import kronecker_character, principal_character
 PHI = (1 + math.sqrt(5)) / 2
 
 
-def params_with_z(X, z):
-    """SieveParams with an explicit z, choosing B to keep the linkage."""
-    B = math.log(z) / math.log(math.log(X))
-    return sieve.SieveParams(1.0, B, math.log(X) ** B)
-
-
 def ctx_for(table, name, label, X, z=None):
     spec = galois.builtin_spec(name)
     cls = spec.class_by_label(label)
-    params = (sieve.SieveParams.for_x(X) if z is None
-              else params_with_z(X, z))
-    return genfun.GenfunContext(table, X, params, spec, cls)
+    z = math.log(X) ** 4 if z is None else z
+    return genfun.GenfunContext(table, X, z, spec, cls)
 
 
 class TestEvalG:

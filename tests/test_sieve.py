@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chebcircle import galois, sieve
+from chebcircle import galois, genfun, sieve
 from chebcircle.errors import DomainError
+from chebcircle.expsum import QuadraticField
 
 
 class TestPrimeTable:
@@ -162,12 +163,29 @@ class TestWeightedPrimeArray:
 
 
 def test_sieve_params_linkage():
-    p = sieve.SieveParams.for_x(10**4)
-    assert p.B == 4.0
-    assert p.z == pytest.approx(math.log(10**4) ** 4)
-    p.check(10**4)
-    with pytest.raises(DomainError):
-        p.check(10**5)
+    B, z = sieve.level(10**4)
+    assert B == 4.0
+    assert z == pytest.approx(math.log(10**4) ** 4)
+
+
+def test_sharp_weights_match_scalar_definitions():
+    # every built-in class, and Q(i)'s norm image as an abelian class
+    m, H = genfun._norm_image_subgroup(QuadraticField(-4))
+    norm_image = galois.GaloisSpec(galois.ABELIAN, m,
+                                   (galois.ClassSpec("N", frozenset(H)),))
+    pairs = [(norm_image, norm_image.classes[0])]
+    for name in galois.BUILTIN_NAMES:
+        spec = galois.builtin_spec(name)
+        pairs += [(spec, c) for c in spec.classes]
+    assert len(pairs) == 12
+    X = 500
+    for z in (1.5, 2, 7.5, 30):
+        for spec, cls in pairs:
+            w = sieve.sharp_weights(X, z, spec.modulus, cls.coset)
+            want = [float(sieve.lambda_kc(spec, cls, n) * sieve.lambda_z(z, n))
+                    for n in range(1, X + 1)]
+            assert w[0] == 0.0
+            assert list(w[1:]) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_survivor_mask():
