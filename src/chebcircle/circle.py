@@ -17,9 +17,10 @@ from .instance import ProblemInstance
 MAX_BYTES = 4 * 2**30
 EXACT_X_LIMIT = 10**4
 # Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
-# and per distinct component and unit of X; fitted to the peak RSS of
-# `verify` on 21 instances (k = 2..4, X = 2e3..4e6, one to four distinct
-# components), each within 3% of its measurement.
+# and per distinct component and unit of X; fitted to the peak RSS of the
+# all-N count on 21 instances (k = 2..4, X = 2e3..4e6, one to four distinct
+# components), each within 3% of its measurement.  The rows-only count of
+# `verify` stays below it.
 BYTES_BASE = 31 * 2**20
 BYTES_PER_FFT_POINT = 41
 BYTES_PER_X = 15
@@ -64,43 +65,58 @@ def _embed(values: np.ndarray, ai: int) -> np.ndarray:
     return out[::-1] if ai < 0 else out
 
 
-def _fft_len(inst: ProblemInstance) -> int:
-    lo, hi = inst.attainable_range
-    return 1 << max(1, (hi - lo).bit_length())
+def _fft_len(span: int) -> int:
+    """Transform length for coefficients over span + 1 consecutive N."""
+    return 1 << max(1, span.bit_length())
 
 
-def _convolve(inst: ProblemInstance, arrays) -> np.ndarray:
-    """Coefficients of prod_i sum_n arrays[i][n] x^(a_i n) over
-    inst.attainable_range, one array over 0..X per component, by FFT; a
-    repeated (array, a_i) is transformed once and held until its last use."""
-    lo, hi = inst.attainable_range
-    M = _fft_len(inst)
-    keys = [(id(v), ai) for v, ai in zip(arrays, inst.a)]
+def _span(arrays, a) -> int:
+    """hi - lo of the exponents of prod_i sum_n arrays[i][n] x^(a_i n)."""
+    return sum(abs(ai) * (len(v) - 1) for v, ai in zip(arrays, a))
+
+
+def _convolve(arrays, a) -> np.ndarray:
+    """Coefficients of prod_i sum_n arrays[i][n] x^(a_i n), lowest exponent
+    first, by FFT; a repeated (array, a_i) is transformed once and held
+    until its last use."""
+    span = _span(arrays, a)
+    M = _fft_len(span)
+    keys = [(id(v), ai) for v, ai in zip(arrays, a)]
     held = {}
     spec = np.ones(M // 2 + 1, dtype=complex)
-    for i, (key, v, ai) in enumerate(zip(keys, arrays, inst.a)):
+    for i, (key, v, ai) in enumerate(zip(keys, arrays, a)):
         if key not in held:
             held[key] = np.fft.rfft(_embed(v, ai), M)
         spec *= held[key] if key in keys[i + 1:] else held.pop(key)
-    return np.fft.irfft(spec, M)[:hi - lo + 1]
+    return np.fft.irfft(spec, M)[:span + 1]
 
 
-def _exact_convolve(inst: ProblemInstance, arrays) -> np.ndarray:
+def _exact_convolve(arrays, a) -> np.ndarray:
     """_convolve by big-integer multiplication (Kronecker substitution,
     base 2^64); exact for nonnegative integer entries."""
-    lo, hi = inst.attainable_range
     acc = math.prod(int.from_bytes(_embed(v, ai).astype("<u8").tobytes(),
                                    "little")
-                    for v, ai in zip(arrays, inst.a))
-    data = acc.to_bytes((hi - lo + 1) * 8, "little")
+                    for v, ai in zip(arrays, a))
+    data = acc.to_bytes((_span(arrays, a) + 1) * 8, "little")
     return np.frombuffer(data, dtype="<u8").astype(np.int64)
+
+
+def _count_convolve(indicators, a, X: int) -> np.ndarray:
+    """_convolve of 0/1 indicator arrays as int64 counts: exact
+    multiplication when X <= EXACT_X_LIMIT, else the FFT rounded."""
+    if X <= EXACT_X_LIMIT:
+        return _exact_convolve(indicators, a)
+    counts = np.rint(_convolve(indicators, a)).astype(np.int64)
+    np.maximum(counts, 0, out=counts)
+    return counts
 
 
 def estimated_bytes(inst: ProblemInstance) -> int:
     """Estimated peak memory of representation_counts on inst, prime table
     included; allocates nothing."""
     per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * len(set(inst.components))
-    return (BYTES_BASE + BYTES_PER_FFT_POINT * _fft_len(inst)
+    lo, hi = inst.attainable_range
+    return (BYTES_BASE + BYTES_PER_FFT_POINT * _fft_len(hi - lo)
             + per_x * (inst.X + 1))
 
 
@@ -130,7 +146,7 @@ def _weighted_counts(inst: ProblemInstance, table: sieve.PrimeTable):
     attainable N, clamped at 0 against FFT round-off)."""
     check_memory(inst)
     comps = _component_arrays(inst, table)
-    weighted = _convolve(inst, [wpa.weights for wpa in comps])
+    weighted = _convolve([wpa.weights for wpa in comps], inst.a)
     np.maximum(weighted, 0.0, out=weighted)
     return comps, weighted
 
@@ -140,13 +156,39 @@ def representation_counts(inst: ProblemInstance,
     """S(N) for every attainable N: weighted by the product of log p and
     as a plain solution count."""
     comps, weighted = _weighted_counts(inst, table)
-    indicators = [wpa.indicator for wpa in comps]
-    if inst.X <= EXACT_X_LIMIT:
-        unweighted = _exact_convolve(inst, indicators)
-    else:
-        unweighted = np.rint(_convolve(inst, indicators)).astype(np.int64)
-        np.maximum(unweighted, 0, out=unweighted)
+    unweighted = _count_convolve([wpa.indicator for wpa in comps], inst.a,
+                                 inst.X)
     return CoefficientArray(inst.attainable_range[0], weighted, unweighted)
+
+
+def counts_at(inst: ProblemInstance, table: sieve.PrimeTable, Ns):
+    """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
+    arrays.  Components 1..k-1 are convolved once per channel (the head);
+    each S(N) then sums the head at N - a_k q over the last component's
+    primes q, times log q for the weighted value, which is clamped at 0
+    against FFT round-off."""
+    check_memory(inst)
+    comps = _component_arrays(inst, table)
+    head, last = comps[:-1], comps[-1]
+    a, ak = inst.a[:-1], inst.a[-1]
+    if len(head) == 1:
+        hw = _embed(head[0].weights, a[0])
+        hu = _embed(head[0].indicator, a[0])
+    else:
+        hw = _convolve([wpa.weights for wpa in head], a)
+        hu = _count_convolve([wpa.indicator for wpa in head], a, inst.X)
+    lo = inst.X * sum(v for v in a if v < 0)
+    shifted = lo + ak * last.primes
+    logs = last.weights[last.primes]
+    weighted = np.zeros(len(Ns))
+    unweighted = np.zeros(len(Ns), dtype=np.int64)
+    for i, N in enumerate(Ns):
+        idx = N - shifted
+        ok = (idx >= 0) & (idx < len(hw))
+        weighted[i] = hw[idx[ok]] @ logs[ok]
+        unweighted[i] = np.sum(hu[idx[ok]], dtype=np.int64)
+    np.maximum(weighted, 0.0, out=weighted)
+    return weighted, unweighted
 
 
 def _oracle_tables(inst: ProblemInstance, table: sieve.PrimeTable):
@@ -208,7 +250,7 @@ def h_sharp_array(inst: ProblemInstance, z: float) -> CoefficientArray:
     arrays = {fc: sieve.sharp_weights(inst.X, z, fc.spec.modulus,
                                       fc.cls.coset)
               for fc in dict.fromkeys(inst.components)}
-    vals = _convolve(inst, [arrays[fc] for fc in inst.components])
+    vals = _convolve([arrays[fc] for fc in inst.components], inst.a)
     vals *= float(inst.prefactor)
     return CoefficientArray(inst.attainable_range[0], vals,
                             np.zeros(0, dtype=np.int64))
@@ -258,13 +300,12 @@ BOUNDARY_MARGIN = 0.05
 def verify_theorem(inst: ProblemInstance, N_list, table: sieve.PrimeTable,
                    P_max: int = 10**4) -> VerifyResult:
     """Per-N comparison of S(N) against the assembled main term."""
-    coeffs = representation_counts(inst, table)
+    weighted, unweighted = counts_at(inst, table, N_list)
     lo, hi = inst.attainable_range
     span = hi - lo
     rows = []
-    for N, rep in zip(N_list, singular.main_terms(inst, N_list, P_max)):
-        sw = coeffs.weighted_at(N)
-        su = coeffs.unweighted_at(N)
+    for N, sw, su, rep in zip(N_list, weighted.tolist(), unweighted.tolist(),
+                              singular.main_terms(inst, N_list, P_max)):
         flags = []
         if min(N - lo, hi - N) < BOUNDARY_MARGIN * span:
             flags.append("boundary")

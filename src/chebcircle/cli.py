@@ -83,6 +83,10 @@ def _sieve_level(sv, X: int) -> dict:
     if not isinstance(sv, dict) or any(
             type(sv.get(k, 1.0)) not in (int, float) for k in ("A", "B")):
         raise bad
+    for key in sv:
+        if key not in ("A", "B"):
+            raise ValidationError([("BadSieve", f"unknown sieve key {key!r}; "
+                                                "sieve takes A and B")])
     A = sv.get("A", 1.0)
     try:
         B, z = sieve.level(X, A, sv.get("B"))
@@ -163,14 +167,14 @@ def cmd_local_factors(args) -> int:
 
 def _context_from_builtin(name: str, X: int, B: float,
                           table) -> genfun.GenfunContext:
+    z = _sieve_level({"B": B}, X)["z"]
     try:
         field_name, cls_label = name.rsplit("-", 1)
     except ValueError:
         raise ValidationError([("BadContext", f"cannot parse {name!r}")])
     spec = galois.builtin_spec(field_name)
     cls = spec.class_by_label(cls_label)
-    return genfun.GenfunContext(table, X, sieve.level(X, B=B)[1], spec=spec,
-                                cls=cls)
+    return genfun.GenfunContext(table, X, z, spec=spec, cls=cls)
 
 
 def cmd_genfun(args) -> int:

@@ -90,9 +90,9 @@ class TestRepresentationCounts:
             circle.representation_counts(inst, table_small)
 
     def test_memory_estimate_tracks_measured_peak(self):
-        # peak RSS of `verify` on trivial x3, a = (1, 1, 1): 32 MiB at
-        # X = 10^4, 215 MiB at 10^6 and 764 MiB at 4 * 10^6, about 30 MiB
-        # of it the interpreter and numpy
+        # peak RSS of the all-N count on trivial x3, a = (1, 1, 1): 32 MiB
+        # at X = 10^4, 215 MiB at 10^6 and 764 MiB at 4 * 10^6, about
+        # 30 MiB of it the interpreter and numpy
         for X, rss_mib in ((10**4, 32), (10**6, 215), (4 * 10**6, 764)):
             est = circle.estimated_bytes(classical_instance(X)) / 2**20
             assert 0.8 * rss_mib <= est <= 1.2 * rss_mib
@@ -318,7 +318,7 @@ class TestExactConvolutionChannel:
         # recompute the unweighted channel by FFT and compare
         comps = circle._component_arrays(inst, table_small)
         fft_u = np.rint(circle._convolve(
-            inst, [c.indicator for c in comps])).astype(np.int64)
+            [c.indicator for c in comps], inst.a)).astype(np.int64)
         assert np.array_equal(np.maximum(fft_u, 0), co.unweighted)
 
 
@@ -372,3 +372,63 @@ class TestFFTChannel:
                 assert co.weighted_at(N) == pytest.approx(w, rel=1e-6)
             else:
                 assert abs(co.weighted_at(N)) <= 1e-6 * top
+
+
+class TestCountsAt:
+    """counts_at, the rows-only path of verify, against the all-N arrays of
+    representation_counts and against the oracle."""
+    X_ABOVE = circle.EXACT_X_LIMIT + 500
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return sieve.PrimeTable.build(self.X_ABOVE)
+
+    @staticmethod
+    def instance(fields, a, X):
+        comps = []
+        for name, label in fields:
+            spec = galois.builtin_spec(name)
+            comps.append(FieldClass(spec, spec.class_by_label(label)))
+        return ProblemInstance(tuple(comps), a, X)
+
+    @pytest.mark.parametrize("X", [3000, X_ABOVE])
+    @pytest.mark.parametrize("fields,a", [
+        ((("gaussian", "c"), ("trivial", "e")), (3, -2)),
+        ((("s3-cbrt2", "2"),) * 2, (-1, 1)),
+        ((("trivial", "e"),) * 3, (1, 1, 1)),
+        ((("gaussian", "e"), ("s3-cbrt2", "3"), ("gaussian", "e")),
+         (2, -3, 1)),
+        ((("trivial", "e"), ("gaussian", "c"), ("trivial", "e"),
+          ("s3-cbrt2", "1")), (-1, 3, 2, -2)),
+    ])
+    def test_matches_representation_counts(self, table, fields, a, X):
+        inst = self.instance(fields, a, X)
+        co = circle.representation_counts(inst, table)
+        lo, hi = inst.attainable_range
+        Ns = ([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
+              + random.Random(X).sample(range(lo, hi + 1), 200))
+        weighted, unweighted = circle.counts_at(inst, table, Ns)
+        assert unweighted.tolist() == [co.unweighted_at(N) for N in Ns]
+        tol = 1e-14 * float(np.max(co.weighted))
+        for N, got in zip(Ns, weighted.tolist()):
+            want = co.weighted_at(N)
+            assert abs(got - want) <= 1e-12 * want + tol, N
+
+    def test_matches_oracle_above_exact_limit(self, table):
+        spec = galois.builtin_spec("s3-cbrt2")
+        inst = self.instance((("s3-cbrt2", "1"),) * 3, (1, 1, 1), self.X_ABOVE)
+        lo, hi = inst.attainable_range
+        oracle = circle.brute_force_all(inst, table)
+        Ns = list(range(lo - 1, hi + 2))
+        weighted, unweighted = circle.counts_at(inst, table, Ns)
+        assert unweighted.tolist() == [oracle.get(N, (0.0, 0))[1] for N in Ns]
+        # the highest N with a solution has few terms, each near X, where
+        # an all-N transform's round-off is large against them
+        N = max(oracle)
+        ps = [int(p) for p in table.primes_upto(inst.X) if p >= N - 2 * inst.X
+              and galois.frobenius_class(spec, int(p)).class_label == "1"]
+        terms = [math.log(p) * math.log(q) * math.log(N - p - q)
+                 for p in ps for q in ps if N - p - q in ps]
+        direct = math.fsum(terms)
+        assert len(terms) == oracle[N][1]
+        assert abs(weighted[Ns.index(N)] - direct) <= 1e-13 * direct

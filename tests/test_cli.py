@@ -51,6 +51,12 @@ class TestSimpleCommands:
         want = sum(math.log(p) for p in (5, 13, 17, 29))
         assert float(rows[1][2]) == pytest.approx(want, abs=1e-3)
 
+    def test_genfun_overflowing_level_exit_2(self, capsys):
+        code, _, err = run(capsys, "genfun", "--builtin", "gaussian-e",
+                           "--X", "3000", "--alpha", "0.1", "--B", "1e6")
+        assert code == 2
+        assert "BadSieve" in err
+
     def test_genfun_bad_builtin(self, capsys):
         code, _, err = run(capsys, "genfun", "--builtin", "nonsense",
                            "--X", "30", "--alpha", "0")
@@ -158,6 +164,16 @@ class TestVerify:
                                  str(tmp_path / "out"))
             assert code == 2, block
             assert "BadSieve" in err
+
+    def test_unknown_sieve_key_exit_2(self, tmp_path, capsys):
+        for block in ({"z": 5}, {"A": 1, "b": 4}):
+            inst = write_instance(tmp_path, dict(SMALL_CLASSICAL, sieve=block))
+            out = tmp_path / "out"
+            code, _, err = run(capsys, "verify", inst, "--out-dir", str(out))
+            assert code == 2, block
+            assert "BadSieve" in err
+            assert repr(next(k for k in block if k not in ("A", "B"))) in err
+            assert not (out / "summary.json").exists()
 
     def test_memory_gate_exit_3_before_prime_table(self, tmp_path, capsys,
                                                    monkeypatch):
