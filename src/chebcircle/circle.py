@@ -1,5 +1,5 @@
 """Representation counts S(N) by convolution of weighted prime arrays,
-brute-force oracles, the sieved coefficient analogue, Parseval norms, and
+the brute-force oracle, the sieved coefficient analogue, Parseval norms, and
 the end-to-end comparison against the predicted main term."""
 
 from __future__ import annotations
@@ -191,15 +191,16 @@ def counts_at(inst: ProblemInstance, table: sieve.PrimeTable, Ns):
     return weighted, unweighted
 
 
-def _oracle_tables(inst: ProblemInstance, table: sieve.PrimeTable):
-    """The two meet-in-the-middle tables of the oracle: for each half of
-    the components, partial sum -> (solution count, product of log p),
-    enumerated over the classified prime lists."""
+def brute_force_all(inst: ProblemInstance, table: sieve.PrimeTable):
+    """{N: (weighted, unweighted) S(N)} for every N with a solution, by
+    meet-in-the-middle enumeration over the classified prime lists; the
+    oracle path.  N absent from the dict has S(N) = (0.0, 0)."""
     comps = _component_arrays(inst, table)
-    k = inst.k
-    half = (k + 1) // 2
+    half = (inst.k + 1) // 2
 
     def sums(idx):
+        """partial sum over the components idx -> (solution count,
+        product of log p)"""
         acc = {0: (1, 1.0)}
         for i in idx:
             nxt = {}
@@ -213,28 +214,7 @@ def _oracle_tables(inst: ProblemInstance, table: sieve.PrimeTable):
             acc = nxt
         return acc
 
-    return sums(range(half)), sums(range(half, k))
-
-
-def brute_force_S(inst: ProblemInstance, N: int, table: sieve.PrimeTable):
-    """(weighted, unweighted) S(N) by meet-in-the-middle enumeration over
-    the classified prime lists; the oracle path."""
-    left, right = _oracle_tables(inst, table)
-    count, weight = 0, 0.0
-    for s, (cnt, wt) in left.items():
-        hit = right.get(N - s)
-        if hit is not None:
-            count += cnt * hit[0]
-            weight += wt * hit[1]
-    return weight, count
-
-
-def brute_force_all(inst: ProblemInstance, table: sieve.PrimeTable):
-    """{N: (weighted, unweighted) S(N)} for every N with a solution, from
-    one pair of oracle tables; N absent from the dict has S(N) = (0.0, 0).
-    Each entry equals brute_force_S(inst, N, table), summed in the same
-    order."""
-    left, right = _oracle_tables(inst, table)
+    left, right = sums(range(half)), sums(range(half, inst.k))
     out = {}
     for s, (cnt, wt) in left.items():
         for t, (c1, w1) in right.items():
@@ -327,14 +307,14 @@ def verify_theorem(inst: ProblemInstance, N_list, table: sieve.PrimeTable,
     return VerifyResult(rows, med, q90)
 
 
-def parseval_check(inst: ProblemInstance, table: sieve.PrimeTable,
-                   oversample: int = 4):
-    """(sum of S(N)^2, grid quadrature of |H|^2) where the grid side
-    evaluates H(alpha) = prod G_i(a_i alpha) from the prime sums directly,
-    independent of the convolution path."""
+def parseval_check(inst: ProblemInstance, table: sieve.PrimeTable):
+    """(sum of S(N)^2, quadrature of |H|^2 on a grid four times the
+    number of N) where the grid side evaluates H(alpha) =
+    prod G_i(a_i alpha) from the prime sums directly, independent of the
+    convolution path."""
     comps, weighted = _weighted_counts(inst, table)
     lhs = float(np.sum(weighted ** 2))
-    M = oversample * len(weighted)
+    M = 4 * len(weighted)
     grid = np.arange(M) / M
     H = np.ones(M, dtype=complex)
     for wpa, ai in zip(comps, inst.a):

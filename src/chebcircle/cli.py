@@ -103,10 +103,16 @@ def _n_list(doc: dict, inst: ProblemInstance):
         lo, hi = inst.attainable_range
         mid = (lo + hi) // 2
         return [mid + 2 * i + 1 for i in range(20)]
-    if isinstance(spec, int):
-        return [spec]
-    return list(range(int(spec["from"]), int(spec["to"]),
-                      int(spec.get("step", 1))))
+    bad = ValidationError([("BadN", "N takes an integer or {from, to, "
+                                    "step} of integers, within int64")])
+    try:
+        Ns = [spec] if isinstance(spec, int) else range(
+            int(spec["from"]), int(spec["to"]), int(spec.get("step", 1)))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise bad from None
+    if any(not -2**63 <= N < 2**63 for N in [*Ns[:1], *Ns[-1:]]):
+        raise bad
+    return list(Ns)
 
 
 def _open_out(out_dir: str, name: str):

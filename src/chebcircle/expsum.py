@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import factorint
-from .characters import DirichletCharacter, kronecker, kronecker_character
+from .characters import DirichletCharacter, kronecker
 from .errors import DegenerateAlpha, DomainError, UnsupportedCharacter
 
 
@@ -183,10 +183,6 @@ class QuadraticField:
         if not ok:
             raise DomainError(f"{d} is not a fundamental discriminant")
 
-    @property
-    def chi(self) -> DirichletCharacter:
-        return kronecker_character(self.d)
-
     @cached_property
     def chi_table(self) -> np.ndarray:
         """The Kronecker symbol (d/r) for r = 0..|d|-1 as read-only int64,
@@ -257,15 +253,12 @@ def norm_composed(chi: DirichletCharacter) -> IdealCharacter:
 
 
 def ideal_exp_sum(fieldK: QuadraticField, xi: IdealCharacter, alpha,
-                  X: int, log_weighted: bool = False) -> complex:
-    """Sum over ideals of norm <= X of xi * e(alpha * norm), optionally
-    weighted by log(norm); aggregated through the norm-count sieve."""
+                  X: int) -> complex:
+    """Sum over ideals of norm <= X of xi * e(alpha * norm), aggregated
+    through the norm-count sieve."""
     r = norm_counts(fieldK, X)
     ms = np.arange(1, X + 1)
-    coefs = r[1:].astype(np.float64)
-    if log_weighted:
-        coefs = coefs * np.log(ms)
-    vals = coefs * xi.norm_table(ms)
+    vals = r[1:].astype(np.float64) * xi.norm_table(ms)
     a = float(alpha)
     phases = np.exp(2j * np.pi * ((a * ms) % 1.0))
     return complex(np.dot(vals, phases))

@@ -133,48 +133,11 @@ def _poly_mulmod(a, b, f, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, f, p)
+    return _poly_divmod(out, f, p)[1]
 
 
-def _poly_rem(a, f, p):
-    a = [c % p for c in a]
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    for k in range(len(a) - 1, df - 1, -1):
-        c = a[k] % p
-        if c:
-            c = (c * inv_lead) % p
-            for j in range(df + 1):
-                a[k - df + j] = (a[k - df + j] - c * f[j]) % p
-    return _trim(a[:df])
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_mod_p(a, p), _poly_mod_p(b, p)
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _poly_powmod(base, e, f, p):
-    result = [1]
-    base = _poly_rem(list(base), f, p)
-    while e > 0:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _poly_deriv(f, p):
-    return _trim([(i * c) % p for i, c in enumerate(f)][1:])
-
-
-def _poly_quo(a, b, p):
+def _poly_divmod(a, b, p):
+    """(quotient, remainder) of a by b over GF(p), by long division."""
     a = [c % p for c in a]
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -185,7 +148,32 @@ def _poly_quo(a, b, p):
             q[k - db] = c
             for j in range(db + 1):
                 a[k - db + j] = (a[k - db + j] - c * b[j]) % p
-    return _trim(q)
+    return _trim(q), _trim(a[:db])
+
+
+def _poly_gcd(a, b, p):
+    a, b = _poly_mod_p(a, p), _poly_mod_p(b, p)
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+def _poly_powmod(base, e, f, p):
+    result = [1]
+    base = _poly_divmod(base, f, p)[1]
+    while e > 0:
+        if e & 1:
+            result = _poly_mulmod(result, base, f, p)
+        base = _poly_mulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def _poly_deriv(f, p):
+    return _trim([(i * c) % p for i, c in enumerate(f)][1:])
 
 
 def _distinct_degree_degrees(g, p):
@@ -203,8 +191,8 @@ def _distinct_degree_degrees(g, p):
         factor = _poly_gcd(delta, g, p)
         if len(factor) > 1:
             degs.extend([d] * ((len(factor) - 1) // d))
-            g = _poly_quo(g, factor, p)
-            h = _poly_rem(h, g, p)
+            g = _poly_divmod(g, factor, p)[0]
+            h = _poly_divmod(h, g, p)[1]
     if len(g) > 1:
         degs.append(len(g) - 1)
     return degs
@@ -454,13 +442,13 @@ def _has_rational_root(f):
     return any(sum(c * r**i for i, c in enumerate(f)) == 0 for r in cands)
 
 
-def _check_keys(spec, rep, n_primes=25):
-    """Each of the first n_primes unramified primes matches exactly one
+def _check_keys(spec, rep):
+    """Each of the first 25 unramified primes matches exactly one
     class: the keys are distinct, so frobenius_class finds at most one."""
     ram = spec.ramified_modulus
     primes = (p for p in itertools.count(2)
               if factorint(p) == {p: 1} and ram % p != 0)
-    for p in itertools.islice(primes, n_primes):
+    for p in itertools.islice(primes, 25):
         try:
             frobenius_class(spec, p)
         except InconsistentSpec as exc:

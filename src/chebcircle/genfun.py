@@ -98,51 +98,27 @@ def _prime_power_terms(fieldL: Optional[QuadraticField],
     """(norms, weights) of all prime-power ideal norms <= X, with the
     ideal von Mangoldt weight log N(prime) aggregated per norm value.
 
-    fieldL None means the rationals: plain prime powers with weight log p.
+    With c = chi_d(p), and c = 0 for every p when fieldL is None (the
+    rationals), a prime ideal above p has norm q = p^2 if c = -1, else p,
+    and each norm q^m <= X has weight (1 if c = 0 else 2) * log p: one
+    ideal of log norm log p (ramified, or over Q), two (split), or one of
+    log norm 2 log p (inert).
     """
     ps = table.primes_upto(X)
-    norms = []
-    weights = []
-    if fieldL is None:
-        norms.append(ps)
-        weights.append(np.log(ps.astype(np.float64)))
-        for p in ps[ps * ps <= X]:
-            pe = int(p) * int(p)
-            while pe <= X:
-                norms.append(np.array([pe], dtype=np.int64))
-                weights.append(np.array([math.log(p)]))
-                pe *= int(p)
-    else:
-        m = abs(fieldL.d)
-        chtab = fieldL.chi_table
-        chp = chtab[ps % m]
-        split = ps[chp == 1]
-        norms.append(split)
-        weights.append(2.0 * np.log(split.astype(np.float64)))
-        small = [int(p) for p in ps if int(p) ** 2 <= X]
-        for p in small:
-            c = int(chtab[p % m])
-            logp = math.log(p)
-            if c == 1:       # two primes of norm p; powers p^j, each log p
-                pe = p * p
-                while pe <= X:
-                    norms.append(np.array([pe], dtype=np.int64))
-                    weights.append(np.array([2.0 * logp]))
-                    pe *= p
-            elif c == -1:    # inert: one prime of norm p^2, weight 2 log p
-                pe = p * p
-                while pe <= X:
-                    norms.append(np.array([pe], dtype=np.int64))
-                    weights.append(np.array([2.0 * logp]))
-                    pe *= p * p
-        for p in [int(p) for p in ps if m % int(p) == 0]:
-            pe = p           # ramified: one prime of norm p, weight log p
-            logp = math.log(p)
-            while pe <= X:
-                norms.append(np.array([pe], dtype=np.int64))
-                weights.append(np.array([logp]))
-                pe *= p
-    return np.concatenate(norms), np.concatenate(weights)
+    c = (np.zeros_like(ps) if fieldL is None
+         else fieldL.chi_table[ps % abs(fieldL.d)])
+    q = np.where(c == -1, ps * ps, ps)
+    w = np.where(c == 0, 1.0, 2.0) * np.log(ps.astype(np.float64))
+    norms, weights = [], []
+    qm = q
+    while True:
+        keep = qm <= X
+        q, qm, w = q[keep], qm[keep], w[keep]
+        norms.append(qm)
+        weights.append(w)
+        if len(q) == 0:
+            return np.concatenate(norms), np.concatenate(weights)
+        qm = qm * q
 
 
 def eval_F(fieldL: Optional[QuadraticField], xi: IdealCharacter, X: int,

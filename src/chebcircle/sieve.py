@@ -1,8 +1,11 @@
 """Prime tables, the local weight functions, and smooth-number counting.
 
-The sieve substrate is a flat smallest-prime-factor table; everything else
-(prime lists, Moebius walks, squarefree smooth enumeration) is derived
-from it or from direct enumeration.
+The one sieve is Eratosthenes' striking of the multiples of a list of
+primes (_survivors): sieve_survivor_mask strikes by the primes <= z, and
+the prime table is the survivors of z = sqrt(X) together with the primes
+<= sqrt(X), found the same way.
+Everything else (Moebius walks, squarefree smooth enumeration) is derived
+from these lists or from direct enumeration.
 """
 
 from __future__ import annotations
@@ -21,43 +24,42 @@ from .errors import DomainError
 @dataclass
 class PrimeTable:
     limit: int
-    spf: np.ndarray      # smallest prime factor, spf[0] = spf[1] = 0
     primes: np.ndarray   # ascending int64
 
     @classmethod
     def build(cls, limit: int) -> "PrimeTable":
         if limit < 2:
             raise DomainError("prime table limit must be >= 2")
-        spf = np.zeros(limit + 1, dtype=np.uint32)
-        for i in range(2, math.isqrt(limit) + 1):
-            if spf[i] == 0:
-                sl = spf[i * i::i]
-                sl[sl == 0] = i
-        rest = np.nonzero(spf == 0)[0][2:]
-        spf[rest] = rest
-        primes = np.nonzero(spf == np.arange(limit + 1, dtype=np.uint32))[0]
-        primes = primes[primes >= 2].astype(np.int64)
-        return cls(limit, spf, primes)
+        return cls(limit, _primes_through(limit))
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
             raise DomainError(f"{n} outside table range")
-        return int(self.spf[n]) == n
+        i = np.searchsorted(self.primes, n)
+        return i < len(self.primes) and int(self.primes[i]) == n
 
     def primes_upto(self, x) -> np.ndarray:
         return self.primes[self.primes <= x]
 
-    def factor(self, n: int):
-        """(prime, exponent) pairs of n <= limit."""
-        out = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
+
+def _primes_through(n: int) -> np.ndarray:
+    """The primes <= n, ascending int64: the primes <= sqrt(n), found
+    recursively, then the survivors > 1 of striking by them."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    small = _primes_through(math.isqrt(n))
+    mask = _survivors(n, small)
+    mask[1] = False
+    return np.concatenate([small, np.nonzero(mask)[0]])
+
+
+def _survivors(X: int, primes: np.ndarray) -> np.ndarray:
+    """Boolean mask over 0..X of n with no factor in primes (n=1 counts)."""
+    mask = np.ones(X + 1, dtype=bool)
+    mask[0] = False
+    for p in primes.tolist():
+        mask[p::p] = False
+    return mask
 
 
 def level(X: int, A=1.0, B=None):
@@ -68,19 +70,12 @@ def level(X: int, A=1.0, B=None):
 
 
 def primes_upto(z: float) -> list:
-    """The primes p <= z as Python ints, from a PrimeTable."""
-    return PrimeTable.build(max(int(z), 2)).primes_upto(z).tolist()
-
-
-def lambda_p(p: int, n: int) -> Fraction:
-    """0 if p | n, else 1/(1 - 1/p)."""
-    if n % p == 0:
-        return Fraction(0)
-    return Fraction(p, p - 1)
+    """The primes p <= z as Python ints."""
+    return _primes_through(int(z)).tolist()
 
 
 def lambda_z(z: float, n: int) -> Fraction:
-    """Product of lambda_p over p <= z; equals 0 or C(z)."""
+    """0 if n has a prime factor p <= z, else C(z)."""
     for p in primes_upto(z):
         if n % p == 0:
             return Fraction(0)
@@ -101,21 +96,6 @@ def c_of_z_float(z: float) -> float:
     if len(ps) == 0:
         return 1.0
     return float(np.exp(-np.sum(np.log1p(-1.0 / ps))))
-
-
-def p_of_z(z: float) -> int:
-    out = 1
-    for p in primes_upto(z):
-        out *= p
-    return out
-
-
-def p_of_z_q(z: float, q: int) -> int:
-    out = 1
-    for p in primes_upto(z):
-        if q % p != 0:
-            out *= p
-    return out
 
 
 def lambda_kc(spec: galois.GaloisSpec, cls: galois.ClassSpec,
@@ -182,13 +162,7 @@ def weighted_prime_array(table: PrimeTable, spec: galois.GaloisSpec,
 def sieve_survivor_mask(X: int, z: float) -> np.ndarray:
     """Boolean mask over 0..X of n with no prime factor <= z (n=1 counts);
     the support of lambda_z."""
-    mask = np.ones(X + 1, dtype=bool)
-    mask[0] = False
-    for p in primes_upto(z):
-        if p > X:
-            break
-        mask[p::p] = False
-    return mask
+    return _survivors(X, _primes_through(min(int(z), X)))
 
 
 def sharp_weights(X: int, z: float, D: int, coset) -> np.ndarray:

@@ -155,14 +155,14 @@ class TestRepresentationCounts:
 class TestBruteForce:
     def test_weighted_example(self, table_small):
         inst = classical_instance(10)
-        w, u = circle.brute_force_S(inst, 10, table_small)
+        w, u = circle.brute_force_all(inst, table_small)[10]
         assert u == 6
         assert w == pytest.approx(6 * math.log(2) * math.log(3) *
                                   math.log(5))
 
     def test_out_of_range(self, table_small):
         inst = classical_instance(10)
-        assert circle.brute_force_S(inst, 31, table_small) == (0.0, 0)
+        assert 31 not in circle.brute_force_all(inst, table_small)
 
     def test_gaussian_identity_triples(self, table_small):
         inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), 100)
@@ -170,7 +170,7 @@ class TestBruteForce:
                   if all(p % d for d in range(2, p)) and p % 4 == 1]
         direct = sum(1 for p in primes for q in primes for r in primes
                      if p + q + r == 39)
-        w, u = circle.brute_force_S(inst, 39, table_small)
+        w, u = circle.brute_force_all(inst, table_small)[39]
         assert u == direct
 
 

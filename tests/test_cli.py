@@ -175,6 +175,29 @@ class TestVerify:
             assert repr(next(k for k in block if k not in ("A", "B"))) in err
             assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("N", ["abc", [1, 2], 1e30, 10**20, -2**63 - 1,
+                                   {"from": 2**63 - 2, "to": 2**63 + 2},
+                                   {"from": float("inf"), "to": 5},
+                                   {"to": 5}])
+    def test_bad_n_exit_2(self, tmp_path, capsys, N):
+        inst = write_instance(tmp_path, dict(SMALL_CLASSICAL, N=N))
+        code, _, err = run(capsys, "verify", inst, "--out-dir",
+                           str(tmp_path / "out"))
+        assert code == 2
+        assert "BadN" in err
+
+    def test_n_at_int64_ends_vanishes(self, tmp_path, capsys):
+        for N in (2**63 - 1, -2**63):
+            inst = write_instance(tmp_path, dict(SMALL_CLASSICAL, N=N))
+            out = tmp_path / "out"
+            code, _, _ = run(capsys, "verify", inst, "--out-dir", str(out),
+                             "--no-timestamp")
+            assert code == 0
+            [row] = csv.DictReader(
+                (out / "verify.csv").read_text().splitlines())
+            assert (int(row["N"]), row["S_unweighted"]) == (N, "0")
+            assert "vanishing" in row["flags"]
+
     def test_memory_gate_exit_3_before_prime_table(self, tmp_path, capsys,
                                                    monkeypatch):
         def no_table(limit):

@@ -102,6 +102,31 @@ class TestPolyFactorDegrees:
             assert degs[0] * len(degs) == 6
 
 
+class TestPolyDivmod:
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+    def test_quotient_and_remainder(self, p):
+        rng = np.random.default_rng(p)
+
+        def mul(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    out[i + j] = (out[i + j] + ai * bj) % p
+            return out
+
+        for _ in range(200):
+            a = [int(c) for c in rng.integers(0, p, rng.integers(0, 9))]
+            b = [int(c) for c in rng.integers(0, p, rng.integers(0, 6))]
+            b.append(int(rng.integers(1, p)))
+            q, r = galois._poly_divmod(a, b, p)
+            assert len(r) < len(b)
+            qb = mul(q, b) if q else []
+            total = [((qb[i] if i < len(qb) else 0)
+                      + (r[i] if i < len(r) else 0)) % p
+                     for i in range(max(len(qb), len(r)))]
+            assert galois._trim(total) == galois._trim([c % p for c in a])
+
+
 class TestValidateSpec:
     def test_builtins_valid(self):
         for name in galois.BUILTIN_NAMES:

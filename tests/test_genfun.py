@@ -8,7 +8,7 @@ import pytest
 from chebcircle import galois, genfun
 from chebcircle.errors import DomainError, UnsupportedInstantiation
 from chebcircle.expsum import (IdealCharacter, QuadraticField, TRIVIAL_XI,
-                               norm_composed)
+                               norm_composed, norm_counts)
 from chebcircle.characters import kronecker_character, principal_character
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -102,6 +102,25 @@ class TestEvalF:
         assert set(got) == set(weights)
         for n in got:
             assert got[n] == pytest.approx(weights[n], rel=1e-12)
+
+    @pytest.mark.parametrize("d", [None, -4, -3, 5, -7, 8, 12, -8, 13])
+    def test_prime_power_weights_dirichlet_identity(self, table_small, d):
+        # -zeta_L' = zeta_L * (-zeta_L'/zeta_L): sum over d | n of
+        # W(d) r(n/d) = r(n) log n, with W the weight per norm and r the
+        # ideal count per norm (r = 1 over Q)
+        X = 3000
+        fieldL = None if d is None else QuadraticField(d)
+        r = (np.ones(X + 1) if d is None
+             else norm_counts(fieldL, X).astype(np.float64))
+        norms, wts = genfun._prime_power_terms(fieldL, table_small, X)
+        W = np.zeros(X + 1)
+        np.add.at(W, norms, wts)
+        conv = np.zeros(X + 1)
+        for q in np.nonzero(W)[0]:
+            conv[q::q] += W[q] * r[1:X // q + 1]
+        n = np.arange(1, X + 1)
+        assert conv[1:] == pytest.approx(r[1:] * np.log(n), rel=1e-12,
+                                         abs=1e-12)
 
 
 class TestSharpApproximants:

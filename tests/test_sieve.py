@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chebcircle import galois, genfun, sieve
+from chebcircle.arith import factorint
 from chebcircle.errors import DomainError
 from chebcircle.expsum import QuadraticField
 
@@ -21,8 +22,16 @@ class TestPrimeTable:
         for n in range(2, 500):
             assert table_small.is_prime(n) == trial(n)
 
-    def test_factor(self, table_small):
-        assert table_small.factor(360) == [(2, 3), (3, 2), (5, 1)]
+    def test_factor(self):
+        assert factorint(360) == {2: 3, 3: 2, 5: 1}
+
+    def test_build_matches_trial_division(self):
+        # every limit from the smallest, through the base of the recursion
+        def trial(n):
+            return all(n % d for d in range(2, math.isqrt(n) + 1))
+        for limit in range(2, 201):
+            want = [n for n in range(2, limit + 1) if trial(n)]
+            assert sieve.PrimeTable.build(limit).primes.tolist() == want
 
     def test_out_of_range(self, table_small):
         with pytest.raises(DomainError):
@@ -30,11 +39,6 @@ class TestPrimeTable:
 
 
 class TestLambdaFamily:
-    def test_lambda_p(self):
-        assert sieve.lambda_p(3, 6) == 0
-        assert sieve.lambda_p(3, 7) == Fraction(3, 2)
-        assert sieve.lambda_p(2, 1) == 2
-
     def test_lambda_z(self):
         assert sieve.lambda_z(10, 11) == Fraction(35, 8)
         assert sieve.lambda_z(10, 6) == 0
@@ -42,8 +46,6 @@ class TestLambdaFamily:
 
     def test_aggregates(self):
         assert sieve.c_of_z(10) == Fraction(35, 8)
-        assert sieve.p_of_z(10) == 210
-        assert sieve.p_of_z_q(10, 6) == 35
 
     def test_c_of_z_float_matches_exact(self):
         for z in (1.0, 2.0, 10.0, 100.0):
@@ -65,7 +67,7 @@ class TestLambdaFamily:
 
         for z in (2, 7, 30):
             cz = sieve.c_of_z(z)
-            pz = sieve.p_of_z(z)
+            pz = math.prod(sieve.primes_upto(z))
             for n in list(range(1, 200)) + [9991, 10000]:
                 g = math.gcd(n, pz)
                 divisors = [d for d in range(1, g + 1) if g % d == 0]
