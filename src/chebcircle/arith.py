@@ -1,5 +1,6 @@
 """Trial division, the one factoring helper for the small integers the
-package meets: moduli, group orders and discriminant checks."""
+package meets (moduli, group orders and discriminant checks), and
+Miller-Rabin, the one primality test."""
 
 from __future__ import annotations
 
@@ -24,3 +25,30 @@ def factorint(n: int) -> dict:
 def phi(n: int) -> int:
     """Euler's totient of n >= 1."""
     return math.prod(p ** (e - 1) * (p - 1) for p, e in factorint(n).items())
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17)   # deterministic below 3.3 * 10^14
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES; False below 2."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

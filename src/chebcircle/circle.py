@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import galois, sieve, singular
+from . import sieve, singular
 from .errors import ResourceLimit
 from .instance import ProblemInstance
 
@@ -112,7 +112,7 @@ def _count_convolve(indicators, a, X: int) -> np.ndarray:
 
 
 def estimated_bytes(inst: ProblemInstance) -> int:
-    """Estimated peak memory of representation_counts on inst, prime table
+    """Estimated peak memory of representation_counts on inst, prime list
     included; allocates nothing."""
     per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * len(set(inst.components))
     lo, hi = inst.attainable_range
@@ -129,46 +129,46 @@ def check_memory(inst: ProblemInstance):
                             f"{MAX_BYTES / 2**30:.0f} GiB")
 
 
-def _component_arrays(inst: ProblemInstance, table: sieve.PrimeTable):
+def _component_arrays(inst: ProblemInstance):
     """One WeightedPrimeArray per component, shared by equal components;
-    the primes are classified once per distinct spec."""
-    ps = table.primes_upto(inst.X)
-    labels = {spec: galois.classify_batch(spec, ps)
+    the primes <= X are listed once and classified once per distinct
+    spec."""
+    ps = sieve.primes_upto(inst.X)
+    labels = {spec: sieve.class_labels(spec, inst.X, ps)
               for spec in dict.fromkeys(fc.spec for fc in inst.components)}
-    arrays = {fc: sieve.weighted_prime_array(table, fc.spec, fc.cls, inst.X,
+    arrays = {fc: sieve.weighted_prime_array(fc.spec, fc.cls, inst.X,
                                              labels[fc.spec])
               for fc in dict.fromkeys(inst.components)}
     return [arrays[fc] for fc in inst.components]
 
 
-def _weighted_counts(inst: ProblemInstance, table: sieve.PrimeTable):
+def _weighted_counts(inst: ProblemInstance):
     """(component arrays, S(N) weighted by the product of log p for every
     attainable N, clamped at 0 against FFT round-off)."""
     check_memory(inst)
-    comps = _component_arrays(inst, table)
+    comps = _component_arrays(inst)
     weighted = _convolve([wpa.weights for wpa in comps], inst.a)
     np.maximum(weighted, 0.0, out=weighted)
     return comps, weighted
 
 
-def representation_counts(inst: ProblemInstance,
-                          table: sieve.PrimeTable) -> CoefficientArray:
+def representation_counts(inst: ProblemInstance) -> CoefficientArray:
     """S(N) for every attainable N: weighted by the product of log p and
     as a plain solution count."""
-    comps, weighted = _weighted_counts(inst, table)
+    comps, weighted = _weighted_counts(inst)
     unweighted = _count_convolve([wpa.indicator for wpa in comps], inst.a,
                                  inst.X)
     return CoefficientArray(inst.attainable_range[0], weighted, unweighted)
 
 
-def counts_at(inst: ProblemInstance, table: sieve.PrimeTable, Ns):
+def counts_at(inst: ProblemInstance, Ns):
     """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
     arrays.  Components 1..k-1 are convolved once per channel (the head);
     each S(N) then sums the head at N - a_k q over the last component's
     primes q, times log q for the weighted value, which is clamped at 0
     against FFT round-off."""
     check_memory(inst)
-    comps = _component_arrays(inst, table)
+    comps = _component_arrays(inst)
     head, last = comps[:-1], comps[-1]
     a, ak = inst.a[:-1], inst.a[-1]
     if len(head) == 1:
@@ -191,11 +191,11 @@ def counts_at(inst: ProblemInstance, table: sieve.PrimeTable, Ns):
     return weighted, unweighted
 
 
-def brute_force_all(inst: ProblemInstance, table: sieve.PrimeTable):
+def brute_force_all(inst: ProblemInstance):
     """{N: (weighted, unweighted) S(N)} for every N with a solution, by
     meet-in-the-middle enumeration over the classified prime lists; the
     oracle path.  N absent from the dict has S(N) = (0.0, 0)."""
-    comps = _component_arrays(inst, table)
+    comps = _component_arrays(inst)
     half = (inst.k + 1) // 2
 
     def sums(idx):
@@ -236,14 +236,13 @@ def h_sharp_array(inst: ProblemInstance, z: float) -> CoefficientArray:
                             np.zeros(0, dtype=np.int64))
 
 
-def h_flat_norms(inst: ProblemInstance, z: float,
-                 table: sieve.PrimeTable):
+def h_flat_norms(inst: ProblemInstance, z: float):
     """(L1, L2) of H_flat = H - H_sharp: L2 by Parseval over coefficients,
     L1 by sampling the difference polynomial at 4x-oversampled roots of
     unity."""
     if inst.X < 2:
         return 0.0, 0.0
-    diff = _weighted_counts(inst, table)[1] - h_sharp_array(inst, z).weighted
+    diff = _weighted_counts(inst)[1] - h_sharp_array(inst, z).weighted
     l2 = float(math.sqrt(np.sum(diff * diff)))
     M = 1 << max(2, (4 * len(diff) - 1).bit_length())
     vals = np.fft.fft(diff, M)
@@ -277,10 +276,10 @@ class VerifyResult:
 BOUNDARY_MARGIN = 0.05
 
 
-def verify_theorem(inst: ProblemInstance, N_list, table: sieve.PrimeTable,
+def verify_theorem(inst: ProblemInstance, N_list,
                    P_max: int = 10**4) -> VerifyResult:
     """Per-N comparison of S(N) against the assembled main term."""
-    weighted, unweighted = counts_at(inst, table, N_list)
+    weighted, unweighted = counts_at(inst, N_list)
     lo, hi = inst.attainable_range
     span = hi - lo
     rows = []
@@ -307,12 +306,12 @@ def verify_theorem(inst: ProblemInstance, N_list, table: sieve.PrimeTable,
     return VerifyResult(rows, med, q90)
 
 
-def parseval_check(inst: ProblemInstance, table: sieve.PrimeTable):
+def parseval_check(inst: ProblemInstance):
     """(sum of S(N)^2, quadrature of |H|^2 on a grid four times the
     number of N) where the grid side evaluates H(alpha) =
     prod G_i(a_i alpha) from the prime sums directly, independent of the
     convolution path."""
-    comps, weighted = _weighted_counts(inst, table)
+    comps, weighted = _weighted_counts(inst)
     lhs = float(np.sum(weighted ** 2))
     M = 4 * len(weighted)
     grid = np.arange(M) / M

@@ -130,9 +130,8 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     inst, doc, level = _instance_from_doc(_load_instance_doc(args.instance))
     circle.check_memory(inst)
-    table = sieve.PrimeTable.build(inst.X)
     pmax = args.pmax or doc.get("euler_pmax", 10**4)
-    result = circle.verify_theorem(inst, _n_list(doc, inst), table, pmax)
+    result = circle.verify_theorem(inst, _n_list(doc, inst), pmax)
     with _open_out(args.out_dir, "verify.csv") as fh:
         _timestamp_line(fh, args.no_timestamp)
         w = csv.writer(fh)
@@ -164,15 +163,18 @@ def cmd_verify(args) -> int:
 
 def cmd_local_factors(args) -> int:
     inst, doc, _ = _instance_from_doc(_load_instance_doc(args.instance))
-    N = args.N if args.N is not None else _n_list(doc, inst)[0]
+    if args.N is not None:
+        doc["N"] = args.N
+    N = _n_list(doc, inst)[0]
     pmax = args.pmax or doc.get("euler_pmax", 10**4)
     report = singular.main_term(inst, N, pmax)
     print(report.to_json_str())
     return EXIT_OK
 
 
-def _context_from_builtin(name: str, X: int, B: float,
-                          table) -> genfun.GenfunContext:
+def _context_from_builtin(name: str, X: int, B: float) -> genfun.GenfunContext:
+    if X < 2:
+        raise ValidationError([("BadX", "genfun takes X >= 2")])
     z = _sieve_level({"B": B}, X)["z"]
     try:
         field_name, cls_label = name.rsplit("-", 1)
@@ -180,12 +182,11 @@ def _context_from_builtin(name: str, X: int, B: float,
         raise ValidationError([("BadContext", f"cannot parse {name!r}")])
     spec = galois.builtin_spec(field_name)
     cls = spec.class_by_label(cls_label)
-    return genfun.GenfunContext(table, X, z, spec=spec, cls=cls)
+    return genfun.GenfunContext(X, z, spec=spec, cls=cls)
 
 
 def cmd_genfun(args) -> int:
-    table = sieve.PrimeTable.build(args.X)
-    ctx = _context_from_builtin(args.builtin, args.X, args.B, table)
+    ctx = _context_from_builtin(args.builtin, args.X, args.B)
     alphas = [_parse_alpha(t) for t in args.alpha]
     w = csv.writer(sys.stdout)
     _timestamp_line(sys.stdout, args.no_timestamp)

@@ -14,32 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import galois
+from .arith import is_prime
 from .errors import DomainError, NotFoundWithinLimit
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)   # deterministic below 3.3 * 10^14
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _identity_class(spec: galois.GaloisSpec) -> galois.ClassSpec:

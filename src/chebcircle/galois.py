@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import factorint
+from .arith import factorint, is_prime
 from .errors import DomainError, InconsistentSpec, ValidationError
 
 ABELIAN = "abelian"
@@ -446,8 +446,7 @@ def _check_keys(spec, rep):
     """Each of the first 25 unramified primes matches exactly one
     class: the keys are distinct, so frobenius_class finds at most one."""
     ram = spec.ramified_modulus
-    primes = (p for p in itertools.count(2)
-              if factorint(p) == {p: 1} and ram % p != 0)
+    primes = (p for p in itertools.count(2) if is_prime(p) and ram % p)
     for p in itertools.islice(primes, 25):
         try:
             frobenius_class(spec, p)

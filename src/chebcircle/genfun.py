@@ -46,22 +46,16 @@ def phase_array(ns: np.ndarray, alpha) -> np.ndarray:
 class GenfunContext:
     """Frozen inputs of one generating-function study: which primes (via a
     Galois spec and class), the cutoff X, and the sieve level z."""
-    table: sieve.PrimeTable
     X: int
     z: float
     spec: Optional[galois.GaloisSpec] = None
     cls: Optional[galois.ClassSpec] = None
 
-    def __post_init__(self):
-        if self.X > self.table.limit:
-            raise DomainError("X exceeds the prime table limit")
-
     @cached_property
     def prime_array(self) -> sieve.WeightedPrimeArray:
         if self.spec is None:
             raise DomainError("context has no Galois spec")
-        return sieve.weighted_prime_array(self.table, self.spec, self.cls,
-                                          self.X)
+        return sieve.weighted_prime_array(self.spec, self.cls, self.X)
 
     @cached_property
     def _sharp_support(self):
@@ -93,8 +87,7 @@ def eval_G_flat(ctx: GenfunContext, alpha) -> complex:
     return eval_G(ctx, alpha) - eval_G_sharp(ctx, alpha)
 
 
-def _prime_power_terms(fieldL: Optional[QuadraticField],
-                       table: sieve.PrimeTable, X: int):
+def _prime_power_terms(fieldL: Optional[QuadraticField], X: int):
     """(norms, weights) of all prime-power ideal norms <= X, with the
     ideal von Mangoldt weight log N(prime) aggregated per norm value.
 
@@ -104,7 +97,7 @@ def _prime_power_terms(fieldL: Optional[QuadraticField],
     ideal of log norm log p (ramified, or over Q), two (split), or one of
     log norm 2 log p (inert).
     """
-    ps = table.primes_upto(X)
+    ps = sieve.primes_upto(X)
     c = (np.zeros_like(ps) if fieldL is None
          else fieldL.chi_table[ps % abs(fieldL.d)])
     q = np.where(c == -1, ps * ps, ps)
@@ -122,12 +115,12 @@ def _prime_power_terms(fieldL: Optional[QuadraticField],
 
 
 def eval_F(fieldL: Optional[QuadraticField], xi: IdealCharacter, X: int,
-           alpha, table: sieve.PrimeTable) -> complex:
+           alpha) -> complex:
     """Sum over ideals of norm <= X of Lambda_L * xi * e(alpha * norm);
     fieldL None evaluates the classical Chebyshev sum over Q."""
     if X < 2:
         return 0j
-    norms, weights = _prime_power_terms(fieldL, table, X)
+    norms, weights = _prime_power_terms(fieldL, X)
     vals = weights * xi.norm_table(norms)
     return complex(np.dot(vals, phase_array(norms, alpha)))
 
@@ -155,8 +148,8 @@ def eval_F_sharp(fieldL: Optional[QuadraticField], xi: IdealCharacter,
     return complex(np.dot(w, phase_array(ns, alpha)))
 
 
-def eval_F_flat(fieldL, xi, X, z, alpha, table) -> complex:
-    return eval_F(fieldL, xi, X, alpha, table) - \
+def eval_F_flat(fieldL, xi, X, z, alpha) -> complex:
+    return eval_F(fieldL, xi, X, alpha) - \
         eval_F_sharp(fieldL, xi, X, z, alpha)
 
 
@@ -182,7 +175,7 @@ def gf_relation_residual(ctx: GenfunContext, alpha, via: str = "auto") -> float:
                 and cls.coset == frozenset({1})):
             raise UnsupportedInstantiation(
                 "field instantiation requires Q(i) with the identity class")
-        F = eval_F(QuadraticField(-4), TRIVIAL_XI, ctx.X, alpha, ctx.table)
+        F = eval_F(QuadraticField(-4), TRIVIAL_XI, ctx.X, alpha)
         return abs(G - 0.5 * F)
     if via != "dirichlet":
         raise UnsupportedInstantiation(via)
@@ -200,7 +193,7 @@ def gf_relation_residual(ctx: GenfunContext, alpha, via: str = "auto") -> float:
         pref = len(identity_coset) / phi(D)
     acc = 0j
     for ch in chars:
-        F = eval_F(None, IdealCharacter("norm", ch), ctx.X, alpha, ctx.table)
+        F = eval_F(None, IdealCharacter("norm", ch), ctx.X, alpha)
         acc += np.conj(ch(c)) * F
     return abs(G - pref * acc)
 
@@ -230,13 +223,13 @@ class ZeroRatio:
 
 
 def F_at_zero_ratio(fieldL: Optional[QuadraticField], xi: IdealCharacter,
-                    Y: int, table: sieve.PrimeTable) -> ZeroRatio:
+                    Y: int) -> ZeroRatio:
     """F(0)/Y against the density r: r = 1 when xi is trivial as a
     function on ideals (in particular when the composed Dirichlet
     character is 1 on every attainable norm residue), else r = 0."""
     if Y < 2:
         return ZeroRatio(0.0, 0)
-    val = eval_F(fieldL, xi, Y, 0.0, table).real / Y
+    val = eval_F(fieldL, xi, Y, 0.0).real / Y
     expected = 1 if _xi_trivial_on_ideals(fieldL, xi) else 0
     return ZeroRatio(val, expected)
 

@@ -1,9 +1,9 @@
-"""Prime tables, the local weight functions, and smooth-number counting.
+"""Prime lists, the local weight functions, and smooth-number counting.
 
 The one sieve is Eratosthenes' striking of the multiples of a list of
 primes (_survivors): sieve_survivor_mask strikes by the primes <= z, and
-the prime table is the survivors of z = sqrt(X) together with the primes
-<= sqrt(X), found the same way.
+primes_upto(X) is the survivors of z = sqrt(X) together with the primes
+<= sqrt(X), found the same way.  Each routine lists the primes it needs.
 Everything else (Moebius walks, squarefree smooth enumeration) is derived
 from these lists or from direct enumeration.
 """
@@ -18,36 +18,15 @@ import numpy as np
 
 from . import galois
 from .arith import phi
-from .errors import DomainError
 
 
-@dataclass
-class PrimeTable:
-    limit: int
-    primes: np.ndarray   # ascending int64
-
-    @classmethod
-    def build(cls, limit: int) -> "PrimeTable":
-        if limit < 2:
-            raise DomainError("prime table limit must be >= 2")
-        return cls(limit, _primes_through(limit))
-
-    def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            raise DomainError(f"{n} outside table range")
-        i = np.searchsorted(self.primes, n)
-        return i < len(self.primes) and int(self.primes[i]) == n
-
-    def primes_upto(self, x) -> np.ndarray:
-        return self.primes[self.primes <= x]
-
-
-def _primes_through(n: int) -> np.ndarray:
-    """The primes <= n, ascending int64: the primes <= sqrt(n), found
+def primes_upto(x) -> np.ndarray:
+    """The primes p <= x, ascending int64: the primes <= sqrt(x), found
     recursively, then the survivors > 1 of striking by them."""
+    n = int(x)
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    small = _primes_through(math.isqrt(n))
+    small = primes_upto(math.isqrt(n))
     mask = _survivors(n, small)
     mask[1] = False
     return np.concatenate([small, np.nonzero(mask)[0]])
@@ -69,14 +48,9 @@ def level(X: int, A=1.0, B=None):
     return B, math.log(X) ** B
 
 
-def primes_upto(z: float) -> list:
-    """The primes p <= z as Python ints."""
-    return _primes_through(int(z)).tolist()
-
-
 def lambda_z(z: float, n: int) -> Fraction:
     """0 if n has a prime factor p <= z, else C(z)."""
-    for p in primes_upto(z):
+    for p in primes_upto(z).tolist():
         if n % p == 0:
             return Fraction(0)
     return c_of_z(z)
@@ -84,7 +58,7 @@ def lambda_z(z: float, n: int) -> Fraction:
 
 def c_of_z(z: float) -> Fraction:
     out = Fraction(1)
-    for p in primes_upto(z):
+    for p in primes_upto(z).tolist():
         out *= Fraction(p, p - 1)
     return out
 
@@ -92,9 +66,7 @@ def c_of_z(z: float) -> Fraction:
 def c_of_z_float(z: float) -> float:
     """C(z) in double precision, summed in log space; use for bulk arrays
     where the exact rational would be astronomically large."""
-    ps = np.array(primes_upto(z), dtype=np.float64)
-    if len(ps) == 0:
-        return 1.0
+    ps = primes_upto(z).astype(np.float64)
     return float(np.exp(-np.sum(np.log1p(-1.0 / ps))))
 
 
@@ -112,7 +84,7 @@ def lambda_kc(spec: galois.GaloisSpec, cls: galois.ClassSpec,
 def smooth_count(z: float, Y: float) -> int:
     """Number of squarefree z-smooth n <= Y (n=1 included), by depth-first
     product enumeration; never materializes non-smooth integers."""
-    primes = primes_upto(z)
+    primes = primes_upto(z).tolist()
 
     def walk(i, prod):
         count = 1
@@ -128,8 +100,6 @@ def smooth_count(z: float, Y: float) -> int:
 
 @dataclass
 class WeightedPrimeArray:
-    X: int
-    class_label: str
     weights: np.ndarray    # weights[p] = log p for classified primes
     indicator: np.ndarray  # uint8, 1 at classified primes
     primes: np.ndarray     # the classified primes themselves
@@ -139,30 +109,34 @@ class WeightedPrimeArray:
         return len(self.primes)
 
 
-def weighted_prime_array(table: PrimeTable, spec: galois.GaloisSpec,
-                         cls: galois.ClassSpec, X: int,
-                         labels=None) -> WeightedPrimeArray:
+def class_labels(spec: galois.GaloisSpec, X: int,
+                 primes: np.ndarray) -> np.ndarray:
+    """The index in spec.classes of the class of each n = 0..X, where
+    primes are the primes <= X; -1 at every other n and at ramified p."""
+    # the narrowest signed type that holds -1 .. len(spec.classes) - 1
+    labels = np.full(X + 1, -1, np.min_scalar_type(-len(spec.classes)))
+    labels[primes] = galois.classify_batch(spec, primes)
+    return labels
+
+
+def weighted_prime_array(spec: galois.GaloisSpec, cls: galois.ClassSpec,
+                         X: int, labels=None) -> WeightedPrimeArray:
     """The primes <= X of class cls.  labels, when given, is
-    galois.classify_batch(spec, table.primes_upto(X)), so that the classes
-    of one spec share one classification."""
-    if X > table.limit:
-        raise DomainError("X exceeds the prime table limit")
-    ps = table.primes_upto(X)
-    idx = list(spec.classes).index(cls)
+    class_labels(spec, X, primes_upto(X)), so that the classes of one spec
+    share one sieve and one classification."""
     if labels is None:
-        labels = galois.classify_batch(spec, ps)
-    mine = ps[labels == idx]
+        labels = class_labels(spec, X, primes_upto(X))
+    mine = labels == list(spec.classes).index(cls)
+    primes = np.flatnonzero(mine)
     weights = np.zeros(X + 1)
-    weights[mine] = np.log(mine.astype(np.float64))
-    indicator = np.zeros(X + 1, dtype=np.uint8)
-    indicator[mine] = 1
-    return WeightedPrimeArray(X, cls.label, weights, indicator, mine)
+    weights[primes] = np.log(primes.astype(np.float64))
+    return WeightedPrimeArray(weights, mine.view(np.uint8), primes)
 
 
 def sieve_survivor_mask(X: int, z: float) -> np.ndarray:
     """Boolean mask over 0..X of n with no prime factor <= z (n=1 counts);
     the support of lambda_z."""
-    return _survivors(X, _primes_through(min(int(z), X)))
+    return _survivors(X, primes_upto(min(z, X)))
 
 
 def sharp_weights(X: int, z: float, D: int, coset) -> np.ndarray:

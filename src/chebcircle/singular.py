@@ -139,7 +139,7 @@ def _euler_rows(a, Ns, D: int, P_max: int):
     Ns = np.asarray(Ns, dtype=np.int64)
     logs = np.zeros(len(Ns))
     bad = np.zeros(len(Ns), dtype=np.int64)
-    for p in sieve.primes_upto(P_max):
+    for p in sieve.primes_upto(P_max).tolist():
         if D % p == 0:
             continue
         if all(v % p != 0 for v in a):

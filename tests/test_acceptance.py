@@ -20,7 +20,7 @@ PHI = (1 + math.sqrt(5)) / 2
 GRID_116 = [(j * PHI) % 1.0 for j in range(1, 117)]
 
 
-def test_convolution_matches_brute_force_on_random_instances(table_small):
+def test_convolution_matches_brute_force_on_random_instances():
     t0 = time.time()
     rng = random.Random(2024)
     labels = {"trivial": ["e"], "gaussian": ["e", "c"],
@@ -39,8 +39,8 @@ def test_convolution_matches_brute_force_on_random_instances(table_small):
             cls = spec.class_by_label(rng.choice(labels[name]))
             comps.append(FieldClass(spec, cls))
         inst = ProblemInstance(tuple(comps), a, X)
-        co = circle.representation_counts(inst, table_small)
-        oracle = circle.brute_force_all(inst, table_small)
+        co = circle.representation_counts(inst)
+        oracle = circle.brute_force_all(inst)
         lo, hi = inst.attainable_range
         for N in range(lo, hi + 1):
             w, u = oracle.get(N, (0.0, 0))
@@ -50,20 +50,20 @@ def test_convolution_matches_brute_force_on_random_instances(table_small):
     assert time.time() - t0 < 60
 
 
-def test_classical_ternary_ratios_at_two_hundred_thousand(table_million):
+def test_classical_ternary_ratios_at_two_hundred_thousand():
     t0 = time.time()
     X = 2 * 10**5
     inst = classical_instance(X)
     rng = random.Random(7)
     Ns = sorted(rng.sample(
         [n for n in range(int(0.8 * X) + 1, int(1.2 * X), 2)], 50))
-    res = circle.verify_theorem(inst, Ns, table_million)
+    res = circle.verify_theorem(inst, Ns)
     assert res.median_abs_dev <= 0.05
     assert res.q90_abs_dev <= 0.15
     assert time.time() - t0 < 600
 
 
-def test_d4_ratios_at_a_hundred_thousand(table_million):
+def test_d4_ratios_at_a_hundred_thousand():
     # d4-qrt2: r, s and t have orders 4, 2, 2 and residues 5, 3, 7 mod 8;
     # e and r2 share residue 1 and differ in order
     X = 10**5
@@ -75,20 +75,20 @@ def test_d4_ratios_at_a_hundred_thousand(table_million):
         residue = sum(min(fc.cls.coset) for fc in comps) % 8
         start = 3 * X // 2 + (residue - 3 * X // 2) % 8
         Ns = list(range(start, start + 8 * 30, 8))
-        res = circle.verify_theorem(inst, Ns, table_million)
+        res = circle.verify_theorem(inst, Ns)
         assert all(row.ratio is not None for row in res.rows)
         assert res.median_abs_dev <= 0.03
 
 
-def test_gaussian_identity_congruence_and_ratios(table_million):
+def test_gaussian_identity_congruence_and_ratios():
     X = 2 * 10**5
     inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), X)
-    co = circle.representation_counts(inst, table_million)
+    co = circle.representation_counts(inst)
     ns = np.arange(co.offset, co.offset + len(co.unweighted))
     off_class = co.unweighted[ns % 4 != 3]
     assert int(np.abs(off_class).sum()) == 0
     Ns = [n for n in range(X + 3, X + 3 + 30 * 4, 4)]
-    res = circle.verify_theorem(inst, Ns, table_million)
+    res = circle.verify_theorem(inst, Ns)
     assert res.median_abs_dev <= 0.10
 
 
@@ -128,17 +128,15 @@ def test_local_factor_exactness_grids():
     assert time.time() - t0 < 10
 
 
-def test_relation_residual_grows_no_faster_than_sqrt(table_million):
+def test_relation_residual_grows_no_faster_than_sqrt():
     rng = random.Random(55)
     alphas = [rng.random() for _ in range(64)]
     medians = {"field": {}, "dirichlet": {}}
     for X in (10**4, 10**5):
         z = math.log(X) ** 4
         spec = galois.builtin_spec("gaussian")
-        ctx_e = genfun.GenfunContext(table_million, X, z, spec,
-                                     spec.class_by_label("e"))
-        ctx_c = genfun.GenfunContext(table_million, X, z, spec,
-                                     spec.class_by_label("c"))
+        ctx_e = genfun.GenfunContext(X, z, spec, spec.class_by_label("e"))
+        ctx_c = genfun.GenfunContext(X, z, spec, spec.class_by_label("c"))
         for via, ctx in (("field", ctx_e), ("dirichlet", ctx_c)):
             vals = sorted(genfun.gf_relation_residual(ctx, a, via=via)
                           for a in alphas)
@@ -147,39 +145,38 @@ def test_relation_residual_grows_no_faster_than_sqrt(table_million):
         assert medians[via][10**5] / medians[via][10**4] <= 3 * math.sqrt(10)
 
 
-def test_ideal_sum_density_at_zero_trivial_character(table_million):
+def test_ideal_sum_density_at_zero_trivial_character():
     K = QuadraticField(-4)
-    zr = genfun.F_at_zero_ratio(K, TRIVIAL_XI, 10**6, table_million)
+    zr = genfun.F_at_zero_ratio(K, TRIVIAL_XI, 10**6)
     assert 0.98 <= zr.ratio <= 1.02
 
 
-def test_twisted_ideal_sum_cancellation_at_zero(table_million):
+def test_twisted_ideal_sum_cancellation_at_zero():
     # chi_{-3} composed with the norm is nontrivial on ideals of Z[i]:
     # (2+i) has norm 5 and chi_{-3}(5) = -1.  Its L-function is
     # L(s, chi_{-3}) L(s, chi_{12}), with no pole at s = 1, so the prime
     # ideal theorem for Hecke characters makes F(0)/Y tend to 0.
     K = QuadraticField(-4)
     xi = norm_composed(kronecker_character(-3))
-    zr = genfun.F_at_zero_ratio(K, xi, 10**6, table_million)
+    zr = genfun.F_at_zero_ratio(K, xi, 10**6)
     assert zr.expected_r == 0
     assert abs(zr.ratio) <= 0.02
     # chi_{-4} composed with the norm cannot cancel: an odd sum of two
     # squares is 1 mod 4, so it is 1 on every ideal prime to (1+i) and
     # the sum keeps the density 1 of the trivial character.
     xi = norm_composed(kronecker_character(-4))
-    zr = genfun.F_at_zero_ratio(K, xi, 10**6, table_million)
+    zr = genfun.F_at_zero_ratio(K, xi, 10**6)
     assert zr.expected_r == 1
     assert abs(zr.ratio - 1) <= 0.02
 
 
-def test_flat_generating_function_decay_on_fixed_grid(table_million):
+def test_flat_generating_function_decay_on_fixed_grid():
     for name, label in (("trivial", "e"), ("gaussian", "e")):
         spec = galois.builtin_spec(name)
         cls = spec.class_by_label(label)
         maxima = []
         for X in (10**4, 10**5, 10**6):
-            ctx = genfun.GenfunContext(table_million, X, math.log(X) ** 4,
-                                       spec, cls)
+            ctx = genfun.GenfunContext(X, math.log(X) ** 4, spec, cls)
             maxima.append(max(abs(genfun.eval_G_flat(ctx, a)) *
                               math.log(X) / X for a in GRID_116))
         assert maxima[0] >= maxima[1] >= maxima[2]
@@ -218,9 +215,9 @@ def test_smooth_count_matches_dfs_enumeration():
         assert c < 3
 
 
-def test_parseval_identity_classical(table_small):
+def test_parseval_identity_classical():
     inst = classical_instance(10**3)
-    lhs, rhs = circle.parseval_check(inst, table_small)
+    lhs, rhs = circle.parseval_check(inst)
     assert abs(rhs - lhs) <= 0.005 * lhs
 
 
@@ -239,11 +236,11 @@ def test_curve_certificates_for_rational_and_gaussian_fields():
     assert time.time() - t0 < 60
 
 
-def test_difference_instance_average_deviation_decreases(table_million):
+def test_difference_instance_average_deviation_decreases():
     fractions = {}
     for X in (10**4, 10**5):
         inst = uniform_instance("trivial", "e", 2, (1, -1), X)
-        co = circle.representation_counts(inst, table_million)
+        co = circle.representation_counts(inst)
         Ns = np.arange(2, X + 1, dtype=np.int64)
         S = np.array([co.weighted_at(int(n)) for n in Ns])
         S[S < 1e-6 * S.max()] = 0.0   # FFT round-off floor

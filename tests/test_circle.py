@@ -42,35 +42,34 @@ class TestInstanceValidation:
 
 
 class TestRepresentationCounts:
-    def test_vinogradov_small(self, table_small):
+    def test_vinogradov_small(self):
         inst = classical_instance(10)
-        co = circle.representation_counts(inst, table_small)
+        co = circle.representation_counts(inst)
         assert co.unweighted_at(10) == 6  # permutations of 2+3+5
         assert co.weighted_at(10) == pytest.approx(
             6 * math.log(2) * math.log(3) * math.log(5))
         assert co.unweighted_at(29) == 0
 
-    def test_difference_instance(self, table_small):
+    def test_difference_instance(self):
         inst = uniform_instance("trivial", "e", 2, (1, -1), 10)
-        co = circle.representation_counts(inst, table_small)
+        co = circle.representation_counts(inst)
         direct = sum(1 for p in (2, 3, 5, 7) for q in (2, 3, 5, 7)
                      if p - q == 2)
         assert co.unweighted_at(2) == direct
         assert co.n_range == (-10, 10)
         assert co.unweighted_at(-5) == 1  # 2 - 7
 
-    def test_total_mass(self, table_small):
+    def test_total_mass(self):
         for name, label in (("trivial", "e"), ("gaussian", "e"),
                             ("s3-cbrt2", "2")):
             inst = uniform_instance(name, label, 3, (1, 1, 1), 500)
-            co = circle.representation_counts(inst, table_small)
+            co = circle.representation_counts(inst)
             spec = galois.builtin_spec(name)
             cls = spec.class_by_label(label)
-            n_primes = sieve.weighted_prime_array(
-                table_small, spec, cls, 500).count
+            n_primes = sieve.weighted_prime_array(spec, cls, 500).count
             assert int(co.unweighted.sum()) == n_primes ** 3
 
-    def test_order_independence(self, table_small):
+    def test_order_independence(self):
         spec_t = galois.builtin_spec("trivial")
         spec_g = galois.builtin_spec("gaussian")
         fcs = (FieldClass(spec_t, spec_t.classes[0]),
@@ -78,16 +77,16 @@ class TestRepresentationCounts:
                FieldClass(spec_g, spec_g.class_by_label("c")))
         a = (1, 1, 1)
         co1 = circle.representation_counts(
-            ProblemInstance(fcs, a, 300), table_small)
+            ProblemInstance(fcs, a, 300))
         co2 = circle.representation_counts(
-            ProblemInstance(fcs[::-1], a, 300), table_small)
+            ProblemInstance(fcs[::-1], a, 300))
         assert np.array_equal(co1.unweighted, co2.unweighted)
 
-    def test_resource_limit(self, table_small):
+    def test_resource_limit(self):
         inst = uniform_instance("trivial", "e", 3, (100, 100, 1), 10**4)
         inst.a = (10**5, 10**5, 1)  # bypass gcd guard to hit the size guard
         with pytest.raises(ResourceLimit):
-            circle.representation_counts(inst, table_small)
+            circle.representation_counts(inst)
 
     def test_memory_estimate_tracks_measured_peak(self):
         # peak RSS of the all-N count on trivial x3, a = (1, 1, 1): 32 MiB
@@ -104,7 +103,7 @@ class TestRepresentationCounts:
             circle.check_memory(inst)
         circle.check_memory(classical_instance(10**6))
 
-    def test_one_classification_per_spec(self, table_small, monkeypatch):
+    def test_one_classification_per_spec(self, monkeypatch):
         calls = []
         real = galois.classify_batch
 
@@ -116,10 +115,10 @@ class TestRepresentationCounts:
         spec = galois.builtin_spec("s3-cbrt2")
         inst = ProblemInstance(tuple(FieldClass(spec, c)
                                      for c in spec.classes), (1, 1, 1), 3000)
-        circle.verify_theorem(inst, [4501, 4507], table_small)
+        circle.verify_theorem(inst, [4501, 4507])
         assert calls == [spec]
 
-    def test_random_instances_match_oracle(self, table_small):
+    def test_random_instances_match_oracle(self):
         rng = random.Random(101)
         names = ["trivial", "gaussian", "s3-cbrt2"]
         labels = {"trivial": ["e"], "gaussian": ["e", "c"],
@@ -139,8 +138,8 @@ class TestRepresentationCounts:
                 cls = spec.class_by_label(rng.choice(labels[name]))
                 comps.append(FieldClass(spec, cls))
             inst = ProblemInstance(tuple(comps), a, X)
-            co = circle.representation_counts(inst, table_small)
-            oracle = circle.brute_force_all(inst, table_small)
+            co = circle.representation_counts(inst)
+            oracle = circle.brute_force_all(inst)
             lo, hi = inst.attainable_range
             for N in range(lo, hi + 1):
                 w, u = oracle.get(N, (0.0, 0))
@@ -153,29 +152,29 @@ class TestRepresentationCounts:
 
 
 class TestBruteForce:
-    def test_weighted_example(self, table_small):
+    def test_weighted_example(self):
         inst = classical_instance(10)
-        w, u = circle.brute_force_all(inst, table_small)[10]
+        w, u = circle.brute_force_all(inst)[10]
         assert u == 6
         assert w == pytest.approx(6 * math.log(2) * math.log(3) *
                                   math.log(5))
 
-    def test_out_of_range(self, table_small):
+    def test_out_of_range(self):
         inst = classical_instance(10)
-        assert 31 not in circle.brute_force_all(inst, table_small)
+        assert 31 not in circle.brute_force_all(inst)
 
-    def test_gaussian_identity_triples(self, table_small):
+    def test_gaussian_identity_triples(self):
         inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), 100)
         primes = [p for p in range(2, 101)
                   if all(p % d for d in range(2, p)) and p % 4 == 1]
         direct = sum(1 for p in primes for q in primes for r in primes
                      if p + q + r == 39)
-        w, u = circle.brute_force_all(inst, table_small)[39]
+        w, u = circle.brute_force_all(inst)[39]
         assert u == direct
 
 
 class TestSharpCoefficients:
-    def test_tent_function(self, table_small):
+    def test_tent_function(self):
         # weights all 1 when the sieve is empty: convolution of two boxes
         X = 10
         inst = uniform_instance("trivial", "e", 2, (1, 1), X)
@@ -185,7 +184,7 @@ class TestSharpCoefficients:
             assert arr.weighted_at(N) == pytest.approx(want)
         assert arr.weighted_at(2 * X + 5) == 0.0
 
-    def test_ratio_near_one_with_effective_sieve(self, table_small):
+    def test_ratio_near_one_with_effective_sieve(self):
         # z must stay below sqrt(X) for the almost-prime mass to survive
         X = 10**4
         inst = classical_instance(X)
@@ -198,15 +197,15 @@ class TestSharpCoefficients:
 
 
 class TestFlatNorms:
-    def test_l2_decay_binary(self, table_small):
+    def test_l2_decay_binary(self):
         vals = []
         for X in (10**3, 10**4):
             inst = uniform_instance("trivial", "e", 2, (1, 1), X)
-            _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2, table_small)
+            _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2)
             vals.append(l2 / X**1.5)
         assert vals[1] < vals[0]
 
-    def test_no_unweighted_channel(self, table_small, monkeypatch):
+    def test_no_unweighted_channel(self, monkeypatch):
         calls = []
         real = circle._exact_convolve
 
@@ -218,16 +217,16 @@ class TestFlatNorms:
         X = 10**3
         assert X <= circle.EXACT_X_LIMIT
         inst = uniform_instance("trivial", "e", 2, (1, 1), X)
-        circle.h_flat_norms(inst, math.log(X) ** 2, table_small)
+        circle.h_flat_norms(inst, math.log(X) ** 2)
         assert calls == []
 
-    def test_l2_parseval_vs_grid(self, table_small):
+    def test_l2_parseval_vs_grid(self):
         X = 10**3
         inst = uniform_instance("trivial", "e", 2, (1, 1), X)
-        H = circle.representation_counts(inst, table_small)
+        H = circle.representation_counts(inst)
         Hs = circle.h_sharp_array(inst, math.log(X) ** 2)
         diff = H.weighted - Hs.weighted
-        _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2, table_small)
+        _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2)
         assert l2 == pytest.approx(math.sqrt(np.sum(diff * diff)),
                                    rel=1e-12)
         # direct quadrature of |H_flat|^2 on an oversampled alpha grid
@@ -238,50 +237,50 @@ class TestFlatNorms:
 
 
 class TestVerifyTheorem:
-    def test_congruence_vanishing_consistency(self, table_small):
+    def test_congruence_vanishing_consistency(self):
         inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), 10**4)
         Ns = [n for n in range(10**4 + 1, 10**4 + 200, 4)]  # 1 mod 4
-        res = circle.verify_theorem(inst, Ns, table_small)
+        res = circle.verify_theorem(inst, Ns)
         for row in res.rows:
             assert "vanishing" in row.flags
             assert row.S_unweighted == 0
             assert row.main_term == 0.0
 
-    def test_even_targets_flagged(self, table_small):
+    def test_even_targets_flagged(self):
         inst = classical_instance(10**4)
-        res = circle.verify_theorem(inst, [10**4, 10**4 + 2], table_small)
+        res = circle.verify_theorem(inst, [10**4, 10**4 + 2])
         for row in res.rows:
             assert "vanishing" in row.flags
             assert row.ratio is None
 
-    def test_classical_ratios_near_one(self, table_small):
+    def test_classical_ratios_near_one(self):
         X = 10**4
         inst = classical_instance(X)
         Ns = list(range(X - 99, X + 100, 4))
-        res = circle.verify_theorem(inst, Ns, table_small)
+        res = circle.verify_theorem(inst, Ns)
         assert res.median_abs_dev is not None
         assert res.median_abs_dev <= 0.10
 
-    def test_boundary_flagging(self, table_small):
+    def test_boundary_flagging(self):
         X = 10**3
         inst = classical_instance(X)
-        res = circle.verify_theorem(inst, [7, 3 * X - 4], table_small)
+        res = circle.verify_theorem(inst, [7, 3 * X - 4])
         assert all("boundary" in row.flags for row in res.rows)
 
 
 class TestParseval:
-    def test_exact_identity(self, table_small):
+    def test_exact_identity(self):
         inst = classical_instance(10**3)
-        lhs, rhs = circle.parseval_check(inst, table_small)
+        lhs, rhs = circle.parseval_check(inst)
         assert rhs == pytest.approx(lhs, rel=0.005)
 
-    def test_mixed_sign_instance(self, table_small):
+    def test_mixed_sign_instance(self):
         inst = uniform_instance("gaussian", "e", 2, (2, -1), 400)
-        lhs, rhs = circle.parseval_check(inst, table_small)
+        lhs, rhs = circle.parseval_check(inst)
         assert rhs == pytest.approx(lhs, rel=0.005)
 
 
-    def test_one_classification_per_spec(self, table_small, monkeypatch):
+    def test_one_classification_per_spec(self, monkeypatch):
         calls = []
         real = galois.classify_batch
 
@@ -293,17 +292,17 @@ class TestParseval:
         spec = galois.builtin_spec("s3-cbrt2")
         inst = ProblemInstance(tuple(FieldClass(spec, c)
                                      for c in spec.classes[:2]), (1, 1), 300)
-        lhs, rhs = circle.parseval_check(inst, table_small)
+        lhs, rhs = circle.parseval_check(inst)
         assert calls == [spec]
         assert rhs == pytest.approx(lhs, rel=0.005)
 
 
-    def test_phase_matrix_memory_bounded(self, table_small):
+    def test_phase_matrix_memory_bounded(self):
         # the whole phase matrix of trivial x2 at X = 3000 peaks at 473 MiB
         inst = uniform_instance("trivial", "e", 2, (1, 1), 3000)
         tracemalloc.start()
         try:
-            lhs, rhs = circle.parseval_check(inst, table_small)
+            lhs, rhs = circle.parseval_check(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -312,11 +311,11 @@ class TestParseval:
 
 
 class TestExactConvolutionChannel:
-    def test_matches_fft_at_small_x(self, table_small):
+    def test_matches_fft_at_small_x(self):
         inst = classical_instance(800)
-        co = circle.representation_counts(inst, table_small)
+        co = circle.representation_counts(inst)
         # recompute the unweighted channel by FFT and compare
-        comps = circle._component_arrays(inst, table_small)
+        comps = circle._component_arrays(inst)
         fft_u = np.rint(circle._convolve(
             [c.indicator for c in comps], inst.a)).astype(np.int64)
         assert np.array_equal(np.maximum(fft_u, 0), co.unweighted)
@@ -324,10 +323,6 @@ class TestExactConvolutionChannel:
 
 class TestFFTChannel:
     X = 12000  # above EXACT_X_LIMIT: both channels go through the FFT
-
-    @pytest.fixture(scope="class")
-    def table(self):
-        return sieve.PrimeTable.build(self.X)
 
     def instance(self, fields, a):
         comps = []
@@ -341,7 +336,7 @@ class TestFFTChannel:
         ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")), 6),
     ])
     def test_each_distinct_component_transformed_once(
-            self, table, monkeypatch, fields, transforms):
+            self, monkeypatch, fields, transforms):
         assert self.X > circle.EXACT_X_LIMIT
         calls = []
         real = np.fft.rfft
@@ -351,17 +346,17 @@ class TestFFTChannel:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting)
-        circle.representation_counts(self.instance(fields, (1, 1, 1)), table)
+        circle.representation_counts(self.instance(fields, (1, 1, 1)))
         assert len(calls) == transforms
 
     @pytest.mark.parametrize("fields,a", [
         ((("trivial", "e"), ("gaussian", "c")), (2, -1)),
         ((("gaussian", "e"), ("gaussian", "e")), (1, 1)),
     ])
-    def test_matches_oracle(self, table, fields, a):
+    def test_matches_oracle(self, fields, a):
         inst = self.instance(fields, a)
-        co = circle.representation_counts(inst, table)
-        oracle = circle.brute_force_all(inst, table)
+        co = circle.representation_counts(inst)
+        oracle = circle.brute_force_all(inst)
         lo, hi = inst.attainable_range
         assert co.n_range == (lo, hi)
         top = float(np.max(co.weighted))
@@ -378,10 +373,6 @@ class TestCountsAt:
     """counts_at, the rows-only path of verify, against the all-N arrays of
     representation_counts and against the oracle."""
     X_ABOVE = circle.EXACT_X_LIMIT + 500
-
-    @pytest.fixture(scope="class")
-    def table(self):
-        return sieve.PrimeTable.build(self.X_ABOVE)
 
     @staticmethod
     def instance(fields, a, X):
@@ -401,31 +392,31 @@ class TestCountsAt:
         ((("trivial", "e"), ("gaussian", "c"), ("trivial", "e"),
           ("s3-cbrt2", "1")), (-1, 3, 2, -2)),
     ])
-    def test_matches_representation_counts(self, table, fields, a, X):
+    def test_matches_representation_counts(self, fields, a, X):
         inst = self.instance(fields, a, X)
-        co = circle.representation_counts(inst, table)
+        co = circle.representation_counts(inst)
         lo, hi = inst.attainable_range
         Ns = ([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
               + random.Random(X).sample(range(lo, hi + 1), 200))
-        weighted, unweighted = circle.counts_at(inst, table, Ns)
+        weighted, unweighted = circle.counts_at(inst, Ns)
         assert unweighted.tolist() == [co.unweighted_at(N) for N in Ns]
         tol = 1e-14 * float(np.max(co.weighted))
         for N, got in zip(Ns, weighted.tolist()):
             want = co.weighted_at(N)
             assert abs(got - want) <= 1e-12 * want + tol, N
 
-    def test_matches_oracle_above_exact_limit(self, table):
+    def test_matches_oracle_above_exact_limit(self):
         spec = galois.builtin_spec("s3-cbrt2")
         inst = self.instance((("s3-cbrt2", "1"),) * 3, (1, 1, 1), self.X_ABOVE)
         lo, hi = inst.attainable_range
-        oracle = circle.brute_force_all(inst, table)
+        oracle = circle.brute_force_all(inst)
         Ns = list(range(lo - 1, hi + 2))
-        weighted, unweighted = circle.counts_at(inst, table, Ns)
+        weighted, unweighted = circle.counts_at(inst, Ns)
         assert unweighted.tolist() == [oracle.get(N, (0.0, 0))[1] for N in Ns]
         # the highest N with a solution has few terms, each near X, where
         # an all-N transform's round-off is large against them
         N = max(oracle)
-        ps = [int(p) for p in table.primes_upto(inst.X) if p >= N - 2 * inst.X
+        ps = [int(p) for p in sieve.primes_upto(inst.X) if p >= N - 2 * inst.X
               and galois.frobenius_class(spec, int(p)).class_label == "1"]
         terms = [math.log(p) * math.log(q) * math.log(N - p - q)
                  for p in ps for q in ps if N - p - q in ps]

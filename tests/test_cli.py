@@ -57,6 +57,13 @@ class TestSimpleCommands:
         assert code == 2
         assert "BadSieve" in err
 
+    @pytest.mark.parametrize("X", ["1", "0", "-5"])
+    def test_genfun_x_below_2_exit_2(self, capsys, X):
+        code, out, _ = run(capsys, "genfun", "--builtin", "gaussian-e",
+                           "--X", X, "--alpha", "0", "--no-timestamp")
+        assert code == 2
+        assert out == ""
+
     def test_genfun_bad_builtin(self, capsys):
         code, _, err = run(capsys, "genfun", "--builtin", "nonsense",
                            "--X", "30", "--alpha", "0")
@@ -186,6 +193,13 @@ class TestVerify:
         assert code == 2
         assert "BadN" in err
 
+    def test_local_factors_n_past_int64_exit_2(self, capsys):
+        code, out, err = run(capsys, "local-factors", "classical-vinogradov",
+                             "--N", str(10**20))
+        assert code == 2
+        assert "BadN" in err
+        assert out == ""
+
     def test_n_at_int64_ends_vanishes(self, tmp_path, capsys):
         for N in (2**63 - 1, -2**63):
             inst = write_instance(tmp_path, dict(SMALL_CLASSICAL, N=N))
@@ -200,11 +214,11 @@ class TestVerify:
 
     def test_memory_gate_exit_3_before_prime_table(self, tmp_path, capsys,
                                                    monkeypatch):
-        def no_table(limit):
-            raise AssertionError("prime table built past the memory gate")
+        def no_sieve(x):
+            raise AssertionError("primes listed past the memory gate")
 
         monkeypatch.setattr(cli.circle, "MAX_BYTES", 2**16)
-        monkeypatch.setattr(cli.sieve.PrimeTable, "build", no_table)
+        monkeypatch.setattr(cli.sieve, "primes_upto", no_sieve)
         inst = write_instance(tmp_path, SMALL_CLASSICAL)
         code, _, err = run(capsys, "verify", inst, "--out-dir",
                            str(tmp_path / "out"))

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from chebcircle import ecapp, galois
+from chebcircle import ecapp, galois, sieve
+from chebcircle.arith import is_prime
 from chebcircle.errors import NotFoundWithinLimit
 
 
@@ -11,15 +12,16 @@ class TestPrimality:
     def test_small(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
         for n in range(-2, 40):
-            assert ecapp.is_prime(n) == (n in primes)
+            assert is_prime(n) == (n in primes)
 
-    def test_against_table(self, table_small):
+    def test_against_table(self):
+        primes = set(sieve.primes_upto(10**4).tolist())
         for n in range(2, 10**4):
-            assert ecapp.is_prime(n) == table_small.is_prime(n)
+            assert is_prime(n) == (n in primes)
 
     def test_large_composites(self):
-        assert not ecapp.is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
-        assert ecapp.is_prime(2**31 - 1)
+        assert not is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
+        assert is_prime(2**31 - 1)
 
 
 class TestDiscriminantIdentity:

@@ -29,7 +29,7 @@ QUINTIC = (-1, -1, 0, 0, 0, 1)  # x^5 - x - 1: group S5, discriminant 2869
 
 def primes_below(n, count):
     """The count largest primes below n, by trial division."""
-    small = sieve.PrimeTable.build(math.isqrt(n)).primes
+    small = sieve.primes_upto(math.isqrt(n))
     out = []
     for c in range(n - 1, 1, -1):
         if (c % small != 0).all():
@@ -60,10 +60,10 @@ class TestFrobeniusClass:
         for p in (2, 3, 97):
             assert galois.frobenius_class(spec, p).class_label == "e"
 
-    def test_abelian_depends_only_on_residue(self, table_small):
+    def test_abelian_depends_only_on_residue(self):
         spec = gaussian()
         by_residue = {1: set(), 3: set()}
-        for p in table_small.primes_upto(3000):
+        for p in sieve.primes_upto(3000):
             p = int(p)
             if p == 2:
                 continue
@@ -90,10 +90,10 @@ class TestPolyFactorDegrees:
         with pytest.raises(DomainError):
             galois.poly_factor_degrees(coeffs, p)
 
-    def test_galois_shape_all_unramified_primes(self, table_small):
+    def test_galois_shape_all_unramified_primes(self):
         # a Galois f: all factor degrees equal, d * count = deg f
         ram = galois.poly_discriminant(SEXTIC)
-        for p in table_small.primes_upto(10**4):
+        for p in sieve.primes_upto(10**4):
             p = int(p)
             if ram % p == 0:
                 continue
@@ -185,11 +185,11 @@ class TestValidateSpec:
 
 
 class TestBatchClassifier:
-    def test_matches_scalar(self, table_small):
+    def test_matches_scalar(self):
         for name in galois.BUILTIN_NAMES:
             spec = galois.builtin_spec(name)
             labels = [c.label for c in spec.classes]
-            ps = table_small.primes_upto(2000)
+            ps = sieve.primes_upto(2000)
             idx = galois.classify_batch(spec, ps)
             for p, i in zip(ps, idx):
                 res = galois.frobenius_class(spec, int(p))
@@ -212,25 +212,25 @@ class TestBatchClassifier:
         assert galois._frobenius_orders_batch(QUINTIC, ps).tolist() == [
             math.lcm(*galois.poly_factor_degrees(QUINTIC, p)) for p in ps]
 
-    def test_quintic_orders_match_factor_degrees(self, table_small):
+    def test_quintic_orders_match_factor_degrees(self):
         # an S5 quintic: orders up to 6 = lcm(2, 3), above deg f
         disc = galois.poly_discriminant(QUINTIC)
         assert disc == 2869
-        ps = [int(p) for p in table_small.primes_upto(10**4) if disc % p]
+        ps = [int(p) for p in sieve.primes_upto(10**4) if disc % p]
         orders = galois._frobenius_orders_batch(QUINTIC, ps)
         assert orders.tolist() == [
             math.lcm(*galois.poly_factor_degrees(QUINTIC, p)) for p in ps]
         assert {5, 6} <= set(orders.tolist())
 
-    def test_cubic_matches_sextic_to_a_hundred_thousand(self, table_million):
-        ps = table_million.primes_upto(10**5)
+    def test_cubic_matches_sextic_to_a_hundred_thousand(self):
+        ps = sieve.primes_upto(10**5)
         assert np.array_equal(galois.classify_batch(s3(), ps),
                               galois.classify_batch(s3_sextic(), ps))
 
-    def test_empirical_density_within_three_percent(self, table_million):
+    def test_empirical_density_within_three_percent(self):
         for name in ("gaussian", "s3-cbrt2", "d4-qrt2"):
             spec = galois.builtin_spec(name)
-            idx = galois.classify_batch(spec, table_million.primes)
+            idx = galois.classify_batch(spec, sieve.primes_upto(10**6))
             unram = int((idx >= 0).sum())
             for i, cls in enumerate(spec.classes):
                 observed = int((idx == i).sum()) / unram
@@ -246,7 +246,7 @@ class TestDiscriminant:
         # x^3 - 2 has discriminant -108
         assert galois.poly_discriminant((-2, 0, 0, 1)) == -108
 
-    def test_computed_once_per_spec(self, table_small, monkeypatch):
+    def test_computed_once_per_spec(self, monkeypatch):
         calls = []
         real = galois.poly_discriminant
 
@@ -256,7 +256,7 @@ class TestDiscriminant:
 
         monkeypatch.setattr(galois, "poly_discriminant", counting)
         spec = galois.builtin_spec("d4-qrt2")
-        for p in table_small.primes[:200]:
+        for p in sieve.primes_upto(10**4)[:200]:
             galois.frobenius_class(spec, int(p))
         assert len(calls) == 1
         assert spec == galois.builtin_spec("d4-qrt2")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chebcircle import galois, genfun
+from chebcircle.arith import is_prime
 from chebcircle.errors import DomainError, UnsupportedInstantiation
 from chebcircle.expsum import (IdealCharacter, QuadraticField, TRIVIAL_XI,
                                norm_composed, norm_counts)
@@ -14,60 +15,58 @@ from chebcircle.characters import kronecker_character, principal_character
 PHI = (1 + math.sqrt(5)) / 2
 
 
-def ctx_for(table, name, label, X, z=None):
+def ctx_for(name, label, X, z=None):
     spec = galois.builtin_spec(name)
     cls = spec.class_by_label(label)
     z = math.log(X) ** 4 if z is None else z
-    return genfun.GenfunContext(table, X, z, spec, cls)
+    return genfun.GenfunContext(X, z, spec, cls)
 
 
 class TestEvalG:
-    def test_trivial_at_zero(self, table_small):
-        ctx = ctx_for(table_small, "trivial", "e", 10)
+    def test_trivial_at_zero(self):
+        ctx = ctx_for("trivial", "e", 10)
         want = sum(math.log(p) for p in (2, 3, 5, 7))
         assert genfun.eval_G(ctx, 0.0) == pytest.approx(want)
 
-    def test_gaussian_identity_at_zero(self, table_small):
-        ctx = ctx_for(table_small, "gaussian", "e", 30)
+    def test_gaussian_identity_at_zero(self):
+        ctx = ctx_for("gaussian", "e", 30)
         want = sum(math.log(p) for p in (5, 13, 17, 29))
         assert genfun.eval_G(ctx, 0.0).real == pytest.approx(want)
         assert want == pytest.approx(10.37, abs=0.05)
 
-    def test_integer_periodicity(self, table_small):
-        ctx = ctx_for(table_small, "gaussian", "c", 100)
+    def test_integer_periodicity(self):
+        ctx = ctx_for("gaussian", "c", 100)
         for alpha in (Fraction(1, 3), Fraction(2, 7), 0.3):
             assert genfun.eval_G(ctx, alpha + 1) == pytest.approx(
                 genfun.eval_G(ctx, alpha), abs=1e-9)
 
-    def test_conjugate_symmetry(self, table_small):
-        ctx = ctx_for(table_small, "s3-cbrt2", "2", 500)
+    def test_conjugate_symmetry(self):
+        ctx = ctx_for("s3-cbrt2", "2", 500)
         for alpha in (0.3, PHI % 1, 0.77):
             assert genfun.eval_G(ctx, -alpha) == pytest.approx(
                 genfun.eval_G(ctx, alpha).conjugate(), abs=1e-10)
 
 
 class TestEvalF:
-    def test_chebyshev_psi(self, table_small):
-        got = genfun.eval_F(None, TRIVIAL_XI, 10, 0.0, table_small)
+    def test_chebyshev_psi(self):
+        got = genfun.eval_F(None, TRIVIAL_XI, 10, 0.0)
         want = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
         assert got.real == pytest.approx(want)
 
-    def test_gaussian_small_cutoff(self, table_small):
-        got = genfun.eval_F(QuadraticField(-4), TRIVIAL_XI, 5, 0.0,
-                            table_small)
+    def test_gaussian_small_cutoff(self):
+        got = genfun.eval_F(QuadraticField(-4), TRIVIAL_XI, 5, 0.0)
         want = 2 * math.log(2) + 2 * math.log(5)
         assert got.real == pytest.approx(want)
 
-    def test_integer_alpha(self, table_small):
+    def test_integer_alpha(self):
         K = QuadraticField(-4)
-        assert genfun.eval_F(K, TRIVIAL_XI, 100, Fraction(3), table_small) \
-            == pytest.approx(genfun.eval_F(K, TRIVIAL_XI, 100, 0.0,
-                                           table_small))
+        assert genfun.eval_F(K, TRIVIAL_XI, 100, Fraction(3)) \
+            == pytest.approx(genfun.eval_F(K, TRIVIAL_XI, 100, 0.0))
 
-    def test_below_two(self, table_small):
-        assert genfun.eval_F(None, TRIVIAL_XI, 1, 0.3, table_small) == 0j
+    def test_below_two(self):
+        assert genfun.eval_F(None, TRIVIAL_XI, 1, 0.3) == 0j
 
-    def test_gaussian_lattice_walk_oracle(self, table_small):
+    def test_gaussian_lattice_walk_oracle(self):
         # enumerate the prime elements of Z[i] directly: one associate per
         # prime (a > 0, b >= 0), then their powers, and aggregate by norm
         X = 10**4
@@ -78,12 +77,10 @@ class TestEvalF:
                 n = a * a + b * b
                 if n > X:
                     break
-                prime = 2 <= n <= table_small.limit and \
-                    table_small.is_prime(n)
+                prime = is_prime(n)
                 if b == 0:
                     # associates of a rational prime: prime iff inert
-                    prime = a >= 2 and table_small.is_prime(a) and \
-                        a % 4 == 3
+                    prime = is_prime(a) and a % 4 == 3
                     n = a * a
                     if n > X or not prime:
                         continue
@@ -94,8 +91,7 @@ class TestEvalF:
                 while pe <= X:
                     weights[pe] = weights.get(pe, 0.0) + w
                     pe *= n
-        norms, wts = genfun._prime_power_terms(QuadraticField(-4),
-                                               table_small, X)
+        norms, wts = genfun._prime_power_terms(QuadraticField(-4), X)
         got = {}
         for n, w in zip(norms, wts):
             got[int(n)] = got.get(int(n), 0.0) + float(w)
@@ -104,7 +100,7 @@ class TestEvalF:
             assert got[n] == pytest.approx(weights[n], rel=1e-12)
 
     @pytest.mark.parametrize("d", [None, -4, -3, 5, -7, 8, 12, -8, 13])
-    def test_prime_power_weights_dirichlet_identity(self, table_small, d):
+    def test_prime_power_weights_dirichlet_identity(self, d):
         # -zeta_L' = zeta_L * (-zeta_L'/zeta_L): sum over d | n of
         # W(d) r(n/d) = r(n) log n, with W the weight per norm and r the
         # ideal count per norm (r = 1 over Q)
@@ -112,7 +108,7 @@ class TestEvalF:
         fieldL = None if d is None else QuadraticField(d)
         r = (np.ones(X + 1) if d is None
              else norm_counts(fieldL, X).astype(np.float64))
-        norms, wts = genfun._prime_power_terms(fieldL, table_small, X)
+        norms, wts = genfun._prime_power_terms(fieldL, X)
         W = np.zeros(X + 1)
         np.add.at(W, norms, wts)
         conv = np.zeros(X + 1)
@@ -124,19 +120,19 @@ class TestEvalF:
 
 
 class TestSharpApproximants:
-    def test_empty_sieve(self, table_small):
-        ctx = ctx_for(table_small, "trivial", "e", 3, z=math.log(3))
+    def test_empty_sieve(self):
+        ctx = ctx_for("trivial", "e", 3, z=math.log(3))
         assert genfun.eval_G_sharp(ctx, 0.0).real == pytest.approx(3)
 
-    def test_odd_numbers_only(self, table_small):
-        ctx = ctx_for(table_small, "trivial", "e", 10, z=2.0)
+    def test_odd_numbers_only(self):
+        ctx = ctx_for("trivial", "e", 10, z=2.0)
         assert genfun.eval_G_sharp(ctx, 0.0).real == pytest.approx(10)
 
-    def test_gaussian_congruence_weight(self, table_small):
-        ctx = ctx_for(table_small, "gaussian", "e", 10, z=2.0)
+    def test_gaussian_congruence_weight(self):
+        ctx = ctx_for("gaussian", "e", 10, z=2.0)
         assert genfun.eval_G_sharp(ctx, 0.0).real == pytest.approx(6)
 
-    def test_f_sharp_norm_residues(self, table_small):
+    def test_f_sharp_norm_residues(self):
         got = genfun.eval_F_sharp(QuadraticField(-4), TRIVIAL_XI, 10, 2.0,
                                   0.0)
         assert got.real == pytest.approx(12)
@@ -146,36 +142,35 @@ class TestSharpApproximants:
         assert genfun.eval_F_sharp(QuadraticField(-4), xi, 100, 2.0, 0.3) \
             == 0j
 
-    def test_flat_is_exact_difference(self, table_small):
-        ctx = ctx_for(table_small, "gaussian", "e", 1000)
+    def test_flat_is_exact_difference(self):
+        ctx = ctx_for("gaussian", "e", 1000)
         for alpha in (0.0, 0.37, PHI % 1):
             assert genfun.eval_G_flat(ctx, alpha) == \
                 genfun.eval_G(ctx, alpha) - genfun.eval_G_sharp(ctx, alpha)
 
-    def test_flat_small_at_zero(self, table_million):
+    def test_flat_small_at_zero(self):
         # full-mass cancellation at the central point needs z < sqrt(X)
-        ctx = ctx_for(table_million, "trivial", "e", 10**5,
-                      z=math.log(10**5) ** 2)
+        ctx = ctx_for("trivial", "e", 10**5, z=math.log(10**5) ** 2)
         assert abs(genfun.eval_G_flat(ctx, 0.0)) / 10**5 < 0.1
 
 
 class TestRelationResidual:
-    def test_field_route_requires_gaussian_identity(self, table_small):
-        ctx = ctx_for(table_small, "gaussian", "c", 100)
+    def test_field_route_requires_gaussian_identity(self):
+        ctx = ctx_for("gaussian", "c", 100)
         with pytest.raises(UnsupportedInstantiation):
             genfun.gf_relation_residual(ctx, 0.3, via="field")
 
-    def test_dirichlet_route_requires_abelian(self, table_small):
-        ctx = ctx_for(table_small, "s3-cbrt2", "1", 100)
+    def test_dirichlet_route_requires_abelian(self):
+        ctx = ctx_for("s3-cbrt2", "1", 100)
         with pytest.raises(UnsupportedInstantiation):
             genfun.gf_relation_residual(ctx, 0.3, via="dirichlet")
 
-    def test_sqrt_x_bound_both_routes(self, table_small):
+    def test_sqrt_x_bound_both_routes(self):
         rng = random.Random(23)
         X = 10**4
         bound = 10 * math.sqrt(X)
-        ctx_e = ctx_for(table_small, "gaussian", "e", X)
-        ctx_c = ctx_for(table_small, "gaussian", "c", X)
+        ctx_e = ctx_for("gaussian", "e", X)
+        ctx_c = ctx_for("gaussian", "c", X)
         for _ in range(64):
             alpha = rng.random()
             assert genfun.gf_relation_residual(ctx_e, alpha, via="field") \
@@ -183,23 +178,23 @@ class TestRelationResidual:
             assert genfun.gf_relation_residual(ctx_c, alpha,
                                                via="dirichlet") <= bound
 
-    def test_trivial_spec_dirichlet_route(self, table_small):
-        ctx = ctx_for(table_small, "trivial", "e", 10**4)
+    def test_trivial_spec_dirichlet_route(self):
+        ctx = ctx_for("trivial", "e", 10**4)
         # G has primes only, F has prime powers: difference is O(sqrt X)
         assert genfun.gf_relation_residual(ctx, 0.0) <= 10 * math.sqrt(10**4)
 
 
 class TestMinorArcScan:
-    def test_empty(self, table_small):
-        ctx = ctx_for(table_small, "trivial", "e", 100)
+    def test_empty(self):
+        ctx = ctx_for("trivial", "e", 100)
         assert genfun.minor_arc_scan(ctx, []) == []
 
-    def test_rational_grid_three_decades(self, table_million):
+    def test_rational_grid_three_decades(self):
         rats = [a / q for q in range(3, 21, 4) for a in range(1, 5)
                 if math.gcd(a, q) == 1][:16]
         maxima = {}
         for X in (10**4, 10**5, 10**6):
-            ctx = ctx_for(table_million, "trivial", "e", X)
+            ctx = ctx_for("trivial", "e", X)
             rows = genfun.minor_arc_scan(ctx, rats, qmax=100)
             assert all(r.q <= 20 for r in rows)
             maxima[X] = max(r.flat_ratio for r in rows)
@@ -209,43 +204,40 @@ class TestMinorArcScan:
 
 
 class TestFlatDecay:
-    def test_f_flat_log_normalized_non_increasing(self, table_million):
+    def test_f_flat_log_normalized_non_increasing(self):
         K = QuadraticField(-4)
         grid = [(j * PHI) % 1.0 for j in range(1, 17)]
         vals = []
         for X in (10**4, 10**5, 10**6):
             z = math.log(X) ** 4
-            vals.append(max(
-                abs(genfun.eval_F_flat(K, TRIVIAL_XI, X, z, a,
-                                       table_million)) * math.log(X) / X
-                for a in grid))
+            vals.append(max(abs(genfun.eval_F_flat(K, TRIVIAL_XI, X, z, a))
+                            * math.log(X) / X for a in grid))
         assert vals[0] >= vals[1] >= vals[2]
 
 
 class TestFAtZero:
-    def test_trivial_character(self, table_small):
+    def test_trivial_character(self):
         K = QuadraticField(-4)
-        zr = genfun.F_at_zero_ratio(K, TRIVIAL_XI, 10**4, table_small)
+        zr = genfun.F_at_zero_ratio(K, TRIVIAL_XI, 10**4)
         assert zr.expected_r == 1
         assert zr.ratio == pytest.approx(1.0, abs=0.05)
 
-    def test_norm_composed_mod4_is_trivial_on_ideals(self, table_small):
+    def test_norm_composed_mod4_is_trivial_on_ideals(self):
         # every coprime norm in Z[i] is 1 mod 4, so the twist is invisible
         K = QuadraticField(-4)
         xi = norm_composed(kronecker_character(-4))
-        zr = genfun.F_at_zero_ratio(K, xi, 10**4, table_small)
+        zr = genfun.F_at_zero_ratio(K, xi, 10**4)
         assert zr.expected_r == 1
         assert zr.ratio == pytest.approx(1.0, abs=0.05)
 
-    def test_genuinely_twisted_rational_sum_cancels(self, table_small):
+    def test_genuinely_twisted_rational_sum_cancels(self):
         xi = norm_composed(kronecker_character(-4))
-        zr = genfun.F_at_zero_ratio(None, xi, 10**4, table_small)
+        zr = genfun.F_at_zero_ratio(None, xi, 10**4)
         assert zr.expected_r == 0
         assert abs(zr.ratio) <= 0.02
 
-    def test_tiny_cutoff(self, table_small):
-        zr = genfun.F_at_zero_ratio(QuadraticField(-4), TRIVIAL_XI, 1,
-                                    table_small)
+    def test_tiny_cutoff(self):
+        zr = genfun.F_at_zero_ratio(QuadraticField(-4), TRIVIAL_XI, 1)
         assert zr.ratio == 0.0
 
 

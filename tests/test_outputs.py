@@ -1,7 +1,7 @@
-"""`verify` output against checked-in files: any change to a CSV or JSON
-output is a regression.  The files under tests/data were written by
-`chebcircle verify --no-timestamp`; summary.json is stored without
-runtime_sec, the one field that varies between runs."""
+"""Command output against checked-in files: any change to a CSV or JSON
+output is a regression.  The files under tests/data were written by the
+commands below; `verify` ran with --no-timestamp, and its summary.json is
+stored without runtime_sec, the one field that varies between runs."""
 
 import json
 from pathlib import Path
@@ -27,3 +27,16 @@ def test_verify_output_unchanged(tmp_path, capsys, name, instance):
     del got["runtime_sec"]
     assert list(got.items()) == list(
         json.loads((want / "summary.json").read_text()).items())
+
+
+@pytest.mark.parametrize("path, argv", [
+    ("local-factors/classical-vinogradov.json",
+     ["local-factors", "classical-vinogradov", "--N", "200001"]),
+    ("genfun/gaussian-e.csv",
+     ["genfun", "--builtin", "gaussian-e", "--X", "3000",
+      "--alpha", "0", "1/7", "0.361", "--no-timestamp"]),
+    ("ec-construct/gaussian.json", ["ec-construct", "--field", "gaussian"]),
+])
+def test_stdout_unchanged(capsys, path, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == (DATA / path).read_bytes()

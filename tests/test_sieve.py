@@ -5,22 +5,21 @@ import numpy as np
 import pytest
 
 from chebcircle import galois, genfun, sieve
-from chebcircle.arith import factorint
-from chebcircle.errors import DomainError
+from chebcircle.arith import factorint, is_prime
 from chebcircle.expsum import QuadraticField
 
 
-class TestPrimeTable:
-    def test_primality(self, table_small):
-        assert table_small.is_prime(2)
-        assert table_small.is_prime(9973)
-        assert not table_small.is_prime(9999)
+class TestPrimes:
+    def test_primality(self):
+        assert is_prime(2)
+        assert is_prime(9973)
+        assert not is_prime(9999)
 
-    def test_against_trial_division(self, table_small):
+    def test_against_trial_division(self):
         def trial(n):
             return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
         for n in range(2, 500):
-            assert table_small.is_prime(n) == trial(n)
+            assert is_prime(n) == trial(n)
 
     def test_factor(self):
         assert factorint(360) == {2: 3, 3: 2, 5: 1}
@@ -31,11 +30,15 @@ class TestPrimeTable:
             return all(n % d for d in range(2, math.isqrt(n) + 1))
         for limit in range(2, 201):
             want = [n for n in range(2, limit + 1) if trial(n)]
-            assert sieve.PrimeTable.build(limit).primes.tolist() == want
+            assert sieve.primes_upto(limit).tolist() == want
 
-    def test_out_of_range(self, table_small):
-        with pytest.raises(DomainError):
-            table_small.is_prime(10**5)
+    def test_out_of_range(self):
+        # no primes below 2; none missed past any fixed bound
+        for n in (-5, 0, 1, 1.9):
+            assert sieve.primes_upto(n).tolist() == []
+            assert not is_prime(n)
+        assert sieve.primes_upto(10**5)[-1] == 99991
+        assert is_prime(99991) and not is_prime(10**5)
 
 
 class TestLambdaFamily:
@@ -129,33 +132,30 @@ class TestSmoothCount:
 
 
 class TestWeightedPrimeArray:
-    def test_trivial(self, table_small):
+    def test_trivial(self):
         spec = galois.builtin_spec("trivial")
-        wpa = sieve.weighted_prime_array(table_small, spec, spec.classes[0],
-                                         10)
+        wpa = sieve.weighted_prime_array(spec, spec.classes[0], 10)
         assert list(wpa.primes) == [2, 3, 5, 7]
         assert wpa.weights[5] == pytest.approx(math.log(5))
 
-    def test_gaussian_identity(self, table_small):
+    def test_gaussian_identity(self):
         spec = galois.builtin_spec("gaussian")
-        wpa = sieve.weighted_prime_array(table_small, spec,
-                                         spec.class_by_label("e"), 30)
+        wpa = sieve.weighted_prime_array(spec, spec.class_by_label("e"), 30)
         assert list(wpa.primes) == [5, 13, 17, 29]
 
-    def test_sextic_split_primes(self, table_small):
+    def test_sextic_split_primes(self):
         spec = galois.builtin_spec("s3-cbrt2")
-        wpa = sieve.weighted_prime_array(table_small, spec,
-                                         spec.class_by_label("1"), 50)
+        wpa = sieve.weighted_prime_array(spec, spec.class_by_label("1"), 50)
         assert list(wpa.primes) == [31, 43]
 
-    def test_partition_property(self, table_small):
+    def test_partition_property(self):
         for name in galois.BUILTIN_NAMES:
             spec = galois.builtin_spec(name)
             X = 5000
             total = sum(
-                sieve.weighted_prime_array(table_small, spec, c, X).count
+                sieve.weighted_prime_array(spec, c, X).count
                 for c in spec.classes)
-            ps = table_small.primes_upto(X)
+            ps = sieve.primes_upto(X)
             ram = sum(1 for p in ps
                       if galois.frobenius_class(spec, int(p)).ramified)
             # classes "1" and "3" of the sextic share a coset but not primes
