@@ -1,4 +1,4 @@
-"""Representation counts S(N) by convolution of weighted prime arrays,
+"""Representation counts S(N) by convolution over classified primes,
 the brute-force oracle, the sieved coefficient analogue, Parseval norms, and
 the end-to-end comparison against the predicted main term."""
 
@@ -17,10 +17,11 @@ from .instance import ProblemInstance
 MAX_BYTES = 4 * 2**30
 EXACT_X_LIMIT = 10**4
 # Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
-# and per distinct component and unit of X; fitted to the peak RSS of the
-# all-N count on 21 instances (k = 2..4, X = 2e3..4e6, one to four distinct
-# components), each within 3% of its measurement.  The rows-only count of
-# `verify` stays below it.
+# and per distinct component and unit of X; fitted to the peak RSS of an
+# all-N count of both channels, weighted and unweighted, on 21 instances
+# (k = 2..4, X = 2e3..4e6, one to four distinct components), each within
+# 3% of its measurement.  weighted_counts and the rows-only counts_at stay
+# below it (trivial x3 at X = 1e6: 167 and 127 MiB against 215).
 BYTES_BASE = 31 * 2**20
 BYTES_PER_FFT_POINT = 41
 BYTES_PER_X = 15
@@ -28,31 +29,6 @@ BYTES_PER_COMPONENT_X = 9
 # Grid rows per block of parseval_check's phase matrix: a block holds
 # PARSEVAL_ROWS x (number of primes) complex phases, not the whole grid.
 PARSEVAL_ROWS = 1024
-
-
-@dataclass
-class CoefficientArray:
-    """Dense S(N) over the attainable range; index 0 holds
-    N = -(sum of |a_i| over negative a_i) * X."""
-    offset: int
-    weighted: np.ndarray
-    unweighted: np.ndarray
-
-    def weighted_at(self, N: int) -> float:
-        i = N - self.offset
-        if 0 <= i < len(self.weighted):
-            return float(self.weighted[i])
-        return 0.0
-
-    def unweighted_at(self, N: int) -> int:
-        i = N - self.offset
-        if 0 <= i < len(self.unweighted):
-            return int(self.unweighted[i])
-        return 0
-
-    @property
-    def n_range(self):
-        return self.offset, self.offset + len(self.weighted) - 1
 
 
 def _embed(values: np.ndarray, ai: int) -> np.ndarray:
@@ -112,7 +88,8 @@ def _count_convolve(indicators, a, X: int) -> np.ndarray:
 
 
 def estimated_bytes(inst: ProblemInstance) -> int:
-    """Estimated peak memory of representation_counts on inst, prime list
+    """Estimated peak memory of an all-N count on inst (weighted_counts;
+    counts_at convolves fewer components over a shorter span), prime list
     included; allocates nothing."""
     per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * len(set(inst.components))
     lo, hi = inst.attainable_range
@@ -129,36 +106,44 @@ def check_memory(inst: ProblemInstance):
                             f"{MAX_BYTES / 2**30:.0f} GiB")
 
 
-def _component_arrays(inst: ProblemInstance):
-    """One WeightedPrimeArray per component, shared by equal components;
-    the primes <= X are listed once and classified once per distinct
-    spec."""
-    ps = sieve.primes_upto(inst.X)
-    labels = {spec: sieve.class_labels(spec, inst.X, ps)
-              for spec in dict.fromkeys(fc.spec for fc in inst.components)}
-    arrays = {fc: sieve.weighted_prime_array(fc.spec, fc.cls, inst.X,
-                                             labels[fc.spec])
-              for fc in dict.fromkeys(inst.components)}
-    return [arrays[fc] for fc in inst.components]
-
-
-def _weighted_counts(inst: ProblemInstance):
-    """(component arrays, S(N) weighted by the product of log p for every
-    attainable N, clamped at 0 against FFT round-off)."""
+def _component_primes(inst: ProblemInstance):
+    """The primes <= X of each component's class, after check_memory, so
+    that a too-large instance is refused before the sieve of X.  Each
+    distinct spec is classified once, and equal components share one
+    array."""
     check_memory(inst)
-    comps = _component_arrays(inst)
-    weighted = _convolve([wpa.weights for wpa in comps], inst.a)
+    by_spec = {spec: sieve.class_primes(spec, inst.X)
+               for spec in dict.fromkeys(fc.spec for fc in inst.components)}
+    return [by_spec[fc.spec][fc.spec.classes.index(fc.cls)]
+            for fc in inst.components]
+
+
+def _dense(comps, X: int, weighted: bool):
+    """Per prime array of comps, the array over n = 0..X holding log p
+    (weighted) or 1 at each of its primes p, 0 elsewhere; equal components
+    share one array, so that _convolve transforms it once."""
+    made = {}
+    for ps in comps:
+        if id(ps) not in made:
+            v = np.zeros(X + 1, np.float64 if weighted else np.uint8)
+            v[ps] = np.log(ps.astype(np.float64)) if weighted else 1
+            made[id(ps)] = v
+    return [made[id(ps)] for ps in comps]
+
+
+def _log_convolution(comps, inst: ProblemInstance) -> np.ndarray:
+    """S(N) weighted by the product of log p, from the component primes
+    comps, for every attainable N; clamped at 0 against FFT round-off."""
+    weighted = _convolve(_dense(comps, inst.X, True), inst.a)
     np.maximum(weighted, 0.0, out=weighted)
-    return comps, weighted
+    return weighted
 
 
-def representation_counts(inst: ProblemInstance) -> CoefficientArray:
-    """S(N) for every attainable N: weighted by the product of log p and
-    as a plain solution count."""
-    comps, weighted = _weighted_counts(inst)
-    unweighted = _count_convolve([wpa.indicator for wpa in comps], inst.a,
-                                 inst.X)
-    return CoefficientArray(inst.attainable_range[0], weighted, unweighted)
+def weighted_counts(inst: ProblemInstance) -> np.ndarray:
+    """S(N) weighted by the product of log p for every attainable N, index
+    0 holding N = attainable_range[0]; clamped at 0 against FFT
+    round-off."""
+    return _log_convolution(_component_primes(inst), inst)
 
 
 def counts_at(inst: ProblemInstance, Ns):
@@ -167,19 +152,20 @@ def counts_at(inst: ProblemInstance, Ns):
     each S(N) then sums the head at N - a_k q over the last component's
     primes q, times log q for the weighted value, which is clamped at 0
     against FFT round-off."""
-    check_memory(inst)
-    comps = _component_arrays(inst)
+    comps = _component_primes(inst)
     head, last = comps[:-1], comps[-1]
     a, ak = inst.a[:-1], inst.a[-1]
+    weights = _dense(head, inst.X, True)
+    ones = _dense(head, inst.X, False)
     if len(head) == 1:
-        hw = _embed(head[0].weights, a[0])
-        hu = _embed(head[0].indicator, a[0])
+        hw = _embed(weights[0], a[0])
+        hu = _embed(ones[0], a[0])
     else:
-        hw = _convolve([wpa.weights for wpa in head], a)
-        hu = _count_convolve([wpa.indicator for wpa in head], a, inst.X)
+        hw = _convolve(weights, a)
+        hu = _count_convolve(ones, a, inst.X)
     lo = inst.X * sum(v for v in a if v < 0)
-    shifted = lo + ak * last.primes
-    logs = last.weights[last.primes]
+    shifted = lo + ak * last
+    logs = np.log(last.astype(np.float64))
     weighted = np.zeros(len(Ns))
     unweighted = np.zeros(len(Ns), dtype=np.int64)
     for i, N in enumerate(Ns):
@@ -195,7 +181,7 @@ def brute_force_all(inst: ProblemInstance):
     """{N: (weighted, unweighted) S(N)} for every N with a solution, by
     meet-in-the-middle enumeration over the classified prime lists; the
     oracle path.  N absent from the dict has S(N) = (0.0, 0)."""
-    comps = _component_arrays(inst)
+    comps = _component_primes(inst)
     half = (inst.k + 1) // 2
 
     def sums(idx):
@@ -204,7 +190,7 @@ def brute_force_all(inst: ProblemInstance):
         acc = {0: (1, 1.0)}
         for i in idx:
             nxt = {}
-            ps = comps[i].primes
+            ps = comps[i]
             logs = np.log(ps.astype(np.float64))
             for s, (cnt, wt) in acc.items():
                 for p, lg in zip(ps, logs):
@@ -223,8 +209,9 @@ def brute_force_all(inst: ProblemInstance):
     return {N: (w, c) for N, (c, w) in out.items()}
 
 
-def h_sharp_array(inst: ProblemInstance, z: float) -> CoefficientArray:
-    """Coefficients of H_sharp: the prefactor times the convolution of the
+def h_sharp_array(inst: ProblemInstance, z: float) -> np.ndarray:
+    """Coefficients of H_sharp for every attainable N, indexed like
+    weighted_counts: the prefactor times the convolution of the
     congruence-sieve weight arrays."""
     check_memory(inst)
     arrays = {fc: sieve.sharp_weights(inst.X, z, fc.spec.modulus,
@@ -232,8 +219,7 @@ def h_sharp_array(inst: ProblemInstance, z: float) -> CoefficientArray:
               for fc in dict.fromkeys(inst.components)}
     vals = _convolve([arrays[fc] for fc in inst.components], inst.a)
     vals *= float(inst.prefactor)
-    return CoefficientArray(inst.attainable_range[0], vals,
-                            np.zeros(0, dtype=np.int64))
+    return vals
 
 
 def h_flat_norms(inst: ProblemInstance, z: float):
@@ -242,7 +228,7 @@ def h_flat_norms(inst: ProblemInstance, z: float):
     unity."""
     if inst.X < 2:
         return 0.0, 0.0
-    diff = _weighted_counts(inst)[1] - h_sharp_array(inst, z).weighted
+    diff = weighted_counts(inst) - h_sharp_array(inst, z)
     l2 = float(math.sqrt(np.sum(diff * diff)))
     M = 1 << max(2, (4 * len(diff) - 1).bit_length())
     vals = np.fft.fft(diff, M)
@@ -311,13 +297,14 @@ def parseval_check(inst: ProblemInstance):
     number of N) where the grid side evaluates H(alpha) =
     prod G_i(a_i alpha) from the prime sums directly, independent of the
     convolution path."""
-    comps, weighted = _weighted_counts(inst)
+    comps = _component_primes(inst)
+    weighted = _log_convolution(comps, inst)
     lhs = float(np.sum(weighted ** 2))
     M = 4 * len(weighted)
     grid = np.arange(M) / M
     H = np.ones(M, dtype=complex)
-    for wpa, ai in zip(comps, inst.a):
-        ps = wpa.primes.astype(np.float64)
+    for primes, ai in zip(comps, inst.a):
+        ps = primes.astype(np.float64)
         logs = np.log(ps)
         for i in range(0, M, PARSEVAL_ROWS):
             rows = grid[i:i + PARSEVAL_ROWS, None]

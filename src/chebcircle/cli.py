@@ -62,15 +62,29 @@ def _specs_from_docs(docs) -> list:
     return specs
 
 
+def _is_int(v) -> bool:
+    """Whether v is a JSON integer (bool is not)."""
+    return type(v) is int
+
+
 def _instance_from_doc(doc: dict):
     """(instance, doc, the sieve block's A, B and z)."""
     for key in ("fields", "a", "X"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise ValidationError([("MissingKey", f"instance lacks {key!r}")])
-    specs = _specs_from_docs(doc["fields"])
+    fields, a = doc["fields"], doc["a"]
+    if not (isinstance(fields, list)
+            and all(isinstance(f, dict) for f in fields)):
+        raise ValidationError([("BadFields", "fields takes a list of "
+                                             "objects")])
+    if not (isinstance(a, list) and all(map(_is_int, a))
+            and _is_int(doc["X"]) and _is_int(doc.get("euler_pmax", 0))):
+        raise ValidationError([("BadType", "X, euler_pmax and each entry "
+                                           "of a take JSON integers")])
+    specs = _specs_from_docs(fields)
     comps = tuple(FieldClass(spec, spec.class_by_label(f["class"]))
-                  for spec, f in zip(specs, doc["fields"]))
-    inst = ProblemInstance(comps, tuple(doc["a"]), int(doc["X"]))
+                  for spec, f in zip(specs, fields))
+    inst = ProblemInstance(comps, tuple(a), doc["X"])
     return inst, doc, _sieve_level(doc.get("sieve", {}), inst.X)
 
 
@@ -105,11 +119,11 @@ def _n_list(doc: dict, inst: ProblemInstance):
         return [mid + 2 * i + 1 for i in range(20)]
     bad = ValidationError([("BadN", "N takes an integer or {from, to, "
                                     "step} of integers, within int64")])
-    try:
-        Ns = [spec] if isinstance(spec, int) else range(
-            int(spec["from"]), int(spec["to"]), int(spec.get("step", 1)))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise bad from None
+    parts = ([spec.get("from"), spec.get("to"), spec.get("step", 1)]
+             if isinstance(spec, dict) else [spec])
+    if not all(map(_is_int, parts)) or 0 in parts[2:]:
+        raise bad
+    Ns = range(*parts) if isinstance(spec, dict) else parts
     if any(not -2**63 <= N < 2**63 for N in [*Ns[:1], *Ns[-1:]]):
         raise bad
     return list(Ns)
@@ -129,7 +143,6 @@ def _timestamp_line(fh, suppress: bool):
 def cmd_verify(args) -> int:
     t0 = time.time()
     inst, doc, level = _instance_from_doc(_load_instance_doc(args.instance))
-    circle.check_memory(inst)
     pmax = args.pmax or doc.get("euler_pmax", 10**4)
     result = circle.verify_theorem(inst, _n_list(doc, inst), pmax)
     with _open_out(args.out_dir, "verify.csv") as fh:
@@ -165,7 +178,10 @@ def cmd_local_factors(args) -> int:
     inst, doc, _ = _instance_from_doc(_load_instance_doc(args.instance))
     if args.N is not None:
         doc["N"] = args.N
-    N = _n_list(doc, inst)[0]
+    Ns = _n_list(doc, inst)
+    if not Ns:
+        raise ValidationError([("BadN", "the instance's N range is empty")])
+    N = Ns[0]
     pmax = args.pmax or doc.get("euler_pmax", 10**4)
     report = singular.main_term(inst, N, pmax)
     print(report.to_json_str())

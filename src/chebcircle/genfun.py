@@ -52,10 +52,12 @@ class GenfunContext:
     cls: Optional[galois.ClassSpec] = None
 
     @cached_property
-    def prime_array(self) -> sieve.WeightedPrimeArray:
+    def primes(self) -> np.ndarray:
+        """The primes <= X of the context's class."""
         if self.spec is None:
             raise DomainError("context has no Galois spec")
-        return sieve.weighted_prime_array(self.spec, self.cls, self.X)
+        return sieve.class_primes(self.spec, self.X)[
+            self.spec.classes.index(self.cls)]
 
     @cached_property
     def _sharp_support(self):
@@ -68,8 +70,7 @@ class GenfunContext:
 
 def eval_G(ctx: GenfunContext, alpha) -> complex:
     """Sum of log p * e(alpha p) over classified primes p <= X."""
-    wpa = ctx.prime_array
-    ps = wpa.primes
+    ps = ctx.primes
     if len(ps) == 0:
         return 0j
     logs = np.log(ps.astype(np.float64))

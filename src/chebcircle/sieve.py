@@ -11,7 +11,6 @@ from these lists or from direct enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -98,39 +97,13 @@ def smooth_count(z: float, Y: float) -> int:
     return walk(0, 1) if Y >= 1 else 0
 
 
-@dataclass
-class WeightedPrimeArray:
-    weights: np.ndarray    # weights[p] = log p for classified primes
-    indicator: np.ndarray  # uint8, 1 at classified primes
-    primes: np.ndarray     # the classified primes themselves
-
-    @property
-    def count(self):
-        return len(self.primes)
-
-
-def class_labels(spec: galois.GaloisSpec, X: int,
-                 primes: np.ndarray) -> np.ndarray:
-    """The index in spec.classes of the class of each n = 0..X, where
-    primes are the primes <= X; -1 at every other n and at ramified p."""
-    # the narrowest signed type that holds -1 .. len(spec.classes) - 1
-    labels = np.full(X + 1, -1, np.min_scalar_type(-len(spec.classes)))
-    labels[primes] = galois.classify_batch(spec, primes)
-    return labels
-
-
-def weighted_prime_array(spec: galois.GaloisSpec, cls: galois.ClassSpec,
-                         X: int, labels=None) -> WeightedPrimeArray:
-    """The primes <= X of class cls.  labels, when given, is
-    class_labels(spec, X, primes_upto(X)), so that the classes of one spec
-    share one sieve and one classification."""
-    if labels is None:
-        labels = class_labels(spec, X, primes_upto(X))
-    mine = labels == list(spec.classes).index(cls)
-    primes = np.flatnonzero(mine)
-    weights = np.zeros(X + 1)
-    weights[primes] = np.log(primes.astype(np.float64))
-    return WeightedPrimeArray(weights, mine.view(np.uint8), primes)
+def class_primes(spec: galois.GaloisSpec, X: int) -> list:
+    """The primes <= X of each class of spec, in the order of
+    spec.classes: one ascending int64 array per class, from one sieve and
+    one classification.  Ramified primes lie in no class."""
+    ps = primes_upto(X)
+    labels = galois.classify_batch(spec, ps)
+    return [ps[labels == i] for i in range(len(spec.classes))]
 
 
 def sieve_survivor_mask(X: int, z: float) -> np.ndarray:

@@ -39,14 +39,17 @@ def test_convolution_matches_brute_force_on_random_instances():
             cls = spec.class_by_label(rng.choice(labels[name]))
             comps.append(FieldClass(spec, cls))
         inst = ProblemInstance(tuple(comps), a, X)
-        co = circle.representation_counts(inst)
         oracle = circle.brute_force_all(inst)
         lo, hi = inst.attainable_range
-        for N in range(lo, hi + 1):
+        every = circle.weighted_counts(inst)
+        assert len(every) == hi - lo + 1
+        Ns = range(lo - 1, hi + 2)
+        for N, sw, su in zip(Ns, *circle.counts_at(inst, Ns)):
             w, u = oracle.get(N, (0.0, 0))
-            assert co.unweighted_at(N) == u
+            assert su == u
             if u:
-                assert co.weighted_at(N) == pytest.approx(w, rel=1e-6)
+                assert sw == pytest.approx(w, rel=1e-6)
+                assert every[N - lo] == pytest.approx(w, rel=1e-6)
     assert time.time() - t0 < 60
 
 
@@ -83,10 +86,13 @@ def test_d4_ratios_at_a_hundred_thousand():
 def test_gaussian_identity_congruence_and_ratios():
     X = 2 * 10**5
     inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), X)
-    co = circle.representation_counts(inst)
-    ns = np.arange(co.offset, co.offset + len(co.unweighted))
-    off_class = co.unweighted[ns % 4 != 3]
-    assert int(np.abs(off_class).sum()) == 0
+    # three primes 1 mod 4 sum to 3 mod 4: every other N has no solution
+    every = circle.weighted_counts(inst)
+    ns = np.arange(len(every)) + inst.attainable_range[0]
+    assert np.all(every[ns % 4 != 3] <= 1e-6 * every.max())
+    Ns = [n for n in range(1, 3 * X, 997) if n % 4 != 3]
+    _, unweighted = circle.counts_at(inst, Ns)
+    assert not unweighted.any()
     Ns = [n for n in range(X + 3, X + 3 + 30 * 4, 4)]
     res = circle.verify_theorem(inst, Ns)
     assert res.median_abs_dev <= 0.10
@@ -240,9 +246,9 @@ def test_difference_instance_average_deviation_decreases():
     fractions = {}
     for X in (10**4, 10**5):
         inst = uniform_instance("trivial", "e", 2, (1, -1), X)
-        co = circle.representation_counts(inst)
+        lo = inst.attainable_range[0]
         Ns = np.arange(2, X + 1, dtype=np.int64)
-        S = np.array([co.weighted_at(int(n)) for n in Ns])
+        S = circle.weighted_counts(inst)[Ns - lo]
         S[S < 1e-6 * S.max()] = 0.0   # FFT round-off floor
         c_inf = (X - Ns).astype(np.float64)
         euler = singular.euler_product_bulk((1, -1), Ns, 1, 10**4)

@@ -44,30 +44,30 @@ class TestInstanceValidation:
 class TestRepresentationCounts:
     def test_vinogradov_small(self):
         inst = classical_instance(10)
-        co = circle.representation_counts(inst)
-        assert co.unweighted_at(10) == 6  # permutations of 2+3+5
-        assert co.weighted_at(10) == pytest.approx(
+        weighted, unweighted = circle.counts_at(inst, [10, 29])
+        assert unweighted.tolist() == [6, 0]  # permutations of 2+3+5
+        assert weighted[0] == pytest.approx(
             6 * math.log(2) * math.log(3) * math.log(5))
-        assert co.unweighted_at(29) == 0
 
     def test_difference_instance(self):
         inst = uniform_instance("trivial", "e", 2, (1, -1), 10)
-        co = circle.representation_counts(inst)
         direct = sum(1 for p in (2, 3, 5, 7) for q in (2, 3, 5, 7)
                      if p - q == 2)
-        assert co.unweighted_at(2) == direct
-        assert co.n_range == (-10, 10)
-        assert co.unweighted_at(-5) == 1  # 2 - 7
+        _, unweighted = circle.counts_at(inst, [2, -5])
+        assert unweighted.tolist() == [direct, 1]  # -5 = 2 - 7
+        assert len(circle.weighted_counts(inst)) == 21  # N = -10..10
 
     def test_total_mass(self):
         for name, label in (("trivial", "e"), ("gaussian", "e"),
                             ("s3-cbrt2", "2")):
             inst = uniform_instance(name, label, 3, (1, 1, 1), 500)
-            co = circle.representation_counts(inst)
+            lo, hi = inst.attainable_range
+            _, unweighted = circle.counts_at(inst, range(lo, hi + 1))
             spec = galois.builtin_spec(name)
             cls = spec.class_by_label(label)
-            n_primes = sieve.weighted_prime_array(spec, cls, 500).count
-            assert int(co.unweighted.sum()) == n_primes ** 3
+            n_primes = len(sieve.class_primes(spec, 500)[
+                spec.classes.index(cls)])
+            assert int(unweighted.sum()) == n_primes ** 3
 
     def test_order_independence(self):
         spec_t = galois.builtin_spec("trivial")
@@ -76,17 +76,16 @@ class TestRepresentationCounts:
                FieldClass(spec_g, spec_g.class_by_label("e")),
                FieldClass(spec_g, spec_g.class_by_label("c")))
         a = (1, 1, 1)
-        co1 = circle.representation_counts(
-            ProblemInstance(fcs, a, 300))
-        co2 = circle.representation_counts(
-            ProblemInstance(fcs[::-1], a, 300))
-        assert np.array_equal(co1.unweighted, co2.unweighted)
+        Ns = range(0, 3 * 300 + 1)
+        _, u1 = circle.counts_at(ProblemInstance(fcs, a, 300), Ns)
+        _, u2 = circle.counts_at(ProblemInstance(fcs[::-1], a, 300), Ns)
+        assert np.array_equal(u1, u2)
 
     def test_resource_limit(self):
         inst = uniform_instance("trivial", "e", 3, (100, 100, 1), 10**4)
         inst.a = (10**5, 10**5, 1)  # bypass gcd guard to hit the size guard
         with pytest.raises(ResourceLimit):
-            circle.representation_counts(inst)
+            circle.weighted_counts(inst)
 
     def test_memory_estimate_tracks_measured_peak(self):
         # peak RSS of the all-N count on trivial x3, a = (1, 1, 1): 32 MiB
@@ -138,17 +137,22 @@ class TestRepresentationCounts:
                 cls = spec.class_by_label(rng.choice(labels[name]))
                 comps.append(FieldClass(spec, cls))
             inst = ProblemInstance(tuple(comps), a, X)
-            co = circle.representation_counts(inst)
             oracle = circle.brute_force_all(inst)
             lo, hi = inst.attainable_range
-            for N in range(lo, hi + 1):
+            Ns = range(lo - 1, hi + 2)
+            every = circle.weighted_counts(inst)
+            assert len(every) == hi - lo + 1
+            floor = 1e-6 * max(1.0, float(np.max(every)))
+            for N, sw, su in zip(Ns, *circle.counts_at(inst, Ns)):
                 w, u = oracle.get(N, (0.0, 0))
-                assert co.unweighted_at(N) == u
+                assert su == u
+                inside = lo <= N <= hi
                 if u:
-                    assert co.weighted_at(N) == pytest.approx(w, rel=1e-6)
+                    assert sw == pytest.approx(w, rel=1e-6)
+                    assert every[N - lo] == pytest.approx(w, rel=1e-6)
                 else:
-                    assert abs(co.weighted_at(N)) <= 1e-6 * max(
-                        1.0, float(np.max(co.weighted)))
+                    assert abs(sw) <= floor
+                    assert not inside or abs(every[N - lo]) <= floor
 
 
 class TestBruteForce:
@@ -179,10 +183,10 @@ class TestSharpCoefficients:
         X = 10
         inst = uniform_instance("trivial", "e", 2, (1, 1), X)
         arr = circle.h_sharp_array(inst, 1.5)
+        assert len(arr) == 2 * X + 1  # N = 0..2X
         for N in range(0, 2 * X + 1):
             want = sum(1 for n in range(1, X + 1) if 1 <= N - n <= X)
-            assert arr.weighted_at(N) == pytest.approx(want)
-        assert arr.weighted_at(2 * X + 5) == 0.0
+            assert arr[N] == pytest.approx(want)
 
     def test_ratio_near_one_with_effective_sieve(self):
         # z must stay below sqrt(X) for the almost-prime mass to survive
@@ -193,7 +197,7 @@ class TestSharpCoefficients:
         from chebcircle import singular
         for N in range(X - 19, X + 20, 2):
             main = singular.main_term(inst, N).main_term
-            assert arr.weighted_at(N) / main == pytest.approx(1.0, abs=0.15)
+            assert arr[N] / main == pytest.approx(1.0, abs=0.15)
 
 
 class TestFlatNorms:
@@ -209,9 +213,9 @@ class TestFlatNorms:
         calls = []
         real = circle._exact_convolve
 
-        def counting(inst, arrays):
-            calls.append(inst)
-            return real(inst, arrays)
+        def counting(arrays, a):
+            calls.append(a)
+            return real(arrays, a)
 
         monkeypatch.setattr(circle, "_exact_convolve", counting)
         X = 10**3
@@ -223,9 +227,9 @@ class TestFlatNorms:
     def test_l2_parseval_vs_grid(self):
         X = 10**3
         inst = uniform_instance("trivial", "e", 2, (1, 1), X)
-        H = circle.representation_counts(inst)
+        H = circle.weighted_counts(inst)
         Hs = circle.h_sharp_array(inst, math.log(X) ** 2)
-        diff = H.weighted - Hs.weighted
+        diff = H - Hs
         _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2)
         assert l2 == pytest.approx(math.sqrt(np.sum(diff * diff)),
                                    rel=1e-12)
@@ -313,12 +317,11 @@ class TestParseval:
 class TestExactConvolutionChannel:
     def test_matches_fft_at_small_x(self):
         inst = classical_instance(800)
-        co = circle.representation_counts(inst)
+        ones = circle._dense(circle._component_primes(inst), inst.X, False)
+        exact = circle._count_convolve(ones, inst.a, inst.X)
         # recompute the unweighted channel by FFT and compare
-        comps = circle._component_arrays(inst)
-        fft_u = np.rint(circle._convolve(
-            [c.indicator for c in comps], inst.a)).astype(np.int64)
-        assert np.array_equal(np.maximum(fft_u, 0), co.unweighted)
+        fft_u = np.rint(circle._convolve(ones, inst.a)).astype(np.int64)
+        assert np.array_equal(np.maximum(fft_u, 0), exact)
 
 
 class TestFFTChannel:
@@ -331,8 +334,10 @@ class TestFFTChannel:
             comps.append(FieldClass(spec, spec.class_by_label(label)))
         return ProblemInstance(tuple(comps), a, self.X)
 
+    # h_flat_norms convolves S and H_sharp over every N: one transform per
+    # distinct component in each
     @pytest.mark.parametrize("fields,transforms", [
-        ((("trivial", "e"),) * 3, 2),  # one per channel
+        ((("trivial", "e"),) * 3, 2),
         ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")), 6),
     ])
     def test_each_distinct_component_transformed_once(
@@ -346,7 +351,7 @@ class TestFFTChannel:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting)
-        circle.representation_counts(self.instance(fields, (1, 1, 1)))
+        circle.h_flat_norms(self.instance(fields, (1, 1, 1)), 30.0)
         assert len(calls) == transforms
 
     @pytest.mark.parametrize("fields,a", [
@@ -355,23 +360,28 @@ class TestFFTChannel:
     ])
     def test_matches_oracle(self, fields, a):
         inst = self.instance(fields, a)
-        co = circle.representation_counts(inst)
         oracle = circle.brute_force_all(inst)
         lo, hi = inst.attainable_range
-        assert co.n_range == (lo, hi)
-        top = float(np.max(co.weighted))
-        for N in range(lo, hi + 1):
+        every = circle.weighted_counts(inst)
+        assert len(every) == hi - lo + 1
+        top = float(np.max(every))
+        Ns = range(lo - 1, hi + 2)
+        for N, sw, su in zip(Ns, *circle.counts_at(inst, Ns)):
             w, u = oracle.get(N, (0.0, 0))
-            assert co.unweighted_at(N) == u
+            assert su == u
+            inside = lo <= N <= hi
             if u:
-                assert co.weighted_at(N) == pytest.approx(w, rel=1e-6)
+                assert sw == pytest.approx(w, rel=1e-6)
+                assert every[N - lo] == pytest.approx(w, rel=1e-6)
             else:
-                assert abs(co.weighted_at(N)) <= 1e-6 * top
+                assert abs(sw) <= 1e-6 * top
+                assert not inside or abs(every[N - lo]) <= 1e-6 * top
 
 
 class TestCountsAt:
-    """counts_at, the rows-only path of verify, against the all-N arrays of
-    representation_counts and against the oracle."""
+    """counts_at, the rows-only path of verify, against the all-N
+    weighted_counts, an exact convolution of all k indicator arrays, and
+    the oracle."""
     X_ABOVE = circle.EXACT_X_LIMIT + 500
 
     @staticmethod
@@ -392,17 +402,23 @@ class TestCountsAt:
         ((("trivial", "e"), ("gaussian", "c"), ("trivial", "e"),
           ("s3-cbrt2", "1")), (-1, 3, 2, -2)),
     ])
-    def test_matches_representation_counts(self, fields, a, X):
+    def test_matches_all_n_counts(self, fields, a, X):
         inst = self.instance(fields, a, X)
-        co = circle.representation_counts(inst)
+        every = circle.weighted_counts(inst)
+        ones = circle._dense(circle._component_primes(inst), X, False)
+        exact = circle._exact_convolve(ones, inst.a)
         lo, hi = inst.attainable_range
         Ns = ([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
               + random.Random(X).sample(range(lo, hi + 1), 200))
         weighted, unweighted = circle.counts_at(inst, Ns)
-        assert unweighted.tolist() == [co.unweighted_at(N) for N in Ns]
-        tol = 1e-14 * float(np.max(co.weighted))
+
+        def at(values, N):
+            return values[N - lo] if lo <= N <= hi else 0
+
+        assert unweighted.tolist() == [at(exact, N) for N in Ns]
+        tol = 1e-14 * float(np.max(every))
         for N, got in zip(Ns, weighted.tolist()):
-            want = co.weighted_at(N)
+            want = at(every, N)
             assert abs(got - want) <= 1e-12 * want + tol, N
 
     def test_matches_oracle_above_exact_limit(self):

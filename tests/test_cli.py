@@ -200,6 +200,29 @@ class TestVerify:
         assert "BadN" in err
         assert out == ""
 
+    def test_local_factors_empty_n_range_exit_2(self, tmp_path, capsys):
+        doc = dict(SMALL_CLASSICAL, X=100, N={"from": 5, "to": 5})
+        code, out, err = run(capsys, "local-factors",
+                             write_instance(tmp_path, doc))
+        assert code == 2
+        assert "BadN" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("X", float("inf")), ("X", [5]), ("X", 100.7), ("X", True),
+        ("fields", 5), ("fields", ["trivial"] * 3),
+        ("a", [1, 1.5, 1]), ("a", 5), ("a", [1, True, 1]),
+        ("euler_pmax", "x"), ("euler_pmax", 100.5),
+        ("N", True), ("N", {"from": 1501.5, "to": 2501}),
+    ])
+    def test_instance_types_exit_2(self, tmp_path, capsys, key, value):
+        inst = write_instance(tmp_path, dict(SMALL_CLASSICAL, **{key: value}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "verify", inst, "--out-dir", str(out))
+        assert code == 2, err
+        assert err.startswith("error: ")
+        assert not (out / "verify.csv").exists()
+
     def test_n_at_int64_ends_vanishes(self, tmp_path, capsys):
         for N in (2**63 - 1, -2**63):
             inst = write_instance(tmp_path, dict(SMALL_CLASSICAL, N=N))

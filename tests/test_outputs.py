@@ -16,6 +16,8 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name, instance", [
     ("classical-vinogradov", "classical-vinogradov"),
     ("s3-cbrt2", str(DATA / "s3-cbrt2" / "instance.json")),
+    ("gaussian-c-trivial-e",
+     str(DATA / "gaussian-c-trivial-e" / "instance.json")),
 ])
 def test_verify_output_unchanged(tmp_path, capsys, name, instance):
     assert cli.main(["verify", instance, "--out-dir", str(tmp_path),

@@ -131,30 +131,30 @@ class TestSmoothCount:
             assert c < 3
 
 
-class TestWeightedPrimeArray:
+class TestClassPrimes:
     def test_trivial(self):
         spec = galois.builtin_spec("trivial")
-        wpa = sieve.weighted_prime_array(spec, spec.classes[0], 10)
-        assert list(wpa.primes) == [2, 3, 5, 7]
-        assert wpa.weights[5] == pytest.approx(math.log(5))
+        [ps] = sieve.class_primes(spec, 10)
+        assert ps.tolist() == [2, 3, 5, 7]
+        assert ps.dtype == np.int64
 
     def test_gaussian_identity(self):
         spec = galois.builtin_spec("gaussian")
-        wpa = sieve.weighted_prime_array(spec, spec.class_by_label("e"), 30)
-        assert list(wpa.primes) == [5, 13, 17, 29]
+        e, c = sieve.class_primes(spec, 30)
+        assert e.tolist() == [5, 13, 17, 29]
+        assert c.tolist() == [3, 7, 11, 19, 23]
 
     def test_sextic_split_primes(self):
         spec = galois.builtin_spec("s3-cbrt2")
-        wpa = sieve.weighted_prime_array(spec, spec.class_by_label("1"), 50)
-        assert list(wpa.primes) == [31, 43]
+        ps = sieve.class_primes(spec, 50)[
+            spec.classes.index(spec.class_by_label("1"))]
+        assert ps.tolist() == [31, 43]
 
     def test_partition_property(self):
         for name in galois.BUILTIN_NAMES:
             spec = galois.builtin_spec(name)
             X = 5000
-            total = sum(
-                sieve.weighted_prime_array(spec, c, X).count
-                for c in spec.classes)
+            total = sum(len(ps) for ps in sieve.class_primes(spec, X))
             ps = sieve.primes_upto(X)
             ram = sum(1 for p in ps
                       if galois.frobenius_class(spec, int(p)).ramified)
