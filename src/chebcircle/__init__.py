@@ -7,17 +7,16 @@ __version__ = "0.1.0"
 
 from .errors import (ChebCircleError, DegenerateAlpha, DomainError,
                      InconsistentSpec, NotFoundWithinLimit, ResourceLimit,
-                     UnsupportedCharacter, UnsupportedInstantiation,
-                     ValidationError)
-from .galois import (ClassSpec, FrobeniusResult, GaloisSpec, builtin_spec,
-                     frobenius_class, validate_spec)
+                     UnsupportedInstantiation, ValidationError)
+from .galois import (ClassSpec, GaloisSpec, builtin_spec, frobenius_class,
+                     validate_spec)
 from .instance import FieldClass, ProblemInstance, classical_instance
 
 __all__ = [
     "ChebCircleError", "ClassSpec", "DegenerateAlpha", "DomainError",
-    "FieldClass", "FrobeniusResult", "GaloisSpec", "InconsistentSpec",
-    "NotFoundWithinLimit", "ProblemInstance", "ResourceLimit",
-    "UnsupportedCharacter", "UnsupportedInstantiation", "ValidationError",
+    "FieldClass", "GaloisSpec", "InconsistentSpec", "NotFoundWithinLimit",
+    "ProblemInstance", "ResourceLimit", "UnsupportedInstantiation",
+    "ValidationError",
     "builtin_spec", "classical_instance", "frobenius_class",
     "validate_spec",
 ]

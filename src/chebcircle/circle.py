@@ -17,14 +17,17 @@ from .instance import ProblemInstance
 MAX_BYTES = 4 * 2**30
 EXACT_X_LIMIT = 10**4
 # Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
-# and per distinct component and unit of X; fitted to the peak RSS of an
-# all-N count of both channels, weighted and unweighted, on 21 instances
-# (k = 2..4, X = 2e3..4e6, one to four distinct components), each within
-# 3% of its measurement.  weighted_counts and the rows-only counts_at stay
-# below it (trivial x3 at X = 1e6: 167 and 127 MiB against 215).
-BYTES_BASE = 31 * 2**20
-BYTES_PER_FFT_POINT = 41
-BYTES_PER_X = 15
+# and per unit of X and of |a_i| for each distinct (component, a_i), whose
+# embedded array _convolve transforms once; fitted to the peak RSS of
+# weighted_counts on 14 instances (k = 2..4, X = 1e4..4e6, one to four
+# distinct components), each within 3% of its measurement.  The rows-only
+# counts_at convolves k - 1 components in two channels: below the estimate
+# when its shorter span takes a shorter transform (trivial x3 at X = 1e6:
+# 128 MiB against 170), up to about 1.3 times it when both spans round up
+# to one length (trivial x4 at X = 1e6: 208 MiB).
+BYTES_BASE = 29 * 2**20
+BYTES_PER_FFT_POINT = 32
+BYTES_PER_X = 3
 BYTES_PER_COMPONENT_X = 9
 # Grid rows per block of parseval_check's phase matrix: a block holds
 # PARSEVAL_ROWS x (number of primes) complex phases, not the whole grid.
@@ -88,10 +91,10 @@ def _count_convolve(indicators, a, X: int) -> np.ndarray:
 
 
 def estimated_bytes(inst: ProblemInstance) -> int:
-    """Estimated peak memory of an all-N count on inst (weighted_counts;
-    counts_at convolves fewer components over a shorter span), prime list
-    included; allocates nothing."""
-    per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * len(set(inst.components))
+    """Estimated peak memory of the all-N count weighted_counts on inst,
+    prime lists included; allocates nothing."""
+    embedded = sum(abs(ai) for _, ai in set(zip(inst.components, inst.a)))
+    per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * embedded
     lo, hi = inst.attainable_range
     return (BYTES_BASE + BYTES_PER_FFT_POINT * _fft_len(hi - lo)
             + per_x * (inst.X + 1))

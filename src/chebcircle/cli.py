@@ -36,9 +36,11 @@ BUILTIN_INSTANCES = {
 
 
 def _parse_alpha(text: str):
-    if "/" in text:
-        return Fraction(text)
-    return float(text)
+    try:
+        return Fraction(text) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise ValidationError([("BadAlpha", f"alpha {text!r} has a zero "
+                                            "denominator")])
 
 
 def _read_json(path: str):
@@ -58,7 +60,7 @@ def _specs_from_docs(docs) -> list:
     specs = [galois.builtin_spec(d["builtin"]) if "builtin" in d
              else galois.spec_from_json(d["spec"]) for d in docs]
     for spec in dict.fromkeys(specs):
-        galois.validate_spec(spec).raise_if_invalid()
+        galois.validate_spec(spec)
     return specs
 
 
@@ -129,6 +131,11 @@ def _n_list(doc: dict, inst: ProblemInstance):
     return list(Ns)
 
 
+def _pmax(args, doc) -> int:
+    """--pmax if given (0 included), else the instance's euler_pmax."""
+    return doc.get("euler_pmax", 10**4) if args.pmax is None else args.pmax
+
+
 def _open_out(out_dir: str, name: str):
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -143,7 +150,7 @@ def _timestamp_line(fh, suppress: bool):
 def cmd_verify(args) -> int:
     t0 = time.time()
     inst, doc, level = _instance_from_doc(_load_instance_doc(args.instance))
-    pmax = args.pmax or doc.get("euler_pmax", 10**4)
+    pmax = _pmax(args, doc)
     result = circle.verify_theorem(inst, _n_list(doc, inst), pmax)
     with _open_out(args.out_dir, "verify.csv") as fh:
         _timestamp_line(fh, args.no_timestamp)
@@ -181,9 +188,7 @@ def cmd_local_factors(args) -> int:
     Ns = _n_list(doc, inst)
     if not Ns:
         raise ValidationError([("BadN", "the instance's N range is empty")])
-    N = Ns[0]
-    pmax = args.pmax or doc.get("euler_pmax", 10**4)
-    report = singular.main_term(inst, N, pmax)
+    report = singular.main_term(inst, Ns[0], _pmax(args, doc))
     print(report.to_json_str())
     return EXIT_OK
 

@@ -18,18 +18,16 @@ from .arith import is_prime
 from .errors import DomainError, NotFoundWithinLimit
 
 
-def _identity_class(spec: galois.GaloisSpec) -> galois.ClassSpec:
-    for c in spec.classes:
+def _identity_class(spec: galois.GaloisSpec) -> int:
+    """Index in spec.classes of the class of the identity."""
+    for i, c in enumerate(spec.classes):
         if c.element_order == 1:
-            return c
+            return i
     raise DomainError("spec has no identity class")
 
 
 def _splits_completely(spec: galois.GaloisSpec, p: int) -> bool:
-    res = galois.frobenius_class(spec, p)
-    if res.ramified:
-        return False
-    return res.class_label == _identity_class(spec).label
+    return galois.frobenius_class(spec, p) == _identity_class(spec)
 
 
 @dataclass
@@ -97,7 +95,6 @@ def construct_curve(spec: galois.GaloisSpec,
     completely, and r = p + 432 n^2 q also prime and split; n is the
     spec's abelianization modulus."""
     n = max(1, spec.modulus)
-    ident = _identity_class(spec).label
     step = 432 * n * n
 
     def split_primes():
@@ -113,8 +110,8 @@ def construct_curve(spec: galois.GaloisSpec,
             if is_prime(r) and _splits_completely(spec, r):
                 cert = CurveCertificate(p, q, r, n)
                 for v in (p, q, r):
-                    cert.transcript.append(
-                        (v, galois.frobenius_class(spec, v).class_label))
+                    i = galois.frobenius_class(spec, v)
+                    cert.transcript.append((v, spec.classes[i].label))
                 return cert
     raise NotFoundWithinLimit(
         f"no certificate with p, q <= {search_limit}",

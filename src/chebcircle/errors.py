@@ -23,10 +23,6 @@ class ValidationError(ChebCircleError):
         super().__init__("; ".join(f"{code}: {msg}" for code, msg in self.issues))
 
 
-class UnsupportedCharacter(ChebCircleError):
-    """The requested ideal character kind is not supported."""
-
-
 class UnsupportedInstantiation(ChebCircleError):
     """The G-vs-F comparison is not implemented for this field/class pair."""
 

@@ -13,14 +13,14 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .arith import factorint
 from .characters import DirichletCharacter, kronecker
-from .errors import DegenerateAlpha, DomainError, UnsupportedCharacter
+from .errors import DegenerateAlpha, DomainError
 
 
 @dataclass(frozen=True)
@@ -193,16 +193,10 @@ class QuadraticField:
         return tab
 
 
-_NORM_COUNT_CACHE = {}
-
-
+@lru_cache(maxsize=8)
 def norm_counts(fieldK: QuadraticField, X: int) -> np.ndarray:
     """r[m] = number of ideals of norm m, 0 <= m <= X, via the divisor sum
-    of the Kronecker character."""
-    key = (fieldK.d, X)
-    hit = _NORM_COUNT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    of the Kronecker character; read-only, as callers share it."""
     m = abs(fieldK.d)
     chtab = fieldK.chi_table
     r = np.zeros(X + 1, dtype=np.int64)
@@ -210,9 +204,7 @@ def norm_counts(fieldK: QuadraticField, X: int) -> np.ndarray:
         c = chtab[e % m]
         if c:
             r[e::e] += c
-    if len(_NORM_COUNT_CACHE) > 8:
-        _NORM_COUNT_CACHE.clear()
-    _NORM_COUNT_CACHE[key] = r
+    r.flags.writeable = False
     return r
 
 
@@ -227,38 +219,13 @@ def norm_divisible_recip_sum(fieldK: QuadraticField, n: int, X: int) -> float:
     return float(np.sum(r[ms] / ms))
 
 
-# ---------------------------------------------------------------------------
-# ideal characters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdealCharacter:
-    """trivial, or a Dirichlet character composed with the norm."""
-    kind: str  # "trivial" | "norm" | "other"
-    chi: Optional[DirichletCharacter] = None
-
-    def norm_table(self, norms: np.ndarray) -> np.ndarray:
-        if self.kind == "trivial":
-            return np.ones(len(norms), dtype=complex)
-        if self.kind == "norm":
-            return self.chi.value_table()[norms % self.chi.modulus]
-        raise UnsupportedCharacter(self.kind)
-
-
-TRIVIAL_XI = IdealCharacter("trivial")
-
-
-def norm_composed(chi: DirichletCharacter) -> IdealCharacter:
-    return IdealCharacter("norm", chi)
-
-
-def ideal_exp_sum(fieldK: QuadraticField, xi: IdealCharacter, alpha,
+def ideal_exp_sum(fieldK: QuadraticField, chi: DirichletCharacter, alpha,
                   X: int) -> complex:
-    """Sum over ideals of norm <= X of xi * e(alpha * norm), aggregated
-    through the norm-count sieve."""
+    """Sum over ideals of norm <= X of chi(norm) * e(alpha * norm),
+    aggregated through the norm-count sieve."""
     r = norm_counts(fieldK, X)
     ms = np.arange(1, X + 1)
-    vals = r[1:].astype(np.float64) * xi.norm_table(ms)
+    vals = r[1:].astype(np.float64) * chi.value_table()[ms % chi.modulus]
     a = float(alpha)
     phases = np.exp(2j * np.pi * ((a * ms) % 1.0))
     return complex(np.dot(vals, phases))
@@ -319,6 +286,8 @@ def weyl_bound_ratio(coeffs, alpha, X: int, qmax: Optional[int] = None) -> float
         c.pop()
     if len(c) < 2:
         raise DomainError("polynomial degree must be >= 1")
+    if X < 1:
+        raise DomainError("X must be >= 1")
     x = _as_fraction(alpha)
     if x == round(x):
         raise DomainError("alpha integral: approximation denominator undefined")

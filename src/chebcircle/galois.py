@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -40,18 +40,6 @@ class ClassSpec:
     coset: frozenset
     class_size: int = 1
     element_order: int = 1
-
-
-@dataclass(frozen=True)
-class FrobeniusResult:
-    class_label: Optional[str]  # None means ramified
-
-    @property
-    def ramified(self):
-        return self.class_label is None
-
-
-RAMIFIED = FrobeniusResult(None)
 
 
 @dataclass(frozen=True)
@@ -93,22 +81,6 @@ class GaloisSpec:
     def class_density(self, cls):
         """|C|/|G| as an exact rational."""
         return Fraction(cls.class_size, self.group_order)
-
-
-@dataclass
-class ValidationReport:
-    issues: list = field(default_factory=list)
-
-    def add(self, code, message):
-        self.issues.append((code, message))
-
-    @property
-    def ok(self):
-        return not self.issues
-
-    def raise_if_invalid(self):
-        if self.issues:
-            raise ValidationError(self.issues)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +242,17 @@ def _units(D):
 # classification
 # ---------------------------------------------------------------------------
 
-def frobenius_class(spec: GaloisSpec, p: int) -> FrobeniusResult:
-    """Artin-symbol class of an unramified prime p, or RAMIFIED.  The order
-    of Frobenius is the lcm of the factor degrees of f mod p; this is the
-    scalar oracle of classify_batch and shares none of its arithmetic."""
+def frobenius_class(spec: GaloisSpec, p: int) -> int:
+    """Index in spec.classes of the Artin-symbol class of p, or -1 when p
+    is ramified.  The order of Frobenius is the lcm of the factor degrees
+    of f mod p; this is the scalar oracle of classify_batch and shares
+    none of its arithmetic."""
     if spec.ramified_modulus % p == 0:
-        return RAMIFIED
+        return -1
     key = (math.lcm(*poly_factor_degrees(spec.poly, p)), p % spec.modulus)
     for k, i in spec.class_keys():
         if k == key:
-            return FrobeniusResult(spec.classes[i].label)
+            return i
     raise InconsistentSpec(f"no class has the key {key} of p={p}")
 
 
@@ -374,61 +347,67 @@ def _frobenius_orders_batch(coeffs, ps):
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_spec(spec: GaloisSpec) -> ValidationReport:
-    rep = ValidationReport()
+def validate_spec(spec: GaloisSpec) -> None:
+    """Raise ValidationError listing every issue of spec, if it has any."""
+    issues = _spec_issues(spec)
+    if issues:
+        raise ValidationError(issues)
+
+
+def _spec_issues(spec: GaloisSpec) -> list:
+    issues = []
     D = spec.modulus
     if D < 1:
-        rep.add("InvalidModulus", f"modulus {D} < 1")
-        return rep
+        return [("InvalidModulus", f"modulus {D} < 1")]
     units = set(_units(D))
     for c in spec.classes:
         bad = set(c.coset) - units
         if bad:
-            rep.add("InvalidCoset",
-                    f"class {c.label}: {sorted(bad)} not units mod {D}")
+            issues.append(("InvalidCoset", f"class {c.label}: "
+                           f"{sorted(bad)} not units mod {D}"))
     keys = [k for k, _ in spec.class_keys()]
     if len(set(keys)) != len(keys):
-        rep.add("UnidentifiableClasses",
-                "two classes share an element order and a coset residue")
+        issues.append(("UnidentifiableClasses", "two classes share an "
+                       "element order and a coset residue"))
     if spec.kind == ABELIAN:
         seen = []
         for c in spec.classes:
             seen.extend(c.coset)
         if sorted(seen) != sorted(units):
-            rep.add("CosetsNotPartition",
-                    f"cosets do not partition the units mod {D}")
+            issues.append(("CosetsNotPartition",
+                           f"cosets do not partition the units mod {D}"))
         sizes = {len(c.coset) for c in spec.classes}
         if len(sizes) > 1:
-            rep.add("UnequalCosets", "coset sizes differ")
-        return rep
+            issues.append(("UnequalCosets", "coset sizes differ"))
+        return issues
     # polynomial kind
     f = spec.coeffs
     if f is None or len(f) < 2:
-        rep.add("MissingPolynomial", "polynomial spec without coefficients")
-        return rep
+        return issues + [("MissingPolynomial",
+                          "polynomial spec without coefficients")]
     if f[-1] != 1:
-        rep.add("NotMonic", "defining polynomial must be monic")
+        issues.append(("NotMonic", "defining polynomial must be monic"))
     G = spec.group_order or 0
     if sum(c.class_size for c in spec.classes) != G:
-        rep.add("ClassSizeSum", "class sizes do not sum to the group order")
+        issues.append(("ClassSizeSum",
+                       "class sizes do not sum to the group order"))
     for c in spec.classes:
         if G and G % c.element_order != 0:
-            rep.add("OrderDividesGroup",
-                    f"class {c.label}: order {c.element_order} does not "
-                    f"divide |G|={G}")
+            issues.append(("OrderDividesGroup",
+                           f"class {c.label}: order {c.element_order} does "
+                           f"not divide |G|={G}"))
     disc = spec.ramified_modulus
     if disc == 0:
-        rep.add("SquarefulPolynomial", "discriminant of f is zero")
-        return rep
+        return issues + [("SquarefulPolynomial", "discriminant of f is zero")]
     for p in factorint(D):
         if disc % p != 0:
-            rep.add("ModulusRamification",
-                    f"prime {p} divides the modulus but not disc(f)")
+            issues.append(("ModulusRamification",
+                           f"prime {p} divides the modulus but not disc(f)"))
     if len(f) > 2 and _has_rational_root(f):
-        rep.add("Reducible", "polynomial has a rational root")
-    if rep.ok:
-        _check_keys(spec, rep)
-    return rep
+        issues.append(("Reducible", "polynomial has a rational root"))
+    if not issues:
+        _check_keys(spec, issues)
+    return issues
 
 
 def _has_rational_root(f):
@@ -442,7 +421,7 @@ def _has_rational_root(f):
     return any(sum(c * r**i for i, c in enumerate(f)) == 0 for r in cands)
 
 
-def _check_keys(spec, rep):
+def _check_keys(spec, issues):
     """Each of the first 25 unramified primes matches exactly one
     class: the keys are distinct, so frobenius_class finds at most one."""
     ram = spec.ramified_modulus
@@ -451,7 +430,7 @@ def _check_keys(spec, rep):
         try:
             frobenius_class(spec, p)
         except InconsistentSpec as exc:
-            rep.add("MissingClass", str(exc))
+            issues.append(("MissingClass", str(exc)))
             return
 
 

@@ -2,10 +2,12 @@
 sieved approximants, and the empirical comparisons between them.
 
 G sums log p * e(alpha p) over primes in a fixed Artin class; F sums the
-ideal von Mangoldt function against a character and e(alpha * norm) over a
-quadratic field (or over Q itself).  The sharp variants replace the prime
-indicator by congruence data modulo D and modulo primes up to z; the flat
-variants are the differences the approximation theorems bound.
+ideal von Mangoldt function twisted by chi o N, a Dirichlet character chi
+composed with the norm, against e(alpha * norm) over a quadratic field (or
+over Q itself); the untwisted F takes chi = principal_character(1).  The
+sharp variants replace the prime indicator by congruence data modulo D and
+modulo primes up to z; the flat variants are the differences the
+approximation theorems bound.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import numpy as np
 
 from . import galois, sieve
 from .arith import phi
-from .characters import characters_trivial_on, principal_character
-from .errors import DomainError, UnsupportedInstantiation
-from .expsum import (IdealCharacter, QuadraticField, TRIVIAL_XI, best_approx,
-                     norm_counts)
+from .characters import (DirichletCharacter, characters_trivial_on,
+                         principal_character)
+from .errors import UnsupportedInstantiation
+from .expsum import QuadraticField, best_approx, norm_counts
 
 _ROOT_LIMIT = 1 << 20
 
@@ -48,14 +50,12 @@ class GenfunContext:
     Galois spec and class), the cutoff X, and the sieve level z."""
     X: int
     z: float
-    spec: Optional[galois.GaloisSpec] = None
-    cls: Optional[galois.ClassSpec] = None
+    spec: galois.GaloisSpec
+    cls: galois.ClassSpec
 
     @cached_property
     def primes(self) -> np.ndarray:
         """The primes <= X of the context's class."""
-        if self.spec is None:
-            raise DomainError("context has no Galois spec")
         return sieve.class_primes(self.spec, self.X)[
             self.spec.classes.index(self.cls)]
 
@@ -115,14 +115,14 @@ def _prime_power_terms(fieldL: Optional[QuadraticField], X: int):
         qm = qm * q
 
 
-def eval_F(fieldL: Optional[QuadraticField], xi: IdealCharacter, X: int,
+def eval_F(fieldL: Optional[QuadraticField], chi: DirichletCharacter, X: int,
            alpha) -> complex:
-    """Sum over ideals of norm <= X of Lambda_L * xi * e(alpha * norm);
-    fieldL None evaluates the classical Chebyshev sum over Q."""
+    """Sum over ideals of norm <= X of Lambda_L * chi(norm) * e(alpha *
+    norm); fieldL None evaluates the classical Chebyshev sum over Q."""
     if X < 2:
         return 0j
     norms, weights = _prime_power_terms(fieldL, X)
-    vals = weights * xi.norm_table(norms)
+    vals = weights * chi.value_table()[norms % chi.modulus]
     return complex(np.dot(vals, phase_array(norms, alpha)))
 
 
@@ -135,54 +135,41 @@ def _norm_image_subgroup(fieldL: Optional[QuadraticField]):
     return m, np.nonzero(fieldL.chi_table == 1)[0]
 
 
-def eval_F_sharp(fieldL: Optional[QuadraticField], xi: IdealCharacter,
+def eval_F_sharp(fieldL: Optional[QuadraticField], chi: DirichletCharacter,
                  X: int, z: float, alpha) -> complex:
-    """The sieved approximant: zero unless xi is trivial or composed with
-    the norm, else the congruence-weighted sum with the z-sieve."""
-    if xi.kind == "other" or X < 1:
+    """The sieved approximant: the congruence-weighted sum with the
+    z-sieve, twisted by chi(n)."""
+    if X < 1:
         return 0j
     w = sieve.sharp_weights(X, z, *_norm_image_subgroup(fieldL))
     ns = np.nonzero(w)[0]
-    w = w[ns]
-    if xi.kind == "norm":
-        w = w * xi.chi.value_table()[ns % xi.chi.modulus]
+    w = w[ns] * chi.value_table()[ns % chi.modulus]
     return complex(np.dot(w, phase_array(ns, alpha)))
 
 
-def eval_F_flat(fieldL, xi, X, z, alpha) -> complex:
-    return eval_F(fieldL, xi, X, alpha) - \
-        eval_F_sharp(fieldL, xi, X, z, alpha)
+def eval_F_flat(fieldL, chi, X, z, alpha) -> complex:
+    return eval_F(fieldL, chi, X, alpha) - \
+        eval_F_sharp(fieldL, chi, X, z, alpha)
 
 
-def gf_relation_residual(ctx: GenfunContext, alpha, via: str = "auto") -> float:
+def gf_relation_residual(ctx: GenfunContext, alpha) -> float:
     """|G - (|C|/|G|) sum over characters of the matching F| — the residual
     that grows like sqrt(X).
 
-    via="field": K = Q(i) with the identity class, compared against the
-    trivial-character ideal sum over Q(i).  via="dirichlet": any abelian
-    spec, compared against Dirichlet-twisted sums over Q.
+    K = Q(i) with the identity class is compared against the untwisted
+    ideal sum over Q(i); any other abelian spec against Dirichlet-twisted
+    sums over Q.
     """
     spec, cls = ctx.spec, ctx.cls
-    if spec is None:
-        raise UnsupportedInstantiation("context has no Galois spec")
     if ctx.X < 2:
         return 0.0
-    if via == "auto":
-        via = "field" if (spec.kind == "abelian" and spec.modulus == 4
-                          and cls.coset == frozenset({1})) else "dirichlet"
-    G = eval_G(ctx, alpha)
-    if via == "field":
-        if not (spec.kind == "abelian" and spec.modulus == 4
-                and cls.coset == frozenset({1})):
-            raise UnsupportedInstantiation(
-                "field instantiation requires Q(i) with the identity class")
-        F = eval_F(QuadraticField(-4), TRIVIAL_XI, ctx.X, alpha)
-        return abs(G - 0.5 * F)
-    if via != "dirichlet":
-        raise UnsupportedInstantiation(via)
-    if spec.kind != "abelian":
+    if spec.kind != galois.ABELIAN:
         raise UnsupportedInstantiation(
-            "dirichlet instantiation requires an abelian spec")
+            "the G-vs-F comparison requires an abelian spec")
+    G = eval_G(ctx, alpha)
+    if spec.modulus == 4 and cls.coset == frozenset({1}):
+        F = eval_F(QuadraticField(-4), principal_character(1), ctx.X, alpha)
+        return abs(G - 0.5 * F)
     D = spec.modulus
     if D == 1:
         chars, c, pref = [principal_character(1)], 1, 1.0
@@ -194,8 +181,7 @@ def gf_relation_residual(ctx: GenfunContext, alpha, via: str = "auto") -> float:
         pref = len(identity_coset) / phi(D)
     acc = 0j
     for ch in chars:
-        F = eval_F(None, IdealCharacter("norm", ch), ctx.X, alpha)
-        acc += np.conj(ch(c)) * F
+        acc += np.conj(ch(c)) * eval_F(None, ch, ctx.X, alpha)
     return abs(G - pref * acc)
 
 
@@ -223,30 +209,26 @@ class ZeroRatio:
     expected_r: int
 
 
-def F_at_zero_ratio(fieldL: Optional[QuadraticField], xi: IdealCharacter,
+def F_at_zero_ratio(fieldL: Optional[QuadraticField], chi: DirichletCharacter,
                     Y: int) -> ZeroRatio:
-    """F(0)/Y against the density r: r = 1 when xi is trivial as a
-    function on ideals (in particular when the composed Dirichlet
-    character is 1 on every attainable norm residue), else r = 0."""
+    """F(0)/Y against the density r: r = 1 when chi o N is trivial as a
+    function on ideals (chi is 1 on every attainable norm residue), else
+    r = 0."""
     if Y < 2:
         return ZeroRatio(0.0, 0)
-    val = eval_F(fieldL, xi, Y, 0.0).real / Y
-    expected = 1 if _xi_trivial_on_ideals(fieldL, xi) else 0
+    val = eval_F(fieldL, chi, Y, 0.0).real / Y
+    expected = 1 if _trivial_on_ideals(fieldL, chi) else 0
     return ZeroRatio(val, expected)
 
 
-def _xi_trivial_on_ideals(fieldL: Optional[QuadraticField],
-                          xi: IdealCharacter) -> bool:
-    if xi.kind == "trivial":
-        return True
-    if xi.kind != "norm":
-        return False
+def _trivial_on_ideals(fieldL: Optional[QuadraticField],
+                       chi: DirichletCharacter) -> bool:
     if fieldL is None:
-        return xi.chi.is_principal
-    bound = max(200, 4 * xi.chi.modulus * abs(fieldL.d))
+        return chi.is_principal
+    bound = max(200, 4 * chi.modulus * abs(fieldL.d))
     r = norm_counts(fieldL, bound)
     for m in range(1, bound + 1):
-        if r[m] != 0 and math.gcd(m, xi.chi.modulus) == 1:
-            if abs(xi.chi(m) - 1) > 1e-9:
+        if r[m] != 0 and math.gcd(m, chi.modulus) == 1:
+            if abs(chi(m) - 1) > 1e-9:
                 return False
     return True

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import galois
 from .arith import phi
+from .errors import DomainError
 
 
 def primes_upto(x) -> np.ndarray:
@@ -83,6 +84,8 @@ def lambda_kc(spec: galois.GaloisSpec, cls: galois.ClassSpec,
 def smooth_count(z: float, Y: float) -> int:
     """Number of squarefree z-smooth n <= Y (n=1 included), by depth-first
     product enumeration; never materializes non-smooth integers."""
+    if not (math.isfinite(z) and math.isfinite(Y)):
+        raise DomainError("z and Y must be finite")
     primes = primes_upto(z).tolist()
 
     def walk(i, prod):

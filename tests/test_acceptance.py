@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from chebcircle import circle, ecapp, expsum, galois, genfun, sieve, singular
-from chebcircle.expsum import QuadraticField, TRIVIAL_XI, norm_composed
-from chebcircle.characters import kronecker_character
+from chebcircle.expsum import QuadraticField
+from chebcircle.characters import kronecker_character, principal_character
 from chebcircle.instance import (FieldClass, ProblemInstance,
                                  classical_instance, uniform_instance)
 
@@ -143,17 +143,18 @@ def test_relation_residual_grows_no_faster_than_sqrt():
         spec = galois.builtin_spec("gaussian")
         ctx_e = genfun.GenfunContext(X, z, spec, spec.class_by_label("e"))
         ctx_c = genfun.GenfunContext(X, z, spec, spec.class_by_label("c"))
-        for via, ctx in (("field", ctx_e), ("dirichlet", ctx_c)):
-            vals = sorted(genfun.gf_relation_residual(ctx, a, via=via)
+        for route, ctx in (("field", ctx_e), ("dirichlet", ctx_c)):
+            vals = sorted(genfun.gf_relation_residual(ctx, a)
                           for a in alphas)
-            medians[via][X] = vals[len(vals) // 2]
-    for via in ("field", "dirichlet"):
-        assert medians[via][10**5] / medians[via][10**4] <= 3 * math.sqrt(10)
+            medians[route][X] = vals[len(vals) // 2]
+    for route in ("field", "dirichlet"):
+        assert medians[route][10**5] / medians[route][10**4] \
+            <= 3 * math.sqrt(10)
 
 
 def test_ideal_sum_density_at_zero_trivial_character():
     K = QuadraticField(-4)
-    zr = genfun.F_at_zero_ratio(K, TRIVIAL_XI, 10**6)
+    zr = genfun.F_at_zero_ratio(K, principal_character(1), 10**6)
     assert 0.98 <= zr.ratio <= 1.02
 
 
@@ -163,15 +164,13 @@ def test_twisted_ideal_sum_cancellation_at_zero():
     # L(s, chi_{-3}) L(s, chi_{12}), with no pole at s = 1, so the prime
     # ideal theorem for Hecke characters makes F(0)/Y tend to 0.
     K = QuadraticField(-4)
-    xi = norm_composed(kronecker_character(-3))
-    zr = genfun.F_at_zero_ratio(K, xi, 10**6)
+    zr = genfun.F_at_zero_ratio(K, kronecker_character(-3), 10**6)
     assert zr.expected_r == 0
     assert abs(zr.ratio) <= 0.02
     # chi_{-4} composed with the norm cannot cancel: an odd sum of two
     # squares is 1 mod 4, so it is 1 on every ideal prime to (1+i) and
     # the sum keeps the density 1 of the trivial character.
-    xi = norm_composed(kronecker_character(-4))
-    zr = genfun.F_at_zero_ratio(K, xi, 10**6)
+    zr = genfun.F_at_zero_ratio(K, kronecker_character(-4), 10**6)
     assert zr.expected_r == 1
     assert abs(zr.ratio - 1) <= 0.02
 

@@ -88,12 +88,32 @@ class TestRepresentationCounts:
             circle.weighted_counts(inst)
 
     def test_memory_estimate_tracks_measured_peak(self):
-        # peak RSS of the all-N count on trivial x3, a = (1, 1, 1): 32 MiB
-        # at X = 10^4, 215 MiB at 10^6 and 764 MiB at 4 * 10^6, about
-        # 30 MiB of it the interpreter and numpy
-        for X, rss_mib in ((10**4, 32), (10**6, 215), (4 * 10**6, 764)):
-            est = circle.estimated_bytes(classical_instance(X)) / 2**20
-            assert 0.8 * rss_mib <= est <= 1.2 * rss_mib
+        # peak RSS (ru_maxrss) of weighted_counts, one fresh process per
+        # instance, about 29 MiB of it the interpreter and numpy
+        t, g, s, d = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
+        s3 = [(s, "1"), (s, "2"), (s, "3")]
+        d4 = [(d, "r"), (d, "s"), (d, "t"), (d, "e")]
+        peaks = [  # (field-class pairs, a, X, MiB)
+            ([(t, "e")] * 3, (1, 1, 1), 10**4, 30.5),
+            ([(t, "e")] * 3, (1, 1, 1), 2 * 10**5, 63.6),
+            ([(t, "e")] * 3, (1, 1, 1), 10**6, 167.5),
+            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 579.4),
+            ([(t, "e")] * 2, (1, 1), 4 * 10**6, 323.4),
+            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 167.6),
+            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**6, 174.9),
+            ([(g, "e"), (g, "c")], (2, -1), 2 * 10**6, 349.6),
+            ([(g, "e")] * 2 + [(g, "c")] * 2, (1, 1, 1, 1), 2 * 10**6,
+             319.2),
+            (s3, (1, 1, 1), 10**6, 184.1),
+            (s3, (1, 1, 1), 2 * 10**6, 337.0),
+            ([(s, "1"), (s, "1"), (s, "2")], (1, 2, 3), 5 * 10**5, 179.5),
+            (d4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 70.0),
+            (d4, (1, 1, 1, 1), 10**6, 189.9),
+        ]
+        for fields, a, X, rss_mib in peaks:
+            inst = TestCountsAt.instance(fields, a, X)
+            est = circle.estimated_bytes(inst) / 2**20
+            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (fields, a, X)
 
     def test_memory_gate_allocates_nothing(self):
         inst = classical_instance(10**9)
@@ -433,7 +453,7 @@ class TestCountsAt:
         # an all-N transform's round-off is large against them
         N = max(oracle)
         ps = [int(p) for p in sieve.primes_upto(inst.X) if p >= N - 2 * inst.X
-              and galois.frobenius_class(spec, int(p)).class_label == "1"]
+              and galois.frobenius_class(spec, int(p)) == 0]  # class "1"
         terms = [math.log(p) * math.log(q) * math.log(N - p - q)
                  for p in ps for q in ps if N - p - q in ps]
         direct = math.fsum(terms)

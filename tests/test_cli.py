@@ -85,6 +85,26 @@ class TestSimpleCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["genfun", "--builtin", "gaussian-e", "--X", "100", "--alpha", "1/0"],
+        ["expsum", "--coeffs", "0,0,1", "--alpha", "1/0", "--X", "10"],
+        ["ratapprox", "--alpha", "1/0", "--qmax", "10"],
+        ["expsum", "--coeffs", "0,0,1", "--alpha", "0.3", "--X", "0"],
+        ["expsum", "--coeffs", "0,0,1", "--alpha", "0.3", "--X", "-3"],
+        ["smooth", "--z", "inf", "--Y", "10"],
+        ["smooth", "--z", "10", "--Y", "nan"],
+        ["verify", "INSTANCE", "--pmax", "0", "--out-dir", "OUT"],
+        ["local-factors", "INSTANCE", "--pmax", "0"],
+    ])
+    def test_bad_numeric_argument_exit_2(self, tmp_path, capsys, argv):
+        paths = {"INSTANCE": write_instance(tmp_path, SMALL_CLASSICAL),
+                 "OUT": str(tmp_path / "out")}
+        code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2, err
+        assert err.startswith("error: ")
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_ec_construct(self, capsys):
         code, out, _ = run(capsys, "ec-construct", "--field", "trivial",
                            "--limit", "10000")

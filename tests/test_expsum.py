@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from chebcircle import expsum
+from chebcircle.characters import principal_character
 from chebcircle.errors import DegenerateAlpha, DomainError
 
 PHI = (1 + math.sqrt(5)) / 2
+ONE = principal_character(1)
 
 
 class TestBestApprox:
@@ -133,6 +135,13 @@ class TestNormCounts:
                     counts[n] += 1
         assert np.array_equal(r[1:], counts[1:])
 
+    def test_shared_and_read_only(self):
+        K = expsum.QuadraticField(-4)
+        r = expsum.norm_counts(K, 50)
+        assert expsum.norm_counts(expsum.QuadraticField(-4), 50) is r
+        with pytest.raises(ValueError):
+            r[1] = 7
+
     def test_not_fundamental(self):
         with pytest.raises(DomainError):
             expsum.QuadraticField(-3 * 4)
@@ -149,18 +158,18 @@ class TestNormCounts:
 class TestIdealExpSum:
     def test_zero_alpha_counts_ideals(self):
         K = expsum.QuadraticField(-4)
-        got = expsum.ideal_exp_sum(K, expsum.TRIVIAL_XI, 0.0, 10)
+        got = expsum.ideal_exp_sum(K, ONE, 0.0, 10)
         assert got == pytest.approx(9)
 
     def test_half_alpha(self):
         K = expsum.QuadraticField(-4)
-        got = expsum.ideal_exp_sum(K, expsum.TRIVIAL_XI, 0.5, 4)
+        got = expsum.ideal_exp_sum(K, ONE, 0.5, 4)
         assert got == pytest.approx(1 + 0j, abs=1e-9)
 
     def test_gauss_circle_constant(self):
         K = expsum.QuadraticField(-4)
         X = 10**6
-        got = expsum.ideal_exp_sum(K, expsum.TRIVIAL_XI, 0.0, X).real / X
+        got = expsum.ideal_exp_sum(K, ONE, 0.0, X).real / X
         assert got == pytest.approx(math.pi / 4, rel=0.01)
 
 

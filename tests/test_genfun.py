@@ -7,10 +7,11 @@ import pytest
 
 from chebcircle import galois, genfun
 from chebcircle.arith import is_prime
-from chebcircle.errors import DomainError, UnsupportedInstantiation
-from chebcircle.expsum import (IdealCharacter, QuadraticField, TRIVIAL_XI,
-                               norm_composed, norm_counts)
+from chebcircle.errors import UnsupportedInstantiation
+from chebcircle.expsum import QuadraticField, norm_counts
 from chebcircle.characters import kronecker_character, principal_character
+
+ONE = principal_character(1)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -49,22 +50,22 @@ class TestEvalG:
 
 class TestEvalF:
     def test_chebyshev_psi(self):
-        got = genfun.eval_F(None, TRIVIAL_XI, 10, 0.0)
+        got = genfun.eval_F(None, ONE, 10, 0.0)
         want = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
         assert got.real == pytest.approx(want)
 
     def test_gaussian_small_cutoff(self):
-        got = genfun.eval_F(QuadraticField(-4), TRIVIAL_XI, 5, 0.0)
+        got = genfun.eval_F(QuadraticField(-4), ONE, 5, 0.0)
         want = 2 * math.log(2) + 2 * math.log(5)
         assert got.real == pytest.approx(want)
 
     def test_integer_alpha(self):
         K = QuadraticField(-4)
-        assert genfun.eval_F(K, TRIVIAL_XI, 100, Fraction(3)) \
-            == pytest.approx(genfun.eval_F(K, TRIVIAL_XI, 100, 0.0))
+        assert genfun.eval_F(K, ONE, 100, Fraction(3)) \
+            == pytest.approx(genfun.eval_F(K, ONE, 100, 0.0))
 
     def test_below_two(self):
-        assert genfun.eval_F(None, TRIVIAL_XI, 1, 0.3) == 0j
+        assert genfun.eval_F(None, ONE, 1, 0.3) == 0j
 
     def test_gaussian_lattice_walk_oracle(self):
         # enumerate the prime elements of Z[i] directly: one associate per
@@ -133,14 +134,9 @@ class TestSharpApproximants:
         assert genfun.eval_G_sharp(ctx, 0.0).real == pytest.approx(6)
 
     def test_f_sharp_norm_residues(self):
-        got = genfun.eval_F_sharp(QuadraticField(-4), TRIVIAL_XI, 10, 2.0,
+        got = genfun.eval_F_sharp(QuadraticField(-4), ONE, 10, 2.0,
                                   0.0)
         assert got.real == pytest.approx(12)
-
-    def test_f_sharp_other_character_vanishes(self):
-        xi = IdealCharacter("other")
-        assert genfun.eval_F_sharp(QuadraticField(-4), xi, 100, 2.0, 0.3) \
-            == 0j
 
     def test_flat_is_exact_difference(self):
         ctx = ctx_for("gaussian", "e", 1000)
@@ -155,15 +151,10 @@ class TestSharpApproximants:
 
 
 class TestRelationResidual:
-    def test_field_route_requires_gaussian_identity(self):
-        ctx = ctx_for("gaussian", "c", 100)
-        with pytest.raises(UnsupportedInstantiation):
-            genfun.gf_relation_residual(ctx, 0.3, via="field")
-
     def test_dirichlet_route_requires_abelian(self):
         ctx = ctx_for("s3-cbrt2", "1", 100)
         with pytest.raises(UnsupportedInstantiation):
-            genfun.gf_relation_residual(ctx, 0.3, via="dirichlet")
+            genfun.gf_relation_residual(ctx, 0.3)
 
     def test_sqrt_x_bound_both_routes(self):
         rng = random.Random(23)
@@ -173,10 +164,8 @@ class TestRelationResidual:
         ctx_c = ctx_for("gaussian", "c", X)
         for _ in range(64):
             alpha = rng.random()
-            assert genfun.gf_relation_residual(ctx_e, alpha, via="field") \
-                <= bound
-            assert genfun.gf_relation_residual(ctx_c, alpha,
-                                               via="dirichlet") <= bound
+            assert genfun.gf_relation_residual(ctx_e, alpha) <= bound
+            assert genfun.gf_relation_residual(ctx_c, alpha) <= bound
 
     def test_trivial_spec_dirichlet_route(self):
         ctx = ctx_for("trivial", "e", 10**4)
@@ -210,7 +199,7 @@ class TestFlatDecay:
         vals = []
         for X in (10**4, 10**5, 10**6):
             z = math.log(X) ** 4
-            vals.append(max(abs(genfun.eval_F_flat(K, TRIVIAL_XI, X, z, a))
+            vals.append(max(abs(genfun.eval_F_flat(K, ONE, X, z, a))
                             * math.log(X) / X for a in grid))
         assert vals[0] >= vals[1] >= vals[2]
 
@@ -218,26 +207,24 @@ class TestFlatDecay:
 class TestFAtZero:
     def test_trivial_character(self):
         K = QuadraticField(-4)
-        zr = genfun.F_at_zero_ratio(K, TRIVIAL_XI, 10**4)
+        zr = genfun.F_at_zero_ratio(K, ONE, 10**4)
         assert zr.expected_r == 1
         assert zr.ratio == pytest.approx(1.0, abs=0.05)
 
-    def test_norm_composed_mod4_is_trivial_on_ideals(self):
+    def test_chi_minus4_of_norm_is_trivial_on_ideals(self):
         # every coprime norm in Z[i] is 1 mod 4, so the twist is invisible
         K = QuadraticField(-4)
-        xi = norm_composed(kronecker_character(-4))
-        zr = genfun.F_at_zero_ratio(K, xi, 10**4)
+        zr = genfun.F_at_zero_ratio(K, kronecker_character(-4), 10**4)
         assert zr.expected_r == 1
         assert zr.ratio == pytest.approx(1.0, abs=0.05)
 
     def test_genuinely_twisted_rational_sum_cancels(self):
-        xi = norm_composed(kronecker_character(-4))
-        zr = genfun.F_at_zero_ratio(None, xi, 10**4)
+        zr = genfun.F_at_zero_ratio(None, kronecker_character(-4), 10**4)
         assert zr.expected_r == 0
         assert abs(zr.ratio) <= 0.02
 
     def test_tiny_cutoff(self):
-        zr = genfun.F_at_zero_ratio(QuadraticField(-4), TRIVIAL_XI, 1)
+        zr = genfun.F_at_zero_ratio(QuadraticField(-4), ONE, 1)
         assert zr.ratio == 0.0
 
 
