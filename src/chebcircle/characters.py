@@ -8,6 +8,7 @@ table indexed by residue (zero off the units).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +54,7 @@ def kronecker(d: int, n: int) -> int:
 @dataclass(frozen=True)
 class DirichletCharacter:
     modulus: int
-    values: tuple  # complex, length modulus (length 1 for modulus 1)
+    values: tuple  # complex, length modulus
     label: str = ""
 
     def __call__(self, n: int) -> complex:
@@ -71,9 +72,8 @@ class DirichletCharacter:
 
 
 def principal_character(D: int) -> DirichletCharacter:
-    vals = tuple(1.0 + 0j if math.gcd(r, D) == 1 else 0j for r in range(D)) \
-        if D > 1 else (1.0 + 0j,)
-    return DirichletCharacter(max(D, 1), vals, "1")
+    vals = tuple(1.0 + 0j if math.gcd(r, D) == 1 else 0j for r in range(D))
+    return DirichletCharacter(D, vals, "1")
 
 
 def kronecker_character(d: int) -> DirichletCharacter:
@@ -118,10 +118,11 @@ def dirichlet_characters(D: int) -> tuple:
             gens.append((lifted % D, order))
     # discrete logs of every unit with respect to the generator tuple
     units = [u for u in range(D) if math.gcd(u, D) == 1]
-    dlogs = {}
-    _enumerate_dlogs(D, gens, 0, 1, (), dlogs)
+    orders = [range(o) for _, o in gens]
+    dlogs = {math.prod(pow(g, k, D) for (g, _), k in zip(gens, expo)) % D:
+             expo for expo in itertools.product(*orders)}
     chars = []
-    for idx in _exponent_tuples([o for _, o in gens]):
+    for idx in itertools.product(*orders):
         vals = [0j] * D
         for u in units:
             expo = dlogs[u]
@@ -138,26 +139,6 @@ def _crt_lift(a, m, b, n):
         return a % m
     inv = pow(m, -1, n)
     return (a + m * ((b - a) * inv % n)) % (m * n)
-
-
-def _enumerate_dlogs(D, gens, i, acc, expo, out):
-    if i == len(gens):
-        out[acc % D] = expo
-        return
-    g, order = gens[i]
-    cur = 1
-    for k in range(order):
-        _enumerate_dlogs(D, gens, i + 1, acc * cur % D, expo + (k,), out)
-        cur = cur * g % D
-
-
-def _exponent_tuples(orders):
-    if not orders:
-        yield ()
-        return
-    for head in range(orders[0]):
-        for tail in _exponent_tuples(orders[1:]):
-            yield (head,) + tail
 
 
 def characters_trivial_on(D: int, subgroup) -> list:

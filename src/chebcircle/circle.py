@@ -15,18 +15,17 @@ from .errors import ResourceLimit
 from .instance import ProblemInstance
 
 MAX_BYTES = 4 * 2**30
-EXACT_X_LIMIT = 10**4
-# Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
+# Peak bytes of the interpreter and numpy, per FFT point, per FFT point for
+# each spectrum _convolve holds while it transforms another, per unit of X,
 # and per unit of X and of |a_i| for each distinct (component, a_i), whose
 # embedded array _convolve transforms once; fitted to the peak RSS of
-# weighted_counts on 14 instances (k = 2..4, X = 1e4..4e6, one to four
+# weighted_counts on 16 instances (k = 2..4, X = 1e4..4e6, one to four
 # distinct components), each within 3% of its measurement.  The rows-only
-# counts_at convolves k - 1 components in two channels: below the estimate
-# when its shorter span takes a shorter transform (trivial x3 at X = 1e6:
-# 128 MiB against 170), up to about 1.3 times it when both spans round up
-# to one length (trivial x4 at X = 1e6: 208 MiB).
+# counts_at convolves k - 1 of the components, one channel at a time, so
+# it peaks within 1% of the same estimate or below it.
 BYTES_BASE = 29 * 2**20
 BYTES_PER_FFT_POINT = 32
+BYTES_PER_HELD_POINT = 8
 BYTES_PER_X = 3
 BYTES_PER_COMPONENT_X = 9
 # Grid rows per block of parseval_check's phase matrix: a block holds
@@ -72,7 +71,8 @@ def _convolve(arrays, a) -> np.ndarray:
 
 def _exact_convolve(arrays, a) -> np.ndarray:
     """_convolve by big-integer multiplication (Kronecker substitution,
-    base 2^64); exact for nonnegative integer entries."""
+    base 2^64); exact for nonnegative integer entries, and the reference
+    that the rounded FFT counts are tested against."""
     acc = math.prod(int.from_bytes(_embed(v, ai).astype("<u8").tobytes(),
                                    "little")
                     for v, ai in zip(arrays, a))
@@ -80,24 +80,24 @@ def _exact_convolve(arrays, a) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").astype(np.int64)
 
 
-def _count_convolve(indicators, a, X: int) -> np.ndarray:
-    """_convolve of 0/1 indicator arrays as int64 counts: exact
-    multiplication when X <= EXACT_X_LIMIT, else the FFT rounded."""
-    if X <= EXACT_X_LIMIT:
-        return _exact_convolve(indicators, a)
-    counts = np.rint(_convolve(indicators, a)).astype(np.int64)
-    np.maximum(counts, 0, out=counts)
-    return counts
+def _held_spectra(keys) -> int:
+    """Most spectra _convolve holds while it transforms another: at each
+    first use of a key, the earlier keys that recur later."""
+    return max(len(set(keys[:i]) & set(keys[i + 1:]))
+               for i, key in enumerate(keys) if key not in keys[:i])
 
 
 def estimated_bytes(inst: ProblemInstance) -> int:
     """Estimated peak memory of the all-N count weighted_counts on inst,
-    prime lists included; allocates nothing."""
-    embedded = sum(abs(ai) for _, ai in set(zip(inst.components, inst.a)))
+    prime lists included, which also bounds the rows-only counts_at;
+    allocates nothing."""
+    keys = list(zip(inst.components, inst.a))
+    embedded = sum(abs(ai) for _, ai in set(keys))
     per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * embedded
+    per_point = (BYTES_PER_FFT_POINT
+                 + BYTES_PER_HELD_POINT * _held_spectra(keys))
     lo, hi = inst.attainable_range
-    return (BYTES_BASE + BYTES_PER_FFT_POINT * _fft_len(hi - lo)
-            + per_x * (inst.X + 1))
+    return BYTES_BASE + per_point * _fft_len(hi - lo) + per_x * (inst.X + 1)
 
 
 def check_memory(inst: ProblemInstance):
@@ -149,34 +149,40 @@ def weighted_counts(inst: ProblemInstance) -> np.ndarray:
     return _log_convolution(_component_primes(inst), inst)
 
 
+def _rows(head, a, last, ak: int, Ns, weights=None) -> np.ndarray:
+    """For each N of Ns, the sum over the primes q of last of the head's
+    coefficient at N - ak q: weighted by weights[j] at the j-th prime as
+    float64 when weights are given, else as int64 counts.  The head,
+    prod_i sum_n head[i][n] x^(a_i n), is head[0] embedded when there is
+    one array, else their FFT convolution, rounded when counting."""
+    h = _embed(head[0], a[0]) if len(head) == 1 else _convolve(head, a)
+    if weights is None and len(head) > 1:
+        h = np.rint(h).astype(np.int64)
+        np.maximum(h, 0, out=h)
+    shifted = sum(ai * (len(v) - 1) for v, ai in zip(head, a) if ai < 0)
+    shifted += ak * last
+    out = np.zeros(len(Ns), np.int64 if weights is None else np.float64)
+    for i, N in enumerate(Ns):
+        idx = N - shifted
+        ok = (idx >= 0) & (idx < len(h))
+        out[i] = (np.sum(h[idx[ok]], dtype=np.int64) if weights is None
+                  else h[idx[ok]] @ weights[ok])
+    return out
+
+
 def counts_at(inst: ProblemInstance, Ns):
     """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
-    arrays.  Components 1..k-1 are convolved once per channel (the head);
-    each S(N) then sums the head at N - a_k q over the last component's
-    primes q, times log q for the weighted value, which is clamped at 0
-    against FFT round-off."""
+    arrays, by _rows over components 1..k-1 (the head) and the last
+    component's primes, one channel after the other, so that only one
+    head is held at a time.  The weighted value is clamped at 0 against
+    FFT round-off."""
     comps = _component_primes(inst)
     head, last = comps[:-1], comps[-1]
     a, ak = inst.a[:-1], inst.a[-1]
-    weights = _dense(head, inst.X, True)
-    ones = _dense(head, inst.X, False)
-    if len(head) == 1:
-        hw = _embed(weights[0], a[0])
-        hu = _embed(ones[0], a[0])
-    else:
-        hw = _convolve(weights, a)
-        hu = _count_convolve(ones, a, inst.X)
-    lo = inst.X * sum(v for v in a if v < 0)
-    shifted = lo + ak * last
     logs = np.log(last.astype(np.float64))
-    weighted = np.zeros(len(Ns))
-    unweighted = np.zeros(len(Ns), dtype=np.int64)
-    for i, N in enumerate(Ns):
-        idx = N - shifted
-        ok = (idx >= 0) & (idx < len(hw))
-        weighted[i] = hw[idx[ok]] @ logs[ok]
-        unweighted[i] = np.sum(hu[idx[ok]], dtype=np.int64)
+    weighted = _rows(_dense(head, inst.X, True), a, last, ak, Ns, logs)
     np.maximum(weighted, 0.0, out=weighted)
+    unweighted = _rows(_dense(head, inst.X, False), a, last, ak, Ns)
     return weighted, unweighted
 
 

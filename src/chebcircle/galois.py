@@ -233,8 +233,6 @@ def _resultant(f, g):
 
 
 def _units(D):
-    if D == 1:
-        return [0]
     return [u for u in range(D) if math.gcd(u, D) == 1]
 
 

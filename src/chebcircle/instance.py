@@ -62,18 +62,9 @@ class ProblemInstance:
     def lifted_cosets(self):
         """Each class coset lifted from (Z/D_i)^* to (Z/D)^*, D the lcm."""
         D = self.modulus
-        out = []
-        for fc in self.components:
-            Di = fc.spec.modulus
-            if Di == 1:
-                out.append(frozenset(r for r in range(D)
-                                     if math.gcd(r, D) == 1) if D > 1
-                           else frozenset({0}))
-            else:
-                out.append(frozenset(r for r in range(D)
-                                     if math.gcd(r, D) == 1
-                                     and (r % Di) in fc.cls.coset))
-        return out
+        return [frozenset(r for r in range(D) if math.gcd(r, D) == 1
+                          and r % fc.spec.modulus in fc.cls.coset)
+                for fc in self.components]
 
     @property
     def attainable_range(self):

@@ -74,8 +74,6 @@ def lambda_kc(spec: galois.GaloisSpec, cls: galois.ClassSpec,
               n: int) -> Fraction:
     """phi(D)/|H| on the class coset mod the spec's modulus, else 0."""
     D = spec.modulus
-    if D == 1:
-        return Fraction(1)
     if n % D in cls.coset:
         return Fraction(phi(D), len(cls.coset))
     return Fraction(0)

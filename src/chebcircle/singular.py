@@ -79,8 +79,6 @@ def _cyclic_convolve(u, v, D):
 
 def c_D(cosets, a, N: int, D: int) -> Fraction:
     """D * #{x_i in H_i : sum a_i x_i = N mod D} / prod |H_i|, exact."""
-    if D == 1:
-        return Fraction(1)
     acc = None
     denom = 1
     for H, ai in zip(cosets, a):

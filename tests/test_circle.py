@@ -109,6 +109,10 @@ class TestRepresentationCounts:
             ([(s, "1"), (s, "1"), (s, "2")], (1, 2, 3), 5 * 10**5, 179.5),
             (d4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 70.0),
             (d4, (1, 1, 1, 1), 10**6, 189.9),
+            # interleaved repeats: _convolve holds one spectrum while it
+            # transforms the other
+            ([(d, "r"), (d, "s")] * 2, (1, 1, 1, 1), 10**6, 206.3),
+            ([(g, "e"), (g, "c")] * 2, (1, 1, 1, 1), 10**6, 206.9),
         ]
         for fields, a, X, rss_mib in peaks:
             inst = TestCountsAt.instance(fields, a, X)
@@ -229,21 +233,6 @@ class TestFlatNorms:
             vals.append(l2 / X**1.5)
         assert vals[1] < vals[0]
 
-    def test_no_unweighted_channel(self, monkeypatch):
-        calls = []
-        real = circle._exact_convolve
-
-        def counting(arrays, a):
-            calls.append(a)
-            return real(arrays, a)
-
-        monkeypatch.setattr(circle, "_exact_convolve", counting)
-        X = 10**3
-        assert X <= circle.EXACT_X_LIMIT
-        inst = uniform_instance("trivial", "e", 2, (1, 1), X)
-        circle.h_flat_norms(inst, math.log(X) ** 2)
-        assert calls == []
-
     def test_l2_parseval_vs_grid(self):
         X = 10**3
         inst = uniform_instance("trivial", "e", 2, (1, 1), X)
@@ -334,18 +323,8 @@ class TestParseval:
         assert rhs == pytest.approx(lhs, rel=0.005)
 
 
-class TestExactConvolutionChannel:
-    def test_matches_fft_at_small_x(self):
-        inst = classical_instance(800)
-        ones = circle._dense(circle._component_primes(inst), inst.X, False)
-        exact = circle._count_convolve(ones, inst.a, inst.X)
-        # recompute the unweighted channel by FFT and compare
-        fft_u = np.rint(circle._convolve(ones, inst.a)).astype(np.int64)
-        assert np.array_equal(np.maximum(fft_u, 0), exact)
-
-
 class TestFFTChannel:
-    X = 12000  # above EXACT_X_LIMIT: both channels go through the FFT
+    X = 12000
 
     def instance(self, fields, a):
         comps = []
@@ -362,7 +341,6 @@ class TestFFTChannel:
     ])
     def test_each_distinct_component_transformed_once(
             self, monkeypatch, fields, transforms):
-        assert self.X > circle.EXACT_X_LIMIT
         calls = []
         real = np.fft.rfft
 
@@ -402,7 +380,7 @@ class TestCountsAt:
     """counts_at, the rows-only path of verify, against the all-N
     weighted_counts, an exact convolution of all k indicator arrays, and
     the oracle."""
-    X_ABOVE = circle.EXACT_X_LIMIT + 500
+    X_ABOVE = 10500
 
     @staticmethod
     def instance(fields, a, X):
@@ -412,7 +390,7 @@ class TestCountsAt:
             comps.append(FieldClass(spec, spec.class_by_label(label)))
         return ProblemInstance(tuple(comps), a, X)
 
-    @pytest.mark.parametrize("X", [3000, X_ABOVE])
+    @pytest.mark.parametrize("X", [800, 3000, X_ABOVE])
     @pytest.mark.parametrize("fields,a", [
         ((("gaussian", "c"), ("trivial", "e")), (3, -2)),
         ((("s3-cbrt2", "2"),) * 2, (-1, 1)),
@@ -440,6 +418,21 @@ class TestCountsAt:
         for N, got in zip(Ns, weighted.tolist()):
             want = at(every, N)
             assert abs(got - want) <= 1e-12 * want + tol, N
+
+    def test_peak_memory_within_all_n_count(self):
+        # one channel's head at a time: no more than the all-N count holds
+        inst = classical_instance(10**5, k=4)
+        lo, hi = inst.attainable_range
+        Ns = [(lo + hi) // 2 + 2 * i + 1 for i in range(20)]
+        peaks = []
+        for run in (circle.weighted_counts, lambda i: circle.counts_at(i, Ns)):
+            tracemalloc.start()
+            try:
+                run(inst)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], [p / 2**20 for p in peaks]
 
     def test_matches_oracle_above_exact_limit(self):
         spec = galois.builtin_spec("s3-cbrt2")

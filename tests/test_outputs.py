@@ -18,6 +18,7 @@ DATA = Path(__file__).parent / "data"
     ("s3-cbrt2", str(DATA / "s3-cbrt2" / "instance.json")),
     ("gaussian-c-trivial-e",
      str(DATA / "gaussian-c-trivial-e" / "instance.json")),
+    ("mixed-k4-small", str(DATA / "mixed-k4-small" / "instance.json")),
 ])
 def test_verify_output_unchanged(tmp_path, capsys, name, instance):
     assert cli.main(["verify", instance, "--out-dir", str(tmp_path),
