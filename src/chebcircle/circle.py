@@ -4,6 +4,7 @@ the end-to-end comparison against the predicted main term."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,8 +22,11 @@ MAX_BYTES = 4 * 2**30
 # embedded array _convolve transforms once; fitted to the peak RSS of
 # weighted_counts on 16 instances (k = 2..4, X = 1e4..4e6, one to four
 # distinct components), each within 3% of its measurement.  The rows-only
-# counts_at convolves k - 1 of the components, one channel at a time, so
-# it peaks within 1% of the same estimate or below it.
+# counts_at convolves at most k - 1 of the components over their odd
+# primes at half length, one channel at a time, so it peaks well below
+# the same estimate: 50 rows of trivial x3 at X = 1e6, 4e6 and 1e7 peak
+# at 69, 183 and 602 MiB against 168, 587 and 1167, and trivial x4 at
+# X = 1e6 (even N) at 101 MiB against 168.
 BYTES_BASE = 29 * 2**20
 BYTES_PER_FFT_POINT = 32
 BYTES_PER_HELD_POINT = 8
@@ -31,6 +35,8 @@ BYTES_PER_COMPONENT_X = 9
 # Grid rows per block of parseval_check's phase matrix: a block holds
 # PARSEVAL_ROWS x (number of primes) complex phases, not the whole grid.
 PARSEVAL_ROWS = 1024
+# Largest distance from an integer that a rounded FFT count may have.
+MAX_RESIDUAL = 0.25
 
 
 def _embed(values: np.ndarray, ai: int) -> np.ndarray:
@@ -56,7 +62,9 @@ def _span(arrays, a) -> int:
 def _convolve(arrays, a) -> np.ndarray:
     """Coefficients of prod_i sum_n arrays[i][n] x^(a_i n), lowest exponent
     first, by FFT; a repeated (array, a_i) is transformed once and held
-    until its last use."""
+    until its last use.  The result is a view into the M-point inverse
+    transform: a copy measured no lower peak (h_flat_norms of trivial x3
+    at X = 1e6: 876 MiB with the view, 890 MiB with a copy)."""
     span = _span(arrays, a)
     M = _fft_len(span)
     keys = [(id(v), ai) for v, ai in zip(arrays, a)]
@@ -121,15 +129,16 @@ def _component_primes(inst: ProblemInstance):
             for fc in inst.components]
 
 
-def _dense(comps, X: int, weighted: bool):
-    """Per prime array of comps, the array over n = 0..X holding log p
-    (weighted) or 1 at each of its primes p, 0 elsewhere; equal components
-    share one array, so that _convolve transforms it once."""
+def _dense(comps, X: int, weighted: bool, step: int = 1):
+    """Per prime array of comps, the array over m = 0..X // step holding
+    log p (weighted) or 1 at m = p // step for each of its primes p, 0
+    elsewhere; equal components share one array, so that _convolve
+    transforms it once.  With step 2 and odd primes, m = (p - 1) / 2."""
     made = {}
     for ps in comps:
         if id(ps) not in made:
-            v = np.zeros(X + 1, np.float64 if weighted else np.uint8)
-            v[ps] = np.log(ps.astype(np.float64)) if weighted else 1
+            v = np.zeros(X // step + 1, np.float64 if weighted else np.uint8)
+            v[ps // step] = np.log(ps.astype(np.float64)) if weighted else 1
             made[id(ps)] = v
     return [made[id(ps)] for ps in comps]
 
@@ -154,10 +163,19 @@ def _rows(head, a, last, ak: int, Ns, weights=None) -> np.ndarray:
     coefficient at N - ak q: weighted by weights[j] at the j-th prime as
     float64 when weights are given, else as int64 counts.  The head,
     prod_i sum_n head[i][n] x^(a_i n), is head[0] embedded when there is
-    one array, else their FFT convolution, rounded when counting."""
+    one array, else their FFT convolution (the constant 1 when head is
+    empty), rounded when counting; a rounded count that is not within
+    MAX_RESIDUAL of an integer raises ResourceLimit."""
     h = _embed(head[0], a[0]) if len(head) == 1 else _convolve(head, a)
-    if weights is None and len(head) > 1:
-        h = np.rint(h).astype(np.int64)
+    if weights is None and len(head) != 1:
+        counts = np.empty(len(h), np.int64)
+        np.rint(h, out=counts, casting="unsafe")
+        h -= counts
+        residual = float(np.max(np.abs(h, out=h)))
+        if residual >= MAX_RESIDUAL:
+            raise ResourceLimit(f"FFT round-off {residual:.3g} leaves the "
+                                f"counts of a={tuple(a)} inexact")
+        h = counts
         np.maximum(h, 0, out=h)
     shifted = sum(ai * (len(v) - 1) for v, ai in zip(head, a) if ai < 0)
     shifted += ak * last
@@ -170,20 +188,63 @@ def _rows(head, a, last, ak: int, Ns, weights=None) -> np.ndarray:
     return out
 
 
+def _parity_terms(comps, a, Ns):
+    """S(N) split by the set T of components that take p = 2, among those
+    whose class holds 2; the rest R take odd primes p = 2m + 1, so that
+    sum_R a_i m_i = N' = (N - 2 sum_T a_i - sum_R a_i) / 2, weighted by
+    (log 2)^|T|.  Returns [(R, |T|, rows, Ms, at)], one entry per
+    distinct run of (array, a_i) along R: rows lists every row j of Ns for
+    which N' is an integer, Ms the distinct N' among them, and at the
+    index in Ms of each row's N'."""
+    holds2 = [i for i, ps in enumerate(comps) if len(ps) and ps[0] == 2]
+    terms = {}
+    for T in itertools.chain.from_iterable(
+            itertools.combinations(holds2, r) for r in range(len(holds2) + 1)):
+        rest = [i for i in range(len(comps)) if i not in T]
+        c = 2 * sum(a[i] for i in T) + sum(a[i] for i in rest)
+        key = tuple((id(comps[i]), a[i]) for i in rest)
+        _, _, rows, half = terms.setdefault(key, (rest, len(T), [], []))
+        for j, N in enumerate(map(int, Ns)):
+            if (N - c) % 2 == 0:
+                rows.append(j)
+                half.append((N - c) // 2)
+    return [(rest, t, rows, *np.unique(half, return_inverse=True))
+            for rest, t, rows, half in terms.values() if rows]
+
+
 def counts_at(inst: ProblemInstance, Ns):
     """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
-    arrays, by _rows over components 1..k-1 (the head) and the last
-    component's primes, one channel after the other, so that only one
-    head is held at a time.  The weighted value is clamped at 0 against
-    FFT round-off."""
+    arrays.  Each term of _parity_terms is a count over the odd primes at
+    half length, m = (p - 1) / 2: _rows over the components R[:-1] (the
+    head) and the odd primes of R[-1], or 1 at N' = 0 when R is empty.
+    One channel runs after the other and one head is held at a time.  The
+    weighted value is clamped at 0 against FFT round-off."""
     comps = _component_primes(inst)
-    head, last = comps[:-1], comps[-1]
-    a, ak = inst.a[:-1], inst.a[-1]
-    logs = np.log(last.astype(np.float64))
-    weighted = _rows(_dense(head, inst.X, True), a, last, ak, Ns, logs)
+    # one view per distinct array, so that equal components still share one
+    odd = {id(ps): ps[1:] if len(ps) and ps[0] == 2 else ps for ps in comps}
+    odd = [odd[id(ps)] for ps in comps]
+    terms = _parity_terms(comps, inst.a, Ns)
+
+    def channel(weighted: bool) -> np.ndarray:
+        out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
+        for rest, t, rows, Ms, at in terms:
+            if rest:
+                *head, last = rest
+                vals = _rows(_dense([odd[i] for i in head], inst.X,
+                                    weighted, 2),
+                             [inst.a[i] for i in head], odd[last] // 2,
+                             inst.a[last], Ms.tolist(),
+                             np.log(odd[last].astype(np.float64))
+                             if weighted else None)[at]
+            else:
+                vals = (Ms == 0).astype(np.int64)[at]
+            np.add.at(out, rows, vals * math.log(2) ** t if weighted
+                      else vals)
+        return out
+
+    weighted = channel(True)
     np.maximum(weighted, 0.0, out=weighted)
-    unweighted = _rows(_dense(head, inst.X, False), a, last, ak, Ns)
-    return weighted, unweighted
+    return weighted, channel(False)
 
 
 def brute_force_all(inst: ProblemInstance):

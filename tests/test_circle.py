@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -5,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chebcircle import circle, galois, sieve
+from chebcircle import circle, cli, galois, sieve
 from chebcircle.errors import ResourceLimit, ValidationError
 from chebcircle.instance import (FieldClass, ProblemInstance,
                                  classical_instance, uniform_instance)
@@ -433,6 +435,80 @@ class TestCountsAt:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], [p / 2**20 for p in peaks]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_prime_two_terms_match_oracle(self, k):
+        # 0..k trivial components, whose class holds 2, among classes
+        # that do not; N of both parities over the whole range
+        rng = random.Random(k)
+        others = [("gaussian", "e"), ("gaussian", "c"), ("s3-cbrt2", "1"),
+                  ("s3-cbrt2", "2"), ("s3-cbrt2", "3")]
+        for n_trivial in range(k + 1):
+            for _ in range(2):
+                X = rng.randrange(30, 120 if k < 4 else 60)
+                fields = ([("trivial", "e")] * n_trivial
+                          + rng.choices(others, k=k - n_trivial))
+                rng.shuffle(fields)
+                while True:
+                    a = tuple(rng.choice((-3, -2, -1, 1, 2, 3))
+                              for _ in range(k))
+                    if math.gcd(*a) == 1:
+                        break
+                inst = self.instance(fields, a, X)
+                primes = [sieve.class_primes(fc.spec, X)[
+                    fc.spec.classes.index(fc.cls)].tolist()
+                    for fc in inst.components]
+                terms = {}
+                for ps in itertools.product(*primes):
+                    terms.setdefault(sum(ai * p for ai, p in zip(a, ps)),
+                                     []).append(math.prod(map(math.log, ps)))
+                oracle = circle.brute_force_all(inst)
+                lo, hi = inst.attainable_range
+                Ns = range(lo - 1, hi + 2)
+                top = max(map(math.fsum, terms.values()))
+                for N, sw, su in zip(Ns, *circle.counts_at(inst, Ns)):
+                    assert su == oracle.get(N, (0.0, 0))[1], (fields, a, N)
+                    # FFT round-off is absolute, a few ulp of the largest
+                    # value: small values near the ends of the range are
+                    # 3e-13 off relative to themselves, at the parent too
+                    direct = math.fsum(terms.get(N, []))
+                    assert abs(sw - direct) <= 1e-13 * direct + 1e-14 * top, \
+                        (fields, a, N)
+
+    def test_equal_components_transformed_once(self, monkeypatch):
+        # trivial x3: per channel one forward transform of the shared
+        # odd-prime array; the other parity terms need none
+        calls = []
+        real = np.fft.rfft
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        circle.counts_at(classical_instance(1000), range(1000, 1020))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("offset, raises", [(0.2, False), (0.25, True)])
+    def test_inexact_head_raises(self, monkeypatch, tmp_path, offset,
+                                 raises):
+        inst = classical_instance(300)
+        Ns = [301, 302, 603]
+        _, want = circle.counts_at(inst, Ns)
+        convolve = circle._convolve
+        monkeypatch.setattr(circle, "_convolve",
+                            lambda arrays, a: convolve(arrays, a) + offset)
+        if raises:
+            with pytest.raises(ResourceLimit, match="round-off"):
+                circle.counts_at(inst, Ns)
+            spec = tmp_path / "instance.json"
+            spec.write_text(json.dumps({
+                "fields": [{"builtin": "trivial", "class": "e"}] * 3,
+                "a": [1, 1, 1], "X": 300}))
+            assert cli.main(["verify", str(spec), "--out-dir",
+                             str(tmp_path)]) == 3
+        else:
+            assert circle.counts_at(inst, Ns)[1].tolist() == want.tolist()
 
     def test_matches_oracle_above_exact_limit(self):
         spec = galois.builtin_spec("s3-cbrt2")
