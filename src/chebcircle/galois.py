@@ -287,57 +287,75 @@ def _divides(n: int, ps) -> np.ndarray:
     return r == 0
 
 
-def _batch_mulmod(a, b, fl, ps):
-    """Row-wise product of degree<n polys a, b modulo (f, p).  a, b are
-    (N, n) int64; fl is (N, n) holding the low coefficients of monic f.
-    Each product is reduced mod p before it is added to another."""
-    n, pcol = a.shape[1], ps[:, None]
-    prod = np.zeros((len(ps), 2 * n - 1), dtype=np.int64)
-    for i in range(n):
-        prod[:, i:i + n] += a[:, i:i + 1] * b % pcol
+def _batch_mulmod(a, b, f, ps):
+    """Product of degree<n polys a, b modulo (f, p), one column per prime.
+    a, b are (n, N) int64, one row per coefficient; f lists (j, f_j mod p)
+    for the nonzero low coefficients of monic f.  Each product is reduced
+    mod p before it is added to another; a square takes each cross product
+    once and doubles the reduced sum."""
+    n = len(a)
+    prod = np.zeros((2 * n - 1, len(ps)), dtype=np.int64)
+    if a is b:
+        for i in range(n):
+            for j in range(i + 1, n):
+                prod[i + j] += a[i] * a[j] % ps
+        prod <<= 1
+        for i in range(n):
+            prod[2 * i] += a[i] * a[i] % ps
+    else:
+        for i in range(n):
+            for j in range(n):
+                prod[i + j] += a[i] * b[j] % ps
     for k in range(2 * n - 2, n - 1, -1):
-        prod[:, k - n:k] -= prod[:, k:k + 1] % pcol * fl % pcol
-    return prod[:, :n] % pcol
+        top = prod[k] % ps
+        for j, fj in f:
+            prod[k - n + j] -= top * fj % ps
+    return prod[:n] % ps
 
 
 def _frobenius_orders_batch(coeffs, ps):
     """Order of Frobenius on the roots of f (the lcm of the irreducible
     factor degrees of f mod p) for each unramified prime: the least d with
     e_x Q^d = e_x, where row i of the Frobenius matrix Q is x^(ip) mod
-    (f, p) and e_x is the coordinate vector of x."""
+    (f, p) and e_x is the coordinate vector of x.  Polynomials are stored
+    coefficient-major, one contiguous row of primes per coefficient."""
     ps = np.asarray(ps, dtype=np.int64)
     N, n = len(ps), len(coeffs) - 1
     if n == 1:
         return np.ones(N, dtype=np.int64)
-    pcol = ps[:, None]
-    fl = np.array(coeffs[:-1], dtype=np.int64)[None, :] % pcol
+    f = [(j, c % ps) for j, c in enumerate(coeffs[:-1]) if c]
     # x^p mod (f, p), one squaring per bit of p and a multiply-by-x on the
-    # rows whose bit is set
-    xp = np.zeros((N, n), dtype=np.int64)
-    xp[:, 0] = 1
+    # primes whose bit is set
+    xp = np.zeros((n, N), dtype=np.int64)
+    xp[0] = 1
     for bit in range(int(ps.max(initial=1)).bit_length() - 1, -1, -1):
-        xp = _batch_mulmod(xp, xp, fl, ps)
-        times_x = (np.pad(xp[:, :-1], ((0, 0), (1, 0)))
-                   - xp[:, -1:] * fl) % pcol
-        xp = np.where(((ps >> bit) & 1 == 1)[:, None], times_x, xp)
-    Q = np.zeros((N, n, n), dtype=np.int64)
-    Q[:, 0, 0] = 1
-    Q[:, 1] = xp
+        xp = _batch_mulmod(xp, xp, f, ps)
+        times_x = np.zeros_like(xp)
+        times_x[1:] = xp[:-1]
+        for j, fj in f:
+            times_x[j] = (times_x[j] - xp[-1] * fj) % ps
+        xp = np.where((ps >> bit) & 1 == 1, times_x, xp)
+    Q = np.zeros((n, n, N), dtype=np.int64)
+    Q[0, 0] = 1
+    Q[1] = xp
     for i in range(2, n):
-        Q[:, i] = _batch_mulmod(Q[:, i - 1], xp, fl, ps)
-    e_x = np.eye(1, n, 1, dtype=np.int64)
+        Q[i] = _batch_mulmod(Q[i - 1], xp, f, ps)
+    e_x = np.eye(n, 1, -1, dtype=np.int64)
     orders = np.zeros(N, dtype=np.int64)
-    rows = np.arange(N)
+    cols = np.arange(N)
     v = xp
     for d in range(1, math.lcm(*range(1, n + 1)) + 1):
-        fixed = (v == e_x).all(axis=1)
-        orders[rows[fixed]] = d
-        rows, v = rows[~fixed], v[~fixed]
-        if len(rows) == 0:
+        fixed = (v == e_x).all(axis=0)
+        orders[cols[fixed]] = d
+        if fixed.all():
             break
+        keep = ~fixed
+        cols, v, Q, ps = cols[keep], v[:, keep], Q[:, :, keep], ps[keep]
         # each product is reduced before the sum: n terms below p < 2**31
-        r = ps[rows, None, None]
-        v = (v[:, :, None] * Q[rows] % r).sum(axis=1) % r[:, 0]
+        w = np.zeros_like(v)
+        for i in range(n):
+            w += v[i] * Q[i] % ps
+        v = w % ps
     return orders
 
 

@@ -90,20 +90,23 @@ def c_D(cosets, a, N: int, D: int) -> Fraction:
     return Fraction(D * acc[N % D], denom)
 
 
+def _closed_cp(p: int, k: int, p_divides_N: bool):
+    """(numerator, denominator) of C_p at a prime dividing no a_i:
+    p * (solution count over units) / (p-1)^k, where the count is
+    ((p-1)^k + (-1)^k (p-1)) / p if p divides N and ((p-1)^k - (-1)^k) / p
+    otherwise."""
+    q, sign = (p - 1) ** k, (-1) ** k
+    return (q + sign * (p - 1) if p_divides_N else q - sign), q
+
+
 def c_p(p: int, a, N: int) -> Fraction:
     """Local factor at an unramified prime: p * (solution count over units)
     / (p-1)^k; closed form when p divides no coefficient."""
     a = [int(v) for v in a]
-    k = len(a)
     if all(v % p != 0 for v in a):
-        if N % p == 0:
-            count = ((p - 1) ** k + (-1) ** k * (p - 1)) // p
-        else:
-            count = ((p - 1) ** k - (-1) ** k) // p
-    else:
-        units = [frozenset(range(1, p))] * k
-        return c_D(units, a, N, p)
-    return Fraction(p * count, (p - 1) ** k)
+        return Fraction(*_closed_cp(p, len(a), N % p == 0))
+    units = [frozenset(range(1, p))] * len(a)
+    return c_D(units, a, N, p)
 
 
 def c_p_bruteforce(p: int, a, N: int) -> Fraction:
@@ -130,28 +133,47 @@ def _euler_rows(a, Ns, D: int, P_max: int):
     """(product of C_p, first vanishing prime or 0) for each N in Ns, over
     p <= P_max with p not dividing D.
 
-    The one loop over the primes: each N adds log C_p for ascending p, as a
-    scalar loop per N would, so the values do not depend on the other N."""
+    Each row of a rows x primes matrix of log C_p is summed in ascending p
+    by np.cumsum, which adds sequentially as a scalar loop per N would, so
+    the values do not depend on the other N; a vanishing C_p enters as
+    -inf.  At a prime dividing no a_i, C_p takes one of two values, by
+    whether p divides N; the other columns come from c_p per residue of N
+    mod p.  The matrix is built over blocks of at most 2**18 entries."""
     if P_max < 2:
         raise DomainError("P_max must be >= 2")
     Ns = np.asarray(Ns, dtype=np.int64)
-    logs = np.zeros(len(Ns))
-    bad = np.zeros(len(Ns), dtype=np.int64)
-    for p in sieve.primes_upto(P_max).tolist():
-        if D % p == 0:
-            continue
-        if all(v % p != 0 for v in a):
-            # C_p depends only on whether p divides N
-            keys, idx = (0, 1), (Ns % p != 0).astype(np.intp)
-        else:
+    ps = [p for p in sieve.primes_upto(P_max).tolist() if D % p]
+    if not ps:
+        return np.ones(len(Ns)), np.zeros(len(Ns), dtype=np.int64)
+
+    def log(c):
+        return math.log(c) if c else -math.inf
+
+    # int / int rounds the exact ratio once, as float(Fraction) does
+    closed = np.array([[log(n / d) for n, d in (_closed_cp(p, len(a), True),
+                                                _closed_cp(p, len(a), False))]
+                       for p in ps])
+    vanishes = (closed == -math.inf).any(axis=1)
+    special = {}
+    for j, p in enumerate(ps):
+        if any(v % p == 0 for v in a):
             keys, idx = np.unique(Ns % p, return_inverse=True)
-        cps = [c_p(p, a, int(r)) for r in keys]
-        logs += np.array([math.log(float(c)) if c else 0.0 for c in cps])[idx]
-        if not all(cps):
-            zero = np.array([c == 0 for c in cps])[idx]
-            bad[zero & (bad == 0)] = p
-    values = np.array([0.0 if p else math.exp(x) for x, p in zip(logs, bad)])
-    return values, bad
+            special[j] = np.array(
+                [log(float(c_p(p, a, int(r)))) for r in keys])[idx]
+            vanishes[j] = (special[j] == -math.inf).any()
+    prow = np.array(ps, dtype=np.int64)
+    logs = np.empty(len(Ns))
+    bad = np.zeros(len(Ns), dtype=np.int64)
+    step = 2**18 // len(ps) or 1
+    for s in range(0, len(Ns), step):
+        block = slice(s, s + step)
+        M = np.where(Ns[block, None] % prow == 0, closed[:, 0], closed[:, 1])
+        for j, col in special.items():
+            M[:, j] = col[block]
+        for j in np.flatnonzero(vanishes)[::-1]:
+            bad[block][M[:, j] == -math.inf] = ps[j]
+        logs[block] = np.cumsum(M, axis=1, out=M)[:, -1]
+    return np.array([math.exp(x) for x in logs.tolist()]), bad
 
 
 def _tail_bound(k: int, N: int, P_max: int) -> float:
@@ -169,12 +191,6 @@ def euler_product(a, N: int, D: int, P_max: int = 10**4):
     if bad[0]:
         return 0.0, 0.0, int(bad[0])
     return float(values[0]), _tail_bound(len(a), N, P_max), None
-
-
-def euler_product_bulk(a, Ns, D: int, P_max: int = 10**4) -> np.ndarray:
-    """Euler products for a whole array of N at once; 0 where some C_p
-    vanishes."""
-    return _euler_rows(a, Ns, D, P_max)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def test_difference_instance_average_deviation_decreases():
         S = circle.weighted_counts(inst)[Ns - lo]
         S[S < 1e-6 * S.max()] = 0.0   # FFT round-off floor
         c_inf = (X - Ns).astype(np.float64)
-        euler = singular.euler_product_bulk((1, -1), Ns, 1, 10**4)
+        euler = singular._euler_rows((1, -1), Ns, 1, 10**4)[0]
         main = c_inf * euler
         deviant = np.abs(S - main) > main / 2
         fractions[X] = float(np.mean(deviant))

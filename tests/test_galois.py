@@ -26,6 +26,7 @@ def s3_sextic():
 
 
 QUINTIC = (-1, -1, 0, 0, 0, 1)  # x^5 - x - 1: group S5, discriminant 2869
+PHI5 = (1, 1, 1, 1, 1)  # x^4 + x^3 + x^2 + x + 1, the fifth cyclotomic
 
 
 def primes_below(n, count):
@@ -213,6 +214,14 @@ class TestBatchClassifier:
         assert orders.tolist() == [
             math.lcm(*galois.poly_factor_degrees(QUINTIC, p)) for p in ps]
         assert {5, 6} <= set(orders.tolist())
+
+    def test_dense_cyclotomic_orders_are_orders_mod_five(self):
+        # every coefficient of Phi_5 is nonzero; Frobenius acts on the
+        # fifth roots of unity as x -> x^p, with the order of p mod 5
+        ps = [p for p in sieve.primes_upto(10**4).tolist() if p != 5]
+        ps += primes_below(2**31, 20)
+        want = [next(d for d in range(1, 5) if pow(p, d, 5) == 1) for p in ps]
+        assert galois._frobenius_orders_batch(PHI5, ps).tolist() == want
 
     def test_cubic_matches_sextic_to_a_hundred_thousand(self):
         ps = sieve.primes_upto(10**5)

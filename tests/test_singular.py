@@ -1,13 +1,15 @@
+import functools
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chebcircle import singular
+from chebcircle import sieve, singular
 from chebcircle.errors import DomainError
 from chebcircle.instance import classical_instance, uniform_instance
 
@@ -196,16 +198,65 @@ class TestEulerProduct:
         with pytest.raises(DomainError):
             singular.euler_product((1, 1), 5, 1, 1)
 
-    def test_bulk_matches_scalar(self):
+    @staticmethod
+    def scalar_euler(a, N, D, P_max):
+        """(product, first vanishing prime or 0) of one N: math.log of each
+        C_p, summed in ascending p, then math.exp."""
+        total = 0.0
+        for p in sieve.primes_upto(P_max).tolist():
+            if D % p:
+                r = N % p
+                if all(v % p for v in a):
+                    r = min(r, 1)  # c_p then depends only on whether p | N
+                log_c = log_cp_by_residue(p, a, r)
+                if log_c is None:
+                    return 0.0, p
+                total += log_c
+        return math.exp(total), 0
+
+    def check_rows(self, a, Ns, D, P_max):
+        values, bad = singular._euler_rows(a, Ns, D, P_max)
+        for N, v, b in zip(Ns, values.tolist(), bad.tolist()):
+            assert (v, b) == self.scalar_euler(a, int(N), D, P_max), (a, N, D)
+
+    def test_rows_match_scalar_oracle(self):
         rng = random.Random(13)
-        for a, D in (((1, 1, 1), 1), ((1, -1), 1), ((1, 2, 3), 4)):
-            Ns = np.array([rng.randint(1, 10**5) for _ in range(50)],
-                          dtype=np.int64)
-            bulk = singular.euler_product_bulk(a, Ns, D, 10**3)
-            for N, b in zip(Ns, bulk):
-                v, _, bad = singular.euler_product(a, int(N), D, 10**3)
-                want = 0.0 if bad is not None else v
-                assert b == pytest.approx(want, rel=1e-9, abs=1e-12)
+        for a in ((1, 1, 1), (1, -1), (1, 2, 3), (2, -3, 5, 1), (3, 6, 9)):
+            for D in (1, 3, 4, 8):
+                Ns = np.array([rng.randint(-10**6, 10**6) for _ in range(12)]
+                              + [0, 1, 2, 6, 30, 210], dtype=np.int64)
+                self.check_rows(a, Ns, D, 10**3)
+
+    def test_even_rows_vanish_at_two_for_odd_k(self):
+        Ns = np.arange(10**5, 10**5 + 20, dtype=np.int64)
+        values, bad = singular._euler_rows((1, 1, 1), Ns, 3, 10**3)
+        assert bad.tolist() == [2 if N % 2 == 0 else 0 for N in Ns.tolist()]
+        assert ((values == 0) == (Ns % 2 == 0)).all()
+        self.check_rows((1, 1, 1), Ns, 3, 10**3)
+
+    def test_rows_span_several_blocks(self):
+        # 1229 primes below 10**4 give blocks of 2**18 // 1229 = 213 rows
+        Ns = np.arange(150001, 150001 + 2 * 250, 2, dtype=np.int64)
+        self.check_rows((1, 1, 1), Ns, 1, 10**4)
+        self.check_rows((1, -1), Ns - 1, 1, 10**4)
+
+    def test_rows_memory_is_blocked(self):
+        # unblocked, 10**5 rows x 1229 primes of float64 would be ~940 MiB
+        tracemalloc.start()
+        try:
+            singular._euler_rows((1, -1), np.arange(2, 10**5), 1, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+@functools.lru_cache(maxsize=None)
+def log_cp_by_residue(p, a, r):
+    """math.log(float(c_p)), or None where c_p vanishes; c_p depends on N
+    only through N mod p."""
+    c = singular.c_p(p, a, r)
+    return math.log(float(c)) if c else None
 
 
 class TestMainTerm:
