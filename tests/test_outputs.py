@@ -46,6 +46,7 @@ def mismatch(want_csv: bytes, got_csv: bytes, want: dict, got: dict) -> str:
     ("gaussian-c-trivial-e",
      str(DATA / "gaussian-c-trivial-e" / "instance.json")),
     ("mixed-k4-small", str(DATA / "mixed-k4-small" / "instance.json")),
+    ("d4-qrt2", str(DATA / "d4-qrt2" / "instance.json")),
 ])
 def test_verify_output_unchanged(tmp_path, capsys, name, instance):
     assert cli.main(["verify", instance, "--out-dir", str(tmp_path),
