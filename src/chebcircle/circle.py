@@ -23,10 +23,13 @@ MAX_BYTES = 4 * 2**30
 # weighted_counts on 16 instances (k = 2..4, X = 1e4..4e6, one to four
 # distinct components), each within 3% of its measurement.  The rows-only
 # counts_at convolves at most k - 1 of the components over their odd
-# primes at half length, one channel at a time, so it peaks well below
-# the same estimate: 50 rows of trivial x3 at X = 1e6, 4e6 and 1e7 peak
-# at 69, 183 and 602 MiB against 168, 587 and 1167, and trivial x4 at
-# X = 1e6 (even N) at 101 MiB against 168.
+# primes, indexed by p // g for the step g of their progressions (2 for
+# the trivial class, 4 for gaussian, 6 for s3-cbrt2), one channel at a
+# time, so it peaks well below the same estimate: 50 rows of trivial x3
+# at X = 1e6, 4e6 and 1e7 peak at 69, 183 and 602 MiB against 168, 587
+# and 1167; s3-cbrt2 (1, 2, 3) at X = 1e6 and 4e6 at 51 and 110 MiB
+# against 186 and 655; gaussian (e, e, c) at 51 and 108 MiB against 177
+# and 621; and trivial x4 at X = 1e6 (even N) at 101 MiB against 168.
 BYTES_BASE = 29 * 2**20
 BYTES_PER_FFT_POINT = 32
 BYTES_PER_HELD_POINT = 8
@@ -37,6 +40,8 @@ BYTES_PER_COMPONENT_X = 9
 PARSEVAL_ROWS = 1024
 # Largest distance from an integer that a rounded FFT count may have.
 MAX_RESIDUAL = 0.25
+# Primes per block of _step's gcd.
+STEP_BLOCK = 1024
 
 
 def _embed(values: np.ndarray, ai: int) -> np.ndarray:
@@ -133,7 +138,7 @@ def _dense(comps, X: int, weighted: bool, step: int = 1):
     """Per prime array of comps, the array over m = 0..X // step holding
     log p (weighted) or 1 at m = p // step for each of its primes p, 0
     elsewhere; equal components share one array, so that _convolve
-    transforms it once.  With step 2 and odd primes, m = (p - 1) / 2."""
+    transforms it once."""
     made = {}
     for ps in comps:
         if id(ps) not in made:
@@ -188,53 +193,79 @@ def _rows(head, a, last, ak: int, Ns, weights=None) -> np.ndarray:
     return out
 
 
-def _parity_terms(comps, a, Ns):
+def _step(ps) -> int:
+    """The gcd of p - ps[0] over the odd primes ps: every p lies in the
+    progression ps[0] mod the step.  0 when ps has fewer than two primes,
+    which constrains no step.  Read STEP_BLOCK primes at a time, stopping
+    at 2, the least step of odd primes, so that no difference array of
+    the full length is made."""
+    g = 0
+    for i in range(1, len(ps), STEP_BLOCK):
+        g = math.gcd(g, int(np.gcd.reduce(ps[i:i + STEP_BLOCK] - ps[0])))
+        if g == 2:
+            break
+    return g
+
+
+def _progression_terms(comps, a, Ns):
     """S(N) split by the set T of components that take p = 2, among those
-    whose class holds 2; the rest R take odd primes p = 2m + 1, so that
-    sum_R a_i m_i = N' = (N - 2 sum_T a_i - sum_R a_i) / 2, weighted by
-    (log 2)^|T|.  Returns [(R, |T|, rows, Ms, at)], one entry per
-    distinct run of (array, a_i) along R: rows lists every row j of Ns for
-    which N' is an integer, Ms the distinct N' among them, and at the
-    index in Ms of each row's N'."""
+    whose class holds 2; the rest R take their odd primes.  A term's step
+    g is the gcd of the _step of the odd-prime arrays of R, 2 when none
+    has two primes, so that each p of component i in R is g m + r_i, r_i
+    the first odd prime's residue mod g, and sum_R a_i m_i = N' =
+    (N - c) / g with c = 2 sum_T a_i + sum_R a_i r_i, weighted by
+    (log 2)^|T|.  Returns [(arrays, coefficients, |T|, g, rows, Ms, at)],
+    one entry per distinct run of (array, a_i) along R, the odd-prime
+    arrays and a_i of R in order: rows lists every row j of Ns for which
+    N' is an integer, Ms the distinct N' among them, and at the index in
+    Ms of each row's N'."""
+    # one odd-prime view and one step per distinct array, so that equal
+    # components still share one
+    made = {}
+    for ps in comps:
+        if id(ps) not in made:
+            v = ps[1:] if len(ps) and ps[0] == 2 else ps
+            made[id(ps)] = v, _step(v)
+    odd, steps = zip(*(made[id(ps)] for ps in comps))
     holds2 = [i for i, ps in enumerate(comps) if len(ps) and ps[0] == 2]
     terms = {}
     for T in itertools.chain.from_iterable(
             itertools.combinations(holds2, r) for r in range(len(holds2) + 1)):
         rest = [i for i in range(len(comps)) if i not in T]
-        c = 2 * sum(a[i] for i in T) + sum(a[i] for i in rest)
-        key = tuple((id(comps[i]), a[i]) for i in rest)
-        _, _, rows, half = terms.setdefault(key, (rest, len(T), [], []))
+        key = tuple((id(odd[i]), a[i]) for i in rest)
+        if key not in terms:
+            g = math.gcd(*(steps[i] for i in rest)) or 2
+            terms[key] = ([odd[i] for i in rest], [a[i] for i in rest],
+                          len(T), g, [], [])
+        *_, g, rows, Ms = terms[key]
+        c = 2 * sum(a[i] for i in T) + sum(a[i] * int(odd[i][0] % g)
+                                           for i in rest if len(odd[i]))
         for j, N in enumerate(map(int, Ns)):
-            if (N - c) % 2 == 0:
+            if (N - c) % g == 0:
                 rows.append(j)
-                half.append((N - c) // 2)
-    return [(rest, t, rows, *np.unique(half, return_inverse=True))
-            for rest, t, rows, half in terms.values() if rows]
+                Ms.append((N - c) // g)
+    return [(*term, rows, *np.unique(Ms, return_inverse=True))
+            for *term, rows, Ms in terms.values() if rows]
 
 
 def counts_at(inst: ProblemInstance, Ns):
     """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
-    arrays.  Each term of _parity_terms is a count over the odd primes at
-    half length, m = (p - 1) / 2: _rows over the components R[:-1] (the
-    head) and the odd primes of R[-1], or 1 at N' = 0 when R is empty.
-    One channel runs after the other and one head is held at a time.  The
-    weighted value is clamped at 0 against FFT round-off."""
-    comps = _component_primes(inst)
-    # one view per distinct array, so that equal components still share one
-    odd = {id(ps): ps[1:] if len(ps) and ps[0] == 2 else ps for ps in comps}
-    odd = [odd[id(ps)] for ps in comps]
-    terms = _parity_terms(comps, inst.a, Ns)
+    arrays.  Each term of _progression_terms is a count over the odd
+    primes of its arrays, each prime p indexed by m = p // g for the
+    term's step g: _rows over all arrays but the last (the head) and the
+    last array's primes, or 1 at N' = 0 when there are none.  One channel
+    runs after the other and one head is held at a time.  The weighted
+    value is clamped at 0 against FFT round-off."""
+    terms = _progression_terms(_component_primes(inst), inst.a, Ns)
 
     def channel(weighted: bool) -> np.ndarray:
         out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
-        for rest, t, rows, Ms, at in terms:
-            if rest:
-                *head, last = rest
-                vals = _rows(_dense([odd[i] for i in head], inst.X,
-                                    weighted, 2),
-                             [inst.a[i] for i in head], odd[last] // 2,
-                             inst.a[last], Ms.tolist(),
-                             np.log(odd[last].astype(np.float64))
+        for arrays, a, t, g, rows, Ms, at in terms:
+            if arrays:
+                *head, last = arrays
+                vals = _rows(_dense(head, inst.X, weighted, g), a[:-1],
+                             last // g, a[-1], Ms.tolist(),
+                             np.log(last.astype(np.float64))
                              if weighted else None)[at]
             else:
                 vals = (Ms == 0).astype(np.int64)[at]

@@ -384,13 +384,48 @@ class TestCountsAt:
     the oracle."""
     X_ABOVE = 10500
 
+    # abelian fields of conductor 5: Q(zeta_5), whose class "1" holds the
+    # primes 1 mod 5, and Q(sqrt 5), whose class "s" holds those 1 or 4
+    # mod 5 and whose class "n" holds 2
+    MOD5 = galois.GaloisSpec(galois.ABELIAN, 5, tuple(
+        galois.ClassSpec(str(r), frozenset({r})) for r in range(1, 5)))
+    MOD5_SQ = galois.GaloisSpec(galois.ABELIAN, 5, (
+        galois.ClassSpec("s", frozenset({1, 4})),
+        galois.ClassSpec("n", frozenset({2, 3}))))
+
     @staticmethod
     def instance(fields, a, X):
+        """fields: (built-in name or spec, class label) per component."""
         comps = []
         for name, label in fields:
-            spec = galois.builtin_spec(name)
+            spec = galois.builtin_spec(name) if isinstance(name, str) else name
             comps.append(FieldClass(spec, spec.class_by_label(label)))
         return ProblemInstance(tuple(comps), a, X)
+
+    @staticmethod
+    def assert_matches_oracle(inst, what):
+        """counts_at at every N from one below to one above the range: the
+        unweighted count equal to brute_force_all's, the weighted one to a
+        math.fsum of the enumerated terms."""
+        primes = [sieve.class_primes(fc.spec, inst.X)[
+            fc.spec.classes.index(fc.cls)].tolist()
+            for fc in inst.components]
+        terms = {}
+        for ps in itertools.product(*primes):
+            terms.setdefault(sum(ai * p for ai, p in zip(inst.a, ps)),
+                             []).append(math.prod(map(math.log, ps)))
+        oracle = circle.brute_force_all(inst)
+        lo, hi = inst.attainable_range
+        Ns = range(lo - 1, hi + 2)
+        top = max(map(math.fsum, terms.values()), default=0.0)
+        for N, sw, su in zip(Ns, *circle.counts_at(inst, Ns)):
+            assert su == oracle.get(N, (0.0, 0))[1], (what, N)
+            # FFT round-off is absolute, a few ulp of the largest value:
+            # small values near the ends of the range are 3e-13 off
+            # relative to themselves
+            direct = math.fsum(terms.get(N, []))
+            assert abs(sw - direct) <= 1e-13 * direct + 1e-14 * top, \
+                (what, N)
 
     @pytest.mark.parametrize("X", [800, 3000, X_ABOVE])
     @pytest.mark.parametrize("fields,a", [
@@ -454,26 +489,60 @@ class TestCountsAt:
                               for _ in range(k))
                     if math.gcd(*a) == 1:
                         break
-                inst = self.instance(fields, a, X)
-                primes = [sieve.class_primes(fc.spec, X)[
-                    fc.spec.classes.index(fc.cls)].tolist()
-                    for fc in inst.components]
-                terms = {}
-                for ps in itertools.product(*primes):
-                    terms.setdefault(sum(ai * p for ai, p in zip(a, ps)),
-                                     []).append(math.prod(map(math.log, ps)))
-                oracle = circle.brute_force_all(inst)
-                lo, hi = inst.attainable_range
-                Ns = range(lo - 1, hi + 2)
-                top = max(map(math.fsum, terms.values()))
-                for N, sw, su in zip(Ns, *circle.counts_at(inst, Ns)):
-                    assert su == oracle.get(N, (0.0, 0))[1], (fields, a, N)
-                    # FFT round-off is absolute, a few ulp of the largest
-                    # value: small values near the ends of the range are
-                    # 3e-13 off relative to themselves, at the parent too
-                    direct = math.fsum(terms.get(N, []))
-                    assert abs(sw - direct) <= 1e-13 * direct + 1e-14 * top, \
-                        (fields, a, N)
+                self.assert_matches_oracle(self.instance(fields, a, X),
+                                           (fields, a))
+
+    @pytest.mark.parametrize("fields, a, X, steps", [
+        ((("gaussian", "e"), ("gaussian", "e"), ("gaussian", "c")),
+         (1, 1, 1), 200, {4}),
+        ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")),
+         (1, 1, 1), 300, {6}),
+        ((("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")),
+         (1, 1, 1), 400, {8}),
+        (((MOD5, "1"),) * 3, (1, 2, -1), 300, {10}),
+        (((MOD5_SQ, "s"), (MOD5_SQ, "n"), (MOD5_SQ, "s")), (2, 1, -1), 150,
+         {2}),
+        # the trivial class holds 2: the terms where it takes 2 step by 4
+        ((("trivial", "e"), ("gaussian", "e"), ("gaussian", "c")),
+         (1, 3, -2), 120, {2, 4}),
+        # class e of d4-qrt2 holds no prime below 73, class 1 of s3-cbrt2
+        # only 31 below 43; neither constrains the step
+        ((("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")),
+         (1, -1, 1), 60, {8}),
+        ((("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")),
+         (1, -1, 1), 80, {8}),
+        ((("s3-cbrt2", "1"), ("s3-cbrt2", "3"), ("s3-cbrt2", "1")),
+         (1, 2, 1), 40, {6}),
+        ((("s3-cbrt2", "1"),) * 2, (1, -1), 40, {2}),
+    ])
+    def test_progression_steps_match_oracle(self, fields, a, X, steps):
+        inst = self.instance(fields, a, X)
+        lo, hi = inst.attainable_range
+        terms = circle._progression_terms(circle._component_primes(inst),
+                                          inst.a, range(lo, hi + 1))
+        assert {g for _, _, _, g, *_ in terms} == steps
+        self.assert_matches_oracle(inst, (fields, a, X))
+
+    @pytest.mark.parametrize("label, X, Ns, length", [
+        # perfbench's s3-classify: each class lies in one residue class
+        # mod 6, so the head of two components spans about 2X/6
+        ("s3-cbrt2", 10**5, range(150001, 150601, 6), 2**16),
+        # classical-fft: the trivial class steps by 2, a span of about X
+        ("trivial", 5 * 10**5, range(10001, 1490000, 59166), 2**19),
+    ])
+    def test_head_transform_length(self, monkeypatch, label, X, Ns, length):
+        lengths = []
+        real = np.fft.rfft
+
+        def recording(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return real(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        classes = ("1", "2", "3") if label == "s3-cbrt2" else ("e",) * 3
+        inst = self.instance([(label, c) for c in classes], (1, 1, 1), X)
+        circle.counts_at(inst, Ns)
+        assert lengths and set(lengths) == {length}
 
     def test_equal_components_transformed_once(self, monkeypatch):
         # trivial x3: per channel one forward transform of the shared
