@@ -523,14 +523,16 @@ class TestCountsAt:
         assert {g for _, _, _, g, *_ in terms} == steps
         self.assert_matches_oracle(inst, (fields, a, X))
 
-    @pytest.mark.parametrize("label, X, Ns, length", [
+    @pytest.mark.parametrize("fields, X, Ns, length", [
         # perfbench's s3-classify: each class lies in one residue class
         # mod 6, so the head of two components spans about 2X/6
-        ("s3-cbrt2", 10**5, range(150001, 150601, 6), 2**16),
+        ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")), 10**5,
+         range(150001, 150601, 6), 2**16),
         # classical-fft: the trivial class steps by 2, a span of about X
-        ("trivial", 5 * 10**5, range(10001, 1490000, 59166), 2**19),
+        ((("trivial", "e"),) * 3, 5 * 10**5, range(10001, 1490000, 59166),
+         2**19),
     ])
-    def test_head_transform_length(self, monkeypatch, label, X, Ns, length):
+    def test_head_transform_length(self, monkeypatch, fields, X, Ns, length):
         lengths = []
         real = np.fft.rfft
 
@@ -539,9 +541,7 @@ class TestCountsAt:
             return real(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", recording)
-        classes = ("1", "2", "3") if label == "s3-cbrt2" else ("e",) * 3
-        inst = self.instance([(label, c) for c in classes], (1, 1, 1), X)
-        circle.counts_at(inst, Ns)
+        circle.counts_at(self.instance(fields, (1, 1, 1), X), Ns)
         assert lengths and set(lengths) == {length}
 
     def test_equal_components_transformed_once(self, monkeypatch):
