@@ -133,7 +133,10 @@ def _n_list(doc: dict, inst: ProblemInstance):
 
 def _pmax(args, doc) -> int:
     """--pmax if given (0 included), else the instance's euler_pmax."""
-    return doc.get("euler_pmax", 10**4) if args.pmax is None else args.pmax
+    pmax = doc.get("euler_pmax", 10**4) if args.pmax is None else args.pmax
+    if pmax < 2:
+        raise ValidationError([("BadPmax", f"P_max {pmax} is below 2")])
+    return pmax
 
 
 def _open_out(out_dir: str, name: str):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -67,100 +68,90 @@ def c_infinity_ternary(N: float, X: float) -> float:
 # congruence factors
 # ---------------------------------------------------------------------------
 
-def _cyclic_convolve(u, v, D):
-    out = [0] * D
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                if y:
-                    out[(i + j) % D] += x * y
-    return out
+def c_D(cosets, a, D: int) -> list:
+    """D * #{x_i in H_i : sum a_i x_i = r mod D} / prod |H_i| for every
+    residue r mod D, exact.
 
-
-def c_D(cosets, a, N: int, D: int) -> Fraction:
-    """D * #{x_i in H_i : sum a_i x_i = N mod D} / prod |H_i|, exact."""
-    acc = None
-    denom = 1
+    The histogram of a_i x mod D over each H_i is convolved with the
+    running count by np.convolve on Python-int object arrays, so no count
+    can overflow, and folded back mod D."""
+    acc = np.ones(1, dtype=object)
     for H, ai in zip(cosets, a):
-        v = [0] * D
-        for x in H:
-            v[(ai * x) % D] += 1
-        denom *= len(H)
-        acc = v if acc is None else _cyclic_convolve(acc, v, D)
-    return Fraction(D * acc[N % D], denom)
+        hist = np.bincount([ai * x % D for x in H], minlength=D)
+        acc = np.convolve(acc, hist.astype(object))
+        acc = np.append(acc, [0] * (-len(acc) % D)).reshape(-1, D).sum(axis=0)
+    denom = math.prod(len(H) for H in cosets)
+    return [Fraction(D * c, denom) for c in acc.tolist()]
 
 
 def _closed_cp(p: int, k: int, p_divides_N: bool):
-    """(numerator, denominator) of C_p at a prime dividing no a_i:
-    p * (solution count over units) / (p-1)^k, where the count is
-    ((p-1)^k + (-1)^k (p-1)) / p if p divides N and ((p-1)^k - (-1)^k) / p
-    otherwise."""
+    """(numerator, denominator) of C_p, where k counts the coefficients
+    that p does not divide (a variable whose coefficient p divides adds
+    p - 1 free units and nothing to the sum): p * (solution count over
+    units) / (p-1)^k, where the count is ((p-1)^k + (-1)^k (p-1)) / p if p
+    divides N and ((p-1)^k - (-1)^k) / p otherwise."""
     q, sign = (p - 1) ** k, (-1) ** k
     return (q + sign * (p - 1) if p_divides_N else q - sign), q
 
 
 def c_p(p: int, a, N: int) -> Fraction:
-    """Local factor at an unramified prime: p * (solution count over units)
-    / (p-1)^k; closed form when p divides no coefficient."""
-    a = [int(v) for v in a]
-    if all(v % p != 0 for v in a):
-        return Fraction(*_closed_cp(p, len(a), N % p == 0))
-    units = [frozenset(range(1, p))] * len(a)
-    return c_D(units, a, N, p)
+    """Local factor at an unramified prime, p * (solution count over units)
+    / (p-1)^k, in the closed form of _closed_cp."""
+    return Fraction(*_closed_cp(p, sum(v % p != 0 for v in a), N % p == 0))
 
 
 def c_p_bruteforce(p: int, a, N: int) -> Fraction:
     """Exhaustive unit-tuple enumeration; the oracle for c_p."""
-    k = len(a)
-    count = 0
-    idx = [1] * k
-    while True:
-        if sum(ai * x for ai, x in zip(a, idx)) % p == N % p:
-            count += 1
-        j = k - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < p:
-                break
-            idx[j] = 1
-            j -= 1
-        if j < 0:
-            break
-    return Fraction(p * count, (p - 1) ** k)
+    count = sum(1 for xs in itertools.product(range(1, p), repeat=len(a))
+                if sum(ai * x for ai, x in zip(a, xs)) % p == N % p)
+    return Fraction(p * count, (p - 1) ** len(a))
 
 
 def _euler_rows(a, Ns, D: int, P_max: int):
     """(product of C_p, first vanishing prime or 0) for each N in Ns, over
-    p <= P_max with p not dividing D.
+    the primes p <= P_max and then the primes above P_max that divide a
+    coefficient, p not dividing D.
 
     Each row of a rows x primes matrix of log C_p is summed in ascending p
     by np.cumsum, which adds sequentially as a scalar loop per N would, so
     the values do not depend on the other N; a vanishing C_p enters as
-    -inf.  At a prime dividing no a_i, C_p takes one of two values, by
-    whether p divides N; the other columns come from c_p per residue of N
-    mod p.  The matrix is built over blocks of at most 2**18 entries."""
+    -inf.  Every column takes one of the two values of _closed_cp for its
+    own count of coefficients p does not divide, by whether p divides N.
+    What is left of |a_i| after the primes <= P_max is 1 or, below
+    P_max**2, a prime; a larger cofactor raises DomainError.  The matrix
+    is built over blocks of at most 2**18 entries."""
     if P_max < 2:
         raise DomainError("P_max must be >= 2")
     Ns = np.asarray(Ns, dtype=np.int64)
-    ps = [p for p in sieve.primes_upto(P_max).tolist() if D % p]
+    small = sieve.primes_upto(P_max).tolist()
+    divides = Counter()    # prime -> number of coefficients it divides
+    for ai in a:
+        v, factors = abs(int(ai)), set()
+        for p in small:
+            if p > v:
+                break
+            while v % p == 0:
+                v //= p
+                factors.add(p)
+        if v >= P_max ** 2:
+            raise DomainError(f"coefficient {ai} leaves a cofactor {v} >= "
+                              f"P_max**2 after the primes <= P_max = "
+                              f"{P_max}; raise P_max")
+        if v > 1:
+            factors.add(v)
+        divides.update(factors)
+    ps = [p for p in small + sorted(p for p in divides if p > P_max)
+          if D % p]
     if not ps:
         return np.ones(len(Ns)), np.zeros(len(Ns), dtype=np.int64)
 
-    def log(c):
-        return math.log(c) if c else -math.inf
+    def log_cp(p, p_divides_N):
+        n, d = _closed_cp(p, len(a) - divides[p], p_divides_N)
+        # int / int rounds the exact ratio once, as float(Fraction) does
+        return math.log(n / d) if n else -math.inf
 
-    # int / int rounds the exact ratio once, as float(Fraction) does
-    closed = np.array([[log(n / d) for n, d in (_closed_cp(p, len(a), True),
-                                                _closed_cp(p, len(a), False))]
-                       for p in ps])
+    closed = np.array([[log_cp(p, True), log_cp(p, False)] for p in ps])
     vanishes = (closed == -math.inf).any(axis=1)
-    special = {}
-    for j, p in enumerate(ps):
-        if any(v % p == 0 for v in a):
-            keys, idx = np.unique(Ns % p, return_inverse=True)
-            special[j] = np.array(
-                [log(float(c_p(p, a, int(r)))) for r in keys])[idx]
-            vanishes[j] = (special[j] == -math.inf).any()
     prow = np.array(ps, dtype=np.int64)
     logs = np.empty(len(Ns))
     bad = np.zeros(len(Ns), dtype=np.int64)
@@ -168,8 +159,6 @@ def _euler_rows(a, Ns, D: int, P_max: int):
     for s in range(0, len(Ns), step):
         block = slice(s, s + step)
         M = np.where(Ns[block, None] % prow == 0, closed[:, 0], closed[:, 1])
-        for j, col in special.items():
-            M[:, j] = col[block]
         for j in np.flatnonzero(vanishes)[::-1]:
             bad[block][M[:, j] == -math.inf] = ps[j]
         logs[block] = np.cumsum(M, axis=1, out=M)[:, -1]
@@ -228,19 +217,16 @@ class LocalFactorReport:
 
 def main_terms(inst: ProblemInstance, Ns,
                P_max: int = 10**4) -> list:
-    """One LocalFactorReport per N in Ns, from one pass of the Euler loop;
-    C_D depends only on N mod D and is computed once per residue."""
+    """One LocalFactorReport per N in Ns, from one pass of the Euler loop
+    and one table of C_D over the residues mod D, read at N mod D."""
     D = inst.modulus
     pref = inst.prefactor
-    cosets = inst.lifted_cosets()
-    c_ds = {}
     values, bad = _euler_rows(inst.a, Ns, D, P_max)
+    c_ds = c_D(inst.lifted_cosets(), inst.a, D)
     out = []
     for N, value, bad_p in zip(Ns, values, bad):
         N = int(N)
         cinf = c_infinity(inst.a, inst.X, N)
-        if N % D not in c_ds:
-            c_ds[N % D] = c_D(cosets, inst.a, N, D)
         cd = c_ds[N % D]
         if cd == 0:
             rep = LocalFactorReport(pref, cinf, cd, 0.0, P_max, 0.0, 0.0,

@@ -95,9 +95,20 @@ class TestSimpleCommands:
         ["smooth", "--z", "10", "--Y", "nan"],
         ["verify", "INSTANCE", "--pmax", "0", "--out-dir", "OUT"],
         ["local-factors", "INSTANCE", "--pmax", "0"],
+        ["verify", "PMAX1", "--out-dir", "OUT"],
+        ["local-factors", "PMAX1"],
     ])
-    def test_bad_numeric_argument_exit_2(self, tmp_path, capsys, argv):
+    def test_bad_numeric_argument_exit_2(self, tmp_path, capsys, monkeypatch,
+                                         argv):
+        def no_count(*args):
+            raise AssertionError("counted before the arguments were checked")
+
+        # a bad P_max is rejected at load, before any count is made
+        monkeypatch.setattr(cli.circle, "counts_at", no_count)
         paths = {"INSTANCE": write_instance(tmp_path, SMALL_CLASSICAL),
+                 "PMAX1": write_instance(tmp_path, {**SMALL_CLASSICAL,
+                                                    "euler_pmax": 1},
+                                         "pmax1.json"),
                  "OUT": str(tmp_path / "out")}
         code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
         assert code == 2, err
@@ -327,3 +338,13 @@ class TestLocalFactors:
         code, out, _ = run(capsys, "local-factors", inst, "--N", "2001")
         assert code == 0
         assert json.loads(out)["vanishing_reason"] == "CD_zero"
+
+    def test_coefficient_factor_beyond_pmax_exit_2(self, tmp_path, capsys):
+        # 10007 * 10009 has no prime factor <= 100 and is >= 100**2
+        inst = write_instance(tmp_path, {**SMALL_CLASSICAL,
+                                         "a": [1, 1, 10007 * 10009]})
+        code, out, err = run(capsys, "local-factors", inst, "--N", "2001",
+                             "--pmax", "100")
+        assert code == 2
+        assert "raise P_max" in err
+        assert out == ""

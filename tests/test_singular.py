@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chebcircle import sieve, singular
+from chebcircle import characters, galois, sieve, singular
 from chebcircle.errors import DomainError
-from chebcircle.instance import classical_instance, uniform_instance
+from chebcircle.instance import (FieldClass, ProblemInstance,
+                                 classical_instance, uniform_instance)
 
 
 class TestCInfinity:
@@ -88,11 +89,11 @@ class TestCInfinity:
 class TestCD:
     def test_gaussian_identity_triples(self):
         H = [frozenset({1})] * 3
-        assert singular.c_D(H, (1, 1, 1), 3, 4) == 4
-        assert singular.c_D(H, (1, 1, 1), 1, 4) == 0
+        assert singular.c_D(H, (1, 1, 1), 4)[3] == 4
+        assert singular.c_D(H, (1, 1, 1), 4)[1] == 0
 
     def test_trivial_modulus(self):
-        assert singular.c_D([frozenset({0})], (1,), 7, 1) == 1
+        assert singular.c_D([frozenset({0})], (1,), 1) == [1]
 
     def test_exhaustive_small_moduli(self):
         rng = random.Random(41)
@@ -111,8 +112,75 @@ class TestCD:
                     denom = 1
                     for H in Hs:
                         denom *= len(H)
-                    assert singular.c_D(Hs, a, N, D) == \
+                    assert singular.c_D(Hs, a, D)[N % D] == \
                         Fraction(D * count, denom)
+
+    @staticmethod
+    def check_unit_table(p, a):
+        table = singular.c_D([range(1, p)] * len(a), a, p)
+        assert len(table) == p
+        for r in range(p):
+            assert table[r] == singular.c_p(p, a, r), (p, a, r)
+
+    def test_table_matches_closed_form(self):
+        # k_p of the k coefficients are units mod p, the rest multiples
+        rng = random.Random(17)
+        for p in (2, 3, 5, 7, 11):
+            for k in (1, 2, 3, 4):
+                for k_p in range(1, k + 1):
+                    a = ([rng.randrange(1, p) + p * rng.randint(-2, 2)
+                          for _ in range(k_p)]
+                         + [p * rng.choice([-2, -1, 1, 3])
+                            for _ in range(k - k_p)])
+                    self.check_unit_table(p, a)
+
+    def test_table_exact_past_int64(self):
+        # prod |H_i| = 210**9 > 2**63: an int64 count would wrap
+        assert 210**9 > 2**63
+        self.check_unit_table(211, [1] * 9)
+        self.check_unit_table(211, [1, -2, 3, 211, 5, -422, 7, 8, 633])
+
+    @pytest.mark.parametrize("a", [(1, 1, 1), (1, -2, 3)])
+    def test_large_modulus_matches_dft(self, a):
+        # S_5 from x^5 - x - 1: D = 2869, cosets the Jacobi symbol
+        # (r / 2869) = +1 and -1; classes (12345), (1234), (123)
+        D = 2869
+        even = [r for r in range(D) if characters.kronecker(r, D) == 1]
+        odd = [r for r in range(D) if characters.kronecker(r, D) == -1]
+        cosets = [even, odd, even]
+        table = singular.c_D(cosets, a, D)
+        spectrum = np.prod([np.fft.fft(np.bincount(
+            [ai * x % D for x in H], minlength=D))
+            for H, ai in zip(cosets, a)], axis=0)
+        counts = np.fft.ifft(spectrum).real
+        assert np.abs(counts - np.rint(counts)).max() < 1e-6
+        denom = math.prod(len(H) for H in cosets)
+        assert table == [Fraction(D * int(c), denom)
+                         for c in np.rint(counts).tolist()]
+        assert sum(table) == D
+
+    def test_main_terms_builds_one_table(self, monkeypatch):
+        calls = []
+        real = singular.c_D
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(singular, "c_D", counted)
+        gauss = galois.builtin_spec("gaussian")
+        s3 = galois.builtin_spec("s3-cbrt2")
+        inst = ProblemInstance(
+            (FieldClass(gauss, gauss.class_by_label("e")),
+             FieldClass(s3, s3.class_by_label("2")),
+             FieldClass(s3, s3.class_by_label("3"))), (1, 1, 1), 10**4)
+        assert inst.modulus == 12
+        Ns = list(range(10**4 + 1, 10**4 + 13))
+        reps = singular.main_terms(inst, Ns)
+        assert len(calls) == 1
+        assert sorted(N % 12 for N in Ns) == list(range(12))
+        table = real(inst.lifted_cosets(), inst.a, 12)
+        assert [rep.C_D for rep in reps] == [table[N % 12] for N in Ns]
 
 
 class TestCP:
@@ -151,10 +219,14 @@ class TestCP:
                             singular.c_p_bruteforce(p, a, N)
 
     def test_divisible_coefficient_path(self):
-        # p divides a coefficient: falls back to the convolution count
-        for N in range(5):
-            assert singular.c_p(5, (1, 5, 2), N) == \
-                singular.c_p_bruteforce(5, (1, 5, 2), N)
+        # p divides a coefficient: the closed form over the k_p
+        # coefficients that p does not divide, k_p = 2 and then 1
+        for p, coeffs in ((5, ((1, 5, 2), (1, 5, -10))),
+                          (7, ((1, 7, 2), (3, 7, 14)))):
+            for a in coeffs:
+                for N in range(p):
+                    assert singular.c_p(p, a, N) == \
+                        singular.c_p_bruteforce(p, a, N), (p, a, N)
 
 
 class TestEulerProduct:
@@ -169,17 +241,41 @@ class TestEulerProduct:
 
     def test_truncation_within_tail_bound(self):
         rng = random.Random(9)
+        cases = []
         for _ in range(20):
             k = rng.randint(2, 4)
             a = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(k))
-            N = rng.randint(1, 10**6)
-            D = rng.choice([1, 3, 4])
-            P = rng.choice([100, 300, 1000])
+            cases.append((a, rng.randint(1, 10**6), rng.choice([1, 3, 4]),
+                          rng.choice([100, 300, 1000])))
+        # 10007 > P divides a coefficient and N = 21 * 10007:
+        # |log C_10007| ~ 1e-4 is far above the tail bound, so the product
+        # must hold it
+        cases.append(((1, 1, 10007), 210147, 1, 10**4))
+        for a, N, D, P in cases:
             v1, tail, bad1 = singular.euler_product(a, N, D, P)
             v2, _, bad2 = singular.euler_product(a, N, D, 2 * P)
             if bad1 is not None or bad2 is not None or v1 == 0 or v2 == 0:
+                assert 10007 not in a
                 continue
             assert abs(math.log(v1) - math.log(v2)) <= tail
+        # two coefficients 10007 and 10007 | N: x_1 = N = 0 mod 10007 has
+        # no unit solution, so C_10007 = 0, unless 10007 | D and C_D holds
+        # the factor
+        assert singular.euler_product((1, 10007, 10007), 210147, 1, 10**4) \
+            == (0.0, 0.0, 10007)
+        assert singular.euler_product((1, 10007, 10007), 210147, 10007,
+                                      10**4)[2] is None
+        inst = uniform_instance("trivial", "e", 3, (1, 10007, 10007), 20)
+        assert singular.main_term(inst, 210147, 10**4).vanishing_reason == \
+            "Cp_zero(10007)"
+
+    def test_cofactor_above_pmax_squared_rejected(self):
+        # 10007 * 10009 has no prime factor <= 100 and is >= 100**2
+        with pytest.raises(DomainError, match="raise P_max"):
+            singular.euler_product((1, 1, 10007 * 10009), 5, 1, 100)
+        # a prime cofactor below P_max**2 joins the product
+        assert singular.euler_product((1, -2 * 9973), 9973, 1, 100)[2] \
+            == 9973
 
     def test_matches_classical_series(self):
         # independent formula path, skipping p = 2 on both sides via D = 2
