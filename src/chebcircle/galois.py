@@ -257,9 +257,13 @@ def frobenius_class(spec: GaloisSpec, p: int) -> int:
 def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
     """Class index (position in spec.classes) per prime; -1 for ramified.
 
-    Vectorized; must agree with frobenius_class prime by prime.
+    Vectorized; must agree with frobenius_class prime by prime.  Takes
+    primes below 2**31 only (DomainError otherwise), where a product of
+    two residues mod p stays below 2**62; frobenius_class classifies any
+    prime.
     """
     ps = np.asarray(primes, dtype=np.int64)
+    _batch_p_max(ps)  # DomainError from 2**31 on, before any arithmetic
     out = np.full(ps.shape, -1, dtype=np.int64)
     unram = ~_divides(spec.ramified_modulus, ps)
     good = ps[unram]
@@ -287,59 +291,91 @@ def _divides(n: int, ps) -> np.ndarray:
     return r == 0
 
 
-def _batch_mulmod(a, b, f, ps):
+def _batch_p_max(ps) -> int:
+    """max(ps), after a DomainError unless every p is below 2**31, where a
+    product of two residues mod p stays below 2**62."""
+    p_max = int(ps.max(initial=2))
+    if p_max >= 2**31:
+        raise DomainError(f"the batch classifier takes primes below 2**31, "
+                          f"not {p_max}; frobenius_class takes any prime")
+    return p_max
+
+
+def _reduce(acc, bound, k, ps):
+    """Reduce row k of acc mod p in place; bound[k] bounds |acc[k]|."""
+    np.remainder(acc[k], ps, out=acc[k])
+    bound[k] = int(ps.max())
+
+
+def _accumulate(acc, bound, lo, terms, size, ps):
+    """acc[lo:lo + len(terms)] += terms, where bound[k] bounds |acc[k]| and
+    size (below 2**62) bounds |terms|; a row that could pass 2**63 - 1 is
+    first reduced mod p."""
+    for k in range(lo, lo + len(terms)):
+        if bound[k] + size >= 2**63:
+            _reduce(acc, bound, k, ps)
+        bound[k] += size
+    acc[lo:lo + len(terms)] += terms
+
+
+def _batch_mulmod(a, b, f, ps, p_max):
     """Product of degree<n polys a, b modulo (f, p), one column per prime.
-    a, b are (n, N) int64, one row per coefficient; f lists (j, f_j mod p)
-    for the nonzero low coefficients of monic f.  Each product is reduced
-    mod p before it is added to another; a square takes each cross product
-    once and doubles the reduced sum."""
+    a, b are (n, N) int64 residues, one row per coefficient; f lists
+    (j, c_j, s_j) for the nonzero low coefficients of monic f, where c_j is
+    the residue of -f_j least in absolute value and s_j bounds |c_j|.
+    Products are added unreduced: a coefficient is reduced mod p only when
+    one more term could pass 2**63 - 1, which takes about
+    (2**63 - 1) // (p_max - 1)**2 products of residues, and once at the
+    end.  A top coefficient folds down by f unreduced while its products
+    with the c_j stay below 2**62.  For the built-in fields at p <= 10**5
+    the end is the only reduction."""
     n = len(a)
     prod = np.zeros((2 * n - 1, len(ps)), dtype=np.int64)
-    if a is b:
-        for i in range(n):
-            for j in range(i + 1, n):
-                prod[i + j] += a[i] * a[j] % ps
-        prod <<= 1
-        for i in range(n):
-            prod[2 * i] += a[i] * a[i] % ps
-    else:
-        for i in range(n):
-            for j in range(n):
-                prod[i + j] += a[i] * b[j] % ps
+    bound = [0] * (2 * n - 1)
+    for i in range(n):
+        _accumulate(prod, bound, i, a[i] * b, (p_max - 1) ** 2, ps)
     for k in range(2 * n - 2, n - 1, -1):
-        top = prod[k] % ps
-        for j, fj in f:
-            prod[k - n + j] -= top * fj % ps
+        for j, c, size in f:
+            if bound[k] * size >= 2**62:
+                _reduce(prod, bound, k, ps)
+            _accumulate(prod, bound, k - n + j, (prod[k] * c)[None],
+                        bound[k] * size, ps)
     return prod[:n] % ps
 
 
 def _frobenius_orders_batch(coeffs, ps):
     """Order of Frobenius on the roots of f (the lcm of the irreducible
-    factor degrees of f mod p) for each unramified prime: the least d with
-    e_x Q^d = e_x, where row i of the Frobenius matrix Q is x^(ip) mod
-    (f, p) and e_x is the coordinate vector of x.  Polynomials are stored
-    coefficient-major, one contiguous row of primes per coefficient."""
+    factor degrees of f mod p) for each unramified prime below 2**31: the
+    least d with e_x Q^d = e_x, where row i of the Frobenius matrix Q is
+    x^(ip) mod (f, p) and e_x is the coordinate vector of x.  Polynomials
+    are stored coefficient-major, one contiguous row of primes per
+    coefficient."""
     ps = np.asarray(ps, dtype=np.int64)
+    p_max = _batch_p_max(ps)
     N, n = len(ps), len(coeffs) - 1
     if n == 1:
         return np.ones(N, dtype=np.int64)
-    f = [(j, c % ps) for j, c in enumerate(coeffs[:-1]) if c]
-    # x^p mod (f, p), one squaring per bit of p and a multiply-by-x on the
-    # primes whose bit is set
+    f = []
+    for j, c in enumerate(coeffs[:-1]):
+        if c:
+            r = -c % ps
+            f.append((j, r - ps * (r > ps // 2), min(abs(c), p_max // 2)))
+    # x^p mod (f, p), one squaring per bit of p and a multiply-by-x kept
+    # on the primes whose bit is set
     xp = np.zeros((n, N), dtype=np.int64)
     xp[0] = 1
-    for bit in range(int(ps.max(initial=1)).bit_length() - 1, -1, -1):
-        xp = _batch_mulmod(xp, xp, f, ps)
+    for bit in range(p_max.bit_length() - 1, -1, -1):
+        xp = _batch_mulmod(xp, xp, f, ps, p_max)
         times_x = np.zeros_like(xp)
         times_x[1:] = xp[:-1]
-        for j, fj in f:
-            times_x[j] = (times_x[j] - xp[-1] * fj) % ps
-        xp = np.where((ps >> bit) & 1 == 1, times_x, xp)
+        for j, c, _ in f:
+            times_x[j] = (times_x[j] + xp[-1] * c) % ps
+        xp += (ps >> bit & 1) * (times_x - xp)
     Q = np.zeros((n, n, N), dtype=np.int64)
     Q[0, 0] = 1
     Q[1] = xp
     for i in range(2, n):
-        Q[i] = _batch_mulmod(Q[i - 1], xp, f, ps)
+        Q[i] = _batch_mulmod(Q[i - 1], xp, f, ps, p_max)
     e_x = np.eye(n, 1, -1, dtype=np.int64)
     orders = np.zeros(N, dtype=np.int64)
     cols = np.arange(N)
@@ -349,12 +385,12 @@ def _frobenius_orders_batch(coeffs, ps):
         orders[cols[fixed]] = d
         if fixed.all():
             break
-        keep = ~fixed
-        cols, v, Q, ps = cols[keep], v[:, keep], Q[:, :, keep], ps[keep]
-        # each product is reduced before the sum: n terms below p < 2**31
-        w = np.zeros_like(v)
+        keep = np.flatnonzero(~fixed)
+        cols, v, Q, ps = (cols[keep], v.take(keep, axis=1),
+                          Q.take(keep, axis=2), ps[keep])
+        w, bound = np.zeros_like(v), [0] * n
         for i in range(n):
-            w += v[i] * Q[i] % ps
+            _accumulate(w, bound, 0, v[i] * Q[i], (p_max - 1) ** 2, ps)
         v = w % ps
     return orders
 

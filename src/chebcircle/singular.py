@@ -30,27 +30,32 @@ def c_infinity(a, X: float, N: float) -> float:
     Closed form (Irwin 1927, Hall 1927): reflecting x_i -> X - x_i where
     a_i < 0 turns the slice into sum |a_i| y_i = N'; its density is the sum
     over subsets S of (-1)^|S| * max(0, N' - X * sum_S |a_i|)^(k-1), divided
-    by (k-1)! * prod |a_i|.  The sum is exact in rationals, rounded once."""
+    by (k-1)! * prod |a_i|.  X and N (int, float or Fraction) are scaled by
+    their common denominator L, so the sum is exact in integers; one
+    int / int division by L^(k-1) * (k-1)! * prod |a_i| rounds it once, as
+    float(Fraction) would."""
     a = [int(v) for v in a]
     if len(a) < 2:
         raise DomainError("need at least two variables")
     if any(v == 0 for v in a):
         raise DomainError("coefficients must be nonzero")
     k = len(a)
-    X = Fraction(X)
+    X, N = Fraction(X), Fraction(N)
+    L = math.lcm(X.denominator, N.denominator)
+    X, N = (v.numerator * (L // v.denominator) for v in (X, N))
     lo = X * sum(v for v in a if v < 0)
     hi = X * sum(v for v in a if v > 0)
     if not (lo <= N <= hi):
         return 0.0
     b = [abs(v) for v in a]
-    t = Fraction(N) - lo
-    total = Fraction(0)
+    t = N - lo
+    total = 0
     for r in range(k + 1):
         for S in itertools.combinations(b, r):
             s = t - X * sum(S)
             if s > 0:
                 total += (-1) ** r * s ** (k - 1)
-    return float(total / (math.factorial(k - 1) * math.prod(b)))
+    return total / (L ** (k - 1) * math.factorial(k - 1) * math.prod(b))
 
 
 def c_infinity_ternary(N: float, X: float) -> float:
@@ -72,32 +77,43 @@ def c_D(cosets, a, D: int) -> list:
     """D * #{x_i in H_i : sum a_i x_i = r mod D} / prod |H_i| for every
     residue r mod D, exact.
 
-    The histogram of a_i x mod D over each H_i is convolved with the
-    running count by np.convolve on Python-int object arrays, so no count
-    can overflow, and folded back mod D."""
-    acc = np.ones(1, dtype=object)
+    The histograms of a_i x mod D over the H_i are multiplied cyclically
+    by Kronecker substitution: each is packed as an integer in slots of w
+    bytes, w the fewest that hold prod |H_i|, so no count carries into the
+    next slot, and each big-integer product is folded at 8wD bits, which
+    adds the slot of r + D to the slot of r."""
+    denom = math.prod(len(H) for H in cosets)
+    w = (denom.bit_length() + 7) // 8
+    fold = 2 ** (8 * w * D) - 1
+    acc = 1
     for H, ai in zip(cosets, a):
         hist = np.bincount([ai * x % D for x in H], minlength=D)
-        acc = np.convolve(acc, hist.astype(object))
-        acc = np.append(acc, [0] * (-len(acc) % D)).reshape(-1, D).sum(axis=0)
-    denom = math.prod(len(H) for H in cosets)
-    return [Fraction(D * c, denom) for c in acc.tolist()]
+        slots = np.zeros((D, w), dtype=np.uint8)
+        # a count is below 2**64, and below 2**(8w)
+        slots[:, :8] = hist.astype("<u8").view(np.uint8).reshape(D, 8)[:, :w]
+        acc *= int.from_bytes(slots.tobytes(), "little")
+        acc = (acc & fold) + (acc >> (8 * w * D))
+    data = acc.to_bytes(w * D, "little")
+    return [Fraction(D * int.from_bytes(data[r * w:(r + 1) * w], "little"),
+                     denom) for r in range(D)]
 
 
-def _closed_cp(p: int, k: int, p_divides_N: bool):
-    """(numerator, denominator) of C_p, where k counts the coefficients
-    that p does not divide (a variable whose coefficient p divides adds
-    p - 1 free units and nothing to the sum): p * (solution count over
-    units) / (p-1)^k, where the count is ((p-1)^k + (-1)^k (p-1)) / p if p
-    divides N and ((p-1)^k - (-1)^k) / p otherwise."""
+def _closed_cp(p: int, k: int):
+    """(numerator if p divides N, numerator if not, denominator) of C_p,
+    where k counts the coefficients that p does not divide (a variable
+    whose coefficient p divides adds p - 1 free units and nothing to the
+    sum): p * (solution count over units) / (p-1)^k, where the count is
+    ((p-1)^k + (-1)^k (p-1)) / p if p divides N and ((p-1)^k - (-1)^k) / p
+    otherwise."""
     q, sign = (p - 1) ** k, (-1) ** k
-    return (q + sign * (p - 1) if p_divides_N else q - sign), q
+    return q + sign * (p - 1), q - sign, q
 
 
 def c_p(p: int, a, N: int) -> Fraction:
     """Local factor at an unramified prime, p * (solution count over units)
     / (p-1)^k, in the closed form of _closed_cp."""
-    return Fraction(*_closed_cp(p, sum(v % p != 0 for v in a), N % p == 0))
+    n_div, n_not, q = _closed_cp(p, sum(v % p != 0 for v in a))
+    return Fraction(n_not if N % p else n_div, q)
 
 
 def c_p_bruteforce(p: int, a, N: int) -> Fraction:
@@ -105,6 +121,16 @@ def c_p_bruteforce(p: int, a, N: int) -> Fraction:
     count = sum(1 for xs in itertools.product(range(1, p), repeat=len(a))
                 if sum(ai * x for ai, x in zip(a, xs)) % p == N % p)
     return Fraction(p * count, (p - 1) ** len(a))
+
+
+def _log_cp_table(ps, ks) -> np.ndarray:
+    """log C_p in a len(ps) x 2 table, for p dividing N and not, where
+    ks[i] counts the coefficients ps[i] does not divide; -inf where C_p
+    vanishes.  int / int rounds each exact ratio of _closed_cp once, as
+    float(Fraction) does."""
+    return np.array([[math.log(n / q) if n else -math.inf
+                      for n in (n_div, n_not)]
+                     for n_div, n_not, q in map(_closed_cp, ps, ks)])
 
 
 def _euler_rows(a, Ns, D: int, P_max: int):
@@ -115,8 +141,9 @@ def _euler_rows(a, Ns, D: int, P_max: int):
     Each row of a rows x primes matrix of log C_p is summed in ascending p
     by np.cumsum, which adds sequentially as a scalar loop per N would, so
     the values do not depend on the other N; a vanishing C_p enters as
-    -inf.  Every column takes one of the two values of _closed_cp for its
-    own count of coefficients p does not divide, by whether p divides N.
+    -inf.  Every column takes one of the two values of _log_cp_table for
+    its own count of coefficients p does not divide, by whether p divides
+    N.
     What is left of |a_i| after the primes <= P_max is 1 or, below
     P_max**2, a prime; a larger cofactor raises DomainError.  The matrix
     is built over blocks of at most 2**18 entries."""
@@ -145,12 +172,7 @@ def _euler_rows(a, Ns, D: int, P_max: int):
     if not ps:
         return np.ones(len(Ns)), np.zeros(len(Ns), dtype=np.int64)
 
-    def log_cp(p, p_divides_N):
-        n, d = _closed_cp(p, len(a) - divides[p], p_divides_N)
-        # int / int rounds the exact ratio once, as float(Fraction) does
-        return math.log(n / d) if n else -math.inf
-
-    closed = np.array([[log_cp(p, True), log_cp(p, False)] for p in ps])
+    closed = _log_cp_table(ps, [len(a) - divides[p] for p in ps])
     vanishes = (closed == -math.inf).any(axis=1)
     prow = np.array(ps, dtype=np.int64)
     logs = np.empty(len(Ns))

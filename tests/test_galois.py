@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -38,6 +39,35 @@ def primes_below(n, count):
             out.append(c)
             if len(out) == count:
                 return out
+
+
+def primes_above(n, count):
+    """The count least primes above n, by trial division."""
+    small = sieve.primes_upto(math.isqrt(2 * n))
+    out = []
+    for c in range(n + 1, 2 * n):
+        if (c % small != 0).all():
+            out.append(c)
+            if len(out) == count:
+                return out
+
+
+def factor_orders(coeffs, ps):
+    """Order of Frobenius at each p, from the scalar factorization."""
+    return [math.lcm(*galois.poly_factor_degrees(coeffs, p)) for p in ps]
+
+
+def batch_orders(coeffs, ps):
+    """Order of Frobenius at each p of ps not dividing disc(f), from the
+    batch kernel, beside the scalar oracle's."""
+    disc = galois.poly_discriminant(coeffs)
+    ps = [p for p in ps if disc % p]
+    return (galois._frobenius_orders_batch(coeffs, ps).tolist(),
+            factor_orders(coeffs, ps))
+
+
+# degree 4, with coefficients far above the primes below 2**31 and below
+BIG = (-(10**12 + 39), 10**9 + 7, -3, 5, 1)
 
 
 class TestFrobeniusClass:
@@ -204,6 +234,64 @@ class TestBatchClassifier:
                 galois.frobenius_class(spec, p) for p in ps]
         assert galois._frobenius_orders_batch(QUINTIC, ps).tolist() == [
             math.lcm(*galois.poly_factor_degrees(QUINTIC, p)) for p in ps]
+
+    def test_small_primes_beside_primes_just_below_two_to_the_31(self):
+        # the largest prime of a batch bounds every coefficient, so the
+        # primes below 100 are reduced here as often as 2**31 needs
+        ps = sieve.primes_upto(100).tolist() + primes_below(2**31, 10)
+        for coeffs in (QUINTIC, PHI5, SEXTIC, BIG):
+            got, want = batch_orders(coeffs, ps)
+            assert got == want, coeffs
+
+    def test_reductions_inside_a_coefficient(self):
+        # near 1.6e9 an int64 holds three products of residues, so a
+        # coefficient that takes four or five is reduced part way through
+        ps = primes_below(1_600_000_000, 20)
+        assert (2**63 - 1) // (max(ps) - 1) ** 2 == 3
+        for coeffs in (QUINTIC, PHI5, SEXTIC, BIG):
+            got, want = batch_orders(coeffs, ps)
+            assert got == want, coeffs
+
+    def test_random_monic_polynomials(self):
+        # every prime to 2*10**4 goes through the batch; the scalar oracle
+        # checks the first 100 and 200 more drawn from the rest
+        rng = random.Random(29)
+        ps = sieve.primes_upto(2 * 10**4).tolist()
+        for n in range(2, 7):
+            for size in (9, 10**12):
+                while True:
+                    coeffs = tuple(rng.randint(-size, size)
+                                   for _ in range(n)) + (1,)
+                    disc = galois.poly_discriminant(coeffs)
+                    if disc:
+                        break
+                qs = [p for p in ps if disc % p]
+                got = galois._frobenius_orders_batch(coeffs, qs).tolist()
+                picked = list(range(100)) + sorted(
+                    rng.sample(range(100, len(qs)), 200))
+                assert [got[i] for i in picked] == factor_orders(
+                    coeffs, [qs[i] for i in picked]), coeffs
+
+    def test_rejects_primes_from_two_to_the_31(self):
+        # from 2**31 on a product of two residues can pass 2**62, and from
+        # 2**32 on _divides overflows: the batch path raises before any
+        # arithmetic, and the scalar oracle still answers there
+        above = primes_above(2**32, 40)
+        for ps in (above, primes_above(2**31, 3), [3, 5] + above[:1]):
+            with pytest.raises(DomainError, match=r"2\*\*31"):
+                galois._frobenius_orders_batch(QUINTIC, ps)
+            for name in galois.BUILTIN_NAMES:
+                with pytest.raises(DomainError, match=r"2\*\*31"):
+                    galois.classify_batch(galois.builtin_spec(name), ps)
+        d4 = galois.builtin_spec("d4-qrt2")
+        for p in above[:8]:
+            # x^4 - 2 splits at p = 1 mod 8 iff 2 is a fourth power mod p
+            if p % 8 == 1:
+                label = "e" if pow(2, (p - 1) // 4, p) == 1 else "r2"
+            else:
+                label = {3: "s", 5: "r", 7: "t"}[p % 8]
+            assert d4.classes[galois.frobenius_class(d4, p)].label == label
+        assert set(factor_orders(QUINTIC, above[:8])) <= {1, 2, 3, 4, 5, 6}
 
     def test_quintic_orders_match_factor_degrees(self):
         # an S5 quintic: orders up to 6 = lcm(2, 3), above deg f

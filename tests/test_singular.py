@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,38 @@ class TestCInfinity:
             assert singular.c_infinity(a, X, N) == pytest.approx(want,
                                                                  rel=1e-8)
 
+    @staticmethod
+    def fraction_c_infinity(a, X, N):
+        """The closed form summed in Fractions and rounded once."""
+        k, X, N = len(a), Fraction(X), Fraction(N)
+        lo = X * sum(v for v in a if v < 0)
+        hi = X * sum(v for v in a if v > 0)
+        if not (lo <= N <= hi):
+            return 0.0
+        b = [abs(v) for v in a]
+        total = Fraction(0)
+        for r in range(k + 1):
+            for S in itertools.combinations(b, r):
+                s = N - lo - X * sum(S)
+                if s > 0:
+                    total += (-1) ** r * s ** (k - 1)
+        return float(total / (math.factorial(k - 1) * math.prod(b)))
+
+    def test_integer_sum_equals_fraction_sum(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            a = [rng.choice([-1, 1]) * rng.randint(1, 9)
+                 for _ in range(rng.randint(2, 6))]
+            X = rng.choice([rng.randint(1, 10**6), rng.uniform(0.5, 10**6),
+                            Fraction(rng.randint(1, 10**6),
+                                     rng.randint(1, 97))])
+            lo = X * sum(v for v in a if v < 0)
+            hi = X * sum(v for v in a if v > 0)
+            N = lo + (hi - lo) * Fraction(rng.randint(-5, 105), 100)
+            for N in (N, float(N), math.floor(N)):
+                assert singular.c_infinity(a, X, N) == \
+                    self.fraction_c_infinity(a, X, N), (a, X, N)
+
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
             singular.c_infinity((1,), 10, 5)
@@ -114,6 +147,20 @@ class TestCD:
                         denom *= len(H)
                     assert singular.c_D(Hs, a, D)[N % D] == \
                         Fraction(D * count, denom)
+
+    def test_slot_width_boundaries(self):
+        # prod |H_i| = 255 packs counts in one byte, 256 in two; a residue
+        # can take every tuple, so its count fills its slot
+        for D, sizes in ((19, (3, 5, 17)), (17, (16, 16)), (17, (1, 16, 16)),
+                         (5, (1, 1, 1))):
+            Hs = [frozenset(range(1, s + 1)) for s in sizes]
+            for a in ((1,) * len(sizes), (0,) * len(sizes),
+                      (1, -1, 2)[:len(sizes)]):
+                counts = Counter(sum(ai * x for ai, x in zip(a, xs)) % D
+                                 for xs in itertools.product(*Hs))
+                denom = math.prod(sizes)
+                assert singular.c_D(Hs, a, D) == [
+                    Fraction(D * counts[r], denom) for r in range(D)]
 
     @staticmethod
     def check_unit_table(p, a):
@@ -345,6 +392,23 @@ class TestEulerProduct:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+def test_log_cp_table_entries_are_logs_of_c_p():
+    rng = random.Random(7)
+    ps = sieve.primes_upto(2000).tolist()
+    for _ in range(30):
+        a = tuple(rng.choice([-1, 1]) * rng.randint(1, 60)
+                  for _ in range(rng.randint(2, 7)))
+        ks = [sum(v % p != 0 for v in a) for p in ps]
+        table = singular._log_cp_table(ps, ks)
+        for p, row in zip(ps, table.tolist()):
+            for N, got in zip((p * rng.randint(-9, 9),
+                               p * rng.randint(-9, 9) + rng.randint(1, p - 1)),
+                              row):
+                c = singular.c_p(p, a, N)
+                assert got == (math.log(float(c)) if c else -math.inf), \
+                    (p, a, N)
 
 
 @functools.lru_cache(maxsize=None)
