@@ -4,6 +4,7 @@ singular-series main terms, generating functions and their sieved
 approximants, exponential sums, and an elliptic-curve application."""
 
 __version__ = "0.1.0"
+SCHEMA = "chebotarev-circle/1"  # the tag of every JSON document written
 
 from .errors import (ChebCircleError, DegenerateAlpha, DomainError,
                      InconsistentSpec, NotFoundWithinLimit, ResourceLimit,
@@ -15,7 +16,7 @@ from .instance import FieldClass, ProblemInstance, classical_instance
 __all__ = [
     "ChebCircleError", "ClassSpec", "DegenerateAlpha", "DomainError",
     "FieldClass", "GaloisSpec", "InconsistentSpec", "NotFoundWithinLimit",
-    "ProblemInstance", "ResourceLimit", "UnsupportedInstantiation",
+    "ProblemInstance", "ResourceLimit", "SCHEMA", "UnsupportedInstantiation",
     "ValidationError",
     "builtin_spec", "classical_instance", "frobenius_class",
     "validate_spec",

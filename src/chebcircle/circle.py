@@ -364,7 +364,7 @@ BOUNDARY_MARGIN = 0.05
 
 
 def verify_theorem(inst: ProblemInstance, N_list,
-                   P_max: int = 10**4) -> VerifyResult:
+                   P_max: int = singular.P_MAX) -> VerifyResult:
     """Per-N comparison of S(N) against the assembled main term."""
     weighted, unweighted = counts_at(inst, N_list)
     lo, hi = inst.attainable_range

@@ -12,12 +12,10 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from . import circle, ecapp, expsum, galois, genfun, sieve, singular
+from . import SCHEMA, circle, ecapp, expsum, galois, genfun, sieve, singular
 from .errors import (ChebCircleError, NotFoundWithinLimit, ResourceLimit,
                      ValidationError)
 from .instance import FieldClass, ProblemInstance
-
-SCHEMA = "chebotarev-circle/1"
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -133,7 +131,8 @@ def _n_list(doc: dict, inst: ProblemInstance):
 
 def _pmax(args, doc) -> int:
     """--pmax if given (0 included), else the instance's euler_pmax."""
-    pmax = doc.get("euler_pmax", 10**4) if args.pmax is None else args.pmax
+    pmax = (doc.get("euler_pmax", singular.P_MAX) if args.pmax is None
+            else args.pmax)
     if pmax < 2:
         raise ValidationError([("BadPmax", f"P_max {pmax} is below 2")])
     return pmax

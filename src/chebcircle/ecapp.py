@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import galois
+from . import SCHEMA, galois
 from .arith import is_prime
 from .errors import DomainError, NotFoundWithinLimit
 
@@ -65,7 +65,7 @@ class CurveCertificate:
 
     def to_json(self) -> dict:
         return {
-            "schema": "chebotarev-circle/1",
+            "schema": SCHEMA,
             "p": self.p, "q": self.q, "r": self.r, "n": self.n,
             "model": {"A": [self.A.numerator, self.A.denominator],
                       "B": self.B, "discriminant": self.discriminant},

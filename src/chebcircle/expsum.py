@@ -1,10 +1,12 @@
 """Rational approximation and exponential-sum evaluators.
 
 Covers continued-fraction best approximations, the "denominator in a
-range" qualification |alpha - a/q| < 1/q^2, the structure set covering
-construction for multiples of a badly approximable number, ideal-norm
-counting in quadratic fields via the Kronecker divisor sum, and Weyl
-polynomial sums evaluated by incremental finite differences.
+range" qualification |alpha - a/q| < 1/q^2 (searched completely, over the
+convergents and their neighbouring intermediate fractions), the structure
+set covering construction for multiples of a badly approximable number,
+the one e(alpha * n) kernel, ideal-norm counting in quadratic fields via
+the Kronecker divisor sum, and Weyl polynomial sums evaluated by
+incremental finite differences.
 """
 
 from __future__ import annotations
@@ -78,26 +80,21 @@ def best_approx(alpha, qmax: int) -> RationalApprox:
     return RationalApprox(a, q, err)
 
 
-EXHAUSTIVE_Q_LIMIT = 10_000
-
-
 def has_denominator_in_range(alpha, qmin, qmax) -> Optional[RationalApprox]:
-    """A reduced a/q with qmin < q < qmax and |alpha - a/q| < 1/q^2.
-
-    Scans continued-fraction convergents; falls back to an exhaustive scan
-    when qmax is small enough that it is exact.
-    """
+    """The first convergent a/q of alpha with qmin < q < qmax and
+    |alpha - a/q| < 1/q^2, else the least-q such intermediate fraction
+    (p0 + p1)/(q0 + q1) or (p1 - p0)/(q1 - q0) of consecutive convergents,
+    1/0 in front: by the Fatou-Grace theorem no other a/q qualifies.  The
+    latter can come from a q1 up to 2*qmax."""
     x = _as_fraction(alpha)
-    for a, q in convergents(alpha, qmax):
-        if qmin < q < qmax and abs(x - Fraction(a, q)) < Fraction(1, q * q):
-            return RationalApprox(a, q, abs(float(x - Fraction(a, q))))
-    if qmax <= EXHAUSTIVE_Q_LIMIT:
-        q = int(math.floor(qmin)) + 1
-        while q < qmax:
-            a = round(x * q)
-            if math.gcd(a, q) == 1 and abs(x - Fraction(a, q)) < Fraction(1, q * q):
-                return RationalApprox(a, q, abs(float(x - Fraction(a, q))))
-            q += 1
+    conv = [(1, 0)] + convergents(x, 2 * qmax)
+    middle = [c for (p0, q0), (p1, q1) in zip(conv, conv[1:])
+              for c in ((p0 + p1, q0 + q1), (p1 - p0, q1 - q0))]
+    for a, q in conv[1:] + sorted(middle, key=lambda c: c[1]):
+        if max(qmin, 0) < q < qmax:
+            err = abs(x - Fraction(a, q))
+            if err < Fraction(1, q * q):
+                return RationalApprox(a, q, float(err))
     return None
 
 
@@ -168,6 +165,26 @@ def covering_holds(ss: StructureSet, alpha) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# e(alpha * n)
+# ---------------------------------------------------------------------------
+
+_ROOT_LIMIT = 1 << 20
+
+
+def phase_array(ns: np.ndarray, alpha) -> np.ndarray:
+    """e(alpha * n) for an int64 array of n; exact root-of-unity lookup
+    when alpha is a Fraction with a moderate denominator."""
+    if isinstance(alpha, Fraction):
+        q = alpha.denominator
+        if q <= _ROOT_LIMIT:
+            a = alpha.numerator % q
+            roots = np.exp(2j * np.pi * np.arange(q) / q)
+            return roots[(a * ns) % q]
+    a = float(alpha)
+    return np.exp(2j * np.pi * ((a * ns.astype(np.float64)) % 1.0))
+
+
+# ---------------------------------------------------------------------------
 # quadratic fields via norm counts
 # ---------------------------------------------------------------------------
 
@@ -226,9 +243,7 @@ def ideal_exp_sum(fieldK: QuadraticField, chi: DirichletCharacter, alpha,
     r = norm_counts(fieldK, X)
     ms = np.arange(1, X + 1)
     vals = r[1:].astype(np.float64) * chi.value_table()[ms % chi.modulus]
-    a = float(alpha)
-    phases = np.exp(2j * np.pi * ((a * ms) % 1.0))
-    return complex(np.dot(vals, phases))
+    return complex(np.dot(vals, phase_array(ms, alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +262,21 @@ def _difference_table(coeffs):
     return table
 
 
-def weyl_sum(coeffs, alpha, X: int) -> complex:
-    """Sum over x = 1..X of e(alpha * P(x)), P given by ascending integer
-    coefficients, evaluated by incremental finite differences so each step
-    costs O(deg) and no large-argument trigonometry occurs."""
+def _nonconstant(coeffs) -> list:
+    """coeffs without trailing zeros; DomainError unless of degree >= 1."""
     c = list(coeffs)
     while c and c[-1] == 0:
         c.pop()
     if len(c) < 2:
         raise DomainError("polynomial degree must be >= 1")
+    return c
+
+
+def weyl_sum(coeffs, alpha, X: int) -> complex:
+    """Sum over x = 1..X of e(alpha * P(x)), P given by ascending integer
+    coefficients, evaluated by incremental finite differences so each step
+    costs O(deg) and no large-argument trigonometry occurs."""
+    c = _nonconstant(coeffs)
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise DomainError("alpha must be finite")
     diffs = _difference_table(c)
@@ -281,11 +302,7 @@ def weyl_sum(coeffs, alpha, X: int) -> complex:
 def weyl_bound_ratio(coeffs, alpha, X: int, qmax: Optional[int] = None) -> float:
     """|weyl_sum| divided by |c| * X * (1/q + 1/X + q/X^k)^(10^-k), with
     q from the best rational approximation; a diagnostic, not a proof."""
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    if len(c) < 2:
-        raise DomainError("polynomial degree must be >= 1")
+    c = _nonconstant(coeffs)
     if X < 1:
         raise DomainError("X must be >= 1")
     x = _as_fraction(alpha)

@@ -265,7 +265,7 @@ def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
     ps = np.asarray(primes, dtype=np.int64)
     _batch_p_max(ps)  # DomainError from 2**31 on, before any arithmetic
     out = np.full(ps.shape, -1, dtype=np.int64)
-    unram = ~_divides(spec.ramified_modulus, ps)
+    unram = _residues(spec.ramified_modulus, ps) != 0
     good = ps[unram]
     orders = _frobenius_orders_batch(spec.poly, good)
     keys = spec.class_keys()
@@ -281,14 +281,14 @@ def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
     return out
 
 
-def _divides(n: int, ps) -> np.ndarray:
-    """Mask of the entries of ps (int64, 0 < p < 2**31) that divide n, by
-    Horner's rule over the base-2**31 digits of |n|."""
-    n = abs(n)
+def _residues(n: int, ps) -> np.ndarray:
+    """n mod p for each entry of ps (int64, 0 < p < 2**31), for any int n,
+    by Horner's rule over the base-2**31 digits of |n| signed as n."""
+    sign, m = (-1 if n < 0 else 1), abs(n)
     r = np.zeros_like(ps)
-    for shift in range(31 * (n.bit_length() // 31), -1, -31):
-        r = (r * 2**31 + ((n >> shift) & (2**31 - 1))) % ps
-    return r == 0
+    for shift in range(31 * (m.bit_length() // 31), -1, -31):
+        r = (r * 2**31 + sign * ((m >> shift) & (2**31 - 1))) % ps
+    return r
 
 
 def _batch_p_max(ps) -> int:
@@ -358,7 +358,7 @@ def _frobenius_orders_batch(coeffs, ps):
     f = []
     for j, c in enumerate(coeffs[:-1]):
         if c:
-            r = -c % ps
+            r = _residues(-c, ps)
             f.append((j, r - ps * (r > ps // 2), min(abs(c), p_max // 2)))
     # x^p mod (f, p), one squaring per bit of p and a multiply-by-x kept
     # on the primes whose bit is set

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -25,23 +24,7 @@ from .arith import phi
 from .characters import (DirichletCharacter, characters_trivial_on,
                          principal_character)
 from .errors import UnsupportedInstantiation
-from .expsum import QuadraticField, best_approx, norm_counts
-
-_ROOT_LIMIT = 1 << 20
-
-
-def phase_array(ns: np.ndarray, alpha) -> np.ndarray:
-    """e(alpha * n) for an int64 array of n; exact root-of-unity lookup
-    when alpha is a Fraction with a moderate denominator."""
-    if isinstance(alpha, Fraction):
-        q = alpha.denominator
-        if q <= _ROOT_LIMIT:
-            a = alpha.numerator % q
-            roots = np.exp(2j * np.pi * np.arange(q) / q)
-            return roots[(a * ns) % q]
-        alpha = float(alpha)
-    a = float(alpha)
-    return np.exp(2j * np.pi * ((a * ns.astype(np.float64)) % 1.0))
+from .expsum import QuadraticField, best_approx, norm_counts, phase_array
 
 
 @dataclass
@@ -71,16 +54,12 @@ class GenfunContext:
 def eval_G(ctx: GenfunContext, alpha) -> complex:
     """Sum of log p * e(alpha p) over classified primes p <= X."""
     ps = ctx.primes
-    if len(ps) == 0:
-        return 0j
     logs = np.log(ps.astype(np.float64))
     return complex(np.dot(logs, phase_array(ps, alpha)))
 
 
 def eval_G_sharp(ctx: GenfunContext, alpha) -> complex:
     ns, w = ctx._sharp_support
-    if len(ns) == 0:
-        return 0j
     return complex(np.dot(w, phase_array(ns, alpha)))
 
 

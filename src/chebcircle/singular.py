@@ -14,9 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import sieve
+from . import SCHEMA, sieve
 from .errors import DomainError
 from .instance import ProblemInstance
+
+P_MAX = 10**4  # the default Euler-product cutoff P_max
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,7 @@ def _tail_bound(k: int, N: int, P_max: int) -> float:
     return generic + 2.0 * n_big_divisors * (P_max - 1.0) ** (1 - k)
 
 
-def euler_product(a, N: int, D: int, P_max: int = 10**4):
+def euler_product(a, N: int, D: int, P_max: int = P_MAX):
     """(product of C_p over p <= P_max with p not dividing D, tail bound,
     first vanishing prime or None)."""
     values, bad = _euler_rows(a, [N], D, P_max)
@@ -221,7 +223,7 @@ class LocalFactorReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": "chebotarev-circle/1",
+            "schema": SCHEMA,
             "prefactor": [self.prefactor.numerator,
                           self.prefactor.denominator],
             "C_inf": self.C_inf,
@@ -238,7 +240,7 @@ class LocalFactorReport:
 
 
 def main_terms(inst: ProblemInstance, Ns,
-               P_max: int = 10**4) -> list:
+               P_max: int = P_MAX) -> list:
     """One LocalFactorReport per N in Ns, from one pass of the Euler loop
     and one table of C_D over the residues mod D, read at N mod D."""
     D = inst.modulus
@@ -266,5 +268,5 @@ def main_terms(inst: ProblemInstance, Ns,
 
 
 def main_term(inst: ProblemInstance, N: int,
-              P_max: int = 10**4) -> LocalFactorReport:
+              P_max: int = P_MAX) -> LocalFactorReport:
     return main_terms(inst, [N], P_max)[0]

@@ -69,6 +69,63 @@ class TestDenominatorInRange:
                 good.add(q)
         assert good == {13, 21, 34, 55, 89}
 
+    def test_matches_exhaustive_scan(self):
+        # floats and Fractions with small and large denominators, of either
+        # sign; qmax <= 10**4 integral or fractional; qmin 0, an integer, a
+        # fraction or negative
+        rng = random.Random(2026)
+        outcomes = set()
+        for _ in range(5000):
+            alpha = rng.choice([
+                rng.uniform(-3, 3),
+                Fraction(rng.randint(-3000, 3000), rng.randint(1, 3000)),
+                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))])
+            qmax = 10 ** rng.uniform(0, 4)
+            qmax = rng.choice([qmax, int(qmax) + 1])
+            qmin = rng.choice([0, rng.uniform(-1, qmax),
+                               rng.randrange(int(qmax) + 1)])
+            ra = expsum.has_denominator_in_range(alpha, qmin, qmax)
+            got = None if ra is None else (ra.a, ra.q)
+            assert got == exhaustive_denominator(alpha, qmin, qmax), \
+                (alpha, qmin, qmax)
+            outcomes.add(None if ra is None else
+                         (ra.a, ra.q) in expsum.convergents(alpha))
+        assert outcomes == {None, True, False}
+
+    def test_intermediate_fractions_past_ten_thousand(self):
+        ra = expsum.has_denominator_in_range(math.sqrt(2), 16608, 19608)
+        assert (ra.a, ra.q) == (27720, 19601)
+        assert ra.err < 0.71 / ra.q**2
+        ra = expsum.has_denominator_in_range(0.6855436987230825, 6124, 10392)
+        assert ra.q == 6198
+
+    def test_intermediate_edge_cases(self):
+        # 47/53 is no convergent: it comes from a consecutive pair of them
+        alpha = Fraction(362238, 408641)
+        ra = expsum.has_denominator_in_range(alpha, 45.7, 120.7)
+        assert (ra.a, ra.q) == (47, 53)
+        assert (47, 53) not in expsum.convergents(alpha)
+        # phi's convergents 1/1 and 2/1 give the candidate (2 - 1)/(1 - 1)
+        ra = expsum.has_denominator_in_range(PHI, 0, 3)
+        assert (ra.a, ra.q) == (1, 1)
+        assert expsum.has_denominator_in_range(PHI, -1, 1) is None
+
+
+def exhaustive_denominator(alpha, qmin, qmax):
+    """(a, q) of the first qualifying convergent with qmin < q < qmax, else
+    of the least q in that range found by trying every q; None if none."""
+    x = expsum._as_fraction(alpha)
+    for a, q in expsum.convergents(alpha, qmax):
+        if qmin < q < qmax and abs(x - Fraction(a, q)) < Fraction(1, q * q):
+            return (a, q)
+    q = int(math.floor(qmin)) + 1
+    while q < qmax:
+        a = round(x * q)
+        if math.gcd(a, q) == 1 and abs(x - Fraction(a, q)) < Fraction(1, q * q):
+            return (a, q)
+        q += 1
+    return None
+
 
 class TestBadMultiples:
     def test_half(self):
@@ -165,6 +222,17 @@ class TestIdealExpSum:
         K = expsum.QuadraticField(-4)
         got = expsum.ideal_exp_sum(K, ONE, 0.5, 4)
         assert got == pytest.approx(1 + 0j, abs=1e-9)
+
+    def test_rational_alpha_reads_roots_of_unity(self):
+        K = expsum.QuadraticField(-4)
+        r = expsum.norm_counts(K, 60)
+        want = sum(int(r[m]) * cmath.exp(2j * cmath.pi * (3 * m % 7) / 7)
+                   for m in range(1, 61))
+        got = expsum.ideal_exp_sum(K, ONE, Fraction(3, 7), 60)
+        assert got == pytest.approx(want, abs=1e-12)
+        roots = np.exp(2j * np.pi * np.arange(7) / 7)
+        assert got == complex(np.dot(r[1:].astype(np.float64),
+                                     roots[3 * np.arange(1, 61) % 7]))
 
     def test_gauss_circle_constant(self):
         K = expsum.QuadraticField(-4)

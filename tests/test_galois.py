@@ -68,6 +68,8 @@ def batch_orders(coeffs, ps):
 
 # degree 4, with coefficients far above the primes below 2**31 and below
 BIG = (-(10**12 + 39), 10**9 + 7, -3, 5, 1)
+# degree 4, with coefficients past int64 of either sign
+HUGE = (-(3**80), 2**64 + 1, 0, 5, 1)
 
 
 class TestFrobeniusClass:
@@ -239,7 +241,7 @@ class TestBatchClassifier:
         # the largest prime of a batch bounds every coefficient, so the
         # primes below 100 are reduced here as often as 2**31 needs
         ps = sieve.primes_upto(100).tolist() + primes_below(2**31, 10)
-        for coeffs in (QUINTIC, PHI5, SEXTIC, BIG):
+        for coeffs in (QUINTIC, PHI5, SEXTIC, BIG, HUGE):
             got, want = batch_orders(coeffs, ps)
             assert got == want, coeffs
 
@@ -248,7 +250,7 @@ class TestBatchClassifier:
         # coefficient that takes four or five is reduced part way through
         ps = primes_below(1_600_000_000, 20)
         assert (2**63 - 1) // (max(ps) - 1) ** 2 == 3
-        for coeffs in (QUINTIC, PHI5, SEXTIC, BIG):
+        for coeffs in (QUINTIC, PHI5, SEXTIC, BIG, HUGE):
             got, want = batch_orders(coeffs, ps)
             assert got == want, coeffs
 
@@ -274,7 +276,7 @@ class TestBatchClassifier:
 
     def test_rejects_primes_from_two_to_the_31(self):
         # from 2**31 on a product of two residues can pass 2**62, and from
-        # 2**32 on _divides overflows: the batch path raises before any
+        # 2**32 on _residues overflows: the batch path raises before any
         # arithmetic, and the scalar oracle still answers there
         above = primes_above(2**32, 40)
         for ps in (above, primes_above(2**31, 3), [3, 5] + above[:1]):
