@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 
 def factorint(n: int) -> dict:
     """{prime: exponent} of |n| by trial division; {} for 0 and +-1."""
@@ -27,13 +29,21 @@ def phi(n: int) -> int:
     return math.prod(p ** (e - 1) * (p - 1) for p, e in factorint(n).items())
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)   # deterministic below 3.3 * 10^14
+# The first twelve primes: no composite below is_prime's bound is a strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _MR_BASES; False below 2."""
+    """Miller-Rabin to the bases _MR_BASES; False below 2.  Raises
+    DomainError at or above 318665857834031151167461, where those bases
+    no longer decide primality."""
     if n < 2:
         return False
+    if n >= 318665857834031151167461:
+        raise DomainError(f"is_prime({n}): Miller-Rabin to the bases "
+                          f"2..37 is proven only below 3.19e23")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

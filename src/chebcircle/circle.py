@@ -7,41 +7,37 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import sieve, singular
 from .errors import ResourceLimit
+from .expsum import phase_array
 from .instance import ProblemInstance
 
 MAX_BYTES = 4 * 2**30
-# Peak bytes of the interpreter and numpy, per FFT point, per FFT point for
-# each spectrum _convolve holds while it transforms another, per unit of X,
+# Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
 # and per unit of X and of |a_i| for each distinct (component, a_i), whose
-# embedded array _convolve transforms once; fitted to the peak RSS of
-# weighted_counts on 16 instances (k = 2..4, X = 1e4..4e6, one to four
-# distinct components), each within 3% of its measurement.  The rows-only
-# counts_at convolves at most k - 1 of the components over their odd
-# primes, indexed by p // g for the step g of their progressions (2 for
-# the trivial class, 4 for gaussian, 6 for s3-cbrt2), one channel at a
-# time, so it peaks well below the same estimate: 50 rows of trivial x3
-# at X = 1e6, 4e6 and 1e7 peak at 69, 183 and 602 MiB against 168, 587
-# and 1167; s3-cbrt2 (1, 2, 3) at X = 1e6 and 4e6 at 51 and 110 MiB
-# against 186 and 655; gaussian (e, e, c) at 51 and 108 MiB against 177
-# and 621; and trivial x4 at X = 1e6 (even N) at 101 MiB against 168.
+# embedded array _convolve transforms once and releases before the next
+# transform; fitted to the peak RSS of weighted_counts on 16 instances
+# (k = 2..4, X = 1e4..4e6, one to four distinct components), each within
+# 3% of its measurement.  The rows-only counts_at convolves at most k - 1
+# of the components over their odd primes, indexed by p // g for the step
+# g of their progressions (2 for the trivial class, 4 for gaussian, 6 for
+# s3-cbrt2), one channel at a time, so it peaks well below the same
+# estimate: 50 rows of trivial x3 at X = 1e6, 4e6 and 1e7 peak at 69, 183
+# and 602 MiB against 168, 587 and 1167; s3-cbrt2 (1, 2, 3) at X = 1e6
+# and 4e6 at 51 and 110 MiB against 186 and 655; gaussian (e, e, c) at 51
+# and 108 MiB against 177 and 621; and trivial x4 at X = 1e6 (even N) at
+# 101 MiB against 168.
 BYTES_BASE = 29 * 2**20
 BYTES_PER_FFT_POINT = 32
-BYTES_PER_HELD_POINT = 8
 BYTES_PER_X = 3
 BYTES_PER_COMPONENT_X = 9
-# Grid rows per block of parseval_check's phase matrix: a block holds
-# PARSEVAL_ROWS x (number of primes) complex phases, not the whole grid.
-PARSEVAL_ROWS = 1024
 # Largest distance from an integer that a rounded FFT count may have.
 MAX_RESIDUAL = 0.25
-# Primes per block of _step's gcd.
-STEP_BLOCK = 1024
 
 
 def _embed(values: np.ndarray, ai: int) -> np.ndarray:
@@ -66,19 +62,23 @@ def _span(arrays, a) -> int:
 
 def _convolve(arrays, a) -> np.ndarray:
     """Coefficients of prod_i sum_n arrays[i][n] x^(a_i n), lowest exponent
-    first, by FFT; a repeated (array, a_i) is transformed once and held
-    until its last use.  The result is a view into the M-point inverse
-    transform: a copy measured no lower peak (h_flat_norms of trivial x3
-    at X = 1e6: 876 MiB with the view, 890 MiB with a copy)."""
+    first, by FFT.  The factors are grouped by (array, a_i) in order of
+    first occurrence; each group is transformed once, multiplied in as
+    often as it occurs and released before the next transform, so that
+    one spectrum besides the product is alive at a time.  The result is a
+    view into the M-point inverse transform: a copy measured no lower peak
+    (h_flat_norms of trivial x3 at X = 1e6: 876 MiB with the view, 890 MiB
+    with a copy)."""
     span = _span(arrays, a)
     M = _fft_len(span)
     keys = [(id(v), ai) for v, ai in zip(arrays, a)]
-    held = {}
     spec = np.ones(M // 2 + 1, dtype=complex)
-    for i, (key, v, ai) in enumerate(zip(keys, arrays, a)):
-        if key not in held:
-            held[key] = np.fft.rfft(_embed(v, ai), M)
-        spec *= held[key] if key in keys[i + 1:] else held.pop(key)
+    for key in dict.fromkeys(keys):
+        i = keys.index(key)
+        factor = np.fft.rfft(_embed(arrays[i], a[i]), M)
+        for _ in range(keys.count(key)):
+            spec *= factor
+        del factor
     return np.fft.irfft(spec, M)[:span + 1]
 
 
@@ -93,24 +93,15 @@ def _exact_convolve(arrays, a) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").astype(np.int64)
 
 
-def _held_spectra(keys) -> int:
-    """Most spectra _convolve holds while it transforms another: at each
-    first use of a key, the earlier keys that recur later."""
-    return max(len(set(keys[:i]) & set(keys[i + 1:]))
-               for i, key in enumerate(keys) if key not in keys[:i])
-
-
 def estimated_bytes(inst: ProblemInstance) -> int:
     """Estimated peak memory of the all-N count weighted_counts on inst,
     prime lists included, which also bounds the rows-only counts_at;
     allocates nothing."""
-    keys = list(zip(inst.components, inst.a))
-    embedded = sum(abs(ai) for _, ai in set(keys))
+    embedded = sum(abs(ai) for _, ai in set(zip(inst.components, inst.a)))
     per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * embedded
-    per_point = (BYTES_PER_FFT_POINT
-                 + BYTES_PER_HELD_POINT * _held_spectra(keys))
     lo, hi = inst.attainable_range
-    return BYTES_BASE + per_point * _fft_len(hi - lo) + per_x * (inst.X + 1)
+    return (BYTES_BASE + BYTES_PER_FFT_POINT * _fft_len(hi - lo)
+            + per_x * (inst.X + 1))
 
 
 def check_memory(inst: ProblemInstance):
@@ -196,15 +187,8 @@ def _rows(head, a, last, ak: int, Ns, weights=None) -> np.ndarray:
 def _step(ps) -> int:
     """The gcd of p - ps[0] over the odd primes ps: every p lies in the
     progression ps[0] mod the step.  0 when ps has fewer than two primes,
-    which constrains no step.  Read STEP_BLOCK primes at a time, stopping
-    at 2, the least step of odd primes, so that no difference array of
-    the full length is made."""
-    g = 0
-    for i in range(1, len(ps), STEP_BLOCK):
-        g = math.gcd(g, int(np.gcd.reduce(ps[i:i + STEP_BLOCK] - ps[0])))
-        if g == 2:
-            break
-    return g
+    which constrains no step."""
+    return int(np.gcd.reduce(ps[1:] - ps[0])) if len(ps) > 1 else 0
 
 
 def _progression_terms(comps, a, Ns):
@@ -394,22 +378,23 @@ def verify_theorem(inst: ProblemInstance, N_list,
 
 
 def parseval_check(inst: ProblemInstance):
-    """(sum of S(N)^2, quadrature of |H|^2 on a grid four times the
-    number of N) where the grid side evaluates H(alpha) =
+    """(sum of S(N)^2, quadrature of |H|^2 on the grid alpha = j/M, M four
+    times the number of N) where the grid side evaluates H(alpha) =
     prod G_i(a_i alpha) from the prime sums directly, independent of the
-    convolution path."""
+    convolution path: one prime at a time, e(a_i p j / M) is read from one
+    table of the M-th roots of unity at (a_i p mod M) j mod M, a product
+    below 2^63 while M < 3e9."""
     comps = _component_primes(inst)
     weighted = _log_convolution(comps, inst)
     lhs = float(np.sum(weighted ** 2))
     M = 4 * len(weighted)
-    grid = np.arange(M) / M
+    grid = np.arange(M)
+    roots = phase_array(grid, Fraction(1, M))
     H = np.ones(M, dtype=complex)
     for primes, ai in zip(comps, inst.a):
-        ps = primes.astype(np.float64)
-        logs = np.log(ps)
-        for i in range(0, M, PARSEVAL_ROWS):
-            rows = grid[i:i + PARSEVAL_ROWS, None]
-            H[i:i + PARSEVAL_ROWS] *= np.exp(
-                2j * np.pi * ((ai * rows * ps[None, :]) % 1.0)) @ logs
+        G = np.zeros(M, dtype=complex)
+        for p in primes.tolist():
+            G += math.log(p) * roots[(ai * p % M) * grid % M]
+        H *= G
     rhs = float(np.mean(np.abs(H) ** 2))
     return lhs, rhs

@@ -223,7 +223,7 @@ def test_smooth_count_matches_dfs_enumeration():
 def test_parseval_identity_classical():
     inst = classical_instance(10**3)
     lhs, rhs = circle.parseval_check(inst)
-    assert abs(rhs - lhs) <= 0.005 * lhs
+    assert abs(rhs - lhs) <= 1e-12 * lhs
 
 
 def test_curve_certificates_for_rational_and_gaussian_fields():

@@ -111,10 +111,10 @@ class TestRepresentationCounts:
             ([(s, "1"), (s, "1"), (s, "2")], (1, 2, 3), 5 * 10**5, 179.5),
             (d4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 70.0),
             (d4, (1, 1, 1, 1), 10**6, 189.9),
-            # interleaved repeats: _convolve holds one spectrum while it
-            # transforms the other
-            ([(d, "r"), (d, "s")] * 2, (1, 1, 1, 1), 10**6, 206.3),
-            ([(g, "e"), (g, "c")] * 2, (1, 1, 1, 1), 10**6, 206.9),
+            # interleaved repeats: _convolve releases each spectrum before
+            # it transforms the next
+            ([(d, "r"), (d, "s")] * 2, (1, 1, 1, 1), 10**6, 177.4),
+            ([(g, "e"), (g, "c")] * 2, (1, 1, 1, 1), 10**6, 175.4),
         ]
         for fields, a, X, rss_mib in peaks:
             inst = TestCountsAt.instance(fields, a, X)
@@ -287,12 +287,12 @@ class TestParseval:
     def test_exact_identity(self):
         inst = classical_instance(10**3)
         lhs, rhs = circle.parseval_check(inst)
-        assert rhs == pytest.approx(lhs, rel=0.005)
+        assert rhs == pytest.approx(lhs, rel=1e-12)
 
     def test_mixed_sign_instance(self):
         inst = uniform_instance("gaussian", "e", 2, (2, -1), 400)
         lhs, rhs = circle.parseval_check(inst)
-        assert rhs == pytest.approx(lhs, rel=0.005)
+        assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
     def test_one_classification_per_spec(self, monkeypatch):
@@ -309,11 +309,13 @@ class TestParseval:
                                      for c in spec.classes[:2]), (1, 1), 300)
         lhs, rhs = circle.parseval_check(inst)
         assert calls == [spec]
-        assert rhs == pytest.approx(lhs, rel=0.005)
+        assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
     def test_phase_matrix_memory_bounded(self):
-        # the whole phase matrix of trivial x2 at X = 3000 peaks at 473 MiB
+        # the grid side holds a few arrays of the grid's length, not a
+        # phase matrix of grid points by primes (473 MiB for trivial x2 at
+        # X = 3000)
         inst = uniform_instance("trivial", "e", 2, (1, 1), 3000)
         tracemalloc.start()
         try:
@@ -322,7 +324,7 @@ class TestParseval:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        assert rhs == pytest.approx(lhs, rel=0.005)
+        assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
 class TestFFTChannel:
@@ -436,6 +438,7 @@ class TestCountsAt:
          (2, -3, 1)),
         ((("trivial", "e"), ("gaussian", "c"), ("trivial", "e"),
           ("s3-cbrt2", "1")), (-1, 3, 2, -2)),
+        ((("gaussian", "e"), ("gaussian", "c")) * 2, (1, 1, 1, 1)),
     ])
     def test_matches_all_n_counts(self, fields, a, X):
         inst = self.instance(fields, a, X)

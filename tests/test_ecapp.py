@@ -5,7 +5,7 @@ import pytest
 
 from chebcircle import ecapp, galois, sieve
 from chebcircle.arith import is_prime
-from chebcircle.errors import NotFoundWithinLimit
+from chebcircle.errors import DomainError, NotFoundWithinLimit
 
 
 class TestPrimality:
@@ -21,7 +21,14 @@ class TestPrimality:
 
     def test_large_composites(self):
         assert not is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
+        # strong pseudoprimes to the bases 2..17: 10670053 * 32010157 and
+        # 149491 * 747451 * 34233211
+        assert not is_prime(341550071728321)
+        assert not is_prime(3825123056546413051)
         assert is_prime(2**31 - 1)
+        assert is_prime(2**61 - 1)
+        with pytest.raises(DomainError):  # beyond the proven bound
+            is_prime(318665857834031151167461)
 
 
 class TestDiscriminantIdentity:
