@@ -112,11 +112,12 @@ def _sieve_level(sv, X: int) -> dict:
 
 
 def _n_list(doc: dict, inst: ProblemInstance):
+    """The instance's N values, unlisted: local-factors reads one."""
     spec = doc.get("N")
     if spec is None:
         lo, hi = inst.attainable_range
         mid = (lo + hi) // 2
-        return [mid + 2 * i + 1 for i in range(20)]
+        return range(mid + 1, mid + 41, 2)
     bad = ValidationError([("BadN", "N takes an integer or {from, to, "
                                     "step} of integers, within int64")])
     parts = ([spec.get("from"), spec.get("to"), spec.get("step", 1)]
@@ -126,7 +127,7 @@ def _n_list(doc: dict, inst: ProblemInstance):
     Ns = range(*parts) if isinstance(spec, dict) else parts
     if any(not -2**63 <= N < 2**63 for N in [*Ns[:1], *Ns[-1:]]):
         raise bad
-    return list(Ns)
+    return Ns
 
 
 def _pmax(args, doc) -> int:
@@ -153,7 +154,7 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     inst, doc, level = _instance_from_doc(_load_instance_doc(args.instance))
     pmax = _pmax(args, doc)
-    result = circle.verify_theorem(inst, _n_list(doc, inst), pmax)
+    result = circle.verify_theorem(inst, list(_n_list(doc, inst)), pmax)
     with _open_out(args.out_dir, "verify.csv") as fh:
         _timestamp_line(fh, args.no_timestamp)
         w = csv.writer(fh)
@@ -215,13 +216,10 @@ def cmd_genfun(args) -> int:
     _timestamp_line(sys.stdout, args.no_timestamp)
     w.writerow(["alpha", "q_of_alpha", "G_re", "G_im", "Gsharp_re",
                 "Gsharp_im", "Gflat_abs", "X", "z"])
-    for a in alphas:
-        G = genfun.eval_G(ctx, a)
-        Gs = genfun.eval_G_sharp(ctx, a)
-        q = expsum.best_approx(a, 10**4).q
-        w.writerow([float(a), q, f"{G.real:.6f}", f"{G.imag:.6f}",
-                    f"{Gs.real:.6f}", f"{Gs.imag:.6f}",
-                    f"{abs(G - Gs):.6f}", args.X, f"{ctx.z:.3f}"])
+    for r in genfun.minor_arc_scan(ctx, alphas):
+        w.writerow([r.alpha, r.q, f"{r.G.real:.6f}", f"{r.G.imag:.6f}",
+                    f"{r.G_sharp.real:.6f}", f"{r.G_sharp.imag:.6f}",
+                    f"{abs(r.G - r.G_sharp):.6f}", args.X, f"{ctx.z:.3f}"])
     return EXIT_OK
 
 
@@ -229,13 +227,11 @@ def cmd_expsum(args) -> int:
     coeffs = [int(t) for t in args.coeffs.split(",")]
     alpha = _parse_alpha(args.alpha)
     s = expsum.weyl_sum(coeffs, alpha, args.X)
-    ratio = expsum.weyl_bound_ratio(coeffs, alpha, args.X)
-    bound = abs(s) / ratio if ratio else float("inf")
-    ra = expsum.best_approx(alpha, 10**6)
+    bound, ra = expsum.weyl_bound(coeffs, alpha, args.X)
     w = csv.writer(sys.stdout)
     w.writerow(["alpha", "q", "X", "sum_re", "sum_im", "bound", "ratio"])
     w.writerow([float(alpha), ra.q, args.X, f"{s.real:.6f}",
-                f"{s.imag:.6f}", f"{bound:.6f}", f"{ratio:.6f}"])
+                f"{s.imag:.6f}", f"{bound:.6f}", f"{abs(s) / bound:.6f}"])
     return EXIT_OK
 
 
@@ -322,12 +318,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ResourceLimit, NotFoundWithinLimit, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        code, err = EXIT_RESOURCE, exc
     except (ChebCircleError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        code, err = EXIT_INVALID, exc
+    print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

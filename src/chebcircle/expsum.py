@@ -11,7 +11,6 @@ incremental finite differences.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -274,34 +273,26 @@ def _nonconstant(coeffs) -> list:
 
 def weyl_sum(coeffs, alpha, X: int) -> complex:
     """Sum over x = 1..X of e(alpha * P(x)), P given by ascending integer
-    coefficients, evaluated by incremental finite differences so each step
-    costs O(deg) and no large-argument trigonometry occurs."""
+    coefficients: alpha is read as the exact a/q it stores, r = a*P(x) mod q
+    by exact finite differences (no drift at any degree or range), and
+    e(r/q) through phase_array, with no large-argument trigonometry."""
     c = _nonconstant(coeffs)
-    if isinstance(alpha, float) and not math.isfinite(alpha):
-        raise DomainError("alpha must be finite")
-    diffs = _difference_table(c)
-    # a double is an exact binary rational, so every input admits an exact
-    # integer recurrence mod q: no drift no matter the degree or range
     alpha = _as_fraction(alpha)
     q = alpha.denominator
-    a = alpha.numerator
-    t = [(a * d) % q for d in diffs]
-    if q <= 65536:
-        roots = np.exp(2j * np.pi * np.arange(q) / q)
-        phase = lambda r: roots[r]
-    else:
-        phase = lambda r: cmath.exp(2j * cmath.pi * (r / q))
-    acc = 0j
-    for _ in range(X):
-        acc += phase(t[0])
+    t = [(alpha.numerator * d) % q for d in _difference_table(c)]
+    # above 2^63 keep the top 63 bits of r and q: r/q moves by < 2^-61
+    s = max(q.bit_length() - 63, 0)
+    rs = np.empty(max(X, 0), dtype=np.int64)
+    for i in range(len(rs)):
+        rs[i] = t[0] >> s
         for j in range(len(t) - 1):
             t[j] = (t[j] + t[j + 1]) % q
-    return complex(acc)
+    return complex(np.sum(phase_array(rs, Fraction(1, q >> s))))
 
 
-def weyl_bound_ratio(coeffs, alpha, X: int, qmax: Optional[int] = None) -> float:
-    """|weyl_sum| divided by |c| * X * (1/q + 1/X + q/X^k)^(10^-k), with
-    q from the best rational approximation; a diagnostic, not a proof."""
+def weyl_bound(coeffs, alpha, X: int, qmax: Optional[int] = None):
+    """(|c| * X * (1/q + 1/X + q/X^k)^(10^-k), the best approximation a/q
+    with q <= qmax it reads); a diagnostic bound on |weyl_sum|, no proof."""
     c = _nonconstant(coeffs)
     if X < 1:
         raise DomainError("X must be >= 1")
@@ -313,5 +304,4 @@ def weyl_bound_ratio(coeffs, alpha, X: int, qmax: Optional[int] = None) -> float
         qmax = min(10**6, max(10, X**k))
     ra = best_approx(alpha, qmax)
     lead = abs(c[-1])
-    bound = lead * X * (1.0 / ra.q + 1.0 / X + ra.q / X**k) ** (10.0 ** -k)
-    return abs(weyl_sum(coeffs, alpha, X)) / bound
+    return lead * X * (1.0 / ra.q + 1.0 / X + ra.q / X**k) ** (10.0 ** -k), ra

@@ -455,22 +455,30 @@ def _spec_issues(spec: GaloisSpec) -> list:
         if disc % p != 0:
             issues.append(("ModulusRamification",
                            f"prime {p} divides the modulus but not disc(f)"))
-    if len(f) > 2 and _has_rational_root(f):
+    if len(f) > 2 and _has_rational_root(f, disc):
         issues.append(("Reducible", "polynomial has a rational root"))
     if not issues:
         _check_keys(spec, issues)
     return issues
 
 
-def _has_rational_root(f):
-    a0 = f[0]
-    if a0 == 0:
-        return True
-    cands = set()
-    for t in range(1, int(math.isqrt(abs(a0))) + 1):
-        if a0 % t == 0:
-            cands.update({t, -t, a0 // t, -(a0 // t)})
-    return any(sum(c * r**i for i, c in enumerate(f)) == 0 for r in cands)
+def _has_rational_root(f, disc):
+    """Whether f has an integer root (for monic f, a rational one): the
+    roots mod the least prime p dividing neither disc nor f[-1] are simple,
+    so Newton's step lifts each past 2B > 2|root|, B = 1 + max|a_i|."""
+    p = next(p for p in itertools.count(2)
+             if is_prime(p) and disc * f[-1] % p)
+    df = [i * c for i, c in enumerate(f)][1:]
+    ev = lambda g, x: sum(c * x**i for i, c in enumerate(g))
+    B = 1 + max(map(abs, f))
+    for r in [x for x in range(p) if ev(f, x) % p == 0]:  # roots mod p
+        m = p
+        while m <= 2 * B:
+            m *= m
+            r = (r - ev(f, r) * pow(ev(df, r), -1, m)) % m
+        if ev(f, r - m if 2 * r > m else r) == 0:
+            return True
+    return False
 
 
 def _check_keys(spec, issues):

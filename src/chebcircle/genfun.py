@@ -20,11 +20,11 @@ from typing import Optional
 import numpy as np
 
 from . import galois, sieve
-from .arith import phi
+from .arith import factorint, phi
 from .characters import (DirichletCharacter, characters_trivial_on,
                          principal_character)
 from .errors import UnsupportedInstantiation
-from .expsum import QuadraticField, best_approx, norm_counts, phase_array
+from .expsum import QuadraticField, best_approx, phase_array
 
 
 @dataclass
@@ -168,17 +168,19 @@ def gf_relation_residual(ctx: GenfunContext, alpha) -> float:
 class ArcScanRow:
     alpha: float
     q: int
-    flat_ratio: float   # |G_flat(alpha)| / X
+    G: complex
+    G_sharp: complex
+    flat_ratio: float   # |G - G_sharp| / X
 
 
 def minor_arc_scan(ctx: GenfunContext, alphas, qmax: int = 10**4) -> list:
-    """Normalized flat magnitudes per alpha, with each alpha's best
-    rational denominator for decay regressions."""
+    """G, G_sharp and their normalized flat magnitude per alpha, with each
+    alpha's best rational denominator for decay regressions."""
     rows = []
     for a in alphas:
-        q = best_approx(a, qmax).q
-        rows.append(ArcScanRow(float(a), q,
-                               abs(eval_G_flat(ctx, a)) / ctx.X))
+        G, Gs = eval_G(ctx, a), eval_G_sharp(ctx, a)
+        rows.append(ArcScanRow(float(a), best_approx(a, qmax).q, G, Gs,
+                               abs(G - Gs) / ctx.X))
     return rows
 
 
@@ -202,12 +204,14 @@ def F_at_zero_ratio(fieldL: Optional[QuadraticField], chi: DirichletCharacter,
 
 def _trivial_on_ideals(fieldL: Optional[QuadraticField],
                        chi: DirichletCharacter) -> bool:
+    """Whether chi(N(a)) = 1 for every ideal a prime to chi's modulus m, read
+    on prime ideals, whose norms mod L = lcm(m, |d|) are the units r with
+    chi_d(r) = 1, the squares of the other units and the primes q | d."""
     if fieldL is None:
         return chi.is_principal
-    bound = max(200, 4 * chi.modulus * abs(fieldL.d))
-    r = norm_counts(fieldL, bound)
-    for m in range(1, bound + 1):
-        if r[m] != 0 and math.gcd(m, chi.modulus) == 1:
-            if abs(chi(m) - 1) > 1e-9:
-                return False
-    return True
+    m, dd = chi.modulus, abs(fieldL.d)
+    L = math.lcm(m, dd)
+    norms = [r if fieldL.chi_table[r % dd] == 1 else r * r
+             for r in range(1, L) if math.gcd(r, L) == 1]
+    norms += [q for q in factorint(dd) if m % q]
+    return all(abs(chi(n) - 1) <= 1e-9 for n in norms)

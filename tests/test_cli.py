@@ -79,6 +79,30 @@ class TestSimpleCommands:
         assert mag == pytest.approx(math.sqrt(5), abs=1e-5)
         assert int(vals["q"]) == 5
 
+    def test_expsum_evaluates_the_sum_once(self, capsys, monkeypatch):
+        calls = []
+        weyl_sum = cli.expsum.weyl_sum
+
+        def counted(*args):
+            calls.append(args)
+            return weyl_sum(*args)
+
+        monkeypatch.setattr(cli.expsum, "weyl_sum", counted)
+        code, _, _ = run(capsys, "expsum", "--coeffs", "1,2,0,1",
+                         "--alpha", "0.7071067811865476", "--X", "200")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_expsum_prints_the_q_its_bound_reads(self, capsys):
+        # qmax = max(10, X^2) = 25 at X = 5: the bound reads 1/pi as 7/22
+        code, out, _ = run(capsys, "expsum", "--coeffs", "0,0,1",
+                           "--alpha", "0.3183098861837907", "--X", "5")
+        assert code == 0
+        vals = dict(zip(*csv.reader(out.splitlines())))
+        assert int(vals["q"]) == 22
+        bound = 5 * (1 / 22 + 1 / 5 + 22 / 25) ** 0.01
+        assert float(vals["bound"]) == pytest.approx(bound, abs=1e-6)
+
     def test_expsum_integer_alpha_rejected(self, capsys):
         code, _, err = run(capsys, "expsum", "--coeffs", "0,1",
                            "--alpha", "2", "--X", "10")
@@ -279,6 +303,18 @@ class TestVerify:
         assert code == 3
         assert "GiB" in err
 
+    def test_memory_error_names_its_type(self, tmp_path, capsys,
+                                         monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli.circle, "counts_at", out_of_memory)
+        inst = write_instance(tmp_path, SMALL_CLASSICAL)
+        code, _, err = run(capsys, "verify", inst, "--out-dir",
+                           str(tmp_path / "out"))
+        assert code == 3
+        assert err.strip() == "error: MemoryError"
+
     def test_unwritable_out_dir_exit_3(self, tmp_path, capsys):
         if os.geteuid() == 0:
             pytest.skip("running as root: directory modes are not enforced")
@@ -327,6 +363,16 @@ class TestLocalFactors:
                 else:
                     series *= 1 + (p - 1.0) ** -3
         assert doc["euler_truncated"] == pytest.approx(series, rel=1e-9)
+
+    def test_reads_the_first_n_of_a_huge_range(self, tmp_path, capsys):
+        # 5 * 10^11 values of N: only the first is read, none is listed
+        huge = write_instance(tmp_path, dict(SMALL_CLASSICAL, N={
+            "from": 1001, "to": 10**12 + 1, "step": 2}), "huge.json")
+        code, out, err = run(capsys, "local-factors", huge)
+        assert code == 0, err
+        small = write_instance(tmp_path, SMALL_CLASSICAL)
+        assert run(capsys, "local-factors", small, "--N", "1001") == \
+            (0, out, "")
 
     def test_gaussian_congruence_vanishing(self, tmp_path, capsys):
         doc = {

@@ -283,6 +283,27 @@ class TestWeylSum:
                      for x in range(1, 6))
         assert s == pytest.approx(direct, abs=1e-12)
 
+    @staticmethod
+    def _direct(coeffs, alpha, X):
+        num, den = Fraction(alpha).as_integer_ratio()
+        return sum(cmath.exp(2j * cmath.pi * (
+            (num * sum(c * x**i for i, c in enumerate(coeffs))) % den) / den)
+            for x in range(1, X + 1))
+
+    def test_denominator_above_int64(self):
+        # q = 2^152-ish for the double 1e-30, and 2^70 + 1 for the Fraction
+        for alpha in (1e-30, Fraction(5, 2**70 + 1), -1e-30):
+            for coeffs, X in (((0, 0, 1), 1000), ((3, -1, 0, 2), 500)):
+                assert expsum.weyl_sum(coeffs, alpha, X) == \
+                    pytest.approx(self._direct(coeffs, alpha, X), abs=1e-8)
+
+    def test_denominator_above_old_root_table(self):
+        # 65 536 < q <= 2^20: phase_array's exact root table
+        for alpha in (Fraction(12345, 1048573), Fraction(3, 70001)):
+            for coeffs, X in (((0, 0, 0, 1), 3000), ((1, 2, 1), 2000)):
+                assert expsum.weyl_sum(coeffs, alpha, X) == \
+                    pytest.approx(self._direct(coeffs, alpha, X), abs=1e-8)
+
     def test_degree_zero_rejected(self):
         with pytest.raises(DomainError):
             expsum.weyl_sum((3,), 0.5, 10)
@@ -290,13 +311,14 @@ class TestWeylSum:
 
 class TestWeylBoundRatio:
     def test_gauss_case(self):
-        got = expsum.weyl_bound_ratio((0, 0, 1), Fraction(1, 5), 5)
+        s = expsum.weyl_sum((0, 0, 1), Fraction(1, 5), 5)
+        got = abs(s) / expsum.weyl_bound((0, 0, 1), Fraction(1, 5), 5)[0]
         want = math.sqrt(5) / (5 * (1 / 5 + 1 / 5 + 1 / 5) ** (10.0**-2))
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_integer_alpha_rejected(self):
         with pytest.raises(DomainError):
-            expsum.weyl_bound_ratio((0, 0, 1), 0, 10)
+            expsum.weyl_bound((0, 0, 1), 0, 10)
 
     def test_finite_on_random_grid(self):
         rng = random.Random(17)
@@ -306,5 +328,13 @@ class TestWeylBoundRatio:
                 (rng.choice([-2, -1, 1, 2]),)
             alpha = rng.random()
             X = rng.randint(10, 300)
-            r = expsum.weyl_bound_ratio(coeffs, alpha, X)
+            r = (abs(expsum.weyl_sum(coeffs, alpha, X))
+                 / expsum.weyl_bound(coeffs, alpha, X)[0])
             assert math.isfinite(r) and r >= 0
+
+    def test_reads_the_approximation_within_qmax(self):
+        # qmax = max(10, X^2) = 25 for X = 5, so 1/pi is read as 7/22
+        bound, ra = expsum.weyl_bound((0, 0, 1), 0.3183098861837907, 5)
+        assert (ra.a, ra.q) == (7, 22)
+        assert bound == pytest.approx(
+            5 * (1 / 22 + 1 / 5 + 22 / 25) ** (10.0**-2), rel=1e-12)

@@ -217,6 +217,57 @@ class TestValidateSpec:
         assert issue_codes(spec) == ["CosetsNotPartition"]
 
 
+def divisor_scan_root(f):
+    """The former integer-root test: every divisor t <= sqrt|a0|."""
+    a0 = f[0]
+    if a0 == 0:
+        return True
+    cands = set()
+    for t in range(1, int(math.isqrt(abs(a0))) + 1):
+        if a0 % t == 0:
+            cands.update({t, -t, a0 // t, -(a0 // t)})
+    return any(sum(c * r**i for i, c in enumerate(f)) == 0 for r in cands)
+
+
+def spec_over_q(coeffs, classes):
+    """A spec over Q with modulus 1: (label, size, order) per class."""
+    return galois.GaloisSpec(
+        "polynomial", 1,
+        tuple(galois.ClassSpec(lab, frozenset({0}), size, order)
+              for lab, size, order in classes),
+        coeffs=coeffs, group_order=sum(size for _, size, _ in classes))
+
+
+class TestRationalRoot:
+    def test_matches_divisor_scan(self):
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        while sum(seen.values()) < 600:
+            deg = rng.randint(2, 5)
+            f = [rng.randint(-60, 60) for _ in range(deg)] + [1]
+            if rng.random() < 0.5:
+                r = rng.randint(-40, 40)  # f := (x - r) * f
+                f = [a - r * b for a, b in zip([0] + f, f + [0])]
+            disc = galois.poly_discriminant(f)
+            if disc == 0:
+                continue
+            want = divisor_scan_root(f)
+            assert galois._has_rational_root(f, disc) == want, f
+            seen[want] += 1
+        assert min(seen.values()) > 200
+
+    def test_large_constant_coefficient_validates(self):
+        # x^2 + 2^64 + 1: the divisor scan would try 2^32 candidates
+        spec = spec_over_q((2**64 + 1, 0, 1), [("e", 1, 1), ("c", 1, 2)])
+        galois.validate_spec(spec)
+
+    def test_large_integer_root_found(self):
+        r = 2**40 + 15  # (x - r)(x^2 + 1)
+        spec = spec_over_q((-r, 1, -r, 1),
+                              [("1", 1, 1), ("2", 3, 2), ("3", 2, 3)])
+        assert issue_codes(spec) == ["Reducible"]
+
+
 class TestBatchClassifier:
     def test_matches_scalar(self):
         for name in galois.BUILTIN_NAMES:

@@ -9,7 +9,8 @@ from chebcircle import galois, genfun
 from chebcircle.arith import is_prime
 from chebcircle.errors import UnsupportedInstantiation
 from chebcircle.expsum import QuadraticField, norm_counts
-from chebcircle.characters import kronecker_character, principal_character
+from chebcircle.characters import (dirichlet_characters, kronecker_character,
+                                   principal_character)
 
 ONE = principal_character(1)
 
@@ -178,6 +179,15 @@ class TestMinorArcScan:
         ctx = ctx_for("trivial", "e", 100)
         assert genfun.minor_arc_scan(ctx, []) == []
 
+    def test_rows_carry_g_and_g_sharp(self):
+        ctx = ctx_for("gaussian", "e", 3000)
+        alphas = [0.0, Fraction(1, 7), 0.361]
+        for a, r in zip(alphas, genfun.minor_arc_scan(ctx, alphas)):
+            G, Gs = genfun.eval_G(ctx, a), genfun.eval_G_sharp(ctx, a)
+            assert (r.alpha, r.q) == (float(a), genfun.best_approx(a, 10**4).q)
+            assert (r.G, r.G_sharp) == (G, Gs)
+            assert r.flat_ratio == abs(genfun.eval_G_flat(ctx, a)) / ctx.X
+
     def test_rational_grid_three_decades(self):
         rats = [a / q for q in range(3, 21, 4) for a in range(1, 5)
                 if math.gcd(a, q) == 1][:16]
@@ -226,6 +236,31 @@ class TestFAtZero:
     def test_tiny_cutoff(self):
         zr = genfun.F_at_zero_ratio(QuadraticField(-4), ONE, 1)
         assert zr.ratio == 0.0
+
+
+def scan_trivial_on_ideals(fieldL, chi):
+    """The former check: chi = 1 on every norm up to a guessed bound."""
+    if fieldL is None:
+        return chi.is_principal
+    bound = max(200, 4 * chi.modulus * abs(fieldL.d))
+    r = norm_counts(fieldL, bound)
+    for m in range(1, bound + 1):
+        if r[m] != 0 and math.gcd(m, chi.modulus) == 1:
+            if abs(chi(m) - 1) > 1e-9:
+                return False
+    return True
+
+
+def test_trivial_on_ideals_matches_norm_scan():
+    trivial = 0
+    for d in (-4, -3, 5, -7, 8, -8, 12, 13):
+        K = QuadraticField(d)
+        for m in range(1, 25):
+            for chi in dirichlet_characters(m):
+                want = scan_trivial_on_ideals(K, chi)
+                assert genfun._trivial_on_ideals(K, chi) == want, (d, chi)
+                trivial += want
+    assert trivial > 8 * 24
 
 
 def test_phase_array_exact_roots():
