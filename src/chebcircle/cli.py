@@ -15,6 +15,7 @@ from pathlib import Path
 from . import SCHEMA, circle, ecapp, expsum, galois, genfun, sieve, singular
 from .errors import (ChebCircleError, NotFoundWithinLimit, ResourceLimit,
                      ValidationError)
+from .galois import is_json_int
 from .instance import FieldClass, ProblemInstance
 
 EXIT_OK = 0
@@ -62,11 +63,6 @@ def _specs_from_docs(docs) -> list:
     return specs
 
 
-def _is_int(v) -> bool:
-    """Whether v is a JSON integer (bool is not)."""
-    return type(v) is int
-
-
 def _instance_from_doc(doc: dict):
     """(instance, doc, the sieve block's A, B and z)."""
     for key in ("fields", "a", "X"):
@@ -77,8 +73,15 @@ def _instance_from_doc(doc: dict):
             and all(isinstance(f, dict) for f in fields)):
         raise ValidationError([("BadFields", "fields takes a list of "
                                              "objects")])
-    if not (isinstance(a, list) and all(map(_is_int, a))
-            and _is_int(doc["X"]) and _is_int(doc.get("euler_pmax", 0))):
+    for f in fields:
+        if "class" not in f:
+            raise ValidationError([("MissingKey", "a field lacks 'class'")])
+        if "builtin" not in f and "spec" not in f:
+            raise ValidationError([("MissingKey", "a field lacks both "
+                                                  "'builtin' and 'spec'")])
+    if not (isinstance(a, list) and all(map(is_json_int, a))
+            and is_json_int(doc["X"])
+            and is_json_int(doc.get("euler_pmax", 0))):
         raise ValidationError([("BadType", "X, euler_pmax and each entry "
                                            "of a take JSON integers")])
     specs = _specs_from_docs(fields)
@@ -122,7 +125,7 @@ def _n_list(doc: dict, inst: ProblemInstance):
                                     "step} of integers, within int64")])
     parts = ([spec.get("from"), spec.get("to"), spec.get("step", 1)]
              if isinstance(spec, dict) else [spec])
-    if not all(map(_is_int, parts)) or 0 in parts[2:]:
+    if not all(map(is_json_int, parts)) or 0 in parts[2:]:
         raise bad
     Ns = range(*parts) if isinstance(spec, dict) else parts
     if any(not -2**63 <= N < 2**63 for N in [*Ns[:1], *Ns[-1:]]):

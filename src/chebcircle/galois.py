@@ -76,7 +76,9 @@ class GaloisSpec:
         for c in self.classes:
             if c.label == label:
                 return c
-        raise KeyError(label)
+        labels = ", ".join(repr(c.label) for c in self.classes)
+        raise ValidationError([("UnknownClass", f"no class has the label "
+                                f"{label!r}; the labels are {labels}")])
 
     def class_density(self, cls):
         """|C|/|G| as an exact rational."""
@@ -187,53 +189,37 @@ def poly_factor_degrees(coeffs, p):
 # ---------------------------------------------------------------------------
 
 def poly_discriminant(coeffs):
-    """Discriminant of an integer polynomial via the Sylvester resultant."""
-    f = list(coeffs)
+    """Discriminant of an integer polynomial f of degree n,
+    (-1)^(n(n-1)/2) Res(f, f')/lc(f), with the resultant read from the
+    Euclidean algorithm over Q: Res(f, g) = (-1)^(deg f deg g)
+    lc(g)^(deg f - deg r) Res(g, r) for r = f mod g, and Res(f, c) =
+    c^(deg f) for a constant c."""
+    f = [Fraction(c) for c in coeffs]
     n = len(f) - 1
     if n < 2:
         return 1
-    fp = [i * c for i, c in enumerate(f)][1:]
-    res = _resultant(f, fp)
-    lead = f[-1]
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    disc = sign * res // lead
-    return disc
-
-
-def _resultant(f, g):
-    """Integer resultant: the determinant of the Sylvester matrix by
-    Gaussian elimination over Fractions."""
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + list(reversed(f)) + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + list(reversed(g)) + [0] * (m - 1 - i))
-    mat = [Fraction(x) for row in rows for x in row]
-    # plain fraction Gaussian elimination; sizes here are tiny
-    det = Fraction(1)
-    a = [mat[i * size:(i + 1) * size] for i in range(size)]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if piv is None:
+    g = [i * c for i, c in enumerate(f)][1:]
+    disc = (-1) ** (n * (n - 1) // 2) / f[-1]
+    while len(g) > 1:
+        m, d = len(f) - 1, len(g) - 1
+        r = f[:]  # f mod g, by long division
+        for k in range(m - d, -1, -1):
+            c = r[k + d] / g[-1]
+            for j, gj in enumerate(g):
+                r[k + j] -= c * gj
+        r = _trim(r[:d])
+        if not r:
             return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, size):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, size):
-                    a[r][c] -= factor * a[col][c]
-    assert det.denominator == 1
-    return det.numerator
+        disc *= (-1) ** (m * d) * g[-1] ** (m - len(r) + 1)
+        f, g = g, r
+    disc *= g[0] ** (len(f) - 1)
+    assert disc.denominator == 1
+    return disc.numerator
 
 
-def _units(D):
-    return [u for u in range(D) if math.gcd(u, D) == 1]
+def _primes_prime_to(m):
+    """The primes not dividing m, ascending."""
+    return (p for p in itertools.count(2) if is_prime(p) and m % p)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +234,10 @@ def frobenius_class(spec: GaloisSpec, p: int) -> int:
     if spec.ramified_modulus % p == 0:
         return -1
     key = (math.lcm(*poly_factor_degrees(spec.poly, p)), p % spec.modulus)
-    for k, i in spec.class_keys():
-        if k == key:
-            return i
-    raise InconsistentSpec(f"no class has the key {key} of p={p}")
+    index = dict(spec.class_keys()).get(key)
+    if index is None:
+        raise InconsistentSpec(f"no class has the key {key} of p={p}")
+    return index
 
 
 def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
@@ -268,15 +254,19 @@ def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
     unram = _residues(spec.ramified_modulus, ps) != 0
     good = ps[unram]
     orders = _frobenius_orders_batch(spec.poly, good)
-    keys = spec.class_keys()
-    top = max([d for (d, _), _ in keys] + [int(orders.max(initial=0))])
+    residues = good % spec.modulus
+    # no prime has an order above the largest one observed
+    top = int(orders.max(initial=0))
     lookup = np.full((top + 1, spec.modulus), -2, dtype=np.int64)
-    for (d, r), i in keys:
-        lookup[d, r] = i
-    mapped = lookup[orders, good % spec.modulus]
-    if (mapped == -2).any():
-        raise InconsistentSpec(
-            f"no class has the key of p={good[mapped == -2][0]}")
+    for (d, r), i in spec.class_keys():
+        if d <= top:
+            lookup[d, r] = i
+    mapped = lookup[orders, residues]
+    missing = np.flatnonzero(mapped == -2)
+    if missing.size:
+        k = missing[0]
+        key = (int(orders[k]), int(residues[k]))
+        raise InconsistentSpec(f"no class has the key {key} of p={good[k]}")
     out[unram] = mapped
     return out
 
@@ -411,16 +401,34 @@ def _spec_issues(spec: GaloisSpec) -> list:
     D = spec.modulus
     if D < 1:
         return [("InvalidModulus", f"modulus {D} < 1")]
-    units = set(_units(D))
+    units = {u for u in range(D) if math.gcd(u, D) == 1}
     for c in spec.classes:
         bad = set(c.coset) - units
         if bad:
             issues.append(("InvalidCoset", f"class {c.label}: "
                            f"{sorted(bad)} not units mod {D}"))
+        if not c.coset:
+            issues.append(("InvalidCoset", f"class {c.label}: empty coset"))
     keys = [k for k, _ in spec.class_keys()]
     if len(set(keys)) != len(keys):
         issues.append(("UnidentifiableClasses", "two classes share an "
                        "element order and a coset residue"))
+    G = spec.group_order or 0
+    counts = [(f"class {c.label}: {name}", v) for c in spec.classes
+              for name, v in (("size", c.class_size),
+                              ("order", c.element_order))]
+    if spec.kind == POLYNOMIAL:
+        counts.append(("group_order", G))
+    issues += [("NonPositive", f"{name} {v} is below 1")
+               for name, v in counts if v < 1]
+    if sum(c.class_size for c in spec.classes) != G:
+        issues.append(("ClassSizeSum",
+                       "class sizes do not sum to the group order"))
+    for c in spec.classes:
+        if min(G, c.element_order) > 0 and G % c.element_order:
+            issues.append(("OrderDividesGroup",
+                           f"class {c.label}: order {c.element_order} does "
+                           f"not divide |G|={G}"))
     if spec.kind == ABELIAN:
         seen = []
         for c in spec.classes:
@@ -432,22 +440,13 @@ def _spec_issues(spec: GaloisSpec) -> list:
         if len(sizes) > 1:
             issues.append(("UnequalCosets", "coset sizes differ"))
         return issues
-    # polynomial kind
+    # polynomial kind; the checks below read a monic f
     f = spec.coeffs
     if f is None or len(f) < 2:
         return issues + [("MissingPolynomial",
                           "polynomial spec without coefficients")]
     if f[-1] != 1:
-        issues.append(("NotMonic", "defining polynomial must be monic"))
-    G = spec.group_order or 0
-    if sum(c.class_size for c in spec.classes) != G:
-        issues.append(("ClassSizeSum",
-                       "class sizes do not sum to the group order"))
-    for c in spec.classes:
-        if G and G % c.element_order != 0:
-            issues.append(("OrderDividesGroup",
-                           f"class {c.label}: order {c.element_order} does "
-                           f"not divide |G|={G}"))
+        return issues + [("NotMonic", "defining polynomial must be monic")]
     disc = spec.ramified_modulus
     if disc == 0:
         return issues + [("SquarefulPolynomial", "discriminant of f is zero")]
@@ -466,8 +465,7 @@ def _has_rational_root(f, disc):
     """Whether f has an integer root (for monic f, a rational one): the
     roots mod the least prime p dividing neither disc nor f[-1] are simple,
     so Newton's step lifts each past 2B > 2|root|, B = 1 + max|a_i|."""
-    p = next(p for p in itertools.count(2)
-             if is_prime(p) and disc * f[-1] % p)
+    p = next(_primes_prime_to(disc * f[-1]))
     df = [i * c for i, c in enumerate(f)][1:]
     ev = lambda g, x: sum(c * x**i for i, c in enumerate(g))
     B = 1 + max(map(abs, f))
@@ -482,16 +480,15 @@ def _has_rational_root(f, disc):
 
 
 def _check_keys(spec, issues):
-    """Each of the first 25 unramified primes matches exactly one
-    class: the keys are distinct, so frobenius_class finds at most one."""
-    ram = spec.ramified_modulus
-    primes = (p for p in itertools.count(2) if is_prime(p) and ram % p)
-    for p in itertools.islice(primes, 25):
-        try:
-            frobenius_class(spec, p)
-        except InconsistentSpec as exc:
-            issues.append(("MissingClass", str(exc)))
-            return
+    """Each of the first 25 unramified primes matches exactly one class:
+    the keys are distinct, so classify_batch finds at most one, and it
+    names the least prime that matches none."""
+    primes = list(itertools.islice(_primes_prime_to(spec.ramified_modulus),
+                                   25))
+    try:
+        classify_batch(spec, primes)
+    except InconsistentSpec as exc:
+        issues.append(("MissingClass", str(exc)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +506,68 @@ def spec_to_json(spec: GaloisSpec) -> dict:
     return doc
 
 
+def is_json_int(v) -> bool:
+    """Whether v is a JSON integer (bool is not)."""
+    return type(v) is int
+
+
+_JSON_TYPES = {
+    f"{ABELIAN!r} or {POLYNOMIAL!r}": lambda v: v in (ABELIAN, POLYNOMIAL),
+    "a string": lambda v: isinstance(v, str),
+    "an integer": is_json_int,
+    "a list of integers": lambda v: (isinstance(v, list)
+                                     and all(map(is_json_int, v))),
+    "a list of objects": lambda v: (isinstance(v, list)
+                                    and all(isinstance(c, dict) for c in v)),
+}
+
+
+def _type_issues(where, doc, fields):
+    """One issue per key of fields (key: JSON type) that doc lacks or holds
+    with another type."""
+    return [("MissingKey", f"{where} lacks {key!r}") if key not in doc
+            else ("BadType", f"{where}: {key!r} takes {kind}")
+            for key, kind in fields.items()
+            if key not in doc or not _JSON_TYPES[kind](doc[key])]
+
+
+def _json_issues(doc) -> list:
+    """The issues of a JSON spec whose fields are missing or not of their
+    JSON type; none when spec_from_json can read it as it stands."""
+    if not isinstance(doc, dict):
+        return [("BadType", "a spec takes a JSON object")]
+    fields = {"kind": f"{ABELIAN!r} or {POLYNOMIAL!r}",
+              "modulus": "an integer", "classes": "a list of objects"}
+    if doc.get("kind") == POLYNOMIAL:
+        fields.update(coeffs="a list of integers", group_order="an integer")
+    issues = _type_issues("spec", doc, fields)
+    if _JSON_TYPES["a list of objects"](doc.get("classes")):
+        for i, c in enumerate(doc["classes"]):
+            issues += _type_issues(  # size and order default to 1
+                f"classes[{i}]", {"size": 1, "order": 1, **c},
+                {"label": "a string", "coset": "a list of integers",
+                 "size": "an integer", "order": "an integer"})
+    return issues
+
+
 def spec_from_json(doc) -> GaloisSpec:
+    """The spec of a JSON document, read as it stands: a field that is
+    missing or not of its JSON type is a ValidationError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    issues = _json_issues(doc)
+    if issues:
+        raise ValidationError(issues)
     classes = tuple(
         ClassSpec(label=c["label"], coset=frozenset(c["coset"]),
                   class_size=c.get("size", 1),
                   element_order=c.get("order", 1))
         for c in doc["classes"])
     if doc["kind"] == ABELIAN:
-        return GaloisSpec(ABELIAN, int(doc["modulus"]), classes)
-    return GaloisSpec(POLYNOMIAL, int(doc["modulus"]), classes,
+        return GaloisSpec(ABELIAN, doc["modulus"], classes)
+    return GaloisSpec(POLYNOMIAL, doc["modulus"], classes,
                       coeffs=tuple(doc["coeffs"]),
-                      group_order=int(doc["group_order"]))
+                      group_order=doc["group_order"])
 
 
 def builtin_spec(name: str) -> GaloisSpec:

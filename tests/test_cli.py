@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from chebcircle import cli
+from chebcircle import cli, galois
 
 
 def run(capsys, *argv):
@@ -62,6 +62,13 @@ class TestSimpleCommands:
         code, out, _ = run(capsys, "genfun", "--builtin", "gaussian-e",
                            "--X", X, "--alpha", "0", "--no-timestamp")
         assert code == 2
+        assert out == ""
+
+    def test_genfun_unknown_class_names_the_labels(self, capsys):
+        code, out, err = run(capsys, "genfun", "--builtin", "gaussian-x",
+                             "--X", "30", "--alpha", "0")
+        assert code == 2
+        assert "UnknownClass" in err and "'e', 'c'" in err
         assert out == ""
 
     def test_genfun_bad_builtin(self, capsys):
@@ -344,6 +351,95 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path), "--out-dir",
                            str(tmp_path))
         assert code == 2
+
+
+DROP = object()  # an edit with this value deletes the key
+
+# (edits to the inline s3-cbrt2 spec, issue code, field the message names);
+# an edit is (key, ..., key, value)
+MALFORMED_SPECS = [
+    ([("coeffs", 0, -2.0)], "BadType", "coeffs"),
+    ([("coeffs", 0, -2.5)], "BadType", "coeffs"),
+    ([("coeffs", 3, True)], "BadType", "coeffs"),
+    ([("coeffs", 0, [-2])], "BadType", "coeffs"),
+    ([("classes", 1, "coset", [2.0])], "BadType", "coset"),
+    ([("classes", 1, "coset", [[2]])], "BadType", "coset"),
+    ([("classes", 0, "coset", [True])], "BadType", "coset"),
+    ([("classes", 2, "order", 3.0)], "BadType", "order"),
+    ([("classes", 2, "coset", [])], "InvalidCoset", "coset"),
+    ([("classes", "abc")], "BadType", "classes"),
+    ([("modulus", 3.7)], "BadType", "modulus"),
+    ([("modulus", True)], "BadType", "modulus"),
+    ([("group_order", "6")], "BadType", "group_order"),
+    ([("group_order", DROP)], "MissingKey", "group_order"),
+    ([("kind", "cyclotomic")], "BadType", "kind"),
+    ([("classes", 2, "order", 0)], "NonPositive", "order"),
+    ([("classes", 2, "order", -1)], "NonPositive", "order"),
+    ([("classes", 0, "size", -1), ("classes", 1, "size", 5)],
+     "NonPositive", "size"),
+    ([("classes", i, "size", 0) for i in range(3)] + [("group_order", 0)],
+     "NonPositive", "group_order"),
+]
+
+
+def s3_inline_instance(tmp_path, edits=()):
+    """s3-cbrt2 classes 1, 2 and 3 with the spec given inline, after the
+    edits."""
+    spec = galois.spec_to_json(galois.builtin_spec("s3-cbrt2"))
+    for *keys, last, value in edits:
+        target = spec
+        for key in keys:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return write_instance(tmp_path, {
+        "fields": [{"spec": spec, "class": c} for c in "123"],
+        "a": [1, 1, 1], "X": 3000})
+
+
+class TestFieldDocs:
+    def test_inline_spec_runs(self, tmp_path, capsys):
+        code, _, err = run(capsys, "verify", s3_inline_instance(tmp_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("edits, issue, field", MALFORMED_SPECS)
+    def test_malformed_inline_spec_exit_2(self, tmp_path, capsys, edits,
+                                          issue, field):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "verify",
+                           s3_inline_instance(tmp_path, edits),
+                           "--out-dir", str(out))
+        assert code == 2, err
+        assert err.startswith(f"error: {issue}: ")
+        assert field in err
+        assert not out.exists()
+
+    def test_unknown_class_names_the_labels(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, dict(
+            SMALL_CLASSICAL, fields=[{"builtin": "gaussian", "class": c}
+                                     for c in "eex"]))
+        code, _, err = run(capsys, "verify", inst, "--out-dir",
+                           str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: UnknownClass: ")
+        assert "'x'" in err and "'e', 'c'" in err
+
+    @pytest.mark.parametrize("field, key", [
+        ({"builtin": "trivial"}, "'class'"),
+        ({"class": "e"}, "'builtin' and 'spec'"),
+    ])
+    def test_field_without_key_exit_2(self, tmp_path, capsys, field, key):
+        inst = write_instance(tmp_path, dict(
+            SMALL_CLASSICAL, fields=[{"builtin": "trivial", "class": "e"},
+                                     field, field]))
+        code, _, err = run(capsys, "verify", inst, "--out-dir",
+                           str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: MissingKey: ")
+        assert key in err
 
 
 class TestLocalFactors:

@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chebcircle
-from chebcircle import galois, sieve
+from chebcircle import cli, galois, sieve
 from chebcircle.errors import DomainError, InconsistentSpec, ValidationError
 
 
@@ -204,12 +206,69 @@ class TestValidateSpec:
             (c1, galois.ClassSpec("2", c3.coset, 3, 2),
              galois.ClassSpec("3", c2.coset, 2, 3)),
             coeffs=s3().coeffs, group_order=6)
-        assert issue_codes(spec) == ["MissingClass"]
-        with pytest.raises(InconsistentSpec):
+        with pytest.raises(ValidationError) as exc:
+            galois.validate_spec(spec)
+        [(code, text)] = exc.value.issues
+        assert code == "MissingClass"
+        assert text == "no class has the key (2, 2) of p=5"
+        with pytest.raises(InconsistentSpec, match=r"\(2, 2\) of p=5"):
             galois.classify_batch(spec, [5])
+
+    def test_validation_runs_the_batch_classifier_only(self, tmp_path,
+                                                       monkeypatch, capsys):
+        def scalar(spec, p):
+            raise AssertionError("frobenius_class called")
+
+        monkeypatch.setattr(galois, "frobenius_class", scalar)
+        for spec in [*map(galois.builtin_spec, galois.BUILTIN_NAMES),
+                     s3_sextic()]:
+            galois.validate_spec(spec)
+        instance = Path(__file__).parent / "data/s3-cbrt2/instance.json"
+        code = cli.main(["verify", str(instance), "--out-dir",
+                         str(tmp_path), "--no-timestamp"])
+        assert code == 0, capsys.readouterr().err
+
+    def test_order_above_every_prime_needs_no_table_row(self):
+        # a class of order 3*10**9: no prime can have it, so neither
+        # validation nor the classifier sizes a lookup by it
+        big = galois.ClassSpec("big", frozenset({2}), 6 * 10**9 - 6,
+                               3 * 10**9)
+        spec = galois.GaloisSpec("polynomial", 3, s3().classes + (big,),
+                                 coeffs=s3().coeffs, group_order=6 * 10**9)
+        galois.validate_spec(spec)
+        ps = sieve.primes_upto(1000)
+        assert galois.classify_batch(spec, ps).tolist() == \
+            galois.classify_batch(s3(), ps).tolist()
 
     def test_sextic_spec_still_valid(self):
         galois.validate_spec(s3_sextic())
+
+    @pytest.mark.parametrize("coeffs", [(-2, 0, 0, 0), (-2, 0, 0, 2)])
+    def test_non_monic_checked_no_further(self, coeffs):
+        # a vanishing leading coefficient has no discriminant to read
+        spec = galois.GaloisSpec("polynomial", 3, s3().classes,
+                                 coeffs=coeffs, group_order=6)
+        assert issue_codes(spec) == ["NotMonic"]
+
+    def test_sizes_and_orders_below_one_rejected(self):
+        c1, c2, c3 = s3().classes
+        spec = galois.GaloisSpec(
+            "polynomial", 3,
+            (galois.ClassSpec("1", c1.coset, -1, 1),
+             galois.ClassSpec("2", c2.coset, 5, 2),
+             galois.ClassSpec("3", c3.coset, 2, 0)),
+            coeffs=s3().coeffs, group_order=6)
+        assert issue_codes(spec) == ["NonPositive", "NonPositive"]
+
+    def test_abelian_sizes_sum_to_the_class_count(self):
+        e, c = gaussian().classes
+        spec = galois.GaloisSpec("abelian", 4,
+                                 (e, galois.ClassSpec("c", c.coset, 3, 2)))
+        assert issue_codes(spec) == ["ClassSizeSum"]
+
+    def test_unknown_label_names_the_labels(self):
+        with pytest.raises(ValidationError, match="'e', 'c'"):
+            gaussian().class_by_label("x")
 
     def test_partition_required(self):
         spec = galois.GaloisSpec("abelian", 4,
@@ -385,7 +444,77 @@ def test_package_exports_resolve():
         assert getattr(chebcircle, name) is not None, name
 
 
+def sylvester_resultant(f, g):
+    """Integer resultant: the determinant of the Sylvester matrix by
+    Gaussian elimination over Fractions."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = []
+    for i in range(n):
+        rows.append([0] * i + list(reversed(f)) + [0] * (n - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + list(reversed(g)) + [0] * (m - 1 - i))
+    mat = [Fraction(x) for row in rows for x in row]
+    # plain fraction Gaussian elimination; sizes here are tiny
+    det = Fraction(1)
+    a = [mat[i * size:(i + 1) * size] for i in range(size)]
+    for col in range(size):
+        piv = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, size):
+            factor = a[r][col] * inv
+            if factor:
+                for c in range(col, size):
+                    a[r][c] -= factor * a[col][c]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def sylvester_discriminant(f):
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f')/lc(f), from the Sylvester
+    resultant."""
+    n = len(f) - 1
+    if n < 2:
+        return 1
+    res = sylvester_resultant(list(f), [i * c for i, c in enumerate(f)][1:])
+    return (-1) ** (n * (n - 1) // 2) * res // f[-1]
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 class TestDiscriminant:
+    def test_matches_sylvester_determinant(self):
+        rng = random.Random(24)
+        repeated = 0
+        for _ in range(2000):
+            deg = rng.randint(1, 8)
+            lead = rng.choice((1, 2, -3))
+            if deg >= 2 and rng.random() < 0.25:
+                # f = g * h^2, with h monic: a repeated root
+                e = rng.randint(1, deg // 2)
+                h = [rng.randint(-9, 9) for _ in range(e)] + [1]
+                g = [rng.randint(-10**4, 10**4)
+                     for _ in range(deg - 2 * e)] + [lead]
+                f = poly_mul(g, poly_mul(h, h))
+                repeated += 1
+            else:
+                f = [rng.randint(-10**12, 10**12)
+                     for _ in range(deg)] + [lead]
+            assert galois.poly_discriminant(f) == sylvester_discriminant(f), f
+        assert repeated > 300
+
     def test_quadratic(self):
         assert galois.poly_discriminant((1, 0, 1)) == -4
 
