@@ -1,6 +1,7 @@
 """Trial division, the one factoring helper for the small integers the
-package meets (moduli, group orders and discriminant checks), and
-Miller-Rabin, the one primality test."""
+package meets (moduli, group orders, discriminant checks and the
+coefficients of an Euler product), and Miller-Rabin, the one primality
+test."""
 
 from __future__ import annotations
 
@@ -9,12 +10,14 @@ import math
 from .errors import DomainError
 
 
-def factorint(n: int) -> dict:
-    """{prime: exponent} of |n| by trial division; {} for 0 and +-1."""
+def factorint(n: int, limit: float = math.inf) -> dict:
+    """{prime: exponent} of |n| by trial division; {} for 0 and +-1.
+    Trial division stops after limit: what is left of |n|, if not 1, is one
+    key, a prime when it is below limit**2."""
     n = abs(n)
     out = {}
     i = 2
-    while i * i <= n:
+    while i * i <= n and i <= limit:
         while n % i == 0:
             out[i] = out.get(i, 0) + 1
             n //= i

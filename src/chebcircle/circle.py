@@ -311,12 +311,9 @@ def h_flat_norms(inst: ProblemInstance, z: float):
     """(L1, L2) of H_flat = H - H_sharp: L2 by Parseval over coefficients,
     L1 by sampling the difference polynomial at 4x-oversampled roots of
     unity."""
-    if inst.X < 2:
-        return 0.0, 0.0
     diff = weighted_counts(inst) - h_sharp_array(inst, z)
     l2 = float(math.sqrt(np.sum(diff * diff)))
-    M = 1 << max(2, (4 * len(diff) - 1).bit_length())
-    vals = np.fft.fft(diff, M)
+    vals = np.fft.fft(diff, _fft_len(4 * len(diff) - 1))
     l1 = float(np.mean(np.abs(vals)))
     return l1, l2
 

@@ -194,8 +194,8 @@ def cmd_local_factors(args) -> int:
     Ns = _n_list(doc, inst)
     if not Ns:
         raise ValidationError([("BadN", "the instance's N range is empty")])
-    report = singular.main_term(inst, Ns[0], _pmax(args, doc))
-    print(report.to_json_str())
+    [report] = singular.main_terms(inst, Ns[:1], _pmax(args, doc))
+    print(json.dumps(report.to_json(), indent=2))
     return EXIT_OK
 
 

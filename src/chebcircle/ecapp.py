@@ -9,25 +9,16 @@ alongside, whose discriminant gains the factor 2^12.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import SCHEMA, galois
 from .arith import is_prime
-from .errors import DomainError, NotFoundWithinLimit
-
-
-def _identity_class(spec: galois.GaloisSpec) -> int:
-    """Index in spec.classes of the class of the identity."""
-    for i, c in enumerate(spec.classes):
-        if c.element_order == 1:
-            return i
-    raise DomainError("spec has no identity class")
+from .errors import NotFoundWithinLimit
 
 
 def _splits_completely(spec: galois.GaloisSpec, p: int) -> bool:
-    return galois.frobenius_class(spec, p) == _identity_class(spec)
+    return galois.frobenius_class(spec, p) == spec.identity_class
 
 
 @dataclass
@@ -75,9 +66,6 @@ class CurveCertificate:
                                        "a factor 2^12"},
             "transcript": [list(t) for t in self.transcript],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def discriminant_identity(p: int, q: int, n: int) -> bool:

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import factorint, is_prime
+from .arith import factorint, is_prime, phi
 from .errors import DomainError, InconsistentSpec, ValidationError
 
 ABELIAN = "abelian"
@@ -64,6 +64,15 @@ class GaloisSpec:
         index)], one entry per coset residue of each class."""
         return [((c.element_order if self.coeffs else 1, r % self.modulus), i)
                 for i, c in enumerate(self.classes) for r in c.coset]
+
+    @cached_property
+    def identity_class(self) -> int:
+        """Index in classes of the class of the identity, keyed (1, 1 mod
+        D): Frobenius fixes every root and p = 1 mod D."""
+        index = dict(self.class_keys()).get((1, 1 % self.modulus))
+        if index is None:
+            raise DomainError("spec has no identity class")
+        return index
 
     @cached_property
     def ramified_modulus(self):
@@ -401,12 +410,14 @@ def _spec_issues(spec: GaloisSpec) -> list:
     D = spec.modulus
     if D < 1:
         return [("InvalidModulus", f"modulus {D} < 1")]
-    units = {u for u in range(D) if math.gcd(u, D) == 1}
+    nonunits = []
     for c in spec.classes:
-        bad = set(c.coset) - units
+        bad = sorted(r for r in c.coset
+                     if not 0 <= r < D or math.gcd(r, D) != 1)
+        nonunits += bad
         if bad:
             issues.append(("InvalidCoset", f"class {c.label}: "
-                           f"{sorted(bad)} not units mod {D}"))
+                           f"{bad} not units mod {D}"))
         if not c.coset:
             issues.append(("InvalidCoset", f"class {c.label}: empty coset"))
     keys = [k for k, _ in spec.class_keys()]
@@ -430,10 +441,9 @@ def _spec_issues(spec: GaloisSpec) -> list:
                            f"class {c.label}: order {c.element_order} does "
                            f"not divide |G|={G}"))
     if spec.kind == ABELIAN:
-        seen = []
-        for c in spec.classes:
-            seen.extend(c.coset)
-        if sorted(seen) != sorted(units):
+        # distinct units, as many as there are units
+        seen = [r for c in spec.classes for r in c.coset]
+        if nonunits or len(set(seen)) != len(seen) or len(seen) != phi(D):
             issues.append(("CosetsNotPartition",
                            f"cosets do not partition the units mod {D}"))
         sizes = {len(c.coset) for c in spec.classes}

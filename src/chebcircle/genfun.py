@@ -153,8 +153,7 @@ def gf_relation_residual(ctx: GenfunContext, alpha) -> float:
     if D == 1:
         chars, c, pref = [principal_character(1)], 1, 1.0
     else:
-        identity_coset = next(cc.coset for cc in spec.classes
-                              if 1 in cc.coset)
+        identity_coset = spec.classes[spec.identity_class].coset
         chars = characters_trivial_on(D, identity_coset)
         c = min(cls.coset)
         pref = len(identity_coset) / phi(D)

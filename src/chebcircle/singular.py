@@ -5,7 +5,6 @@ list of N at once."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -15,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import SCHEMA, sieve
+from .arith import factorint
 from .errors import DomainError
 from .instance import ProblemInstance
 
@@ -146,29 +146,22 @@ def _euler_rows(a, Ns, D: int, P_max: int):
     -inf.  Every column takes one of the two values of _log_cp_table for
     its own count of coefficients p does not divide, by whether p divides
     N.
-    What is left of |a_i| after the primes <= P_max is 1 or, below
-    P_max**2, a prime; a larger cofactor raises DomainError.  The matrix
-    is built over blocks of at most 2**18 entries."""
+    What factorint leaves of |a_i| after trial division to P_max is 1 or,
+    below P_max**2, a prime; a larger cofactor raises DomainError.  The
+    matrix is built over blocks of at most 2**18 entries."""
     if P_max < 2:
         raise DomainError("P_max must be >= 2")
     Ns = np.asarray(Ns, dtype=np.int64)
     small = sieve.primes_upto(P_max).tolist()
     divides = Counter()    # prime -> number of coefficients it divides
     for ai in a:
-        v, factors = abs(int(ai)), set()
-        for p in small:
-            if p > v:
-                break
-            while v % p == 0:
-                v //= p
-                factors.add(p)
+        factors = factorint(ai, P_max)
+        v = max(factors, default=1)
         if v >= P_max ** 2:
             raise DomainError(f"coefficient {ai} leaves a cofactor {v} >= "
                               f"P_max**2 after the primes <= P_max = "
                               f"{P_max}; raise P_max")
-        if v > 1:
-            factors.add(v)
-        divides.update(factors)
+        divides.update(factors.keys())
     ps = [p for p in small + sorted(p for p in divides if p > P_max)
           if D % p]
     if not ps:
@@ -195,15 +188,6 @@ def _tail_bound(k: int, N: int, P_max: int) -> float:
     generic = 2.0 * (P_max - 1.0) ** (1 - k) / max(1, k - 1)
     n_big_divisors = max(0.0, math.log(max(abs(N), 2)) / math.log(P_max))
     return generic + 2.0 * n_big_divisors * (P_max - 1.0) ** (1 - k)
-
-
-def euler_product(a, N: int, D: int, P_max: int = P_MAX):
-    """(product of C_p over p <= P_max with p not dividing D, tail bound,
-    first vanishing prime or None)."""
-    values, bad = _euler_rows(a, [N], D, P_max)
-    if bad[0]:
-        return 0.0, 0.0, int(bad[0])
-    return float(values[0]), _tail_bound(len(a), N, P_max), None
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +219,6 @@ class LocalFactorReport:
             "vanishing_reason": self.vanishing_reason,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def main_terms(inst: ProblemInstance, Ns,
                P_max: int = P_MAX) -> list:
@@ -265,8 +246,3 @@ def main_terms(inst: ProblemInstance, Ns,
                                     _tail_bound(inst.k, N, P_max), mt)
         out.append(rep)
     return out
-
-
-def main_term(inst: ProblemInstance, N: int,
-              P_max: int = P_MAX) -> LocalFactorReport:
-    return main_terms(inst, [N], P_max)[0]

@@ -81,6 +81,30 @@ class TestConstructCurve:
         assert doc["integral_model"]["A"] == 4 * cert.p * cert.q
 
 
+class TestIdentityClass:
+    # Q(i) with its classes listed inert first: the identity is still the
+    # class of p = 1 mod 4, not the first class of order 1
+    SWAPPED = {"kind": "abelian", "modulus": 4,
+               "classes": [{"label": "c", "coset": [3]},
+                           {"label": "e", "coset": [1]}]}
+
+    def test_swapped_spec_certifies_split_primes(self):
+        spec = galois.spec_from_json(self.SWAPPED)
+        galois.validate_spec(spec)
+        cert = ecapp.construct_curve(spec, 2000)
+        assert (cert.p, cert.q, cert.r) == (29, 5, 34589)
+        assert {lbl for _, lbl in cert.transcript} == {"e"}
+        assert ecapp.check_certificate(cert, spec)
+
+    def test_swapped_spec_rejects_inert_primes(self):
+        spec = galois.spec_from_json(self.SWAPPED)
+        chk = ecapp.check_certificate(
+            ecapp.CurveCertificate(p=7, q=3, r=20743, n=4), spec)
+        assert not chk
+        assert chk.reasons == ["p not identity class", "q not identity class",
+                               "r not identity class"]
+
+
 class TestCheckCertificate:
     def setup_method(self):
         self.spec = galois.builtin_spec("gaussian")
@@ -103,6 +127,12 @@ class TestCheckCertificate:
         chk = ecapp.check_certificate(bad, self.spec)
         assert not chk
         assert "q not identity class" in chk.reasons
+
+    def test_composite_p(self):
+        bad = ecapp.CurveCertificate(p=9, q=5, r=9 + 432 * 16 * 5, n=4)
+        chk = ecapp.check_certificate(bad, self.spec)
+        assert not chk
+        assert "p not prime" in chk.reasons
 
     def test_discriminant_support_is_pqr(self):
         d = -self.cert.discriminant

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -274,6 +276,80 @@ class TestValidateSpec:
         spec = galois.GaloisSpec("abelian", 4,
                                  (galois.ClassSpec("e", frozenset({1})),))
         assert issue_codes(spec) == ["CosetsNotPartition"]
+
+    def test_partition_check_reads_the_cosets_only(self):
+        # one class of one unit mod 4 * 10**6: rejected from its residues
+        # and phi(D), with no table of the units mod D
+        spec = galois.GaloisSpec("abelian", 4 * 10**6,
+                                 (galois.ClassSpec("e", frozenset({1})),))
+        tracemalloc.start()
+        try:
+            codes = issue_codes(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes == ["CosetsNotPartition"]
+        assert peak < 2**20
+
+    def test_repeated_or_missing_units_not_a_partition(self):
+        # each coset holds units mod 8, but 3 twice and 7 never
+        spec = galois.GaloisSpec("abelian", 8,
+                                 (galois.ClassSpec("a", frozenset({1, 3})),
+                                  galois.ClassSpec("b", frozenset({3, 5}))))
+        assert issue_codes(spec) == ["UnidentifiableClasses",
+                                     "CosetsNotPartition"]
+
+    def test_invalid_modulus_checked_no_further(self):
+        spec = galois.GaloisSpec("abelian", 0,
+                                 (galois.ClassSpec("e", frozenset({1})),))
+        assert issue_codes(spec) == ["InvalidModulus"]
+
+    def test_order_must_divide_the_group_order(self):
+        c1, c2, c3 = s3().classes
+        spec = galois.GaloisSpec(
+            "polynomial", 3, (c1, c2, galois.ClassSpec("3", c3.coset, 2, 4)),
+            coeffs=s3().coeffs, group_order=6)
+        assert issue_codes(spec) == ["OrderDividesGroup"]
+
+    def test_constant_polynomial_is_missing(self):
+        spec = spec_over_q((1,), [("e", 1, 1)])
+        assert issue_codes(spec) == ["MissingPolynomial"]
+
+    def test_squareful_polynomial_rejected(self):
+        spec = spec_over_q((0, 0, 1), [("e", 1, 1), ("c", 1, 2)])
+        assert issue_codes(spec) == ["SquarefulPolynomial"]
+
+    def test_modulus_primes_must_ramify(self):
+        # disc(x^3 - 2) = -108: 3 divides it, 5 does not
+        spec = galois.GaloisSpec("polynomial", 15, s3().classes,
+                                 coeffs=s3().coeffs, group_order=6)
+        assert issue_codes(spec) == ["ModulusRamification"]
+
+    def test_identity_class_is_keyed_order_one_residue_one(self):
+        assert gaussian().identity_class == 0
+        swapped = galois.GaloisSpec("abelian", 4, gaussian().classes[::-1])
+        assert swapped.identity_class == 1
+        assert s3().identity_class == 0
+        assert galois.builtin_spec("d4-qrt2").identity_class == 0
+        assert galois.builtin_spec("trivial").identity_class == 0
+        no_identity = galois.GaloisSpec("abelian", 4, gaussian().classes[1:])
+        with pytest.raises(DomainError, match="no identity class"):
+            no_identity.identity_class
+
+
+class TestSpecFromJson:
+    def test_non_object_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            galois.spec_from_json([1, 2])
+        assert exc.value.issues == [("BadType",
+                                     "a spec takes a JSON object")]
+
+    def test_json_text_is_parsed(self):
+        doc = galois.spec_to_json(gaussian())
+        assert galois.spec_from_json(json.dumps(doc)) == gaussian()
+        with pytest.raises(ValidationError) as exc:
+            galois.spec_from_json('"gaussian"')
+        assert [code for code, _ in exc.value.issues] == ["BadType"]
 
 
 def divisor_scan_root(f):

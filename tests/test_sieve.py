@@ -24,6 +24,15 @@ class TestPrimes:
     def test_factor(self):
         assert factorint(360) == {2: 3, 3: 2, 5: 1}
 
+    def test_factor_with_limit(self):
+        # trial division stops after the limit; what is left is one key
+        assert factorint(-360, 3) == {2: 3, 3: 2, 5: 1}
+        assert factorint(4 * 10007 * 10009, 100) == {2: 2, 10007 * 10009: 1}
+        assert factorint(2**61 - 1, 10**4) == {2**61 - 1: 1}
+        assert factorint(2 * 9973, 100) == {2: 1, 9973: 1}
+        for n in range(-200, 201):
+            assert factorint(n, 15) == factorint(n)
+
     def test_build_matches_trial_division(self):
         # every limit from the smallest, through the base of the recursion
         def trial(n):

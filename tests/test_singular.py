@@ -278,12 +278,13 @@ class TestCP:
 
 class TestEulerProduct:
     def test_even_ternary_vanishes(self):
-        value, tail, bad = singular.euler_product((1, 1, 1), 10**5 + 2, 1)
+        [value], [bad] = singular._euler_rows((1, 1, 1), [10**5 + 2], 1,
+                                              singular.P_MAX)
         assert value == 0.0 and bad == 2
 
     def test_truncation_consistency(self):
-        v1, _, _ = singular.euler_product((1, 1, 1), 10**5 + 1, 1, 10**3)
-        v2, _, _ = singular.euler_product((1, 1, 1), 10**5 + 1, 1, 10**4)
+        [v1], _ = singular._euler_rows((1, 1, 1), [10**5 + 1], 1, 10**3)
+        [v2], _ = singular._euler_rows((1, 1, 1), [10**5 + 1], 1, 10**4)
         assert abs(v1 - v2) / v2 < 1e-3
 
     def test_truncation_within_tail_bound(self):
@@ -299,35 +300,39 @@ class TestEulerProduct:
         # must hold it
         cases.append(((1, 1, 10007), 210147, 1, 10**4))
         for a, N, D, P in cases:
-            v1, tail, bad1 = singular.euler_product(a, N, D, P)
-            v2, _, bad2 = singular.euler_product(a, N, D, 2 * P)
-            if bad1 is not None or bad2 is not None or v1 == 0 or v2 == 0:
+            [v1], [bad1] = singular._euler_rows(a, [N], D, P)
+            [v2], [bad2] = singular._euler_rows(a, [N], D, 2 * P)
+            if bad1 or bad2 or v1 == 0 or v2 == 0:
                 assert 10007 not in a
                 continue
+            tail = singular._tail_bound(len(a), N, P)
             assert abs(math.log(v1) - math.log(v2)) <= tail
         # two coefficients 10007 and 10007 | N: x_1 = N = 0 mod 10007 has
         # no unit solution, so C_10007 = 0, unless 10007 | D and C_D holds
         # the factor
-        assert singular.euler_product((1, 10007, 10007), 210147, 1, 10**4) \
-            == (0.0, 0.0, 10007)
-        assert singular.euler_product((1, 10007, 10007), 210147, 10007,
-                                      10**4)[2] is None
+        values, bad = singular._euler_rows((1, 10007, 10007), [210147], 1,
+                                           10**4)
+        assert (values.tolist(), bad.tolist()) == ([0.0], [10007])
+        _, bad = singular._euler_rows((1, 10007, 10007), [210147], 10007,
+                                      10**4)
+        assert bad.tolist() == [0]
         inst = uniform_instance("trivial", "e", 3, (1, 10007, 10007), 20)
-        assert singular.main_term(inst, 210147, 10**4).vanishing_reason == \
-            "Cp_zero(10007)"
+        [rep] = singular.main_terms(inst, [210147], 10**4)
+        assert rep.vanishing_reason == "Cp_zero(10007)"
 
     def test_cofactor_above_pmax_squared_rejected(self):
         # 10007 * 10009 has no prime factor <= 100 and is >= 100**2
         with pytest.raises(DomainError, match="raise P_max"):
-            singular.euler_product((1, 1, 10007 * 10009), 5, 1, 100)
+            singular._euler_rows((1, 1, 10007 * 10009), [5], 1, 100)
         # a prime cofactor below P_max**2 joins the product
-        assert singular.euler_product((1, -2 * 9973), 9973, 1, 100)[2] \
-            == 9973
+        assert singular._euler_rows((1, -2 * 9973), [9973], 1, 100)[1] \
+            .tolist() == [9973]
 
     def test_matches_classical_series(self):
         # independent formula path, skipping p = 2 on both sides via D = 2
         for N in (10**5 + 1, 10**5 + 3, 12345):
-            got, _, _ = singular.euler_product((1, 1, 1), N, 2)
+            [got], _ = singular._euler_rows((1, 1, 1), [N], 2,
+                                            singular.P_MAX)
             series = 1.0
             for p in range(3, 10**4):
                 if all(p % d for d in range(2, int(p**0.5) + 1)):
@@ -339,7 +344,7 @@ class TestEulerProduct:
 
     def test_requires_primes(self):
         with pytest.raises(DomainError):
-            singular.euler_product((1, 1), 5, 1, 1)
+            singular._euler_rows((1, 1), [5], 1, 1)
 
     @staticmethod
     def scalar_euler(a, N, D, P_max):
@@ -422,7 +427,7 @@ def log_cp_by_residue(p, a, r):
 class TestMainTerm:
     def test_classical_positive(self):
         inst = classical_instance(10**5)
-        rep = singular.main_term(inst, 10**5 + 1)
+        [rep] = singular.main_terms(inst, [10**5 + 1])
         assert rep.vanishing_reason is None
         assert rep.main_term > 0
         assert rep.main_term == pytest.approx(
@@ -431,23 +436,23 @@ class TestMainTerm:
 
     def test_gaussian_identity_congruence_vanishing(self):
         inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), 10**4)
-        rep = singular.main_term(inst, 10**4 + 1)  # N = 1 mod 4
+        [rep] = singular.main_terms(inst, [10**4 + 1])  # N = 1 mod 4
         assert rep.vanishing_reason == "CD_zero"
         assert rep.main_term == 0.0
 
     def test_goldbach_type_difference(self):
         inst = uniform_instance("trivial", "e", 3, (1, 1, -1), 10**4)
         # N = 0 forces an even sum of three odd units mod 2: C_2 = 0
-        rep = singular.main_term(inst, 0)
+        [rep] = singular.main_terms(inst, [0])
         assert rep.vanishing_reason == "Cp_zero(2)"
         # odd targets are the live case for p1 + p2 - p3
-        rep = singular.main_term(inst, 1)
+        [rep] = singular.main_terms(inst, [1])
         assert rep.vanishing_reason is None
         assert rep.main_term > 0
 
     def test_even_target_euler_vanishing(self):
         inst = classical_instance(10**4)
-        rep = singular.main_term(inst, 10**4 + 2)
+        [rep] = singular.main_terms(inst, [10**4 + 2])
         assert rep.vanishing_reason == "Cp_zero(2)"
         assert rep.main_term == 0.0
 
@@ -464,7 +469,7 @@ class TestMainTerm:
             reps = singular.main_terms(inst, Ns)
             assert [r.vanishing_reason for r in reps] == reasons
             for N, rep in zip(Ns, reps):
-                assert rep == singular.main_term(inst, N)
+                assert [rep] == singular.main_terms(inst, [N])
                 assert rep.C_inf == singular.c_infinity(inst.a, inst.X, N)
                 if rep.vanishing_reason is None:
                     assert rep.main_term > 0 and rep.tail_bound > 0
@@ -478,8 +483,8 @@ class TestMainTerm:
 
     def test_json_report(self):
         inst = classical_instance(10**4)
-        rep = singular.main_term(inst, 10**4 + 1)
-        doc = json.loads(rep.to_json_str())
+        [rep] = singular.main_terms(inst, [10**4 + 1])
+        doc = json.loads(json.dumps(rep.to_json(), indent=2))
         assert doc["schema"] == "chebotarev-circle/1"
         assert doc["main_term"] == rep.main_term
         assert doc["vanishing_reason"] is None
