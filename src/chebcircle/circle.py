@@ -15,7 +15,7 @@ import numpy as np
 from . import sieve, singular
 from .errors import ResourceLimit
 from .expsum import phase_array
-from .instance import ProblemInstance
+from .instance import FieldClass, ProblemInstance
 
 MAX_BYTES = 4 * 2**30
 # Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
@@ -23,19 +23,27 @@ MAX_BYTES = 4 * 2**30
 # embedded array _convolve transforms once and releases before the next
 # transform; fitted to the peak RSS of weighted_counts on 16 instances
 # (k = 2..4, X = 1e4..4e6, one to four distinct components), each within
-# 3% of its measurement.  The rows-only counts_at convolves at most k - 1
-# of the components over their odd primes, indexed by p // g for the step
-# g of their progressions (2 for the trivial class, 4 for gaussian, 6 for
-# s3-cbrt2), one channel at a time, so it peaks well below the same
-# estimate: 50 rows of trivial x3 at X = 1e6, 4e6 and 1e7 peak at 69, 183
-# and 602 MiB against 168, 587 and 1167; s3-cbrt2 (1, 2, 3) at X = 1e6
-# and 4e6 at 51 and 110 MiB against 186 and 655; gaussian (e, e, c) at 51
-# and 108 MiB against 177 and 621; and trivial x4 at X = 1e6 (even N) at
-# 101 MiB against 168.
-BYTES_BASE = 29 * 2**20
-BYTES_PER_FFT_POINT = 32
-BYTES_PER_X = 3
+# 4% of its measurement.
+BYTES_BASE = 31 * 2**20
+BYTES_PER_FFT_POINT = 31
+BYTES_PER_X = 4
 BYTES_PER_COMPONENT_X = 9
+# The rows-only counts_at of verify peaks either in the sieve and the
+# classification of the primes <= X, per unit of X and, for an f of degree
+# n > 1, per unit of X and of n^2; or in the count, per unit of X and per
+# point of a head transform, which convolves at most k - 1 components over
+# their odd primes indexed by p // g, for the step g of their progressions
+# (2 for the trivial class, 4 for gaussian, 6 for s3-cbrt2), one channel
+# at a time.  Fitted with BYTES_BASE to 50 rows of trivial x3 at X = 1e6,
+# 4e6 and 1e7 (peaks 69, 180 and 399 MiB, where the all-N estimate is
+# 133, 440 and 1 049), of s3-cbrt2 (1, 2, 3) and gaussian (e, e, c) at
+# 4e6 (108 and 107 MiB against 509 and 474) and of trivial x4 at 1e6
+# (85 MiB against 163), each within 3% of its measurement.  Both tables
+# are measured by tests/measure_peaks.py.
+ROWS_SIEVE_PER_X = 3
+ROWS_PER_DEGREE2_X = 2
+ROWS_PER_FFT_POINT = 36
+ROWS_PER_X = 2
 # Largest distance from an integer that a rounded FFT count may have.
 MAX_RESIDUAL = 0.25
 
@@ -51,8 +59,22 @@ def _embed(values: np.ndarray, ai: int) -> np.ndarray:
 
 
 def _fft_len(span: int) -> int:
-    """Transform length for coefficients over span + 1 consecutive N."""
-    return 1 << max(1, span.bit_length())
+    """Transform length for coefficients over span + 1 consecutive N: the
+    least even 2^a 3^b 5^c >= span + 1, a length that pocketfft's radix-2,
+    3 and 5 passes transform directly, and never above the next power of
+    two."""
+    best = 1 << max(1, span.bit_length())
+    p5 = 2
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            n = p35
+            while n <= span:
+                n *= 2
+            best = min(best, n)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _span(arrays, a) -> int:
@@ -66,9 +88,11 @@ def _convolve(arrays, a) -> np.ndarray:
     first occurrence; each group is transformed once, multiplied in as
     often as it occurs and released before the next transform, so that
     one spectrum besides the product is alive at a time.  The result is a
-    view into the M-point inverse transform: a copy measured no lower peak
-    (h_flat_norms of trivial x3 at X = 1e6: 876 MiB with the view, 890 MiB
-    with a copy)."""
+    view into the M-point inverse transform.  A copy would release the
+    rest of it (h_flat_norms of trivial x3 at X = 1e6 peaks at 680 MiB with
+    a copy, 712 MiB with the view) but, in a fresh process, takes about
+    3 000 more page faults: verify of perfbench's classical-fft ran in
+    103 ms with a copy against 97 ms with the view."""
     span = _span(arrays, a)
     M = _fft_len(span)
     keys = [(id(v), ai) for v, ai in zip(arrays, a)]
@@ -95,8 +119,7 @@ def _exact_convolve(arrays, a) -> np.ndarray:
 
 def estimated_bytes(inst: ProblemInstance) -> int:
     """Estimated peak memory of the all-N count weighted_counts on inst,
-    prime lists included, which also bounds the rows-only counts_at;
-    allocates nothing."""
+    prime lists included; allocates nothing."""
     embedded = sum(abs(ai) for _, ai in set(zip(inst.components, inst.a)))
     per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * embedded
     lo, hi = inst.attainable_range
@@ -104,25 +127,57 @@ def estimated_bytes(inst: ProblemInstance) -> int:
             + per_x * (inst.X + 1))
 
 
-def check_memory(inst: ProblemInstance):
-    """Raise ResourceLimit when inst would need more than MAX_BYTES."""
-    need = estimated_bytes(inst)
+def _coset_step(fc: FieldClass) -> int:
+    """A step that the odd primes of fc's class keep: classify_batch puts
+    p in the class only when p mod D lies in its coset, so these primes lie
+    in one residue class mod the gcd h of D and the differences of the
+    coset's residues, and, being odd, in one mod lcm(2, h)."""
+    r0 = min(fc.cls.coset, default=0)
+    return math.lcm(2, math.gcd(fc.spec.modulus,
+                                *(r - r0 for r in fc.cls.coset)))
+
+
+def rows_estimated_bytes(inst: ProblemInstance) -> int:
+    """Estimated peak memory of the rows-only counts_at on inst; allocates
+    nothing.  Its peak is the larger of two phases.  The sieve of X and
+    the classification by each spec's f, of degree n, which holds about
+    n^2 int64 per prime when n > 1.  Then the count, holding the prime
+    arrays and one head transform: each step g of _progression_terms is a
+    multiple of the gcd G of the components' _coset_step, or X + 1, and a
+    term's head is a subset of the first k - 1 components, so no head
+    spans more than sum_{i < k-1} |a_i| (X // G)."""
+    G = math.gcd(*map(_coset_step, inst.components))
+    span = sum(abs(ai) for ai in inst.a[:-1]) * (inst.X // G)
+    n = max(len(fc.spec.poly) - 1 for fc in inst.components)
+    sieve_x = ROWS_SIEVE_PER_X + (ROWS_PER_DEGREE2_X * n * n if n > 1 else 0)
+    count = ROWS_PER_FFT_POINT * _fft_len(span) + ROWS_PER_X * (inst.X + 1)
+    return BYTES_BASE + max(sieve_x * (inst.X + 1), count)
+
+
+def check_memory(inst: ProblemInstance, estimate=estimated_bytes):
+    """Raise ResourceLimit when inst would need more than MAX_BYTES by
+    estimate (the all-N one unless given)."""
+    need = estimate(inst)
     if need > MAX_BYTES:
         raise ResourceLimit(f"X={inst.X}, a={inst.a} needs about "
                             f"{need / 2**30:.1f} GiB; the limit is "
                             f"{MAX_BYTES / 2**30:.0f} GiB")
 
 
-def _component_primes(inst: ProblemInstance):
-    """The primes <= X of each component's class, after check_memory, so
-    that a too-large instance is refused before the sieve of X.  Each
-    distinct spec is classified once, and equal components share one
-    array."""
-    check_memory(inst)
-    by_spec = {spec: sieve.class_primes(spec, inst.X)
-               for spec in dict.fromkeys(fc.spec for fc in inst.components)}
-    return [by_spec[fc.spec][fc.spec.classes.index(fc.cls)]
-            for fc in inst.components]
+def _component_primes(inst: ProblemInstance, estimate=estimated_bytes):
+    """The primes <= X of each component's class, after check_memory by
+    estimate, so that a too-large instance is refused before the sieve of
+    X.  Each distinct spec is classified once, only the classes the
+    components use are split out, and equal components share one array."""
+    check_memory(inst, estimate)
+    by_spec = {}
+    for fc in dict.fromkeys(inst.components):
+        by_spec.setdefault(fc.spec, []).append(fc)
+    arrays = {}
+    for spec, fcs in by_spec.items():
+        arrays.update(zip(fcs, sieve.class_primes(
+            spec, inst.X, [spec.classes.index(fc.cls) for fc in fcs])))
+    return [arrays[fc] for fc in inst.components]
 
 
 def _dense(comps, X: int, weighted: bool, step: int = 1):
@@ -191,18 +246,19 @@ def _step(ps) -> int:
     return int(np.gcd.reduce(ps[1:] - ps[0])) if len(ps) > 1 else 0
 
 
-def _progression_terms(comps, a, Ns):
+def _progression_terms(comps, a, Ns, lone: int = 2):
     """S(N) split by the set T of components that take p = 2, among those
     whose class holds 2; the rest R take their odd primes.  A term's step
-    g is the gcd of the _step of the odd-prime arrays of R, 2 when none
-    has two primes, so that each p of component i in R is g m + r_i, r_i
-    the first odd prime's residue mod g, and sum_R a_i m_i = N' =
-    (N - c) / g with c = 2 sum_T a_i + sum_R a_i r_i, weighted by
-    (log 2)^|T|.  Returns [(arrays, coefficients, |T|, g, rows, Ms, at)],
-    one entry per distinct run of (array, a_i) along R, the odd-prime
-    arrays and a_i of R in order: rows lists every row j of Ns for which
-    N' is an integer, Ms the distinct N' among them, and at the index in
-    Ms of each row's N'."""
+    g is the gcd of the _step of the odd-prime arrays of R, or lone when
+    none has two primes and any step serves (counts_at passes X + 1, which
+    puts every prime at m = 0), so that each p of component i in R is
+    g m + r_i, r_i the first odd prime's residue mod g, and
+    sum_R a_i m_i = N' = (N - c) / g with c = 2 sum_T a_i + sum_R a_i r_i,
+    weighted by (log 2)^|T|.  Returns [(arrays, coefficients, |T|, g, rows,
+    Ms, at)], one entry per distinct run of (array, a_i) along R, the
+    odd-prime arrays and a_i of R in order: rows lists every row j of Ns
+    for which N' is an integer, Ms the distinct N' among them, and at the
+    index in Ms of each row's N'."""
     # one odd-prime view and one step per distinct array, so that equal
     # components still share one
     made = {}
@@ -218,7 +274,7 @@ def _progression_terms(comps, a, Ns):
         rest = [i for i in range(len(comps)) if i not in T]
         key = tuple((id(odd[i]), a[i]) for i in rest)
         if key not in terms:
-            g = math.gcd(*(steps[i] for i in rest)) or 2
+            g = math.gcd(*(steps[i] for i in rest)) or lone
             terms[key] = ([odd[i] for i in rest], [a[i] for i in rest],
                           len(T), g, [], [])
         *_, g, rows, Ms = terms[key]
@@ -240,7 +296,8 @@ def counts_at(inst: ProblemInstance, Ns):
     last array's primes, or 1 at N' = 0 when there are none.  One channel
     runs after the other and one head is held at a time.  The weighted
     value is clamped at 0 against FFT round-off."""
-    terms = _progression_terms(_component_primes(inst), inst.a, Ns)
+    terms = _progression_terms(
+        _component_primes(inst, rows_estimated_bytes), inst.a, Ns, inst.X + 1)
 
     def channel(weighted: bool) -> np.ndarray:
         out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
@@ -309,8 +366,8 @@ def h_sharp_array(inst: ProblemInstance, z: float) -> np.ndarray:
 
 def h_flat_norms(inst: ProblemInstance, z: float):
     """(L1, L2) of H_flat = H - H_sharp: L2 by Parseval over coefficients,
-    L1 by sampling the difference polynomial at 4x-oversampled roots of
-    unity."""
+    L1 by sampling the difference polynomial at roots of unity at least 4x
+    oversampled."""
     diff = weighted_counts(inst) - h_sharp_array(inst, z)
     l2 = float(math.sqrt(np.sum(diff * diff)))
     vals = np.fft.fft(diff, _fft_len(4 * len(diff) - 1))

@@ -39,8 +39,9 @@ class GenfunContext:
     @cached_property
     def primes(self) -> np.ndarray:
         """The primes <= X of the context's class."""
-        return sieve.class_primes(self.spec, self.X)[
-            self.spec.classes.index(self.cls)]
+        [ps] = sieve.class_primes(self.spec, self.X,
+                                  [self.spec.classes.index(self.cls)])
+        return ps
 
     @cached_property
     def _sharp_support(self):

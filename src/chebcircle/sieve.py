@@ -98,13 +98,16 @@ def smooth_count(z: float, Y: float) -> int:
     return walk(0, 1) if Y >= 1 else 0
 
 
-def class_primes(spec: galois.GaloisSpec, X: int) -> list:
-    """The primes <= X of each class of spec, in the order of
-    spec.classes: one ascending int64 array per class, from one sieve and
-    one classification.  Ramified primes lie in no class."""
+def class_primes(spec: galois.GaloisSpec, X: int, indices=None) -> list:
+    """The primes <= X of the classes of spec at indices (positions in
+    spec.classes; every class in order when None): one ascending int64
+    array per index, from one sieve and one classification, and one pass
+    over the primes per index.  Ramified primes lie in no class."""
     ps = primes_upto(X)
     labels = galois.classify_batch(spec, ps)
-    return [ps[labels == i] for i in range(len(spec.classes))]
+    if indices is None:
+        indices = range(len(spec.classes))
+    return [ps[labels == i] for i in indices]
 
 
 def sieve_survivor_mask(X: int, z: float) -> np.ndarray:

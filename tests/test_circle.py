@@ -91,35 +91,71 @@ class TestRepresentationCounts:
 
     def test_memory_estimate_tracks_measured_peak(self):
         # peak RSS (ru_maxrss) of weighted_counts, one fresh process per
-        # instance, about 29 MiB of it the interpreter and numpy
+        # instance (tests/measure_peaks.py all-n), about 30 MiB of it the
+        # interpreter and numpy
         t, g, s, d = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
         s3 = [(s, "1"), (s, "2"), (s, "3")]
         d4 = [(d, "r"), (d, "s"), (d, "t"), (d, "e")]
         peaks = [  # (field-class pairs, a, X, MiB)
-            ([(t, "e")] * 3, (1, 1, 1), 10**4, 30.5),
-            ([(t, "e")] * 3, (1, 1, 1), 2 * 10**5, 63.6),
-            ([(t, "e")] * 3, (1, 1, 1), 10**6, 167.5),
-            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 579.4),
-            ([(t, "e")] * 2, (1, 1), 4 * 10**6, 323.4),
-            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 167.6),
-            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**6, 174.9),
-            ([(g, "e"), (g, "c")], (2, -1), 2 * 10**6, 349.6),
+            ([(t, "e")] * 3, (1, 1, 1), 10**4, 32.0),
+            ([(t, "e")] * 3, (1, 1, 1), 2 * 10**5, 51.4),
+            ([(t, "e")] * 3, (1, 1, 1), 10**6, 133.4),
+            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 439.7),
+            ([(t, "e")] * 2, (1, 1), 4 * 10**6, 316.0),
+            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 164.5),
+            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**6, 140.9),
+            ([(g, "e"), (g, "c")], (2, -1), 2 * 10**6, 280.7),
             ([(g, "e")] * 2 + [(g, "c")] * 2, (1, 1, 1, 1), 2 * 10**6,
-             319.2),
-            (s3, (1, 1, 1), 10**6, 184.1),
-            (s3, (1, 1, 1), 2 * 10**6, 337.0),
-            ([(s, "1"), (s, "1"), (s, "2")], (1, 2, 3), 5 * 10**5, 179.5),
-            (d4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 70.0),
-            (d4, (1, 1, 1, 1), 10**6, 189.9),
+             312.1),
+            (s3, (1, 1, 1), 10**6, 150.2),
+            (s3, (1, 1, 1), 2 * 10**6, 272.0),
+            ([(s, "1"), (s, "1"), (s, "2")], (1, 2, 3), 5 * 10**5, 144.0),
+            (d4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 69.7),
+            (d4, (1, 1, 1, 1), 10**6, 186.7),
             # interleaved repeats: _convolve releases each spectrum before
             # it transforms the next
-            ([(d, "r"), (d, "s")] * 2, (1, 1, 1, 1), 10**6, 177.4),
-            ([(g, "e"), (g, "c")] * 2, (1, 1, 1, 1), 10**6, 175.4),
+            ([(d, "r"), (d, "s")] * 2, (1, 1, 1, 1), 10**6, 173.7),
+            ([(g, "e"), (g, "c")] * 2, (1, 1, 1, 1), 10**6, 171.7),
         ]
         for fields, a, X, rss_mib in peaks:
             inst = TestCountsAt.instance(fields, a, X)
             est = circle.estimated_bytes(inst) / 2**20
             assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (fields, a, X)
+
+    def test_rows_estimate_tracks_measured_peak(self):
+        # peak RSS (ru_maxrss) of counts_at at the 50 rows of
+        # tests/measure_peaks.py, one fresh process per instance
+        # (measure_peaks.py rows)
+        t, g, s = "trivial", "gaussian", "s3-cbrt2"
+        peaks = [  # (field-class pairs, a, X, MiB)
+            ([(t, "e")] * 3, (1, 1, 1), 10**6, 69.1),
+            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 179.6),
+            ([(t, "e")] * 3, (1, 1, 1), 10**7, 398.5),
+            ([(s, "1"), (s, "2"), (s, "3")], (1, 1, 1), 4 * 10**6, 108.2),
+            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 4 * 10**6, 106.9),
+            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 84.6),
+        ]
+        for fields, a, X, rss_mib in peaks:
+            inst = TestCountsAt.instance(fields, a, X)
+            est = circle.rows_estimated_bytes(inst) / 2**20
+            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (fields, a, X)
+
+    def test_rows_gate_admits_what_the_all_n_gate_refuses(self):
+        # arithmetic only: trivial x3 at X = 5e7 needs about 1.8 GiB for
+        # the rows of verify and 5 GiB for every N
+        inst = classical_instance(5 * 10**7)
+        circle.check_memory(inst, circle.rows_estimated_bytes)
+        with pytest.raises(ResourceLimit):
+            circle.check_memory(inst)
+
+    def test_weighted_counts_keeps_all_n_gate(self, monkeypatch):
+        def no_sieve(x):
+            raise AssertionError("primes listed past the memory gate")
+
+        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
+        inst = classical_instance(5 * 10**7)
+        with pytest.raises(ResourceLimit):
+            circle.weighted_counts(inst)
 
     def test_memory_gate_allocates_nothing(self):
         inst = classical_instance(10**9)
@@ -142,6 +178,27 @@ class TestRepresentationCounts:
                                      for c in spec.classes), (1, 1, 1), 3000)
         circle.verify_theorem(inst, [4501, 4507])
         assert calls == [spec]
+
+    def test_component_primes_split_only_used_classes(self, monkeypatch):
+        # two of the four classes of Q(zeta_5); equal components share one
+        # array
+        spec = TestCountsAt.MOD5
+        inst = TestCountsAt.instance([(spec, "4"), (spec, "2"), (spec, "4")],
+                                     (1, 1, 1), 3000)
+        asked = []
+        real = sieve.class_primes
+
+        def recording(spec, X, indices=None):
+            asked.append(list(indices))
+            return real(spec, X, indices)
+
+        monkeypatch.setattr(sieve, "class_primes", recording)
+        comps = circle._component_primes(inst)
+        assert asked == [[3, 1]]
+        every = real(spec, 3000)
+        for arr, i in zip(comps, (3, 1, 3)):
+            assert np.array_equal(arr, every[i])
+        assert comps[0] is comps[2]
 
     def test_random_instances_match_oracle(self):
         rng = random.Random(101)
@@ -356,6 +413,20 @@ class TestFFTChannel:
         circle.h_flat_norms(self.instance(fields, (1, 1, 1)), 30.0)
         assert len(calls) == transforms
 
+    def test_transform_length_is_least_even_5_smooth(self):
+        def smooth(n):
+            for f in (2, 3, 5):
+                while n % f == 0:
+                    n //= f
+            return n == 1
+
+        for span in [*range(1, 5001), 33332, 500000, 10**7]:
+            least = span + 1 + (span + 1) % 2
+            while not smooth(least):
+                least += 2
+            assert circle._fft_len(span) == least, span
+            assert least <= 1 << span.bit_length()
+
     @pytest.mark.parametrize("fields,a", [
         ((("trivial", "e"), ("gaussian", "c")), (2, -1)),
         ((("gaussian", "e"), ("gaussian", "e")), (1, 1)),
@@ -530,10 +601,10 @@ class TestCountsAt:
         # perfbench's s3-classify: each class lies in one residue class
         # mod 6, so the head of two components spans about 2X/6
         ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")), 10**5,
-         range(150001, 150601, 6), 2**16),
+         range(150001, 150601, 6), 33750),
         # classical-fft: the trivial class steps by 2, a span of about X
         ((("trivial", "e"),) * 3, 5 * 10**5, range(10001, 1490000, 59166),
-         2**19),
+         506250),
     ])
     def test_head_transform_length(self, monkeypatch, fields, X, Ns, length):
         lengths = []
@@ -546,6 +617,38 @@ class TestCountsAt:
         monkeypatch.setattr(np.fft, "rfft", recording)
         circle.counts_at(self.instance(fields, (1, 1, 1), X), Ns)
         assert lengths and set(lengths) == {length}
+
+    @pytest.mark.parametrize("fields, steps", [
+        ([("trivial", "e")] * 3, 2),
+        ([("gaussian", "e"), ("gaussian", "e"), ("gaussian", "c")], 4),
+        ([("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")], 6),
+        ([("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")], 8),
+        ([("s3-cbrt2", "1"), ("trivial", "e"), ("s3-cbrt2", "3")], 2),
+        ([(MOD5, "1")] * 3, 10),
+        ([(MOD5_SQ, "s")] * 3, 2),
+    ])
+    def test_coset_steps_bound_the_progression_steps(self, fields, steps):
+        # every step counts_at takes is a multiple of the gcd of the coset
+        # steps that rows_estimated_bytes reads
+        inst = self.instance(fields, (1, 1, 1), 3000)
+        assert math.gcd(*map(circle._coset_step, inst.components)) == steps
+        terms = circle._progression_terms(circle._component_primes(inst),
+                                          inst.a, range(4000, 4100),
+                                          inst.X + 1)
+        assert terms and all(g % steps == 0 for _, _, _, g, *_ in terms)
+
+    def test_lone_primes_count_at_step_above_X(self):
+        # X = 30: the class "1" of Q(zeta_5) holds the one prime 11, so the
+        # term of the two components without p = 2 may take any step and
+        # takes X + 1
+        inst = self.instance([("trivial", "e"), (self.MOD5, "1"),
+                              (self.MOD5, "1")], (1, 1, 1), 30)
+        lo, hi = inst.attainable_range
+        terms = circle._progression_terms(circle._component_primes(inst),
+                                          inst.a, range(lo, hi + 1),
+                                          inst.X + 1)
+        assert {g for _, _, _, g, *_ in terms} == {2, 31}
+        self.assert_matches_oracle(inst, "lone primes")
 
     def test_equal_components_transformed_once(self, monkeypatch):
         # trivial x3: per channel one forward transform of the shared

@@ -159,6 +159,26 @@ class TestClassPrimes:
             spec.classes.index(spec.class_by_label("1"))]
         assert ps.tolist() == [31, 43]
 
+    @pytest.mark.parametrize("name", [*galois.BUILTIN_NAMES, "mod5"])
+    def test_selected_classes_match_the_full_split(self, name):
+        # Q(zeta_5): four classes, one residue mod 5 each
+        spec = galois.builtin_spec(name) if name != "mod5" else \
+            galois.GaloisSpec(galois.ABELIAN, 5, tuple(
+                galois.ClassSpec(str(r), frozenset({r})) for r in range(1, 5)))
+        ps = sieve.primes_upto(3000)
+        labels = galois.classify_batch(spec, ps)
+        full = [ps[labels == i] for i in range(len(spec.classes))]
+        every = sieve.class_primes(spec, 3000)
+        assert len(every) == len(full)
+        assert all(np.array_equal(x, y) for x, y in zip(every, full))
+        last = len(full) - 1
+        for idx in ([0], [last], [last, 0], list(range(last, -1, -1))):
+            got = sieve.class_primes(spec, 3000, idx)
+            assert len(got) == len(idx)
+            for i, arr in zip(idx, got):
+                assert arr.dtype == np.int64
+                assert np.array_equal(arr, full[i])
+
     def test_partition_property(self):
         for name in galois.BUILTIN_NAMES:
             spec = galois.builtin_spec(name)
