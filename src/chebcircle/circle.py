@@ -246,12 +246,12 @@ def _step(ps) -> int:
     return int(np.gcd.reduce(ps[1:] - ps[0])) if len(ps) > 1 else 0
 
 
-def _progression_terms(comps, a, Ns, lone: int = 2):
+def _progression_terms(comps, a, Ns, X: int):
     """S(N) split by the set T of components that take p = 2, among those
-    whose class holds 2; the rest R take their odd primes.  A term's step
-    g is the gcd of the _step of the odd-prime arrays of R, or lone when
-    none has two primes and any step serves (counts_at passes X + 1, which
-    puts every prime at m = 0), so that each p of component i in R is
+    whose class holds 2; the rest R take their odd primes, all <= X.  A
+    term's step g is the gcd of the _step of the odd-prime arrays of R, or
+    X + 1 when none has two primes and any step serves (it puts every
+    prime at m = 0), so that each p of component i in R is
     g m + r_i, r_i the first odd prime's residue mod g, and
     sum_R a_i m_i = N' = (N - c) / g with c = 2 sum_T a_i + sum_R a_i r_i,
     weighted by (log 2)^|T|.  Returns [(arrays, coefficients, |T|, g, rows,
@@ -274,7 +274,7 @@ def _progression_terms(comps, a, Ns, lone: int = 2):
         rest = [i for i in range(len(comps)) if i not in T]
         key = tuple((id(odd[i]), a[i]) for i in rest)
         if key not in terms:
-            g = math.gcd(*(steps[i] for i in rest)) or lone
+            g = math.gcd(*(steps[i] for i in rest)) or X + 1
             terms[key] = ([odd[i] for i in rest], [a[i] for i in rest],
                           len(T), g, [], [])
         *_, g, rows, Ms = terms[key]
@@ -297,7 +297,7 @@ def counts_at(inst: ProblemInstance, Ns):
     runs after the other and one head is held at a time.  The weighted
     value is clamped at 0 against FFT round-off."""
     terms = _progression_terms(
-        _component_primes(inst, rows_estimated_bytes), inst.a, Ns, inst.X + 1)
+        _component_primes(inst, rows_estimated_bytes), inst.a, Ns, inst.X)
 
     def channel(weighted: bool) -> np.ndarray:
         out = np.zeros(len(Ns), np.float64 if weighted else np.int64)

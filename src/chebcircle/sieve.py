@@ -98,15 +98,13 @@ def smooth_count(z: float, Y: float) -> int:
     return walk(0, 1) if Y >= 1 else 0
 
 
-def class_primes(spec: galois.GaloisSpec, X: int, indices=None) -> list:
+def class_primes(spec: galois.GaloisSpec, X: int, indices) -> list:
     """The primes <= X of the classes of spec at indices (positions in
-    spec.classes; every class in order when None): one ascending int64
-    array per index, from one sieve and one classification, and one pass
-    over the primes per index.  Ramified primes lie in no class."""
+    spec.classes): one ascending int64 array per index, from one sieve and
+    one classification, and one pass over the primes per index.  Ramified
+    primes lie in no class."""
     ps = primes_upto(X)
     labels = galois.classify_batch(spec, ps)
-    if indices is None:
-        indices = range(len(spec.classes))
     return [ps[labels == i] for i in indices]
 
 

@@ -143,20 +143,20 @@ class TestSmoothCount:
 class TestClassPrimes:
     def test_trivial(self):
         spec = galois.builtin_spec("trivial")
-        [ps] = sieve.class_primes(spec, 10)
+        [ps] = sieve.class_primes(spec, 10, [0])
         assert ps.tolist() == [2, 3, 5, 7]
         assert ps.dtype == np.int64
 
     def test_gaussian_identity(self):
         spec = galois.builtin_spec("gaussian")
-        e, c = sieve.class_primes(spec, 30)
+        e, c = sieve.class_primes(spec, 30, [0, 1])
         assert e.tolist() == [5, 13, 17, 29]
         assert c.tolist() == [3, 7, 11, 19, 23]
 
     def test_sextic_split_primes(self):
         spec = galois.builtin_spec("s3-cbrt2")
-        ps = sieve.class_primes(spec, 50)[
-            spec.classes.index(spec.class_by_label("1"))]
+        [ps] = sieve.class_primes(
+            spec, 50, [spec.classes.index(spec.class_by_label("1"))])
         assert ps.tolist() == [31, 43]
 
     @pytest.mark.parametrize("name", [*galois.BUILTIN_NAMES, "mod5"])
@@ -168,7 +168,7 @@ class TestClassPrimes:
         ps = sieve.primes_upto(3000)
         labels = galois.classify_batch(spec, ps)
         full = [ps[labels == i] for i in range(len(spec.classes))]
-        every = sieve.class_primes(spec, 3000)
+        every = sieve.class_primes(spec, 3000, range(len(spec.classes)))
         assert len(every) == len(full)
         assert all(np.array_equal(x, y) for x, y in zip(every, full))
         last = len(full) - 1
@@ -183,7 +183,8 @@ class TestClassPrimes:
         for name in galois.BUILTIN_NAMES:
             spec = galois.builtin_spec(name)
             X = 5000
-            total = sum(len(ps) for ps in sieve.class_primes(spec, X))
+            total = sum(len(ps) for ps in sieve.class_primes(
+                spec, X, range(len(spec.classes))))
             ps = sieve.primes_upto(X)
             ram = sum(1 for p in ps
                       if galois.frobenius_class(spec, int(p)) == -1)
