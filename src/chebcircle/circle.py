@@ -28,18 +28,22 @@ BYTES_BASE = 31 * 2**20
 BYTES_PER_FFT_POINT = 31
 BYTES_PER_X = 4
 BYTES_PER_COMPONENT_X = 9
+# The L1 grid of h_flat_norms: np.fft.fft holds its complex output and two
+# pocketfft buffers of the same length, one complex128 each per grid point,
+# on top of the all-N count's peak.
+BYTES_PER_GRID_POINT = 3 * 16
 # The rows-only counts_at of verify peaks either in the sieve and the
 # classification of the primes <= X, per unit of X and, for an f of degree
 # n > 1, per unit of X and of n^2; or in the count, per unit of X and per
 # point of a head transform, which convolves at most k - 1 components over
-# their odd primes indexed by p // g, for the step g of their progressions
-# (2 for the trivial class, 4 for gaussian, 6 for s3-cbrt2), one channel
-# at a time.  Fitted with BYTES_BASE to 50 rows of trivial x3 at X = 1e6,
-# 4e6 and 1e7 (peaks 69, 180 and 399 MiB, where the all-N estimate is
-# 133, 440 and 1 049), of s3-cbrt2 (1, 2, 3) and gaussian (e, e, c) at
-# 4e6 (108 and 107 MiB against 509 and 474) and of trivial x4 at 1e6
-# (85 MiB against 163), each within 3% of its measurement.  Both tables
-# are measured by tests/measure_peaks.py.
+# their odd primes indexed by p // g, for the gcd g of their classes'
+# _coset_step (2 for the trivial class, 4 for gaussian, 6 for s3-cbrt2),
+# one channel at a time.  Fitted with BYTES_BASE to 50 rows of trivial x3
+# at X = 1e6, 4e6 and 1e7 (peaks 69, 180 and 399 MiB, where the all-N
+# estimate is 133, 440 and 1 049), of s3-cbrt2 (1, 2, 3) and gaussian
+# (e, e, c) at 4e6 (108 and 107 MiB against 509 and 474) and of trivial x4
+# at 1e6 (85 MiB against 163), each within 3% of its measurement.  Both
+# tables are measured by tests/measure_peaks.py.
 ROWS_SIEVE_PER_X = 3
 ROWS_PER_DEGREE2_X = 2
 ROWS_PER_FFT_POINT = 36
@@ -127,6 +131,18 @@ def estimated_bytes(inst: ProblemInstance) -> int:
             + per_x * (inst.X + 1))
 
 
+def _grid_len(inst: ProblemInstance) -> int:
+    """Points of h_flat_norms' L1 grid: at least 4x the attainable N."""
+    lo, hi = inst.attainable_range
+    return _fft_len(4 * (hi - lo + 1) - 1)
+
+
+def norms_estimated_bytes(inst: ProblemInstance) -> int:
+    """Estimated peak memory of h_flat_norms on inst, the all-N count's
+    and its L1 grid's; allocates nothing."""
+    return estimated_bytes(inst) + BYTES_PER_GRID_POINT * _grid_len(inst)
+
+
 def _coset_step(fc: FieldClass) -> int:
     """A step that the odd primes of fc's class keep: classify_batch puts
     p in the class only when p mod D lies in its coset, so these primes lie
@@ -142,10 +158,10 @@ def rows_estimated_bytes(inst: ProblemInstance) -> int:
     nothing.  Its peak is the larger of two phases.  The sieve of X and
     the classification by each spec's f, of degree n, which holds about
     n^2 int64 per prime when n > 1.  Then the count, holding the prime
-    arrays and one head transform: each step g of _progression_terms is a
-    multiple of the gcd G of the components' _coset_step, or X + 1, and a
-    term's head is a subset of the first k - 1 components, so no head
-    spans more than sum_{i < k-1} |a_i| (X // G)."""
+    arrays and one head transform; the largest head is that of the term
+    in which no component takes 2, the first k - 1 components at the step
+    G, the gcd of every component's _coset_step, which spans
+    sum_{i < k-1} |a_i| (X // G)."""
     G = math.gcd(*map(_coset_step, inst.components))
     span = sum(abs(ai) for ai in inst.a[:-1]) * (inst.X // G)
     n = max(len(fc.spec.poly) - 1 for fc in inst.components)
@@ -239,34 +255,27 @@ def _rows(head, a, last, ak: int, Ns, weights=None) -> np.ndarray:
     return out
 
 
-def _step(ps) -> int:
-    """The gcd of p - ps[0] over the odd primes ps: every p lies in the
-    progression ps[0] mod the step.  0 when ps has fewer than two primes,
-    which constrains no step."""
-    return int(np.gcd.reduce(ps[1:] - ps[0])) if len(ps) > 1 else 0
-
-
-def _progression_terms(comps, a, Ns, X: int):
+def _progression_terms(inst: ProblemInstance, comps, Ns):
     """S(N) split by the set T of components that take p = 2, among those
-    whose class holds 2; the rest R take their odd primes, all <= X.  A
-    term's step g is the gcd of the _step of the odd-prime arrays of R, or
-    X + 1 when none has two primes and any step serves (it puts every
-    prime at m = 0), so that each p of component i in R is
-    g m + r_i, r_i the first odd prime's residue mod g, and
-    sum_R a_i m_i = N' = (N - c) / g with c = 2 sum_T a_i + sum_R a_i r_i,
-    weighted by (log 2)^|T|.  Returns [(arrays, coefficients, |T|, g, rows,
-    Ms, at)], one entry per distinct run of (array, a_i) along R, the
-    odd-prime arrays and a_i of R in order: rows lists every row j of Ns
-    for which N' is an integer, Ms the distinct N' among them, and at the
-    index in Ms of each row's N'."""
-    # one odd-prime view and one step per distinct array, so that equal
-    # components still share one
+    whose class holds 2; the rest R take their odd primes comps[i], all
+    <= X.  A term's step g is the gcd of the _coset_step of the components
+    in R, so that each p of component i in R is g m + r_i, r_i the first
+    odd prime's residue mod g, and sum_R a_i m_i = N' = (N - c) / g with
+    c = 2 sum_T a_i + sum_R a_i r_i, weighted by (log 2)^|T|; the term in
+    which every component takes 2 needs no step and counts N' = N - c.
+    Returns [(arrays, coefficients, |T|, g, rows, Ms, at)], one entry per
+    distinct run of (array, a_i) along R, the odd-prime arrays and a_i of
+    R in order: rows lists every row j of Ns for which N' is an integer,
+    Ms the distinct N' among them, and at the index in Ms of each row's
+    N'."""
+    a = inst.a
+    # one odd-prime view per distinct array, so that equal components
+    # still share one
     made = {}
     for ps in comps:
-        if id(ps) not in made:
-            v = ps[1:] if len(ps) and ps[0] == 2 else ps
-            made[id(ps)] = v, _step(v)
-    odd, steps = zip(*(made[id(ps)] for ps in comps))
+        made.setdefault(id(ps), ps[1:] if len(ps) and ps[0] == 2 else ps)
+    odd = [made[id(ps)] for ps in comps]
+    steps = [_coset_step(fc) for fc in inst.components]
     holds2 = [i for i, ps in enumerate(comps) if len(ps) and ps[0] == 2]
     terms = {}
     for T in itertools.chain.from_iterable(
@@ -274,7 +283,7 @@ def _progression_terms(comps, a, Ns, X: int):
         rest = [i for i in range(len(comps)) if i not in T]
         key = tuple((id(odd[i]), a[i]) for i in rest)
         if key not in terms:
-            g = math.gcd(*(steps[i] for i in rest)) or X + 1
+            g = math.gcd(*(steps[i] for i in rest)) or 1
             terms[key] = ([odd[i] for i in rest], [a[i] for i in rest],
                           len(T), g, [], [])
         *_, g, rows, Ms = terms[key]
@@ -292,12 +301,13 @@ def counts_at(inst: ProblemInstance, Ns):
     """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
     arrays.  Each term of _progression_terms is a count over the odd
     primes of its arrays, each prime p indexed by m = p // g for the
-    term's step g: _rows over all arrays but the last (the head) and the
-    last array's primes, or 1 at N' = 0 when there are none.  One channel
-    runs after the other and one head is held at a time.  The weighted
-    value is clamped at 0 against FFT round-off."""
+    term's step g, the gcd of its classes' _coset_step: _rows over all
+    arrays but the last (the head) and the last array's primes, or 1 at
+    N' = 0 when there are none.  One channel runs after the other and one
+    head is held at a time.  The weighted value is clamped at 0 against
+    FFT round-off."""
     terms = _progression_terms(
-        _component_primes(inst, rows_estimated_bytes), inst.a, Ns, inst.X)
+        inst, _component_primes(inst, rows_estimated_bytes), Ns)
 
     def channel(weighted: bool) -> np.ndarray:
         out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
@@ -367,10 +377,11 @@ def h_sharp_array(inst: ProblemInstance, z: float) -> np.ndarray:
 def h_flat_norms(inst: ProblemInstance, z: float):
     """(L1, L2) of H_flat = H - H_sharp: L2 by Parseval over coefficients,
     L1 by sampling the difference polynomial at roots of unity at least 4x
-    oversampled."""
+    oversampled; refused by norms_estimated_bytes before the sieve."""
+    check_memory(inst, norms_estimated_bytes)
     diff = weighted_counts(inst) - h_sharp_array(inst, z)
     l2 = float(math.sqrt(np.sum(diff * diff)))
-    vals = np.fft.fft(diff, _fft_len(4 * len(diff) - 1))
+    vals = np.fft.fft(diff, _grid_len(inst))
     l1 = float(np.mean(np.abs(vals)))
     return l1, l2
 
@@ -391,11 +402,9 @@ class VerifyRow:
 @dataclass
 class VerifyResult:
     rows: list
+    median_ratio: Optional[float]     # median ratio over every rated row
     median_abs_dev: Optional[float]   # median of |ratio - 1| over rated rows
     q90_abs_dev: Optional[float]
-
-    def ratios(self):
-        return [r.ratio for r in self.rows if r.ratio is not None]
 
 
 BOUNDARY_MARGIN = 0.05
@@ -421,6 +430,7 @@ def verify_theorem(inst: ProblemInstance, N_list,
         rows.append(VerifyRow(N, su, sw, rep.C_inf, float(rep.C_D),
                               rep.euler_truncated, rep.main_term, ratio,
                               "+".join(flags)))
+    ratios = sorted(r.ratio for r in rows if r.ratio is not None)
     devs = sorted(abs(r.ratio - 1.0) for r in rows
                   if r.ratio is not None and "boundary" not in r.flags)
     if not devs:
@@ -428,7 +438,8 @@ def verify_theorem(inst: ProblemInstance, N_list,
                       if r.ratio is not None)
     med = devs[len(devs) // 2] if devs else None
     q90 = devs[min(len(devs) - 1, int(0.9 * len(devs)))] if devs else None
-    return VerifyResult(rows, med, q90)
+    return VerifyResult(rows, ratios[len(ratios) // 2] if ratios else None,
+                        med, q90)
 
 
 def parseval_check(inst: ProblemInstance):

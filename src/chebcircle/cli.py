@@ -169,12 +169,10 @@ def cmd_verify(args) -> int:
                         f"{r.euler:.6f}", f"{r.main_term:.6f}",
                         "" if r.ratio is None else f"{r.ratio:.6f}",
                         r.flags])
-    ratios = result.ratios()
     summary = {
         "schema": SCHEMA,
         "n_rows": len(result.rows),
-        "median_ratio": (sorted(ratios)[len(ratios) // 2]
-                         if ratios else None),
+        "median_ratio": result.median_ratio,
         "median_abs_dev": result.median_abs_dev,
         "q90_abs_dev": result.q90_abs_dev,
         "defaults": {"euler_pmax": pmax, **level, "X": inst.X,

@@ -1,18 +1,22 @@
-"""Measure the peak memory that circle's two memory estimates are fitted to.
+"""Measure the peak memory that circle's memory estimates are checked against.
 
-    python tests/measure_peaks.py           # both tables
+    python tests/measure_peaks.py           # every table
     python tests/measure_peaks.py all-n     # weighted_counts, estimated_bytes
     python tests/measure_peaks.py rows      # counts_at, rows_estimated_bytes
+    python tests/measure_peaks.py norms     # h_flat_norms,
+                                            # norms_estimated_bytes
 
 Each row runs in a fresh interpreter, which builds the instance, makes one
 call and reports its ru_maxrss; the script prints that peak in MiB beside
 the estimate and their ratio.  The peaks are the ones held by
 test_memory_estimate_tracks_measured_peak and
-test_rows_estimate_tracks_measured_peak in test_circle.py: re-run this after
+test_rows_estimate_tracks_measured_peak and
+test_norms_estimate_tracks_measured_peak in test_circle.py: re-run this after
 a change of transform length or array layout and refit the constants of
 circle.py to its output.  pytest does not collect this file.
 """
 
+import math
 import resource
 import subprocess
 import sys
@@ -60,6 +64,14 @@ ROWS = [
     ([(T, "e")] * 4, (1, 1, 1, 1), 10**6),
 ]
 
+# (field-class pairs, a, X) of h_flat_norms at z = (log X)^2
+NORMS = [([(T, "e")] * 3, (1, 1, 1), X) for X in (5 * 10**5, 10**6,
+                                                  2 * 10**6)]
+
+TABLES = {"all-n": (ALL_N, circle.estimated_bytes),
+          "rows": (ROWS, circle.rows_estimated_bytes),
+          "norms": (NORMS, circle.norms_estimated_bytes)}
+
 
 def instance(fields, a, X) -> ProblemInstance:
     comps = []
@@ -79,20 +91,21 @@ def rows_of(inst: ProblemInstance) -> list:
 
 def child(table: str, i: int):
     """Run row i of table in this process; print seconds and peak MiB."""
-    inst = instance(*(ALL_N if table == "all-n" else ROWS)[i])
+    inst = instance(*TABLES[table][0][i])
     start = time.perf_counter()
     if table == "all-n":
         circle.weighted_counts(inst)
-    else:
+    elif table == "rows":
         circle.counts_at(inst, rows_of(inst))
+    else:
+        circle.h_flat_norms(inst, math.log(inst.X) ** 2)
     seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{seconds:.3f} {peak:.1f}")
 
 
 def measure(table: str):
-    rows, estimate = ((ALL_N, circle.estimated_bytes) if table == "all-n"
-                      else (ROWS, circle.rows_estimated_bytes))
+    rows, estimate = TABLES[table]
     print(f"# {table}: fields, a, X, seconds, peak MiB, estimate MiB, "
           f"estimate / peak")
     for i, (fields, a, X) in enumerate(rows):
@@ -110,5 +123,5 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         child(sys.argv[2], int(sys.argv[3]))
     else:
-        for table in sys.argv[1:] or ["all-n", "rows"]:
+        for table in sys.argv[1:] or TABLES:
             measure(table)

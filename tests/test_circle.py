@@ -307,6 +307,27 @@ class TestFlatNorms:
         grid_l2 = math.sqrt(np.mean(np.abs(grid_vals) ** 2))
         assert grid_l2 == pytest.approx(l2, rel=0.01)
 
+    def test_norms_estimate_tracks_measured_peak(self):
+        # peak RSS (ru_maxrss) of h_flat_norms at z = (log X)^2, one fresh
+        # process per instance (tests/measure_peaks.py norms)
+        for X, rss_mib in [(5 * 10**5, 372.3), (10**6, 712.5),
+                           (2 * 10**6, 1299.1)]:
+            est = circle.norms_estimated_bytes(classical_instance(X)) / 2**20
+            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, X
+
+    def test_refused_before_the_sieve(self, monkeypatch):
+        # the all-N count of trivial x3 at X = 1e7 fits (1.02 GiB), its L1
+        # grid of 120 932 352 points does not
+        def no_sieve(*args):
+            raise AssertionError("primes listed past the memory gate")
+
+        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
+        monkeypatch.setattr(sieve, "sharp_weights", no_sieve)
+        inst = classical_instance(10**7)
+        circle.check_memory(inst)
+        with pytest.raises(ResourceLimit):
+            circle.h_flat_norms(inst, math.log(inst.X) ** 2)
+
 
 class TestVerifyTheorem:
     def test_congruence_vanishing_consistency(self):
@@ -576,26 +597,42 @@ class TestCountsAt:
         (((MOD5, "1"),) * 3, (1, 2, -1), 300, {10}),
         (((MOD5_SQ, "s"), (MOD5_SQ, "n"), (MOD5_SQ, "s")), (2, 1, -1), 150,
          {2}),
-        # the trivial class holds 2: the terms where it takes 2 step by 4
+        # the trivial class holds 2: the terms where it takes 2 step by the
+        # other classes' steps
         ((("trivial", "e"), ("gaussian", "e"), ("gaussian", "c")),
          (1, 3, -2), 120, {2, 4}),
+        # the step is read from the classes, not from the primes X holds:
         # class e of d4-qrt2 holds no prime below 73, class 1 of s3-cbrt2
-        # only 31 below 43; neither constrains the step
+        # only 31 below 43, class "1" of Q(zeta_5) only 11 below 31
         ((("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")),
          (1, -1, 1), 60, {8}),
         ((("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")),
          (1, -1, 1), 80, {8}),
         ((("s3-cbrt2", "1"), ("s3-cbrt2", "3"), ("s3-cbrt2", "1")),
          (1, 2, 1), 40, {6}),
-        # ... and nothing else: no array constrains it, so it is X + 1
-        ((("s3-cbrt2", "1"),) * 2, (1, -1), 40, {41}),
+        ((("s3-cbrt2", "1"),) * 2, (1, -1), 40, {6}),
+        ((("trivial", "e"),) * 3, (1, 1, 1), 100, {2}),
+        (((MOD5_SQ, "s"),) * 3, (1, 1, 1), 100, {2}),
+        ((("s3-cbrt2", "1"), ("trivial", "e"), ("s3-cbrt2", "3")),
+         (1, 1, 1), 150, {2, 6}),
+        ((("trivial", "e"), (MOD5, "1"), (MOD5, "1")), (1, 1, 1), 30,
+         {2, 10}),
     ])
     def test_progression_steps_match_oracle(self, fields, a, X, steps):
+        # every term's step is the gcd of the _coset_step of the
+        # components that take odd primes in it (the all-2 term has none)
         inst = self.instance(fields, a, X)
+        comps = circle._component_primes(inst)
         lo, hi = inst.attainable_range
-        terms = circle._progression_terms(circle._component_primes(inst),
-                                          inst.a, range(lo, hi + 1), inst.X)
-        assert {g for _, _, _, g, *_ in terms} == steps
+        terms = circle._progression_terms(inst, comps, range(lo, hi + 1))
+        for arrays, _, _, g, *_ in terms:
+            if arrays:
+                assert g == math.gcd(*(
+                    circle._coset_step(fc)
+                    for v in arrays
+                    for fc, ps in zip(inst.components, comps)
+                    if v is ps or np.shares_memory(v, ps)))
+        assert {g for arrays, _, _, g, *_ in terms if arrays} == steps
         self.assert_matches_oracle(inst, (fields, a, X))
 
     @pytest.mark.parametrize("fields, X, Ns, length", [
@@ -629,25 +666,15 @@ class TestCountsAt:
         ([(MOD5_SQ, "s")] * 3, 2),
     ])
     def test_coset_steps_bound_the_progression_steps(self, fields, steps):
-        # every step counts_at takes is a multiple of the gcd of the coset
-        # steps that rows_estimated_bytes reads
+        # rows_estimated_bytes charges the head of the term in which no
+        # component takes 2, at the gcd G of the coset steps; every other
+        # term steps by a multiple of G, so its head is no longer
         inst = self.instance(fields, (1, 1, 1), 3000)
         assert math.gcd(*map(circle._coset_step, inst.components)) == steps
-        terms = circle._progression_terms(circle._component_primes(inst),
-                                          inst.a, range(4000, 4100), inst.X)
-        assert terms and all(g % steps == 0 for _, _, _, g, *_ in terms)
-
-    def test_lone_primes_count_at_step_above_X(self):
-        # X = 30: the class "1" of Q(zeta_5) holds the one prime 11, so the
-        # term of the two components without p = 2 may take any step and
-        # takes X + 1
-        inst = self.instance([("trivial", "e"), (self.MOD5, "1"),
-                              (self.MOD5, "1")], (1, 1, 1), 30)
-        lo, hi = inst.attainable_range
-        terms = circle._progression_terms(circle._component_primes(inst),
-                                          inst.a, range(lo, hi + 1), inst.X)
-        assert {g for _, _, _, g, *_ in terms} == {2, 31}
-        self.assert_matches_oracle(inst, "lone primes")
+        terms = circle._progression_terms(inst, circle._component_primes(inst),
+                                          range(4000, 4100))
+        assert [g for _, _, t, g, *_ in terms if t == 0] == [steps]
+        assert all(g % steps == 0 for arrays, _, _, g, *_ in terms if arrays)
 
     def test_equal_components_transformed_once(self, monkeypatch):
         # trivial x3: per channel one forward transform of the shared
