@@ -28,22 +28,31 @@ BYTES_BASE = 31 * 2**20
 BYTES_PER_FFT_POINT = 31
 BYTES_PER_X = 4
 BYTES_PER_COMPONENT_X = 9
-# The L1 grid of h_flat_norms: np.fft.fft holds its complex output and two
-# pocketfft buffers of the same length, one complex128 each per grid point,
-# on top of the all-N count's peak.
-BYTES_PER_GRID_POINT = 3 * 16
+# The L1 grid of h_flat_norms, on top of the all-N count's peak: np.fft.rfft
+# holds 24 bytes per grid point over the RSS before it (its complex output of
+# M/2 + 1 points and two pocketfft buffers), part of which the all-N
+# estimate already covers.  Fitted to trivial x3 at X = 5e5, 1e6 and 2e6
+# (peaks 194.5, 357.3 and 651.8 MiB), each within 4% of its measurement.
+BYTES_PER_GRID_POINT = 19
+# The grid of parseval_check, on top of the all-N count's peak: its int64
+# points, complex roots, H and G and the index and phase temporaries of
+# one prime.  Fitted to trivial x2 (1, 1) at X = 1e4, (1, 99) at 2e3 and
+# (1, 499) at 1e3, gaussian (e, c) (2, -999) at 1e3 and s3-cbrt2 (1, 2, 3)
+# (1, 1, 400) at 1.5e3 (peaks 38.8, 100.6, 203.6, 375.7 and 239.2 MiB),
+# each within 3% of its measurement (tests/measure_peaks.py parseval).
+BYTES_PER_PARSEVAL_POINT = 81
 # The rows-only counts_at of verify peaks either in the sieve and the
 # classification of the primes <= X, per unit of X and, for an f of degree
 # n > 1, per unit of X and of n^2; or in the count, per unit of X and per
 # point of a head transform, which convolves at most k - 1 components over
 # their odd primes indexed by p // g, for the gcd g of their classes'
-# _coset_step (2 for the trivial class, 4 for gaussian, 6 for s3-cbrt2),
-# one channel at a time.  Fitted with BYTES_BASE to 50 rows of trivial x3
-# at X = 1e6, 4e6 and 1e7 (peaks 69, 180 and 399 MiB, where the all-N
-# estimate is 133, 440 and 1 049), of s3-cbrt2 (1, 2, 3) and gaussian
-# (e, e, c) at 4e6 (108 and 107 MiB against 509 and 474) and of trivial x4
-# at 1e6 (85 MiB against 163), each within 3% of its measurement.  Both
-# tables are measured by tests/measure_peaks.py.
+# _progression steps (2 for the trivial class, 4 for gaussian, 6 for
+# s3-cbrt2), one channel at a time.  Fitted with BYTES_BASE to 50 rows of
+# trivial x3 at X = 1e6, 4e6 and 1e7 (peaks 69, 180 and 399 MiB, where the
+# all-N estimate is 133, 440 and 1 049), of s3-cbrt2 (1, 2, 3) and
+# gaussian (e, e, c) at 4e6 (108 and 107 MiB against 509 and 474) and of
+# trivial x4 at 1e6 (85 MiB against 163), each within 3% of its
+# measurement.  Every table is measured by tests/measure_peaks.py.
 ROWS_SIEVE_PER_X = 3
 ROWS_PER_DEGREE2_X = 2
 ROWS_PER_FFT_POINT = 36
@@ -93,10 +102,10 @@ def _convolve(arrays, a) -> np.ndarray:
     often as it occurs and released before the next transform, so that
     one spectrum besides the product is alive at a time.  The result is a
     view into the M-point inverse transform.  A copy would release the
-    rest of it (h_flat_norms of trivial x3 at X = 1e6 peaks at 680 MiB with
-    a copy, 712 MiB with the view) but, in a fresh process, takes about
-    3 000 more page faults: verify of perfbench's classical-fft ran in
-    103 ms with a copy against 97 ms with the view."""
+    rest of it (h_flat_norms of trivial x3 at X = 1e6 peaks at 356 MiB
+    either way) but, in a fresh process, takes about 3 000 more page
+    faults: verify of perfbench's classical-fft ran in 103 ms with a copy
+    against 97 ms with the view."""
     span = _span(arrays, a)
     M = _fft_len(span)
     keys = [(id(v), ai) for v, ai in zip(arrays, a)]
@@ -143,41 +152,59 @@ def norms_estimated_bytes(inst: ProblemInstance) -> int:
     return estimated_bytes(inst) + BYTES_PER_GRID_POINT * _grid_len(inst)
 
 
-def _coset_step(fc: FieldClass) -> int:
-    """A step that the odd primes of fc's class keep: classify_batch puts
-    p in the class only when p mod D lies in its coset, so these primes lie
-    in one residue class mod the gcd h of D and the differences of the
-    coset's residues, and, being odd, in one mod lcm(2, h)."""
-    r0 = min(fc.cls.coset, default=0)
-    return math.lcm(2, math.gcd(fc.spec.modulus,
-                                *(r - r0 for r in fc.cls.coset)))
+def _progression(fc: FieldClass):
+    """(g, r) with every odd prime of fc's class r mod g: classify_batch
+    puts p in the class only when p mod D lies in its coset, so these
+    primes lie in one residue class mod the gcd h of D and the differences
+    of the coset's residues, and, being odd, in the odd one mod
+    g = lcm(2, h)."""
+    r0 = min(fc.cls.coset)
+    h = math.gcd(fc.spec.modulus, *(r - r0 for r in fc.cls.coset))
+    r = r0 % h
+    return math.lcm(2, h), r if r % 2 else r + h
+
+
+def sieve_bytes(X: int, specs) -> int:
+    """Estimated peak bytes, over BYTES_BASE, of the sieve of X and the
+    classification by each spec's f, of degree n, which holds about n^2
+    int64 per prime when n > 1; allocates nothing."""
+    n = max(len(spec.poly) - 1 for spec in specs)
+    per_x = ROWS_SIEVE_PER_X + (ROWS_PER_DEGREE2_X * n * n if n > 1 else 0)
+    return per_x * (X + 1)
 
 
 def rows_estimated_bytes(inst: ProblemInstance) -> int:
     """Estimated peak memory of the rows-only counts_at on inst; allocates
-    nothing.  Its peak is the larger of two phases.  The sieve of X and
-    the classification by each spec's f, of degree n, which holds about
-    n^2 int64 per prime when n > 1.  Then the count, holding the prime
-    arrays and one head transform; the largest head is that of the term
-    in which no component takes 2, the first k - 1 components at the step
-    G, the gcd of every component's _coset_step, which spans
-    sum_{i < k-1} |a_i| (X // G)."""
-    G = math.gcd(*map(_coset_step, inst.components))
+    nothing.  Its peak is the larger of two phases: sieve_bytes, then the
+    count, holding the prime arrays and one head transform; the largest
+    head is that of the term in which no component takes 2, the first
+    k - 1 components at the step G, the gcd of every component's
+    _progression step, which spans sum_{i < k-1} |a_i| (X // G)."""
+    G = math.gcd(*(_progression(fc)[0] for fc in inst.components))
     span = sum(abs(ai) for ai in inst.a[:-1]) * (inst.X // G)
-    n = max(len(fc.spec.poly) - 1 for fc in inst.components)
-    sieve_x = ROWS_SIEVE_PER_X + (ROWS_PER_DEGREE2_X * n * n if n > 1 else 0)
     count = ROWS_PER_FFT_POINT * _fft_len(span) + ROWS_PER_X * (inst.X + 1)
-    return BYTES_BASE + max(sieve_x * (inst.X + 1), count)
+    return BYTES_BASE + max(
+        sieve_bytes(inst.X, (fc.spec for fc in inst.components)), count)
+
+
+def parseval_estimated_bytes(inst: ProblemInstance) -> int:
+    """Estimated peak memory of parseval_check on inst, the all-N count's
+    and its grid's of 4 points per attainable N; allocates nothing."""
+    lo, hi = inst.attainable_range
+    return estimated_bytes(inst) + BYTES_PER_PARSEVAL_POINT * 4 * (hi - lo + 1)
+
+
+def refuse_above(need: int, what: str):
+    """Raise ResourceLimit when need, in bytes, is above MAX_BYTES."""
+    if need > MAX_BYTES:
+        raise ResourceLimit(f"{what} needs about {need / 2**30:.1f} GiB; "
+                            f"the limit is {MAX_BYTES / 2**30:.0f} GiB")
 
 
 def check_memory(inst: ProblemInstance, estimate=estimated_bytes):
     """Raise ResourceLimit when inst would need more than MAX_BYTES by
     estimate (the all-N one unless given)."""
-    need = estimate(inst)
-    if need > MAX_BYTES:
-        raise ResourceLimit(f"X={inst.X}, a={inst.a} needs about "
-                            f"{need / 2**30:.1f} GiB; the limit is "
-                            f"{MAX_BYTES / 2**30:.0f} GiB")
+    refuse_above(estimate(inst), f"X={inst.X}, a={inst.a}")
 
 
 def _component_primes(inst: ProblemInstance, estimate=estimated_bytes):
@@ -196,7 +223,7 @@ def _component_primes(inst: ProblemInstance, estimate=estimated_bytes):
     return [arrays[fc] for fc in inst.components]
 
 
-def _dense(comps, X: int, weighted: bool, step: int = 1):
+def _dense(comps, X: int, weighted: bool, step: int):
     """Per prime array of comps, the array over m = 0..X // step holding
     log p (weighted) or 1 at m = p // step for each of its primes p, 0
     elsewhere; equal components share one array, so that _convolve
@@ -213,7 +240,7 @@ def _dense(comps, X: int, weighted: bool, step: int = 1):
 def _log_convolution(comps, inst: ProblemInstance) -> np.ndarray:
     """S(N) weighted by the product of log p, from the component primes
     comps, for every attainable N; clamped at 0 against FFT round-off."""
-    weighted = _convolve(_dense(comps, inst.X, True), inst.a)
+    weighted = _convolve(_dense(comps, inst.X, True, 1), inst.a)
     np.maximum(weighted, 0.0, out=weighted)
     return weighted
 
@@ -255,73 +282,69 @@ def _rows(head, a, last, ak: int, Ns, weights=None) -> np.ndarray:
     return out
 
 
-def _progression_terms(inst: ProblemInstance, comps, Ns):
-    """S(N) split by the set T of components that take p = 2, among those
-    whose class holds 2; the rest R take their odd primes comps[i], all
-    <= X.  A term's step g is the gcd of the _coset_step of the components
-    in R, so that each p of component i in R is g m + r_i, r_i the first
-    odd prime's residue mod g, and sum_R a_i m_i = N' = (N - c) / g with
-    c = 2 sum_T a_i + sum_R a_i r_i, weighted by (log 2)^|T|; the term in
-    which every component takes 2 needs no step and counts N' = N - c.
-    Returns [(arrays, coefficients, |T|, g, rows, Ms, at)], one entry per
-    distinct run of (array, a_i) along R, the odd-prime arrays and a_i of
-    R in order: rows lists every row j of Ns for which N' is an integer,
-    Ms the distinct N' among them, and at the index in Ms of each row's
-    N'."""
-    a = inst.a
-    # one odd-prime view per distinct array, so that equal components
-    # still share one
-    made = {}
-    for ps in comps:
-        made.setdefault(id(ps), ps[1:] if len(ps) and ps[0] == 2 else ps)
-    odd = [made[id(ps)] for ps in comps]
-    steps = [_coset_step(fc) for fc in inst.components]
-    holds2 = [i for i, ps in enumerate(comps) if len(ps) and ps[0] == 2]
-    terms = {}
+def _progression_terms(inst: ProblemInstance, holds2):
+    """S(N) split by the set T of components that take p = 2, among
+    holds2, those whose class holds 2; the rest R take their odd primes,
+    all <= X.  With (g_i, r_i) = _progression of component i, a term's
+    step g is the gcd of the g_i over R, so that each odd p of component
+    i is g (p // g) + r_i mod g, and sum_R a_i (p_i // g) = N' = (N - c)
+    / g with c = 2 sum_T a_i + sum_R a_i (r_i mod g), weighted by
+    (log 2)^|T|; the term in which every component takes 2 has g = 1 and
+    counts N' = N - c.  Returns [(R, |T|, g, c, n)], one entry per
+    distinct run of (component, a_i) along R, n the number of sets T
+    that share it."""
+    a, k = inst.a, inst.k
+    prog = [_progression(fc) for fc in inst.components]
+    runs = {}
     for T in itertools.chain.from_iterable(
             itertools.combinations(holds2, r) for r in range(len(holds2) + 1)):
-        rest = [i for i in range(len(comps)) if i not in T]
-        key = tuple((id(odd[i]), a[i]) for i in rest)
-        if key not in terms:
-            g = math.gcd(*(steps[i] for i in rest)) or 1
-            terms[key] = ([odd[i] for i in rest], [a[i] for i in rest],
-                          len(T), g, [], [])
-        *_, g, rows, Ms = terms[key]
-        c = 2 * sum(a[i] for i in T) + sum(a[i] * int(odd[i][0] % g)
-                                           for i in rest if len(odd[i]))
-        for j, N in enumerate(map(int, Ns)):
-            if (N - c) % g == 0:
-                rows.append(j)
-                Ms.append((N - c) // g)
-    return [(*term, rows, *np.unique(Ms, return_inverse=True))
-            for *term, rows, Ms in terms.values() if rows]
+        R = tuple(i for i in range(k) if i not in T)
+        runs.setdefault(tuple((inst.components[i], a[i]) for i in R),
+                        []).append(R)
+    terms = []
+    for R, *rest in runs.values():
+        g = math.gcd(*(prog[i][0] for i in R)) or 1
+        c = sum(a[i] * (prog[i][1] % g if i in R else 2) for i in range(k))
+        terms.append((R, k - len(R), g, c, 1 + len(rest)))
+    return terms
 
 
 def counts_at(inst: ProblemInstance, Ns):
     """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
-    arrays.  Each term of _progression_terms is a count over the odd
-    primes of its arrays, each prime p indexed by m = p // g for the
-    term's step g, the gcd of its classes' _coset_step: _rows over all
-    arrays but the last (the head) and the last array's primes, or 1 at
-    N' = 0 when there are none.  One channel runs after the other and one
-    head is held at a time.  The weighted value is clamped at 0 against
-    FFT round-off."""
-    terms = _progression_terms(
-        inst, _component_primes(inst, rows_estimated_bytes), Ns)
+    arrays.  Each term of _progression_terms counts at the N of Ns with
+    N - c = 0 mod g, over the odd primes of its components R, each prime
+    p indexed by m = p // g: _rows over all of R but the last (the head)
+    and the last one's primes, or 1 at N' = 0 when R is empty; a term
+    that n sets T share is added n times.  One channel runs after the
+    other and one head is held at a time.  The weighted value is clamped
+    at 0 against FFT round-off."""
+    comps = dict(zip(inst.components,
+                     _component_primes(inst, rows_estimated_bytes)))
+    holds2 = [i for i, fc in enumerate(inst.components) if 2 in comps[fc][:1]]
+    # one odd-prime view per distinct component
+    odd = {fc: ps[1:] if 2 in ps[:1] else ps for fc, ps in comps.items()}
+    terms = _progression_terms(inst, holds2)
+    Ns = [int(N) for N in Ns]
 
     def channel(weighted: bool) -> np.ndarray:
         out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
-        for arrays, a, t, g, rows, Ms, at in terms:
-            if arrays:
-                *head, last = arrays
-                vals = _rows(_dense(head, inst.X, weighted, g), a[:-1],
-                             last // g, a[-1], Ms.tolist(),
+        for R, t, g, c, n in terms:
+            rows = [j for j, N in enumerate(Ns) if (N - c) % g == 0]
+            if not rows:
+                continue
+            Ms, at = np.unique([(Ns[j] - c) // g for j in rows],
+                               return_inverse=True)
+            if R:
+                *head, last = (odd[inst.components[i]] for i in R)
+                vals = _rows(_dense(head, inst.X, weighted, g),
+                             [inst.a[i] for i in R[:-1]], last // g,
+                             inst.a[R[-1]], Ms.tolist(),
                              np.log(last.astype(np.float64))
                              if weighted else None)[at]
             else:
                 vals = (Ms == 0).astype(np.int64)[at]
-            np.add.at(out, rows, vals * math.log(2) ** t if weighted
-                      else vals)
+            np.add.at(out, rows * n, np.tile(
+                vals * math.log(2) ** t if weighted else vals, n))
         return out
 
     weighted = channel(True)
@@ -379,10 +402,16 @@ def h_flat_norms(inst: ProblemInstance, z: float):
     L1 by sampling the difference polynomial at roots of unity at least 4x
     oversampled; refused by norms_estimated_bytes before the sieve."""
     check_memory(inst, norms_estimated_bytes)
-    diff = weighted_counts(inst) - h_sharp_array(inst, z)
+    # in place: a separate difference leaves a freed array of every N on
+    # the heap below the grid (357 MiB against 388 at X = 1e6, trivial x3)
+    diff = weighted_counts(inst)
+    diff -= h_sharp_array(inst, z)
     l2 = float(math.sqrt(np.sum(diff * diff)))
-    vals = np.fft.fft(diff, _grid_len(inst))
-    l1 = float(np.mean(np.abs(vals)))
+    M = _grid_len(inst)
+    mags = np.abs(np.fft.rfft(diff, M))
+    # the real diff's values at bins M/2 + 1 .. M - 1 are the conjugates
+    # of those at 1 .. M/2 - 1 (M is even)
+    l1 = float((2 * np.sum(mags) - mags[0] - mags[-1]) / M)
     return l1, l2
 
 
@@ -448,8 +477,9 @@ def parseval_check(inst: ProblemInstance):
     prod G_i(a_i alpha) from the prime sums directly, independent of the
     convolution path: one prime at a time, e(a_i p j / M) is read from one
     table of the M-th roots of unity at (a_i p mod M) j mod M, a product
-    below 2^63 while M < 3e9."""
-    comps = _component_primes(inst)
+    below 2^63 while M < 3e9.  Refused by parseval_estimated_bytes before
+    the sieve."""
+    comps = _component_primes(inst, parseval_estimated_bytes)
     weighted = _log_convolution(comps, inst)
     lhs = float(np.sum(weighted ** 2))
     M = 4 * len(weighted)

@@ -101,9 +101,7 @@ def construct_curve(spec: galois.GaloisSpec,
                     i = galois.frobenius_class(spec, v)
                     cert.transcript.append((v, spec.classes[i].label))
                 return cert
-    raise NotFoundWithinLimit(
-        f"no certificate with p, q <= {search_limit}",
-        searched={"limit": search_limit, "n": n})
+    raise NotFoundWithinLimit(f"no certificate with p, q <= {search_limit}")
 
 
 @dataclass

@@ -37,7 +37,3 @@ class ResourceLimit(ChebCircleError):
 
 class NotFoundWithinLimit(ChebCircleError):
     """A search completed without finding a witness inside the given bounds."""
-
-    def __init__(self, message, searched=None):
-        super().__init__(message)
-        self.searched = searched

@@ -290,9 +290,10 @@ def weyl_sum(coeffs, alpha, X: int) -> complex:
     return complex(np.sum(phase_array(rs, Fraction(1, q >> s))))
 
 
-def weyl_bound(coeffs, alpha, X: int, qmax: Optional[int] = None):
+def weyl_bound(coeffs, alpha, X: int):
     """(|c| * X * (1/q + 1/X + q/X^k)^(10^-k), the best approximation a/q
-    with q <= qmax it reads); a diagnostic bound on |weyl_sum|, no proof."""
+    with q <= min(10^6, max(10, X^k)) it reads); a diagnostic bound on
+    |weyl_sum|, no proof."""
     c = _nonconstant(coeffs)
     if X < 1:
         raise DomainError("X must be >= 1")
@@ -300,8 +301,6 @@ def weyl_bound(coeffs, alpha, X: int, qmax: Optional[int] = None):
     if x == round(x):
         raise DomainError("alpha integral: approximation denominator undefined")
     k = len(c) - 1
-    if qmax is None:
-        qmax = min(10**6, max(10, X**k))
-    ra = best_approx(alpha, qmax)
+    ra = best_approx(alpha, min(10**6, max(10, X**k)))
     lead = abs(c[-1])
     return lead * X * (1.0 / ra.q + 1.0 / X + ra.q / X**k) ** (10.0 ** -k), ra

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import factorint, is_prime, phi
+from .arith import is_prime, phi
 from .errors import DomainError, InconsistentSpec, ValidationError
 
 ABELIAN = "abelian"
@@ -432,18 +432,25 @@ def _spec_issues(spec: GaloisSpec) -> list:
         counts.append(("group_order", G))
     issues += [("NonPositive", f"{name} {v} is below 1")
                for name, v in counts if v < 1]
-    if sum(c.class_size for c in spec.classes) != G:
-        issues.append(("ClassSizeSum",
-                       "class sizes do not sum to the group order"))
+    # each coset is the image of as many elements of G
+    by_coset = {}
+    for c in spec.classes:
+        by_coset[c.coset] = by_coset.get(c.coset, 0) + c.class_size
+    if any(size * len(by_coset) != G for size in by_coset.values()):
+        issues.append(("ClassSizeSum", "the class sizes of each coset do "
+                       "not sum to the group order over the number of "
+                       "cosets"))
     for c in spec.classes:
         if min(G, c.element_order) > 0 and G % c.element_order:
             issues.append(("OrderDividesGroup",
                            f"class {c.label}: order {c.element_order} does "
                            f"not divide |G|={G}"))
     if spec.kind == ABELIAN:
-        # distinct units, as many as there are units
+        # distinct units, as many as there are units; phi(D) >= sqrt(D/2)
+        # refuses too few before phi factors D
         seen = [r for c in spec.classes for r in c.coset]
-        if nonunits or len(set(seen)) != len(seen) or len(seen) != phi(D):
+        if (nonunits or len(set(seen)) != len(seen)
+                or 2 * len(seen) ** 2 < D or len(seen) != phi(D)):
             issues.append(("CosetsNotPartition",
                            f"cosets do not partition the units mod {D}"))
         sizes = {len(c.coset) for c in spec.classes}
@@ -460,10 +467,13 @@ def _spec_issues(spec: GaloisSpec) -> list:
     disc = spec.ramified_modulus
     if disc == 0:
         return issues + [("SquarefulPolynomial", "discriminant of f is zero")]
-    for p in factorint(D):
-        if disc % p != 0:
-            issues.append(("ModulusRamification",
-                           f"prime {p} divides the modulus but not disc(f)"))
+    # strip from D its primes that divide disc; what is left has none
+    rest = D
+    while (g := math.gcd(rest, disc)) > 1:
+        rest //= g
+    if rest > 1:
+        issues.append(("ModulusRamification", f"the modulus has the factor "
+                       f"{rest}, prime to disc(f)"))
     if len(f) > 2 and _has_rational_root(f, disc):
         issues.append(("Reducible", "polynomial has a rational root"))
     if not issues:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import galois, sieve
+from . import circle, galois, sieve
 from .arith import factorint, phi
 from .characters import (DirichletCharacter, characters_trivial_on,
                          principal_character)
@@ -27,14 +27,36 @@ from .errors import UnsupportedInstantiation
 from .expsum import QuadraticField, best_approx, phase_array
 
 
+# Peak bytes per n <= X of sieve.sharp_weights: its survivor mask, float64
+# weights, int64 arange (its remainder taken in place) and gathered coset
+# weights.  Fitted to minor_arc_scan of trivial-e at X = 1e6, 4e6 and 1e7
+# and of gaussian-e and s3-cbrt2-1 at 4e6 (peaks 57.8, 134.6, 287.0, 132.4
+# and 135.0 MiB), each within 2% of its measurement; tests/measure_peaks.py
+# genfun measures them.
+SHARP_BYTES_PER_X = 27
+
+
+def estimated_bytes(X: int, spec: galois.GaloisSpec) -> int:
+    """Estimated peak memory of a study of spec's primes <= X: the larger of
+    the sieve and classification of X and sharp_weights over 0..X;
+    allocates nothing."""
+    return circle.BYTES_BASE + max(circle.sieve_bytes(X, [spec]),
+                                   SHARP_BYTES_PER_X * (X + 1))
+
+
 @dataclass
 class GenfunContext:
     """Frozen inputs of one generating-function study: which primes (via a
-    Galois spec and class), the cutoff X, and the sieve level z."""
+    Galois spec and class), the cutoff X, and the sieve level z.  Refused
+    by estimated_bytes when built, before anything is sieved."""
     X: int
     z: float
     spec: galois.GaloisSpec
     cls: galois.ClassSpec
+
+    def __post_init__(self):
+        circle.refuse_above(estimated_bytes(self.X, self.spec),
+                            f"genfun at X={self.X}")
 
     @cached_property
     def primes(self) -> np.ndarray:
@@ -173,13 +195,13 @@ class ArcScanRow:
     flat_ratio: float   # |G - G_sharp| / X
 
 
-def minor_arc_scan(ctx: GenfunContext, alphas, qmax: int = 10**4) -> list:
+def minor_arc_scan(ctx: GenfunContext, alphas) -> list:
     """G, G_sharp and their normalized flat magnitude per alpha, with each
-    alpha's best rational denominator for decay regressions."""
+    alpha's best rational denominator up to 10^4 for decay regressions."""
     rows = []
     for a in alphas:
         G, Gs = eval_G(ctx, a), eval_G_sharp(ctx, a)
-        rows.append(ArcScanRow(float(a), best_approx(a, qmax).q, G, Gs,
+        rows.append(ArcScanRow(float(a), best_approx(a, 10**4).q, G, Gs,
                                abs(G - Gs) / ctx.X))
     return rows
 

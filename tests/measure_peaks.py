@@ -5,15 +5,18 @@
     python tests/measure_peaks.py rows      # counts_at, rows_estimated_bytes
     python tests/measure_peaks.py norms     # h_flat_norms,
                                             # norms_estimated_bytes
+    python tests/measure_peaks.py parseval  # parseval_check,
+                                            # parseval_estimated_bytes
+    python tests/measure_peaks.py genfun    # `chebcircle genfun`'s scan,
+                                            # genfun.estimated_bytes
 
 Each row runs in a fresh interpreter, which builds the instance, makes one
 call and reports its ru_maxrss; the script prints that peak in MiB beside
-the estimate and their ratio.  The peaks are the ones held by
-test_memory_estimate_tracks_measured_peak and
-test_rows_estimate_tracks_measured_peak and
-test_norms_estimate_tracks_measured_peak in test_circle.py: re-run this after
-a change of transform length or array layout and refit the constants of
-circle.py to its output.  pytest does not collect this file.
+the estimate and their ratio.  The peaks are the ones held by the
+test_*_estimate_tracks_measured_peak tests of test_circle.py and
+test_genfun.py: re-run this after a change of transform length or array
+layout and refit the constants of circle.py and genfun.py to its output.
+pytest does not collect this file.
 """
 
 import math
@@ -26,7 +29,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from chebcircle import circle, galois  # noqa: E402
+from chebcircle import circle, galois, genfun  # noqa: E402
 from chebcircle.instance import FieldClass, ProblemInstance  # noqa: E402
 
 T, G, S, D = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
@@ -68,9 +71,27 @@ ROWS = [
 NORMS = [([(T, "e")] * 3, (1, 1, 1), X) for X in (5 * 10**5, 10**6,
                                                   2 * 10**6)]
 
-TABLES = {"all-n": (ALL_N, circle.estimated_bytes),
-          "rows": (ROWS, circle.rows_estimated_bytes),
-          "norms": (NORMS, circle.norms_estimated_bytes)}
+# (field-class pairs, a, X) of parseval_check: a large coefficient makes a
+# large grid from few primes
+PARSEVAL = [
+    ([(T, "e")] * 2, (1, 1), 10**4),
+    ([(T, "e")] * 2, (1, 99), 2000),
+    ([(T, "e")] * 2, (1, 499), 1000),
+    ([(G, "e"), (G, "c")], (2, -999), 1000),
+    ([(S, "1"), (S, "2"), (S, "3")], (1, 1, 400), 1500),
+]
+
+# (builtin field-class, X) of genfun.minor_arc_scan at z = (log X)^4, over
+# ALPHAS
+GENFUN = [
+    ("trivial-e", 10**6),
+    ("trivial-e", 4 * 10**6),
+    ("gaussian-e", 4 * 10**6),
+    ("s3-cbrt2-1", 4 * 10**6),
+    ("d4-qrt2-e", 4 * 10**6),
+    ("trivial-e", 10**7),
+]
+ALPHAS = [0.0, 0.361, 1 / 7]
 
 
 def instance(fields, a, X) -> ProblemInstance:
@@ -81,6 +102,13 @@ def instance(fields, a, X) -> ProblemInstance:
     return ProblemInstance(tuple(comps), a, X)
 
 
+def context(name, X) -> genfun.GenfunContext:
+    field, label = name.rsplit("-", 1)
+    spec = galois.builtin_spec(field)
+    return genfun.GenfunContext(X, math.log(X) ** 4, spec,
+                                spec.class_by_label(label))
+
+
 def rows_of(inst: ProblemInstance) -> list:
     """50 N from 1.3X to 1.7X times k/3, of the parity of k (odd for k = 3,
     even for k = 4), so that trivial x k has solutions at each."""
@@ -89,33 +117,46 @@ def rows_of(inst: ProblemInstance) -> list:
             for j in range(50)]
 
 
+# table -> (rows, what a row builds, the call measured, its estimate)
+TABLES = {
+    "all-n": (ALL_N, instance, circle.weighted_counts,
+              circle.estimated_bytes),
+    "rows": (ROWS, instance, lambda inst: circle.counts_at(inst,
+                                                           rows_of(inst)),
+             circle.rows_estimated_bytes),
+    "norms": (NORMS, instance,
+              lambda inst: circle.h_flat_norms(inst, math.log(inst.X) ** 2),
+              circle.norms_estimated_bytes),
+    "parseval": (PARSEVAL, instance, circle.parseval_check,
+                 circle.parseval_estimated_bytes),
+    "genfun": (GENFUN, context,
+               lambda ctx: genfun.minor_arc_scan(ctx, ALPHAS),
+               lambda ctx: genfun.estimated_bytes(ctx.X, ctx.spec)),
+}
+
+
 def child(table: str, i: int):
     """Run row i of table in this process; print seconds and peak MiB."""
-    inst = instance(*TABLES[table][0][i])
+    rows, build, call, _ = TABLES[table]
+    made = build(*rows[i])
     start = time.perf_counter()
-    if table == "all-n":
-        circle.weighted_counts(inst)
-    elif table == "rows":
-        circle.counts_at(inst, rows_of(inst))
-    else:
-        circle.h_flat_norms(inst, math.log(inst.X) ** 2)
+    call(made)
     seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{seconds:.3f} {peak:.1f}")
 
 
 def measure(table: str):
-    rows, estimate = TABLES[table]
-    print(f"# {table}: fields, a, X, seconds, peak MiB, estimate MiB, "
+    rows, build, _, estimate = TABLES[table]
+    print(f"# {table}: row, seconds, peak MiB, estimate MiB, "
           f"estimate / peak")
-    for i, (fields, a, X) in enumerate(rows):
+    for i, row in enumerate(rows):
         out = subprocess.run([sys.executable, __file__, "--child", table,
                               str(i)], capture_output=True, text=True,
                              check=True).stdout.split()
         seconds, peak = float(out[0]), float(out[1])
-        est = estimate(instance(fields, a, X)) / 2**20
-        labels = ",".join(f"{name}:{label}" for name, label in fields)
-        print(f"{labels}  {a}  {X}  {seconds:.2f}  {peak:.1f}  {est:.1f}  "
+        est = estimate(build(*row)) / 2**20
+        print(f"{row}  {seconds:.2f}  {peak:.1f}  {est:.1f}  "
               f"{est / peak:.3f}", flush=True)
 
 

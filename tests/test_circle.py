@@ -310,20 +310,20 @@ class TestFlatNorms:
     def test_norms_estimate_tracks_measured_peak(self):
         # peak RSS (ru_maxrss) of h_flat_norms at z = (log X)^2, one fresh
         # process per instance (tests/measure_peaks.py norms)
-        for X, rss_mib in [(5 * 10**5, 372.3), (10**6, 712.5),
-                           (2 * 10**6, 1299.1)]:
+        for X, rss_mib in [(5 * 10**5, 194.5), (10**6, 357.3),
+                           (2 * 10**6, 651.8)]:
             est = circle.norms_estimated_bytes(classical_instance(X)) / 2**20
             assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, X
 
     def test_refused_before_the_sieve(self, monkeypatch):
-        # the all-N count of trivial x3 at X = 1e7 fits (1.02 GiB), its L1
-        # grid of 120 932 352 points does not
+        # the all-N count of trivial x3 at X = 2e7 fits (2.02 GiB), its L1
+        # grid of 241 864 704 points does not
         def no_sieve(*args):
             raise AssertionError("primes listed past the memory gate")
 
         monkeypatch.setattr(sieve, "primes_upto", no_sieve)
         monkeypatch.setattr(sieve, "sharp_weights", no_sieve)
-        inst = classical_instance(10**7)
+        inst = classical_instance(2 * 10**7)
         circle.check_memory(inst)
         with pytest.raises(ResourceLimit):
             circle.h_flat_norms(inst, math.log(inst.X) ** 2)
@@ -404,6 +404,35 @@ class TestParseval:
         assert peak < 64 * 2**20
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
+    def test_parseval_estimate_tracks_measured_peak(self):
+        # peak RSS (ru_maxrss) of parseval_check, one fresh process per
+        # instance (tests/measure_peaks.py parseval)
+        for name, labels, a, X, rss_mib in [
+                ("trivial", "ee", (1, 1), 10**4, 38.8),
+                ("trivial", "ee", (1, 99), 2000, 100.6),
+                ("trivial", "ee", (1, 499), 1000, 203.6),
+                ("gaussian", "ec", (2, -999), 1000, 375.7),
+                ("s3-cbrt2", "123", (1, 1, 400), 1500, 239.2)]:
+            spec = galois.builtin_spec(name)
+            inst = ProblemInstance(tuple(
+                FieldClass(spec, spec.class_by_label(label))
+                for label in labels), a, X)
+            est = circle.parseval_estimated_bytes(inst) / 2**20
+            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (a, X)
+
+    def test_refused_before_the_sieve(self, monkeypatch):
+        # the all-N count of trivial x3 at X = 1e7 fits (1.02 GiB), its
+        # grid of 120 000 004 points does not
+        def no_sieve(*args):
+            raise AssertionError("primes listed past the memory gate")
+
+        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
+        monkeypatch.setattr(sieve, "sharp_weights", no_sieve)
+        inst = classical_instance(10**7)
+        circle.check_memory(inst)
+        with pytest.raises(ResourceLimit):
+            circle.parseval_check(inst)
+
 
 class TestFFTChannel:
     X = 12000
@@ -416,7 +445,7 @@ class TestFFTChannel:
         return ProblemInstance(tuple(comps), a, self.X)
 
     # h_flat_norms convolves S and H_sharp over every N: one transform per
-    # distinct component in each
+    # distinct component in each, besides the one of its L1 grid
     @pytest.mark.parametrize("fields,transforms", [
         ((("trivial", "e"),) * 3, 2),
         ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")), 6),
@@ -432,7 +461,7 @@ class TestFFTChannel:
 
         monkeypatch.setattr(np.fft, "rfft", counting)
         circle.h_flat_norms(self.instance(fields, (1, 1, 1)), 30.0)
-        assert len(calls) == transforms
+        assert len(calls) == transforms + 1
 
     def test_transform_length_is_least_even_5_smooth(self):
         def smooth(n):
@@ -497,6 +526,12 @@ class TestCountsAt:
         return ProblemInstance(tuple(comps), a, X)
 
     @staticmethod
+    def holds_two(inst):
+        """Indices of the components whose class holds the prime 2."""
+        return [i for i, ps in enumerate(circle._component_primes(inst))
+                if len(ps) and ps[0] == 2]
+
+    @staticmethod
     def assert_matches_oracle(inst, what):
         """counts_at at every N from one below to one above the range: the
         unweighted count equal to brute_force_all's, the weighted one to a
@@ -535,7 +570,7 @@ class TestCountsAt:
     def test_matches_all_n_counts(self, fields, a, X):
         inst = self.instance(fields, a, X)
         every = circle.weighted_counts(inst)
-        ones = circle._dense(circle._component_primes(inst), X, False)
+        ones = circle._dense(circle._component_primes(inst), X, False, 1)
         exact = circle._exact_convolve(ones, inst.a)
         lo, hi = inst.attainable_range
         Ns = ([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
@@ -619,20 +654,15 @@ class TestCountsAt:
          {2, 10}),
     ])
     def test_progression_steps_match_oracle(self, fields, a, X, steps):
-        # every term's step is the gcd of the _coset_step of the
-        # components that take odd primes in it (the all-2 term has none)
+        # every term's step is the gcd of the _progression steps of the
+        # components R that take odd primes in it (the all-2 term has none)
         inst = self.instance(fields, a, X)
-        comps = circle._component_primes(inst)
-        lo, hi = inst.attainable_range
-        terms = circle._progression_terms(inst, comps, range(lo, hi + 1))
-        for arrays, _, _, g, *_ in terms:
-            if arrays:
+        terms = circle._progression_terms(inst, self.holds_two(inst))
+        for R, _, g, *_ in terms:
+            if R:
                 assert g == math.gcd(*(
-                    circle._coset_step(fc)
-                    for v in arrays
-                    for fc, ps in zip(inst.components, comps)
-                    if v is ps or np.shares_memory(v, ps)))
-        assert {g for arrays, _, _, g, *_ in terms if arrays} == steps
+                    circle._progression(inst.components[i])[0] for i in R))
+        assert {g for R, _, g, *_ in terms if R} == steps
         self.assert_matches_oracle(inst, (fields, a, X))
 
     @pytest.mark.parametrize("fields, X, Ns, length", [
@@ -670,11 +700,11 @@ class TestCountsAt:
         # component takes 2, at the gcd G of the coset steps; every other
         # term steps by a multiple of G, so its head is no longer
         inst = self.instance(fields, (1, 1, 1), 3000)
-        assert math.gcd(*map(circle._coset_step, inst.components)) == steps
-        terms = circle._progression_terms(inst, circle._component_primes(inst),
-                                          range(4000, 4100))
-        assert [g for _, _, t, g, *_ in terms if t == 0] == [steps]
-        assert all(g % steps == 0 for arrays, _, _, g, *_ in terms if arrays)
+        assert math.gcd(*(circle._progression(fc)[0]
+                          for fc in inst.components)) == steps
+        terms = circle._progression_terms(inst, self.holds_two(inst))
+        assert [g for _, t, g, *_ in terms if t == 0] == [steps]
+        assert all(g % steps == 0 for R, _, g, *_ in terms if R)
 
     def test_equal_components_transformed_once(self, monkeypatch):
         # trivial x3: per channel one forward transform of the shared

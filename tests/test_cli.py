@@ -71,6 +71,19 @@ class TestSimpleCommands:
         assert "UnknownClass" in err and "'e', 'c'" in err
         assert out == ""
 
+    def test_genfun_memory_gate_exit_3_before_the_sieve(self, capsys,
+                                                      monkeypatch):
+        def no_sieve(*args):
+            raise AssertionError("primes listed past the memory gate")
+
+        monkeypatch.setattr(cli.sieve, "primes_upto", no_sieve)
+        monkeypatch.setattr(cli.sieve, "sharp_weights", no_sieve)
+        code, out, err = run(capsys, "genfun", "--builtin", "trivial-e",
+                             "--X", "500000000", "--alpha", "0.1",
+                             "--no-timestamp")
+        assert code == 3
+        assert "GiB" in err and out == ""
+
     def test_genfun_bad_builtin(self, capsys):
         code, _, err = run(capsys, "genfun", "--builtin", "nonsense",
                            "--X", "30", "--alpha", "0")

@@ -200,13 +200,14 @@ class TestValidateSpec:
         galois.validate_spec(spec)
 
     def test_swapped_cosets_rejected(self):
-        # classes 2 and 3 of s3-cbrt2 with their cosets exchanged: p = 5
-        # has key (2, 2), which no class then carries
+        # classes 2 and 3 of s3-cbrt2 with their cosets (and sizes, so
+        # that each coset still holds half of G) exchanged: p = 5 has key
+        # (2, 2), which no class then carries
         c1, c2, c3 = s3().classes
         spec = galois.GaloisSpec(
             "polynomial", 3,
-            (c1, galois.ClassSpec("2", c3.coset, 3, 2),
-             galois.ClassSpec("3", c2.coset, 2, 3)),
+            (c1, galois.ClassSpec("2", c3.coset, 2, 2),
+             galois.ClassSpec("3", c2.coset, 3, 3)),
             coeffs=s3().coeffs, group_order=6)
         with pytest.raises(ValidationError) as exc:
             galois.validate_spec(spec)
@@ -231,11 +232,13 @@ class TestValidateSpec:
         assert code == 0, capsys.readouterr().err
 
     def test_order_above_every_prime_needs_no_table_row(self):
-        # a class of order 3*10**9: no prime can have it, so neither
-        # validation nor the classifier sizes a lookup by it
-        big = galois.ClassSpec("big", frozenset({2}), 6 * 10**9 - 6,
-                               3 * 10**9)
-        spec = galois.GaloisSpec("polynomial", 3, s3().classes + (big,),
+        # classes of order 3*10**9, one on each coset: no prime can have
+        # them, so neither validation nor the classifier sizes a lookup by
+        # them
+        big = tuple(galois.ClassSpec(f"big{r}", frozenset({r}),
+                                     3 * 10**9 - 3, 3 * 10**9)
+                    for r in (1, 2))
+        spec = galois.GaloisSpec("polynomial", 3, s3().classes + big,
                                  coeffs=s3().coeffs, group_order=6 * 10**9)
         galois.validate_spec(spec)
         ps = sieve.primes_upto(1000)
@@ -257,8 +260,8 @@ class TestValidateSpec:
         spec = galois.GaloisSpec(
             "polynomial", 3,
             (galois.ClassSpec("1", c1.coset, -1, 1),
-             galois.ClassSpec("2", c2.coset, 5, 2),
-             galois.ClassSpec("3", c3.coset, 2, 0)),
+             galois.ClassSpec("2", c2.coset, 3, 2),
+             galois.ClassSpec("3", c3.coset, 4, 0)),
             coeffs=s3().coeffs, group_order=6)
         assert issue_codes(spec) == ["NonPositive", "NonPositive"]
 
@@ -290,6 +293,18 @@ class TestValidateSpec:
             tracemalloc.stop()
         assert codes == ["CosetsNotPartition"]
         assert peak < 2**20
+
+    def test_partition_check_bounds_the_modulus_before_phi(self,
+                                                            monkeypatch):
+        # one residue mod D near 10**18: phi(D) >= sqrt(D/2) > 1, so the
+        # spec is refused without factoring D
+        def no_phi(n):
+            raise AssertionError("phi called")
+
+        monkeypatch.setattr(galois, "phi", no_phi)
+        spec = galois.GaloisSpec("abelian", (10**9 + 7) * (10**9 + 9),
+                                 (galois.ClassSpec("e", frozenset({1})),))
+        assert issue_codes(spec) == ["CosetsNotPartition"]
 
     def test_repeated_or_missing_units_not_a_partition(self):
         # each coset holds units mod 8, but 3 twice and 7 never
@@ -324,6 +339,31 @@ class TestValidateSpec:
         spec = galois.GaloisSpec("polynomial", 15, s3().classes,
                                  coeffs=s3().coeffs, group_order=6)
         assert issue_codes(spec) == ["ModulusRamification"]
+
+    def test_modulus_ramification_read_by_gcds(self):
+        # D = 3 q1 q2 with q1 q2 near 10**18 is not factored: dividing out
+        # its gcds with disc(f) = -108 leaves q1 q2; D = 9 leaves 1
+        q = (10**9 + 7) * (10**9 + 9)
+        spec = galois.GaloisSpec("polynomial", 3 * q, s3().classes,
+                                 coeffs=s3().coeffs, group_order=6)
+        with pytest.raises(ValidationError, match=f"factor {q},"):
+            galois.validate_spec(spec)
+        assert issue_codes(spec) == ["ModulusRamification"]
+        spec = galois.GaloisSpec("polynomial", 9, s3().classes,
+                                 coeffs=s3().coeffs, group_order=6)
+        assert "ModulusRamification" not in issue_codes(spec)
+
+    def test_class_sizes_sum_per_coset(self):
+        # s3-cbrt2 with the sizes of classes 2 and 3 swapped sums to |G|
+        # but gives the coset {1} four elements of six
+        c1, c2, c3 = s3().classes
+        spec = galois.GaloisSpec(
+            "polynomial", 3, (c1, galois.ClassSpec("2", c2.coset, 2, 2),
+                              galois.ClassSpec("3", c3.coset, 3, 3)),
+            coeffs=s3().coeffs, group_order=6)
+        assert issue_codes(spec) == ["ClassSizeSum"]
+        for name in galois.BUILTIN_NAMES:
+            galois.validate_spec(galois.builtin_spec(name))
 
     def test_identity_class_is_keyed_order_one_residue_one(self):
         assert gaussian().identity_class == 0

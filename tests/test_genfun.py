@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chebcircle import galois, genfun
+from chebcircle import galois, genfun, sieve
 from chebcircle.arith import is_prime
-from chebcircle.errors import UnsupportedInstantiation
+from chebcircle.errors import ResourceLimit, UnsupportedInstantiation
 from chebcircle.expsum import QuadraticField, norm_counts
 from chebcircle.characters import (dirichlet_characters, kronecker_character,
                                    principal_character)
@@ -194,7 +194,7 @@ class TestMinorArcScan:
         maxima = {}
         for X in (10**4, 10**5, 10**6):
             ctx = ctx_for("trivial", "e", X)
-            rows = genfun.minor_arc_scan(ctx, rats, qmax=100)
+            rows = genfun.minor_arc_scan(ctx, rats)
             assert all(r.q <= 20 for r in rows)
             maxima[X] = max(r.flat_ratio for r in rows)
         # major-arc points decay from 1e4 to 1e5; 1e6 stays below the start
@@ -268,3 +268,32 @@ def test_phase_array_exact_roots():
     got = genfun.phase_array(ns, Fraction(2, 7))
     want = np.exp(2j * np.pi * (2 * ns % 7) / 7.0)
     assert np.allclose(got, want, atol=1e-12)
+
+
+class TestMemoryGate:
+    def test_estimate_tracks_measured_peak(self):
+        # peak RSS (ru_maxrss) of minor_arc_scan at z = (log X)^4, one
+        # fresh process per context (tests/measure_peaks.py genfun); the
+        # classification of d4-qrt2, charged by circle.sieve_bytes as in
+        # verify, is over-charged by 12%
+        for name, X, rss_mib, over in [
+                ("trivial-e", 10**6, 57.8, 1.05),
+                ("trivial-e", 4 * 10**6, 134.6, 1.05),
+                ("gaussian-e", 4 * 10**6, 132.4, 1.05),
+                ("s3-cbrt2-1", 4 * 10**6, 135.0, 1.05),
+                ("d4-qrt2-e", 4 * 10**6, 146.5, 1.15),
+                ("trivial-e", 10**7, 287.0, 1.05)]:
+            spec = galois.builtin_spec(name.rsplit("-", 1)[0])
+            est = genfun.estimated_bytes(X, spec) / 2**20
+            assert 0.95 * rss_mib <= est <= over * rss_mib, (name, X)
+
+    def test_refused_before_the_sieve(self, monkeypatch):
+        # sharp_weights over 0..5e8 alone needs about 13 GiB
+        def no_sieve(*args):
+            raise AssertionError("primes listed past the memory gate")
+
+        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
+        monkeypatch.setattr(sieve, "sharp_weights", no_sieve)
+        ctx_for("trivial", "e", 10**6)
+        with pytest.raises(ResourceLimit, match="GiB"):
+            ctx_for("trivial", "e", 5 * 10**8)
