@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import sieve, singular
+from . import galois, sieve, singular
 from .errors import ResourceLimit
 from .expsum import phase_array
 from .instance import FieldClass, ProblemInstance
@@ -43,20 +44,27 @@ BYTES_PER_GRID_POINT = 19
 BYTES_PER_PARSEVAL_POINT = 81
 # The rows-only counts_at of verify peaks either in the sieve and the
 # classification of the primes <= X, per unit of X and, for an f of degree
-# n > 1, per unit of X and of n^2; or in the count, per unit of X and per
-# point of a head transform, which convolves at most k - 1 components over
-# their odd primes indexed by p // g, for the gcd g of their classes'
-# _progression steps (2 for the trivial class, 4 for gaussian, 6 for
-# s3-cbrt2), one channel at a time.  Fitted with BYTES_BASE to 50 rows of
-# trivial x3 at X = 1e6, 4e6 and 1e7 (peaks 69, 180 and 399 MiB, where the
-# all-N estimate is 133, 440 and 1 049), of s3-cbrt2 (1, 2, 3) and
-# gaussian (e, e, c) at 4e6 (108 and 107 MiB against 509 and 474) and of
-# trivial x4 at 1e6 (85 MiB against 163), each within 3% of its
-# measurement.  Every table is measured by tests/measure_peaks.py.
+# n > 1, per prime of one galois.CLASSIFY_BLOCK and unit of n^2; or in the
+# count, per unit of X and per point of a head transform, which convolves
+# at most k - 1 components over their primes p >= 5 indexed by p // g, for
+# the gcd g of their classes' _progression steps (6 for the trivial class
+# and s3-cbrt2, 12 for gaussian, 24 for d4-qrt2), one channel at a time.
+# A point costs more the more components the head has and, when a class
+# of the head has two phases and so the head several offsets, the more
+# phase arrays it transforms, whose spectra the heads of a term share.
+# Fitted with BYTES_BASE to 50 rows of trivial x3 at X = 1e6, 4e6 and 1e7
+# (peaks 49, 99 and 197 MiB, where the all-N estimate is 133, 440 and
+# 1 049), of s3-cbrt2 (1, 2, 3) at 4e6 (85 MiB against 509), of gaussian
+# (e, e, c) at 4e6 and 1e7 (68 and 120 MiB against 474 and 1 143), of
+# trivial x4 at 1e6 (59 MiB against 163) and of d4-qrt2 (e, r, s) at 4e6
+# (66 MiB, in the classification), each within 4% of its measurement.
+# Every table is measured by tests/measure_peaks.py.
 ROWS_SIEVE_PER_X = 3
-ROWS_PER_DEGREE2_X = 2
-ROWS_PER_FFT_POINT = 36
-ROWS_PER_X = 2
+ROWS_PER_BLOCK_N2 = 24
+ROWS_PER_FFT_POINT = 20
+ROWS_PER_HEAD_POINT = 9
+ROWS_PER_SPECTRUM_POINT = 6
+ROWS_PER_X = 1
 # Largest distance from an integer that a rounded FFT count may have.
 MAX_RESIDUAL = 0.25
 
@@ -153,36 +161,47 @@ def norms_estimated_bytes(inst: ProblemInstance) -> int:
 
 
 def _progression(fc: FieldClass):
-    """(g, r) with every odd prime of fc's class r mod g: classify_batch
-    puts p in the class only when p mod D lies in its coset, so these
-    primes lie in one residue class mod the gcd h of D and the differences
-    of the coset's residues, and, being odd, in the odd one mod
-    g = lcm(2, h)."""
+    """(g, residues): every prime p >= 5 of fc's class is one of residues
+    mod g.  classify_batch puts p in the class only when p mod D lies in
+    its coset, so these primes lie in one residue class mod the gcd h of D
+    and the differences of the coset's residues; being prime to 6, they
+    lie mod g = lcm(6, h) in the residues that are odd, prime to 3 and
+    = min(coset) mod h: one when 3 | h, else two (1 and 5 mod 6 for the
+    trivial class)."""
     r0 = min(fc.cls.coset)
     h = math.gcd(fc.spec.modulus, *(r - r0 for r in fc.cls.coset))
-    r = r0 % h
-    return math.lcm(2, h), r if r % 2 else r + h
+    g = math.lcm(6, h)
+    return g, [r for r in range(r0 % h, g, h) if r % 2 and r % 3]
 
 
 def sieve_bytes(X: int, specs) -> int:
     """Estimated peak bytes, over BYTES_BASE, of the sieve of X and the
     classification by each spec's f, of degree n, which holds about n^2
-    int64 per prime when n > 1; allocates nothing."""
+    int64 per prime of one block of galois.CLASSIFY_BLOCK primes when
+    n > 1; allocates nothing."""
     n = max(len(spec.poly) - 1 for spec in specs)
-    per_x = ROWS_SIEVE_PER_X + (ROWS_PER_DEGREE2_X * n * n if n > 1 else 0)
-    return per_x * (X + 1)
+    block = ROWS_PER_BLOCK_N2 * n * n * galois.CLASSIFY_BLOCK if n > 1 else 0
+    return ROWS_SIEVE_PER_X * (X + 1) + block
 
 
 def rows_estimated_bytes(inst: ProblemInstance) -> int:
     """Estimated peak memory of the rows-only counts_at on inst; allocates
     nothing.  Its peak is the larger of two phases: sieve_bytes, then the
-    count, holding the prime arrays and one head transform; the largest
-    head is that of the term in which no component takes 2, the first
-    k - 1 components at the step G, the gcd of every component's
-    _progression step, which spans sum_{i < k-1} |a_i| (X // G)."""
+    count, holding the prime arrays and one head transform besides the
+    spectra of its term; the largest head is that of the term in which no
+    component takes 2 or 3, the first k - 1 components at the step G, the
+    gcd of every component's _progression step, which spans
+    sum_{i < k-1} |a_i| (X // G) and transforms one array per phase of
+    each distinct (component, a_i), kept between heads when a class has
+    two phases."""
     G = math.gcd(*(_progression(fc)[0] for fc in inst.components))
-    span = sum(abs(ai) for ai in inst.a[:-1]) * (inst.X // G)
-    count = ROWS_PER_FFT_POINT * _fft_len(span) + ROWS_PER_X * (inst.X + 1)
+    head = list(zip(inst.components, inst.a))[:-1]
+    span = sum(abs(ai) for _, ai in head) * (inst.X // G)
+    phases = [len(_progression(fc)[1]) for fc, _ in dict.fromkeys(head)]
+    kept = sum(phases) if max(phases) > 1 else 0
+    per_point = (ROWS_PER_FFT_POINT + ROWS_PER_HEAD_POINT * len(head)
+                 + ROWS_PER_SPECTRUM_POINT * kept)
+    count = per_point * _fft_len(span) + ROWS_PER_X * (inst.X + 1)
     return BYTES_BASE + max(
         sieve_bytes(inst.X, (fc.spec for fc in inst.components)), count)
 
@@ -252,99 +271,197 @@ def weighted_counts(inst: ProblemInstance) -> np.ndarray:
     return _log_convolution(_component_primes(inst), inst)
 
 
-def _rows(head, a, last, ak: int, Ns, weights=None) -> np.ndarray:
-    """For each N of Ns, the sum over the primes q of last of the head's
-    coefficient at N - ak q: weighted by weights[j] at the j-th prime as
-    float64 when weights are given, else as int64 counts.  The head,
-    prod_i sum_n head[i][n] x^(a_i n), is head[0] embedded when there is
-    one array, else their FFT convolution (the constant 1 when head is
-    empty), rounded when counting; a rounded count that is not within
-    MAX_RESIDUAL of an integer raises ResourceLimit."""
-    h = _embed(head[0], a[0]) if len(head) == 1 else _convolve(head, a)
-    if weights is None and len(head) != 1:
-        counts = np.empty(len(h), np.int64)
-        np.rint(h, out=counts, casting="unsafe")
-        h -= counts
-        residual = float(np.max(np.abs(h, out=h)))
-        if residual >= MAX_RESIDUAL:
-            raise ResourceLimit(f"FFT round-off {residual:.3g} leaves the "
-                                f"counts of a={tuple(a)} inexact")
-        h = counts
-        np.maximum(h, 0, out=h)
-    shifted = sum(ai * (len(v) - 1) for v, ai in zip(head, a) if ai < 0)
-    shifted += ak * last
-    out = np.zeros(len(Ns), np.int64 if weights is None else np.float64)
-    for i, N in enumerate(Ns):
-        idx = N - shifted
-        ok = (idx >= 0) & (idx < len(h))
-        out[i] = (np.sum(h[idx[ok]], dtype=np.int64) if weights is None
-                  else h[idx[ok]] @ weights[ok])
+def _rows(h, Ms, last, ak: int, weights=None) -> np.ndarray:
+    """For each M of Ms, the sum over the entries m of last, ascending, of
+    h[M - ak m] where 0 <= M - ak m < len(h): weighted by weights[j] at the
+    j-th entry as float64 when weights are given, else as int64 counts.
+    The entries of one M are one slice of last, found by bisection."""
+    Ms = np.asarray(Ms, np.int64)
+    top = len(h) - 1
+    if ak > 0:
+        lo, hi = -((top - Ms) // ak), Ms // ak
+    else:
+        lo, hi = -(Ms // -ak), (top - Ms) // -ak
+    out = np.zeros(len(Ms), np.int64 if weights is None else np.float64)
+    for j, (M, start, stop) in enumerate(zip(
+            Ms.tolist(), np.searchsorted(last, lo).tolist(),
+            np.searchsorted(last, hi, "right").tolist())):
+        if start < stop:
+            idx = M - ak * last[start:stop]
+            out[j] = (np.sum(h[idx], dtype=np.int64) if weights is None
+                      else h[idx] @ weights[start:stop])
     return out
 
 
-def _progression_terms(inst: ProblemInstance, holds2):
-    """S(N) split by the set T of components that take p = 2, among
-    holds2, those whose class holds 2; the rest R take their odd primes,
-    all <= X.  With (g_i, r_i) = _progression of component i, a term's
-    step g is the gcd of the g_i over R, so that each odd p of component
-    i is g (p // g) + r_i mod g, and sum_R a_i (p_i // g) = N' = (N - c)
-    / g with c = 2 sum_T a_i + sum_R a_i (r_i mod g), weighted by
-    (log 2)^|T|; the term in which every component takes 2 has g = 1 and
-    counts N' = N - c.  Returns [(R, |T|, g, c, n)], one entry per
-    distinct run of (component, a_i) along R, n the number of sets T
-    that share it."""
+def _rounded(h: np.ndarray, a) -> np.ndarray:
+    """h rounded to int64 counts, clamped at 0; ResourceLimit when a value
+    is MAX_RESIDUAL or more from an integer.  Overwrites h."""
+    counts = np.empty(len(h), np.int64)
+    np.rint(h, out=counts, casting="unsafe")
+    h -= counts
+    residual = float(np.max(np.abs(h, out=h)))
+    if residual >= MAX_RESIDUAL:
+        raise ResourceLimit(f"FFT round-off {residual:.3g} leaves the "
+                            f"counts of a={tuple(a)} inexact")
+    np.maximum(counts, 0, out=counts)
+    return counts
+
+
+def _progression_terms(inst: ProblemInstance, specials):
+    """S(N) split by the special prime each component takes: 2 or 3 where
+    specials[i], the primes below 5 of component i's class, holds it, or
+    none; the components R that take none take their primes >= 5.  With
+    c = sum a_i s_i over the special primes s_i taken, such a choice counts
+    sum_R a_i p_i = N - c, weighted by prod log s_i.  Returns
+    [(R, t, g, c, weights)], one entry per distinct run of (component, a_i)
+    along R and shift c, with t = k - |R|, g the gcd of the _progression
+    steps over R (1 when R is empty) and weights the prod log s_i of each
+    choice that shares it."""
     a, k = inst.a, inst.k
-    prog = [_progression(fc) for fc in inst.components]
     runs = {}
-    for T in itertools.chain.from_iterable(
-            itertools.combinations(holds2, r) for r in range(len(holds2) + 1)):
-        R = tuple(i for i in range(k) if i not in T)
-        runs.setdefault(tuple((inst.components[i], a[i]) for i in R),
-                        []).append(R)
-    terms = []
-    for R, *rest in runs.values():
-        g = math.gcd(*(prog[i][0] for i in R)) or 1
-        c = sum(a[i] * (prog[i][1] % g if i in R else 2) for i in range(k))
-        terms.append((R, k - len(R), g, c, 1 + len(rest)))
-    return terms
+    for taken in itertools.product(*((None, *s) for s in specials)):
+        R = tuple(i for i in range(k) if taken[i] is None)
+        c = sum(ai * s for ai, s in zip(a, taken) if s)
+        run = tuple((inst.components[i], a[i]) for i in R)
+        runs.setdefault((run, c), (R, []))[1].append(
+            math.prod(math.log(s) for s in taken if s))
+    return [(R, k - len(R),
+             math.gcd(*(_progression(inst.components[i])[0] for i in R)) or 1,
+             c, weights) for (_, c), (R, weights) in runs.items()]
+
+
+def _head(products, head, dense, spectra, uses, M: int, span: int,
+          weighted: bool) -> np.ndarray:
+    """Coefficients of sum_keys n prod_(j, phi) sum_m dense(fc_j, phi)[m]
+    x^(a_j m) over the entries keys: n of products, (fc_j, a_j) = head[j],
+    by one inverse transform of the summed spectra; rounded when counting.
+    spectra caches the transform of each key (j, phi) for every head of
+    the term, and releases it, or takes it for the product in place, at
+    its last use, which uses counts down."""
+    total = None
+    for keys, n in products.items():
+        term = None
+        for key in keys:
+            if key not in spectra:
+                fc, ai = head[key[0]]
+                spectra[key] = np.fft.rfft(_embed(dense(fc, key[1]), ai), M)
+            uses[key] -= 1
+            if term is None:
+                term = spectra[key].copy() if uses[key] else spectra.pop(key)
+            else:
+                term *= spectra[key] if uses[key] else spectra.pop(key)
+        if n > 1:
+            term *= n
+        if total is None:
+            total = term
+        else:
+            total += term
+    h = np.fft.irfft(total, M)[:span + 1]
+    return h if weighted else _rounded(h, [ai for _, ai in head])
+
+
+def _term_values(inst: ProblemInstance, R, g: int, c: int, Ns, phases,
+                 weighted: bool) -> np.ndarray:
+    """One entry of _progression_terms at each N of Ns: the number (or the
+    prod log p weight) of solutions of sum_R a_i p_i = N - c in primes
+    p_i >= 5 of the components R.  phases(fc, g) splits fc's primes by
+    phase, their residue phi mod g, each prime g m + phi indexed by m.  The
+    head, all of R but the last component, is keyed by the offset
+    s = sum a_i phi_i of a choice of phases; the choices of one offset
+    that take the same arrays are one product, counted n times.  A head is
+    built, by _head when it spans two or more components, only when
+    N - c - a_last psi = s mod g for some N and phase psi of the last
+    component, whose primes of that phase are then gathered by _rows."""
+    if not R:
+        return np.array([N == c for N in Ns], np.int64)
+    fcs = [inst.components[i] for i in R]
+
+    def dense(fc, phi):
+        return _dense([phases(fc, g)[phi]], inst.X, weighted, g)[0]
+
+    *head, (last, ak) = zip(fcs, (inst.a[i] for i in R))
+    # a key (j, phi) names the array of phase phi of head[j], j the first
+    # position of its (component, a_j)
+    first = {}
+    ident = [first.setdefault(key, j) for j, key in enumerate(head)]
+    heads = {}
+    for phis in itertools.product(*(phases(fc, g) for fc, _ in head)):
+        products = heads.setdefault(
+            sum(ai * phi for (_, ai), phi in zip(head, phis)), {})
+        keys = tuple(sorted(zip(ident, phis)))
+        products[keys] = products.get(keys, 0) + 1
+    residues = np.array([N % g for N in Ns])
+    built = {}
+    for s in heads:
+        reach = {}
+        for psi in phases(last, g):
+            rows = np.flatnonzero(residues == (c + s + ak * psi) % g)
+            if len(rows):
+                reach[psi] = rows
+        if reach:
+            built[s] = reach
+    uses = Counter(key for s in built for keys in heads[s] for key in keys)
+    width = inst.X // g
+    span = width * sum(abs(ai) for _, ai in head)
+    shifted = width * sum(ai for _, ai in head if ai < 0)
+    spectra, gathers = {}, {}
+    out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
+    for s, reach in built.items():
+        if not head:
+            h = np.ones(1, np.float64 if weighted else np.int64)
+        elif len(head) == 1:
+            [(fc, ai)], [keys] = head, heads[s]
+            h = _embed(dense(fc, keys[0][1]), ai)
+        else:
+            h = _head(heads[s], head, dense, spectra, uses, _fft_len(span),
+                      span, weighted)
+        for psi, rows in reach.items():
+            if psi not in gathers:
+                qs = phases(last, g)[psi]
+                gathers[psi] = (qs // g, np.log(qs.astype(np.float64))
+                                if weighted else None)
+            Ms, at = np.unique([(Ns[j] - c - s - ak * psi) // g
+                                for j in rows.tolist()], return_inverse=True)
+            out[rows] += _rows(h, Ms - shifted, gathers[psi][0], ak,
+                               gathers[psi][1])[at]
+        del h  # before the next head is built
+    return out
 
 
 def counts_at(inst: ProblemInstance, Ns):
     """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
-    arrays.  Each term of _progression_terms counts at the N of Ns with
-    N - c = 0 mod g, over the odd primes of its components R, each prime
-    p indexed by m = p // g: _rows over all of R but the last (the head)
-    and the last one's primes, or 1 at N' = 0 when R is empty; a term
-    that n sets T share is added n times.  One channel runs after the
-    other and one head is held at a time.  The weighted value is clamped
-    at 0 against FFT round-off."""
+    arrays: the sum over the entries (R, t, g, c, weights) of
+    _progression_terms of _term_values, counted once per choice that
+    shares it and weighted by each choice's weight.  One channel runs
+    after the other and one head is held at a time, besides the spectra
+    its term has transformed.  The weighted value is clamped at 0 against
+    FFT round-off."""
     comps = dict(zip(inst.components,
                      _component_primes(inst, rows_estimated_bytes)))
-    holds2 = [i for i, fc in enumerate(inst.components) if 2 in comps[fc][:1]]
-    # one odd-prime view per distinct component
-    odd = {fc: ps[1:] if 2 in ps[:1] else ps for fc, ps in comps.items()}
-    terms = _progression_terms(inst, holds2)
+    specials = [tuple(int(p) for p in comps[fc][:2] if p < 5)
+                for fc in inst.components]
+    terms = _progression_terms(inst, specials)
     Ns = [int(N) for N in Ns]
+    split = {}
+
+    def phases(fc, g):
+        """{phi: the primes >= 5 of fc that are phi mod g}, made once."""
+        if (fc, g) not in split:
+            ps = comps[fc][np.searchsorted(comps[fc], 5):]
+            at = ps % g
+            split[fc, g] = {r % g: ps[at == r % g]
+                            for r in _progression(fc)[1]}
+        return split[fc, g]
 
     def channel(weighted: bool) -> np.ndarray:
         out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
-        for R, t, g, c, n in terms:
-            rows = [j for j, N in enumerate(Ns) if (N - c) % g == 0]
-            if not rows:
-                continue
-            Ms, at = np.unique([(Ns[j] - c) // g for j in rows],
-                               return_inverse=True)
-            if R:
-                *head, last = (odd[inst.components[i]] for i in R)
-                vals = _rows(_dense(head, inst.X, weighted, g),
-                             [inst.a[i] for i in R[:-1]], last // g,
-                             inst.a[R[-1]], Ms.tolist(),
-                             np.log(last.astype(np.float64))
-                             if weighted else None)[at]
+        for R, _, g, c, weights in terms:
+            vals = _term_values(inst, R, g, c, Ns, phases, weighted)
+            if weighted:
+                for w in weights:
+                    out += vals * w
             else:
-                vals = (Ms == 0).astype(np.int64)[at]
-            np.add.at(out, rows * n, np.tile(
-                vals * math.log(2) ** t if weighted else vals, n))
+                out += vals * len(weights)
         return out
 
     weighted = channel(True)

@@ -32,6 +32,10 @@ from .errors import DomainError, InconsistentSpec, ValidationError
 
 ABELIAN = "abelian"
 POLYNOMIAL = "polynomial"
+# Primes per call of _frobenius_orders_batch in classify_batch, whose n x n
+# Frobenius matrices and temporaries take about 300 bytes per prime for a
+# cubic f: classifying in blocks bounds that memory by the block, not X.
+CLASSIFY_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -252,17 +256,20 @@ def frobenius_class(spec: GaloisSpec, p: int) -> int:
 def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
     """Class index (position in spec.classes) per prime; -1 for ramified.
 
-    Vectorized; must agree with frobenius_class prime by prime.  Takes
-    primes below 2**31 only (DomainError otherwise), where a product of
-    two residues mod p stays below 2**62; frobenius_class classifies any
-    prime.
+    Vectorized over blocks of CLASSIFY_BLOCK unramified primes; must
+    agree with frobenius_class prime by prime.  Takes primes below 2**31
+    only (DomainError otherwise), where a product of two residues mod p
+    stays below 2**62; frobenius_class classifies any prime.
     """
     ps = np.asarray(primes, dtype=np.int64)
     _batch_p_max(ps)  # DomainError from 2**31 on, before any arithmetic
     out = np.full(ps.shape, -1, dtype=np.int64)
     unram = _residues(spec.ramified_modulus, ps) != 0
     good = ps[unram]
-    orders = _frobenius_orders_batch(spec.poly, good)
+    orders = np.empty(len(good), dtype=np.int64)
+    for lo in range(0, len(good), CLASSIFY_BLOCK):
+        block = good[lo:lo + CLASSIFY_BLOCK]
+        orders[lo:lo + len(block)] = _frobenius_orders_batch(spec.poly, block)
     residues = good % spec.modulus
     # no prime has an order above the largest one observed
     top = int(orders.max(initial=0))

@@ -30,9 +30,9 @@ from .expsum import QuadraticField, best_approx, phase_array
 # Peak bytes per n <= X of sieve.sharp_weights: its survivor mask, float64
 # weights, int64 arange (its remainder taken in place) and gathered coset
 # weights.  Fitted to minor_arc_scan of trivial-e at X = 1e6, 4e6 and 1e7
-# and of gaussian-e and s3-cbrt2-1 at 4e6 (peaks 57.8, 134.6, 287.0, 132.4
-# and 135.0 MiB), each within 2% of its measurement; tests/measure_peaks.py
-# genfun measures them.
+# and of gaussian-e, s3-cbrt2-1 and d4-qrt2-e at 4e6 (peaks 58.1, 134.9,
+# 287.3, 132.7, 130.5 and 138.1 MiB), each within 3% of its measurement;
+# tests/measure_peaks.py genfun measures them.
 SHARP_BYTES_PER_X = 27
 
 

@@ -64,7 +64,9 @@ ROWS = [
     ([(T, "e")] * 3, (1, 1, 1), 10**7),
     (S3, (1, 1, 1), 4 * 10**6),
     ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 4 * 10**6),
+    ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 10**7),
     ([(T, "e")] * 4, (1, 1, 1, 1), 10**6),
+    ([(D, "e"), (D, "r"), (D, "s")], (1, 1, 1), 4 * 10**6),
 ]
 
 # (field-class pairs, a, X) of h_flat_norms at z = (log X)^2

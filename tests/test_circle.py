@@ -126,14 +126,17 @@ class TestRepresentationCounts:
         # peak RSS (ru_maxrss) of counts_at at the 50 rows of
         # tests/measure_peaks.py, one fresh process per instance
         # (measure_peaks.py rows)
-        t, g, s = "trivial", "gaussian", "s3-cbrt2"
+        t, g, s, d = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
         peaks = [  # (field-class pairs, a, X, MiB)
-            ([(t, "e")] * 3, (1, 1, 1), 10**6, 69.1),
-            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 179.6),
-            ([(t, "e")] * 3, (1, 1, 1), 10**7, 398.5),
-            ([(s, "1"), (s, "2"), (s, "3")], (1, 1, 1), 4 * 10**6, 108.2),
-            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 4 * 10**6, 106.9),
-            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 84.6),
+            ([(t, "e")] * 3, (1, 1, 1), 10**6, 49.4),
+            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 99.2),
+            ([(t, "e")] * 3, (1, 1, 1), 10**7, 197.0),
+            ([(s, "1"), (s, "2"), (s, "3")], (1, 1, 1), 4 * 10**6, 84.8),
+            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 4 * 10**6, 68.1),
+            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**7, 120.2),
+            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 59.4),
+            # in the classification of one block of primes
+            ([(d, "e"), (d, "r"), (d, "s")], (1, 1, 1), 4 * 10**6, 65.9),
         ]
         for fields, a, X, rss_mib in peaks:
             inst = TestCountsAt.instance(fields, a, X)
@@ -526,10 +529,10 @@ class TestCountsAt:
         return ProblemInstance(tuple(comps), a, X)
 
     @staticmethod
-    def holds_two(inst):
-        """Indices of the components whose class holds the prime 2."""
-        return [i for i, ps in enumerate(circle._component_primes(inst))
-                if len(ps) and ps[0] == 2]
+    def specials(inst):
+        """Per component, the primes below 5 that its class holds."""
+        return [tuple(int(p) for p in ps[:2] if p < 5)
+                for ps in circle._component_primes(inst)]
 
     @staticmethod
     def assert_matches_oracle(inst, what):
@@ -603,16 +606,19 @@ class TestCountsAt:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_prime_two_terms_match_oracle(self, k):
-        # 0..k trivial components, whose class holds 2, among classes
-        # that do not; N of both parities over the whole range
+        # 0..k components whose class holds 3 (trivial, which also holds
+        # 2, gaussian c and d4-qrt2 s) among classes that hold neither 2
+        # nor 3; N of every residue mod 6 over the whole range, so that
+        # every head offset is used
         rng = random.Random(k)
-        others = [("gaussian", "e"), ("gaussian", "c"), ("s3-cbrt2", "1"),
-                  ("s3-cbrt2", "2"), ("s3-cbrt2", "3")]
-        for n_trivial in range(k + 1):
+        holds3 = [("trivial", "e"), ("gaussian", "c"), ("d4-qrt2", "s")]
+        others = [("gaussian", "e"), ("s3-cbrt2", "1"), ("s3-cbrt2", "2"),
+                  ("s3-cbrt2", "3"), ("d4-qrt2", "t")]
+        for n_holds3 in range(k + 1):
             for _ in range(2):
                 X = rng.randrange(30, 120 if k < 4 else 60)
-                fields = ([("trivial", "e")] * n_trivial
-                          + rng.choices(others, k=k - n_trivial))
+                fields = (rng.choices(holds3, k=n_holds3)
+                          + rng.choices(others, k=k - n_holds3))
                 rng.shuffle(fields)
                 while True:
                     a = tuple(rng.choice((-3, -2, -1, 1, 2, 3))
@@ -624,40 +630,41 @@ class TestCountsAt:
 
     @pytest.mark.parametrize("fields, a, X, steps", [
         ((("gaussian", "e"), ("gaussian", "e"), ("gaussian", "c")),
-         (1, 1, 1), 200, {4}),
+         (1, 1, 1), 200, {12}),
         ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")),
          (1, 1, 1), 300, {6}),
         ((("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")),
-         (1, 1, 1), 400, {8}),
-        (((MOD5, "1"),) * 3, (1, 2, -1), 300, {10}),
+         (1, 1, 1), 400, {24}),
+        (((MOD5, "1"),) * 3, (1, 2, -1), 300, {30}),
         (((MOD5_SQ, "s"), (MOD5_SQ, "n"), (MOD5_SQ, "s")), (2, 1, -1), 150,
-         {2}),
-        # the trivial class holds 2: the terms where it takes 2 step by the
-        # other classes' steps
+         {6}),
+        # the trivial class holds 2 and 3: the terms where it takes one of
+        # them step by the other classes' steps
         ((("trivial", "e"), ("gaussian", "e"), ("gaussian", "c")),
-         (1, 3, -2), 120, {2, 4}),
+         (1, 3, -2), 120, {6, 12}),
         # the step is read from the classes, not from the primes X holds:
         # class e of d4-qrt2 holds no prime below 73, class 1 of s3-cbrt2
         # only 31 below 43, class "1" of Q(zeta_5) only 11 below 31
         ((("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")),
-         (1, -1, 1), 60, {8}),
+         (1, -1, 1), 60, {24}),
         ((("d4-qrt2", "e"), ("d4-qrt2", "r"), ("d4-qrt2", "s")),
-         (1, -1, 1), 80, {8}),
+         (1, -1, 1), 80, {24}),
         ((("s3-cbrt2", "1"), ("s3-cbrt2", "3"), ("s3-cbrt2", "1")),
          (1, 2, 1), 40, {6}),
         ((("s3-cbrt2", "1"),) * 2, (1, -1), 40, {6}),
-        ((("trivial", "e"),) * 3, (1, 1, 1), 100, {2}),
-        (((MOD5_SQ, "s"),) * 3, (1, 1, 1), 100, {2}),
+        ((("trivial", "e"),) * 3, (1, 1, 1), 100, {6}),
+        (((MOD5_SQ, "s"),) * 3, (1, 1, 1), 100, {6}),
         ((("s3-cbrt2", "1"), ("trivial", "e"), ("s3-cbrt2", "3")),
-         (1, 1, 1), 150, {2, 6}),
+         (1, 1, 1), 150, {6}),
         ((("trivial", "e"), (MOD5, "1"), (MOD5, "1")), (1, 1, 1), 30,
-         {2, 10}),
+         {6, 30}),
     ])
     def test_progression_steps_match_oracle(self, fields, a, X, steps):
         # every term's step is the gcd of the _progression steps of the
-        # components R that take odd primes in it (the all-2 term has none)
+        # components R that take primes >= 5 in it (a term in which every
+        # component takes 2 or 3 has none)
         inst = self.instance(fields, a, X)
-        terms = circle._progression_terms(inst, self.holds_two(inst))
+        terms = circle._progression_terms(inst, self.specials(inst))
         for R, _, g, *_ in terms:
             if R:
                 assert g == math.gcd(*(
@@ -670,9 +677,10 @@ class TestCountsAt:
         # mod 6, so the head of two components spans about 2X/6
         ((("s3-cbrt2", "1"), ("s3-cbrt2", "2"), ("s3-cbrt2", "3")), 10**5,
          range(150001, 150601, 6), 33750),
-        # classical-fft: the trivial class steps by 2, a span of about X
+        # classical-fft: the trivial class steps by 6 in two phases, so
+        # the head of two components spans about 2X/6
         ((("trivial", "e"),) * 3, 5 * 10**5, range(10001, 1490000, 59166),
-         506250),
+         168750),
     ])
     def test_head_transform_length(self, monkeypatch, fields, X, Ns, length):
         lengths = []
@@ -696,29 +704,55 @@ class TestCountsAt:
         ([(MOD5_SQ, "s")] * 3, 2),
     ])
     def test_coset_steps_bound_the_progression_steps(self, fields, steps):
-        # rows_estimated_bytes charges the head of the term in which no
-        # component takes 2, at the gcd G of the coset steps; every other
-        # term steps by a multiple of G, so its head is no longer
+        # steps is the gcd over the components of the coset step
+        # lcm(2, h), h the gcd of D and the differences of a coset's
+        # residues; the wheel steps each class by lcm(6, h), so the gcd G
+        # of the _progression steps is lcm(3, steps).  rows_estimated_bytes
+        # charges the head of the term in which no component takes 2 or 3,
+        # at G; every other term steps by a multiple of G, so its head is
+        # no longer
+        G = math.lcm(3, steps)
         inst = self.instance(fields, (1, 1, 1), 3000)
         assert math.gcd(*(circle._progression(fc)[0]
-                          for fc in inst.components)) == steps
-        terms = circle._progression_terms(inst, self.holds_two(inst))
-        assert [g for _, t, g, *_ in terms if t == 0] == [steps]
-        assert all(g % steps == 0 for R, _, g, *_ in terms if R)
+                          for fc in inst.components)) == G
+        terms = circle._progression_terms(inst, self.specials(inst))
+        assert [g for _, t, g, *_ in terms if t == 0] == [G]
+        assert all(g % G == 0 for R, _, g, *_ in terms if R)
+
+    @staticmethod
+    def transforms(monkeypatch, inst, Ns):
+        """(forward, inverse) transforms of counts_at(inst, Ns)."""
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counting(name):
+            real = getattr(np.fft, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counting(name))
+        circle.counts_at(inst, Ns)
+        return calls["rfft"], calls["irfft"]
 
     def test_equal_components_transformed_once(self, monkeypatch):
-        # trivial x3: per channel one forward transform of the shared
-        # odd-prime array; the other parity terms need none
-        calls = []
-        real = np.fft.rfft
+        # trivial x3 at N of every odd residue mod 6: per channel one
+        # forward transform of each phase (1 and 5 mod 6) of the shared
+        # array, whichever heads use it; the terms with a prime 2 or 3
+        # need none
+        inst = classical_instance(1000)
+        assert self.transforms(monkeypatch, inst, range(1000, 1020)) \
+            == (4, 6)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", counting)
-        circle.counts_at(classical_instance(1000), range(1000, 1020))
-        assert len(calls) == 2
+    def test_classical_fft_rows_transform_twice(self, monkeypatch):
+        # perfbench's classical-fft rows are one residue mod 6: two heads
+        # per channel, each a transform back, from two forward transforms
+        inst = classical_instance(5 * 10**5)
+        Ns = range(10001, 1490000, 59166)
+        assert {N % 6 for N in Ns} == {5}
+        assert self.transforms(monkeypatch, inst, Ns) == (4, 4)
 
     @pytest.mark.parametrize("offset, raises", [(0.2, False), (0.25, True)])
     def test_inexact_head_raises(self, monkeypatch, tmp_path, offset,
@@ -726,9 +760,9 @@ class TestCountsAt:
         inst = classical_instance(300)
         Ns = [301, 302, 603]
         _, want = circle.counts_at(inst, Ns)
-        convolve = circle._convolve
-        monkeypatch.setattr(circle, "_convolve",
-                            lambda arrays, a: convolve(arrays, a) + offset)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *args: irfft(*args) + offset)
         if raises:
             with pytest.raises(ResourceLimit, match="round-off"):
                 circle.counts_at(inst, Ns)

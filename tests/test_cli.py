@@ -325,13 +325,13 @@ class TestVerify:
 
     def test_rows_gate_exit_3_before_prime_table(self, tmp_path, capsys,
                                                  monkeypatch):
-        # trivial x3 at X = 2e8: the rows of verify need about 7 GiB
+        # trivial x3 at X = 3e8: the rows of verify need about 5 GiB
         def no_sieve(x):
             raise AssertionError("primes listed past the memory gate")
 
         monkeypatch.setattr(cli.sieve, "primes_upto", no_sieve)
-        doc = dict(SMALL_CLASSICAL, X=2 * 10**8,
-                   N={"from": 3 * 10**8 + 1, "to": 3 * 10**8 + 101,
+        doc = dict(SMALL_CLASSICAL, X=3 * 10**8,
+                   N={"from": 4 * 10**8 + 1, "to": 4 * 10**8 + 101,
                       "step": 10})
         inst = write_instance(tmp_path, doc)
         code, _, err = run(capsys, "verify", inst, "--out-dir",

@@ -451,6 +451,16 @@ class TestBatchClassifier:
             assert galois.classify_batch(spec, ps).tolist() == [
                 galois.frobenius_class(spec, int(p)) for p in ps]
 
+    def test_blocks_match_scalar(self, monkeypatch):
+        # blocks of 7 unramified primes, so that the primes below 2000 of
+        # d4-qrt2 end in a block of one, against the scalar oracle
+        monkeypatch.setattr(galois, "CLASSIFY_BLOCK", 7)
+        ps = sieve.primes_upto(2000)
+        for name in ("s3-cbrt2", "d4-qrt2"):
+            spec = galois.builtin_spec(name)
+            assert galois.classify_batch(spec, ps).tolist() == [
+                galois.frobenius_class(spec, int(p)) for p in ps]
+
     def test_matches_scalar_just_below_two_to_the_31(self):
         # products of residues near 2**31 reach 2**62: each one must be
         # reduced before it is added to another.  Powers of x modulo a
