@@ -21,26 +21,25 @@ from .instance import FieldClass, ProblemInstance
 MAX_BYTES = 4 * 2**30
 # Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
 # and per unit of X and of |a_i| for each distinct (component, a_i), whose
-# embedded array _convolve transforms once and releases before the next
-# transform; fitted to the peak RSS of weighted_counts on 16 instances
-# (k = 2..4, X = 1e4..4e6, one to four distinct components), each within
-# 4% of its measurement.
+# embedded array _convolve transforms once; fitted to the peak RSS of
+# weighted_counts on 16 instances (k = 2..4, X = 1e4..4e6, one to four
+# distinct components), each within 4% of its measurement.
 BYTES_BASE = 31 * 2**20
-BYTES_PER_FFT_POINT = 31
-BYTES_PER_X = 4
-BYTES_PER_COMPONENT_X = 9
+BYTES_PER_FFT_POINT = 32
+BYTES_PER_X = 1
+BYTES_PER_COMPONENT_X = 7
 # The L1 grid of h_flat_norms, on top of the all-N count's peak: np.fft.rfft
 # holds 24 bytes per grid point over the RSS before it (its complex output of
 # M/2 + 1 points and two pocketfft buffers), part of which the all-N
 # estimate already covers.  Fitted to trivial x3 at X = 5e5, 1e6 and 2e6
-# (peaks 194.5, 357.3 and 651.8 MiB), each within 4% of its measurement.
+# (peaks 195.4, 358.2 and 652.3 MiB), each within 4% of its measurement.
 BYTES_PER_GRID_POINT = 19
 # The grid of parseval_check, on top of the all-N count's peak: its int64
 # points, complex roots, H and G and the index and phase temporaries of
 # one prime.  Fitted to trivial x2 (1, 1) at X = 1e4, (1, 99) at 2e3 and
 # (1, 499) at 1e3, gaussian (e, c) (2, -999) at 1e3 and s3-cbrt2 (1, 2, 3)
-# (1, 1, 400) at 1.5e3 (peaks 38.8, 100.6, 203.6, 375.7 and 239.2 MiB),
-# each within 3% of its measurement (tests/measure_peaks.py parseval).
+# (1, 1, 400) at 1.5e3 (peaks 39.2, 101.0, 204.1, 376.2 and 239.6 MiB),
+# each within 4% of its measurement (tests/measure_peaks.py parseval).
 BYTES_PER_PARSEVAL_POINT = 81
 # The rows-only counts_at of verify peaks either in the sieve and the
 # classification of the primes <= X, per unit of X and, for an f of degree
@@ -48,23 +47,23 @@ BYTES_PER_PARSEVAL_POINT = 81
 # count, per unit of X and per point of a head transform, which convolves
 # at most k - 1 components over their primes p >= 5 indexed by p // g, for
 # the gcd g of their classes' _progression steps (6 for the trivial class
-# and s3-cbrt2, 12 for gaussian, 24 for d4-qrt2), one channel at a time.
-# A point costs more the more components the head has and, when a class
-# of the head has two phases and so the head several offsets, the more
-# phase arrays it transforms, whose spectra the heads of a term share.
-# Fitted with BYTES_BASE to 50 rows of trivial x3 at X = 1e6, 4e6 and 1e7
-# (peaks 49, 99 and 197 MiB, where the all-N estimate is 133, 440 and
-# 1 049), of s3-cbrt2 (1, 2, 3) at 4e6 (85 MiB against 509), of gaussian
-# (e, e, c) at 4e6 and 1e7 (68 and 120 MiB against 474 and 1 143), of
-# trivial x4 at 1e6 (59 MiB against 163) and of d4-qrt2 (e, r, s) at 4e6
-# (66 MiB, in the classification), each within 4% of its measurement.
-# Every table is measured by tests/measure_peaks.py.
+# and s3-cbrt2, 12 for gaussian, 24 for d4-qrt2).  A point costs more the
+# more components the head has and, when a class of the head has two
+# phases and so the head several offsets, the more phase arrays it
+# transforms, whose spectra the heads of a term share; a head array with
+# |a_i| > 1 is spread over |a_i| (X // g) points before its transform.
+# Each row of verify (its N, count, main term and CSV line) costs bytes on
+# top.  Fitted with BYTES_BASE to the 11 counts and 2 verify runs of
+# test_rows_estimate_tracks_measured_peak, each within 4% of its
+# measurement.  Every table is measured by tests/measure_peaks.py.
 ROWS_SIEVE_PER_X = 3
 ROWS_PER_BLOCK_N2 = 24
 ROWS_PER_FFT_POINT = 20
 ROWS_PER_HEAD_POINT = 9
 ROWS_PER_SPECTRUM_POINT = 6
+ROWS_PER_SPREAD_POINT = 6
 ROWS_PER_X = 1
+ROWS_PER_ROW = 668
 # Largest distance from an integer that a rounded FFT count may have.
 MAX_RESIDUAL = 0.25
 
@@ -103,27 +102,56 @@ def _span(arrays, a) -> int:
     return sum(abs(ai) * (len(v) - 1) for v, ai in zip(arrays, a))
 
 
+def _spectra(plan, factor, M: int):
+    """For each entry (offset, {keys: n}) of plan, (offset, the sum over
+    its keys of n prod_key rfft(factor(key), M)), one entry at a time.
+    Each key is transformed once, at its first use, and released, or
+    multiplied into the product in place, at its last; the sum is handed
+    over, so that no spectrum outlives its use."""
+    uses = Counter(key for _, products in plan for keys in products
+                   for key in keys)
+    cache = {}
+
+    def summed(products):
+        total = None
+        for keys, n in products.items():
+            term = None
+            for key in keys:
+                if key not in cache:
+                    cache[key] = np.fft.rfft(factor(key), M)
+                uses[key] -= 1
+                if term is None:
+                    term = cache[key].copy() if uses[key] else cache.pop(key)
+                else:
+                    term *= cache[key] if uses[key] else cache.pop(key)
+            if n > 1:
+                term *= n
+            if total is None:
+                total = term
+            else:
+                total += term
+        return total
+
+    for offset, products in plan:
+        yield offset, summed(products)
+
+
 def _convolve(arrays, a) -> np.ndarray:
     """Coefficients of prod_i sum_n arrays[i][n] x^(a_i n), lowest exponent
     first, by FFT.  The factors are grouped by (array, a_i) in order of
-    first occurrence; each group is transformed once, multiplied in as
-    often as it occurs and released before the next transform, so that
-    one spectrum besides the product is alive at a time.  The result is a
-    view into the M-point inverse transform.  A copy would release the
-    rest of it (h_flat_norms of trivial x3 at X = 1e6 peaks at 356 MiB
-    either way) but, in a fresh process, takes about 3 000 more page
-    faults: verify of perfbench's classical-fft ran in 103 ms with a copy
-    against 97 ms with the view."""
+    first occurrence; each group is transformed once and multiplied in as
+    often as it occurs (_spectra).  The result is a view into the M-point
+    inverse transform.  A copy would release the rest of it (h_flat_norms
+    of trivial x3 at X = 1e6 peaks at 356 MiB either way) but, in a fresh
+    process, takes about 3 000 more page faults: verify of perfbench's
+    classical-fft ran in 103 ms with a copy against 97 ms with the
+    view."""
     span = _span(arrays, a)
     M = _fft_len(span)
-    keys = [(id(v), ai) for v, ai in zip(arrays, a)]
-    spec = np.ones(M // 2 + 1, dtype=complex)
-    for key in dict.fromkeys(keys):
-        i = keys.index(key)
-        factor = np.fft.rfft(_embed(arrays[i], a[i]), M)
-        for _ in range(keys.count(key)):
-            spec *= factor
-        del factor
+    ids = [(id(v), ai) for v, ai in zip(arrays, a)]
+    keys = tuple(sorted(ids.index(key) for key in ids))
+    [(_, spec)] = _spectra([(0, {keys: 1})],
+                           lambda i: _embed(arrays[i], a[i]), M)
     return np.fft.irfft(spec, M)[:span + 1]
 
 
@@ -184,25 +212,26 @@ def sieve_bytes(X: int, specs) -> int:
     return ROWS_SIEVE_PER_X * (X + 1) + block
 
 
-def rows_estimated_bytes(inst: ProblemInstance) -> int:
-    """Estimated peak memory of the rows-only counts_at on inst; allocates
-    nothing.  Its peak is the larger of two phases: sieve_bytes, then the
-    count, holding the prime arrays and one head transform besides the
-    spectra of its term; the largest head is that of the term in which no
-    component takes 2 or 3, the first k - 1 components at the step G, the
-    gcd of every component's _progression step, which spans
-    sum_{i < k-1} |a_i| (X // G) and transforms one array per phase of
-    each distinct (component, a_i), kept between heads when a class has
-    two phases."""
+def rows_estimated_bytes(inst: ProblemInstance, rows: int) -> int:
+    """Estimated peak memory of verify's rows-only counts_at on inst at
+    rows N; allocates nothing.  The larger of sieve_bytes and the count,
+    which holds the prime arrays and one head transform besides the
+    spectra of its term, plus the rows.  The largest head is that of the
+    term in which no component takes 2 or 3, the first k - 1 components
+    at the step G, the gcd of every component's _progression step: it
+    spans sum_{i < k-1} |a_i| (X // G) and transforms one array per phase
+    of each distinct (component, a_i), spread first when |a_i| > 1."""
     G = math.gcd(*(_progression(fc)[0] for fc in inst.components))
     head = list(zip(inst.components, inst.a))[:-1]
     span = sum(abs(ai) for _, ai in head) * (inst.X // G)
+    spread = max(abs(ai) if abs(ai) > 1 else 0 for _, ai in head)
     phases = [len(_progression(fc)[1]) for fc, _ in dict.fromkeys(head)]
     kept = sum(phases) if max(phases) > 1 else 0
     per_point = (ROWS_PER_FFT_POINT + ROWS_PER_HEAD_POINT * len(head)
                  + ROWS_PER_SPECTRUM_POINT * kept)
-    count = per_point * _fft_len(span) + ROWS_PER_X * (inst.X + 1)
-    return BYTES_BASE + max(
+    count = (per_point * _fft_len(span) + ROWS_PER_X * (inst.X + 1)
+             + ROWS_PER_SPREAD_POINT * spread * (inst.X // G))
+    return BYTES_BASE + ROWS_PER_ROW * rows + max(
         sieve_bytes(inst.X, (fc.spec for fc in inst.components)), count)
 
 
@@ -242,24 +271,22 @@ def _component_primes(inst: ProblemInstance, estimate=estimated_bytes):
     return [arrays[fc] for fc in inst.components]
 
 
-def _dense(comps, X: int, weighted: bool, step: int):
-    """Per prime array of comps, the array over m = 0..X // step holding
-    log p (weighted) or 1 at m = p // step for each of its primes p, 0
-    elsewhere; equal components share one array, so that _convolve
-    transforms it once."""
-    made = {}
-    for ps in comps:
-        if id(ps) not in made:
-            v = np.zeros(X // step + 1, np.float64 if weighted else np.uint8)
-            v[ps // step] = np.log(ps.astype(np.float64)) if weighted else 1
-            made[id(ps)] = v
-    return [made[id(ps)] for ps in comps]
+def _dense(ps, X: int, weighted: bool, step: int) -> np.ndarray:
+    """The array over m = 0..X // step holding log p (weighted) or 1 at
+    m = p // step for each prime p of ps, 0 elsewhere."""
+    v = np.zeros(X // step + 1, np.float64 if weighted else np.uint8)
+    v[ps // step] = np.log(ps.astype(np.float64)) if weighted else 1
+    return v
 
 
 def _log_convolution(comps, inst: ProblemInstance) -> np.ndarray:
     """S(N) weighted by the product of log p, from the component primes
-    comps, for every attainable N; clamped at 0 against FFT round-off."""
-    weighted = _convolve(_dense(comps, inst.X, True, 1), inst.a)
+    comps, for every attainable N; clamped at 0 against FFT round-off.
+    Equal components share one dense array, which _convolve transforms
+    once."""
+    dense = {id(ps): ps for ps in comps}
+    dense = {key: _dense(ps, inst.X, True, 1) for key, ps in dense.items()}
+    weighted = _convolve([dense[id(ps)] for ps in comps], inst.a)
     np.maximum(weighted, 0.0, out=weighted)
     return weighted
 
@@ -313,10 +340,10 @@ def _progression_terms(inst: ProblemInstance, specials):
     none; the components R that take none take their primes >= 5.  With
     c = sum a_i s_i over the special primes s_i taken, such a choice counts
     sum_R a_i p_i = N - c, weighted by prod log s_i.  Returns
-    [(R, t, g, c, weights)], one entry per distinct run of (component, a_i)
-    along R and shift c, with t = k - |R|, g the gcd of the _progression
-    steps over R (1 when R is empty) and weights the prod log s_i of each
-    choice that shares it."""
+    [(R, g, c, weights)], one entry per distinct run of (component, a_i)
+    along R and shift c, with g the gcd of the _progression steps over R
+    (1 when R is empty) and weights the prod log s_i of each choice that
+    shares it."""
     a, k = inst.a, inst.k
     runs = {}
     for taken in itertools.product(*((None, *s) for s in specials)):
@@ -325,61 +352,28 @@ def _progression_terms(inst: ProblemInstance, specials):
         run = tuple((inst.components[i], a[i]) for i in R)
         runs.setdefault((run, c), (R, []))[1].append(
             math.prod(math.log(s) for s in taken if s))
-    return [(R, k - len(R),
+    return [(R,
              math.gcd(*(_progression(inst.components[i])[0] for i in R)) or 1,
              c, weights) for (_, c), (R, weights) in runs.items()]
 
 
-def _head(products, head, dense, spectra, uses, M: int, span: int,
-          weighted: bool) -> np.ndarray:
-    """Coefficients of sum_keys n prod_(j, phi) sum_m dense(fc_j, phi)[m]
-    x^(a_j m) over the entries keys: n of products, (fc_j, a_j) = head[j],
-    by one inverse transform of the summed spectra; rounded when counting.
-    spectra caches the transform of each key (j, phi) for every head of
-    the term, and releases it, or takes it for the product in place, at
-    its last use, which uses counts down."""
-    total = None
-    for keys, n in products.items():
-        term = None
-        for key in keys:
-            if key not in spectra:
-                fc, ai = head[key[0]]
-                spectra[key] = np.fft.rfft(_embed(dense(fc, key[1]), ai), M)
-            uses[key] -= 1
-            if term is None:
-                term = spectra[key].copy() if uses[key] else spectra.pop(key)
-            else:
-                term *= spectra[key] if uses[key] else spectra.pop(key)
-        if n > 1:
-            term *= n
-        if total is None:
-            total = term
-        else:
-            total += term
-    h = np.fft.irfft(total, M)[:span + 1]
-    return h if weighted else _rounded(h, [ai for _, ai in head])
-
-
-def _term_values(inst: ProblemInstance, R, g: int, c: int, Ns, phases,
-                 weighted: bool) -> np.ndarray:
-    """One entry of _progression_terms at each N of Ns: the number (or the
-    prod log p weight) of solutions of sum_R a_i p_i = N - c in primes
-    p_i >= 5 of the components R.  phases(fc, g) splits fc's primes by
-    phase, their residue phi mod g, each prime g m + phi indexed by m.  The
-    head, all of R but the last component, is keyed by the offset
-    s = sum a_i phi_i of a choice of phases; the choices of one offset
-    that take the same arrays are one product, counted n times.  A head is
-    built, by _head when it spans two or more components, only when
-    N - c - a_last psi = s mod g for some N and phase psi of the last
-    component, whose primes of that phase are then gathered by _rows."""
+def _term_values(inst: ProblemInstance, R, g: int, c: int, Ns, phases):
+    """One entry of _progression_terms at each N of Ns, as (weighted,
+    unweighted) arrays: the prod log p weight and the number of solutions
+    of sum_R a_i p_i = N - c in primes p_i >= 5 of the components R.
+    phases(fc, g) splits fc's primes by phase, their residue phi mod g,
+    each prime g m + phi indexed by m.  The head, all of R but the last
+    component, is keyed by the offset s = sum a_i phi_i of a choice of
+    phases; the choices of one offset that take the same arrays are one
+    product, counted n times.  The plan keeps the heads that reach some N,
+    N - c - a_last psi = s mod g for a phase psi of the last component,
+    whose primes of that phase _rows gathers.  It runs once per channel,
+    one head at a time, by _spectra when the head spans two components
+    or more."""
     if not R:
-        return np.array([N == c for N in Ns], np.int64)
-    fcs = [inst.components[i] for i in R]
-
-    def dense(fc, phi):
-        return _dense([phases(fc, g)[phi]], inst.X, weighted, g)[0]
-
-    *head, (last, ak) = zip(fcs, (inst.a[i] for i in R))
+        hit = np.array([N == c for N in Ns], np.int64)
+        return hit, hit
+    *head, (last, ak) = ((inst.components[i], inst.a[i]) for i in R)
     # a key (j, phi) names the array of phase phi of head[j], j the first
     # position of its (component, a_j)
     first = {}
@@ -390,57 +384,64 @@ def _term_values(inst: ProblemInstance, R, g: int, c: int, Ns, phases,
             sum(ai * phi for (_, ai), phi in zip(head, phis)), {})
         keys = tuple(sorted(zip(ident, phis)))
         products[keys] = products.get(keys, 0) + 1
-    residues = np.array([N % g for N in Ns])
-    built = {}
-    for s in heads:
-        reach = {}
-        for psi in phases(last, g):
-            rows = np.flatnonzero(residues == (c + s + ak * psi) % g)
-            if len(rows):
-                reach[psi] = rows
-        if reach:
-            built[s] = reach
-    uses = Counter(key for s in built for keys in heads[s] for key in keys)
     width = inst.X // g
     span = width * sum(abs(ai) for _, ai in head)
     shifted = width * sum(ai for _, ai in head if ai < 0)
-    spectra, gathers = {}, {}
-    out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
-    for s, reach in built.items():
-        if not head:
-            h = np.ones(1, np.float64 if weighted else np.int64)
-        elif len(head) == 1:
-            [(fc, ai)], [keys] = head, heads[s]
-            h = _embed(dense(fc, keys[0][1]), ai)
-        else:
-            h = _head(heads[s], head, dense, spectra, uses, _fft_len(span),
-                      span, weighted)
-        for psi, rows in reach.items():
-            if psi not in gathers:
-                qs = phases(last, g)[psi]
-                gathers[psi] = (qs // g, np.log(qs.astype(np.float64))
-                                if weighted else None)
-            Ms, at = np.unique([(Ns[j] - c - s - ak * psi) // g
-                                for j in rows.tolist()], return_inverse=True)
-            out[rows] += _rows(h, Ms - shifted, gathers[psi][0], ak,
-                               gathers[psi][1])[at]
-        del h  # before the next head is built
-    return out
+    residues = np.array([N % g for N in Ns])
+    reach = {}
+    for s in heads:
+        for psi in phases(last, g):
+            rows = np.flatnonzero(residues == (c + s + ak * psi) % g)
+            if len(rows):
+                Ms = np.array([(Ns[j] - c - s - ak * psi) // g
+                               for j in rows.tolist()], np.int64)
+                reach.setdefault(s, []).append((rows, Ms - shifted, psi))
+    plan = [(s, heads[s]) for s in reach]
+    M = _fft_len(span)
+    out = []
+    for weighted in (True, False):
+        def factor(key):
+            fc, ai = head[key[0]]
+            return _embed(_dense(phases(fc, g)[key[1]], inst.X, weighted, g),
+                          ai)
+
+        vals = np.zeros(len(Ns), np.float64 if weighted else np.int64)
+        spectra, gathers = _spectra(plan, factor, M), {}
+        for s, products in plan:
+            if not head:
+                h = np.ones(1, vals.dtype)
+            elif len(head) == 1:
+                [[key]] = products
+                h = factor(key)
+            else:
+                h = np.fft.irfft(next(spectra)[1], M)[:span + 1]
+                if not weighted:
+                    h = _rounded(h, [ai for _, ai in head])
+            for rows, Ms, psi in reach[s]:
+                if psi not in gathers:  # not beside the first transform
+                    qs = phases(last, g)[psi]
+                    gathers[psi] = (qs // g, np.log(qs.astype(np.float64))
+                                    if weighted else None)
+                vals[rows] += _rows(h, Ms, gathers[psi][0], ak,
+                                    gathers[psi][1])
+            del h  # before the next head is built
+        out.append(vals)
+    return tuple(out)
 
 
 def counts_at(inst: ProblemInstance, Ns):
-    """(weighted, unweighted) S(N) at each N of Ns, as float64 and int64
-    arrays: the sum over the entries (R, t, g, c, weights) of
+    """(weighted, unweighted) S(N) at each N of the sequence Ns, as float64
+    and int64 arrays: the sum over the entries (R, g, c, weights) of
     _progression_terms of _term_values, counted once per choice that
-    shares it and weighted by each choice's weight.  One channel runs
-    after the other and one head is held at a time, besides the spectra
-    its term has transformed.  The weighted value is clamped at 0 against
-    FFT round-off."""
-    comps = dict(zip(inst.components,
-                     _component_primes(inst, rows_estimated_bytes)))
+    shares it and weighted by each choice's weight.  Refused by
+    rows_estimated_bytes for len(Ns) rows before the sieve, and before Ns
+    is listed.  The two channels alternate per term, and one head is held
+    at a time, besides the spectra its term has transformed.  The weighted
+    value is clamped at 0 against FFT round-off."""
+    comps = dict(zip(inst.components, _component_primes(
+        inst, lambda i: rows_estimated_bytes(i, len(Ns)))))
     specials = [tuple(int(p) for p in comps[fc][:2] if p < 5)
                 for fc in inst.components]
-    terms = _progression_terms(inst, specials)
     Ns = [int(N) for N in Ns]
     split = {}
 
@@ -453,20 +454,15 @@ def counts_at(inst: ProblemInstance, Ns):
                             for r in _progression(fc)[1]}
         return split[fc, g]
 
-    def channel(weighted: bool) -> np.ndarray:
-        out = np.zeros(len(Ns), np.float64 if weighted else np.int64)
-        for R, _, g, c, weights in terms:
-            vals = _term_values(inst, R, g, c, Ns, phases, weighted)
-            if weighted:
-                for w in weights:
-                    out += vals * w
-            else:
-                out += vals * len(weights)
-        return out
-
-    weighted = channel(True)
+    weighted = np.zeros(len(Ns))
+    unweighted = np.zeros(len(Ns), np.int64)
+    for R, g, c, weights in _progression_terms(inst, specials):
+        w, u = _term_values(inst, R, g, c, Ns, phases)
+        for x in weights:
+            weighted += w * x
+        unweighted += u * len(weights)
     np.maximum(weighted, 0.0, out=weighted)
-    return weighted, channel(False)
+    return weighted, unweighted
 
 
 def brute_force_all(inst: ProblemInstance):
@@ -558,8 +554,10 @@ BOUNDARY_MARGIN = 0.05
 
 def verify_theorem(inst: ProblemInstance, N_list,
                    P_max: int = singular.P_MAX) -> VerifyResult:
-    """Per-N comparison of S(N) against the assembled main term."""
+    """Per-N comparison of S(N) against the assembled main term, at each N
+    of the sequence N_list, listed only past counts_at's memory gate."""
     weighted, unweighted = counts_at(inst, N_list)
+    N_list = list(N_list)
     lo, hi = inst.attainable_range
     span = hi - lo
     rows = []

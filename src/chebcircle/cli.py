@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     inst, doc, level = _instance_from_doc(_load_instance_doc(args.instance))
     pmax = _pmax(args, doc)
-    result = circle.verify_theorem(inst, list(_n_list(doc, inst)), pmax)
+    result = circle.verify_theorem(inst, _n_list(doc, inst), pmax)
     with _open_out(args.out_dir, "verify.csv") as fh:
         _timestamp_line(fh, args.no_timestamp)
         w = csv.writer(fh)

@@ -3,6 +3,8 @@
     python tests/measure_peaks.py           # every table
     python tests/measure_peaks.py all-n     # weighted_counts, estimated_bytes
     python tests/measure_peaks.py rows      # counts_at, rows_estimated_bytes
+    python tests/measure_peaks.py verify    # `chebcircle verify` of many
+                                            # rows, rows_estimated_bytes
     python tests/measure_peaks.py norms     # h_flat_norms,
                                             # norms_estimated_bytes
     python tests/measure_peaks.py parseval  # parseval_check,
@@ -14,15 +16,18 @@ Each row runs in a fresh interpreter, which builds the instance, makes one
 call and reports its ru_maxrss; the script prints that peak in MiB beside
 the estimate and their ratio.  The peaks are the ones held by the
 test_*_estimate_tracks_measured_peak tests of test_circle.py and
-test_genfun.py: re-run this after a change of transform length or array
-layout and refit the constants of circle.py and genfun.py to its output.
+test_genfun.py and the row charge of test_cli.py's rows gate: re-run this
+after a change of transform length or array layout and refit the
+constants of circle.py and genfun.py to its output.
 pytest does not collect this file.
 """
 
+import json
 import math
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -57,7 +62,7 @@ ALL_N = [
 ]
 
 # (field-class pairs, a, X) of counts_at, the rows-only count of verify, at
-# the 50 rows of rows_of
+# the 50 rows of rows_of; a fourth entry (r, m) puts the rows at r mod m
 ROWS = [
     ([(T, "e")] * 3, (1, 1, 1), 10**6),
     ([(T, "e")] * 3, (1, 1, 1), 4 * 10**6),
@@ -67,7 +72,17 @@ ROWS = [
     ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 10**7),
     ([(T, "e")] * 4, (1, 1, 1, 1), 10**6),
     ([(D, "e"), (D, "r"), (D, "s")], (1, 1, 1), 4 * 10**6),
+    # a coefficient |a_i| > 1 spreads its array before the transform
+    (S3, (1, 2, 3), 4 * 10**6, (2, 6)),
+    (S3, (1, 2, 3), 2 * 10**7, (2, 6)),
+    # a head of three components, two classes of two phases each
+    ([(G, "e")] * 2 + [(G, "c")] * 2, (1, 1, 1, 1), 4 * 10**6),
 ]
+
+# (field-class pairs, a, X, rows) of `chebcircle verify` over rows odd N
+# from 1.3X, each row's count, main term and CSV line held at once
+VERIFY = [([(T, "e")] * 3, (1, 1, 1), 10**4, rows)
+          for rows in (10**5, 4 * 10**5)]
 
 # (field-class pairs, a, X) of h_flat_norms at z = (log X)^2
 NORMS = [([(T, "e")] * 3, (1, 1, 1), X) for X in (5 * 10**5, 10**6,
@@ -111,21 +126,39 @@ def context(name, X) -> genfun.GenfunContext:
                                 spec.class_by_label(label))
 
 
-def rows_of(inst: ProblemInstance) -> list:
-    """50 N from 1.3X to 1.7X times k/3, of the parity of k (odd for k = 3,
-    even for k = 4), so that trivial x k has solutions at each."""
-    k, X = inst.k, inst.X
-    return [int((1.3 + 0.4 * j / 49) * X * k / 3) // 2 * 2 + k % 2
-            for j in range(50)]
+def rows_of(fields, a, X, at=None):
+    """(instance, 50 N from 1.3X to 1.7X times sum(a)/3): N = r mod m for
+    at = (r, m), else of the parity of k (odd for k = 3, even for k = 4),
+    so that trivial x k has solutions at each."""
+    inst = instance(fields, a, X)
+    r, m = at or (inst.k % 2, 2)
+    return inst, [int((1.3 + 0.4 * j / 49) * X * sum(a) / 3) // m * m + r
+                  for j in range(50)]
+
+
+def verify(fields, a, X, rows):
+    """Run `chebcircle verify` on the instance at rows odd N from 1.3X."""
+    from chebcircle import cli  # only here: it adds to every other peak
+    first = int(1.3 * X) // 2 * 2 + 1
+    doc = {"fields": [{"builtin": b, "class": c} for b, c in fields],
+           "a": list(a), "X": X,
+           "N": {"from": first, "to": first + 2 * rows, "step": 2}}
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "instance.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", str(path), "--out-dir", out]) == 0
 
 
 # table -> (rows, what a row builds, the call measured, its estimate)
 TABLES = {
     "all-n": (ALL_N, instance, circle.weighted_counts,
               circle.estimated_bytes),
-    "rows": (ROWS, instance, lambda inst: circle.counts_at(inst,
-                                                           rows_of(inst)),
-             circle.rows_estimated_bytes),
+    "rows": (ROWS, rows_of, lambda made: circle.counts_at(*made),
+             lambda made: circle.rows_estimated_bytes(made[0],
+                                                      len(made[1]))),
+    "verify": (VERIFY, lambda *row: row, lambda row: verify(*row),
+               lambda row: circle.rows_estimated_bytes(instance(*row[:3]),
+                                                       row[3])),
     "norms": (NORMS, instance,
               lambda inst: circle.h_flat_norms(inst, math.log(inst.X) ** 2),
               circle.norms_estimated_bytes),

@@ -97,25 +97,25 @@ class TestRepresentationCounts:
         s3 = [(s, "1"), (s, "2"), (s, "3")]
         d4 = [(d, "r"), (d, "s"), (d, "t"), (d, "e")]
         peaks = [  # (field-class pairs, a, X, MiB)
-            ([(t, "e")] * 3, (1, 1, 1), 10**4, 32.0),
-            ([(t, "e")] * 3, (1, 1, 1), 2 * 10**5, 51.4),
-            ([(t, "e")] * 3, (1, 1, 1), 10**6, 133.4),
-            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 439.7),
-            ([(t, "e")] * 2, (1, 1), 4 * 10**6, 316.0),
-            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 164.5),
-            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**6, 140.9),
-            ([(g, "e"), (g, "c")], (2, -1), 2 * 10**6, 280.7),
+            ([(t, "e")] * 3, (1, 1, 1), 10**4, 32.6),
+            ([(t, "e")] * 3, (1, 1, 1), 2 * 10**5, 52.0),
+            ([(t, "e")] * 3, (1, 1, 1), 10**6, 133.7),
+            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 440.2),
+            ([(t, "e")] * 2, (1, 1), 4 * 10**6, 316.7),
+            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 164.6),
+            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**6, 141.3),
+            ([(g, "e"), (g, "c")], (2, -1), 2 * 10**6, 250.5),
             ([(g, "e")] * 2 + [(g, "c")] * 2, (1, 1, 1, 1), 2 * 10**6,
-             312.1),
-            (s3, (1, 1, 1), 10**6, 150.2),
-            (s3, (1, 1, 1), 2 * 10**6, 272.0),
-            ([(s, "1"), (s, "1"), (s, "2")], (1, 2, 3), 5 * 10**5, 144.0),
-            (d4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 69.7),
-            (d4, (1, 1, 1, 1), 10**6, 186.7),
+             312.4),
+            (s3, (1, 1, 1), 10**6, 149.0),
+            (s3, (1, 1, 1), 2 * 10**6, 266.0),
+            ([(s, "1"), (s, "1"), (s, "2")], (1, 2, 3), 5 * 10**5, 144.5),
+            (d4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 70.4),
+            (d4, (1, 1, 1, 1), 10**6, 187.6),
             # interleaved repeats: _convolve releases each spectrum before
             # it transforms the next
-            ([(d, "r"), (d, "s")] * 2, (1, 1, 1, 1), 10**6, 173.7),
-            ([(g, "e"), (g, "c")] * 2, (1, 1, 1, 1), 10**6, 171.7),
+            ([(d, "r"), (d, "s")] * 2, (1, 1, 1, 1), 10**6, 172.1),
+            ([(g, "e"), (g, "c")] * 2, (1, 1, 1, 1), 10**6, 172.3),
         ]
         for fields, a, X, rss_mib in peaks:
             inst = TestCountsAt.instance(fields, a, X)
@@ -127,27 +127,43 @@ class TestRepresentationCounts:
         # tests/measure_peaks.py, one fresh process per instance
         # (measure_peaks.py rows)
         t, g, s, d = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
+        s3 = [(s, "1"), (s, "2"), (s, "3")]
         peaks = [  # (field-class pairs, a, X, MiB)
-            ([(t, "e")] * 3, (1, 1, 1), 10**6, 49.4),
-            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 99.2),
-            ([(t, "e")] * 3, (1, 1, 1), 10**7, 197.0),
-            ([(s, "1"), (s, "2"), (s, "3")], (1, 1, 1), 4 * 10**6, 84.8),
+            ([(t, "e")] * 3, (1, 1, 1), 10**6, 49.2),
+            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 99.0),
+            ([(t, "e")] * 3, (1, 1, 1), 10**7, 196.7),
+            (s3, (1, 1, 1), 4 * 10**6, 84.6),
             ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 4 * 10**6, 68.1),
-            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**7, 120.2),
-            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 59.4),
+            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**7, 120.0),
+            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 59.3),
             # in the classification of one block of primes
-            ([(d, "e"), (d, "r"), (d, "s")], (1, 1, 1), 4 * 10**6, 65.9),
+            ([(d, "e"), (d, "r"), (d, "s")], (1, 1, 1), 4 * 10**6, 66.0),
+            # the head's a_i = 2 spreads its array over twice its length;
+            # the rows are 2 mod 6, the residue with solutions
+            (s3, (1, 2, 3), 4 * 10**6, 114.0),
+            (s3, (1, 2, 3), 2 * 10**7, 449.2),
+            # a head of three components and four phase arrays
+            ([(g, "e")] * 2 + [(g, "c")] * 2, (1, 1, 1, 1), 4 * 10**6,
+             104.4),
         ]
         for fields, a, X, rss_mib in peaks:
             inst = TestCountsAt.instance(fields, a, X)
-            est = circle.rows_estimated_bytes(inst) / 2**20
+            est = circle.rows_estimated_bytes(inst, 50) / 2**20
             assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (fields, a, X)
+        # `chebcircle verify` of trivial x3 at X = 1e4 over 1e5 and 4e5 odd
+        # N (measure_peaks.py verify): each row's N, count, main term and
+        # CSV line are held at once
+        for rows, rss_mib in [(10**5, 95.4), (4 * 10**5, 284.6)]:
+            est = circle.rows_estimated_bytes(classical_instance(10**4),
+                                              rows) / 2**20
+            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, rows
 
     def test_rows_gate_admits_what_the_all_n_gate_refuses(self):
-        # arithmetic only: trivial x3 at X = 5e7 needs about 1.8 GiB for
-        # the rows of verify and 5 GiB for every N
+        # arithmetic only: trivial x3 at X = 5e7 needs about 0.9 GiB for
+        # the 20 rows of verify and 5 GiB for every N
         inst = classical_instance(5 * 10**7)
-        circle.check_memory(inst, circle.rows_estimated_bytes)
+        circle.check_memory(inst,
+                            lambda i: circle.rows_estimated_bytes(i, 20))
         with pytest.raises(ResourceLimit):
             circle.check_memory(inst)
 
@@ -313,13 +329,13 @@ class TestFlatNorms:
     def test_norms_estimate_tracks_measured_peak(self):
         # peak RSS (ru_maxrss) of h_flat_norms at z = (log X)^2, one fresh
         # process per instance (tests/measure_peaks.py norms)
-        for X, rss_mib in [(5 * 10**5, 194.5), (10**6, 357.3),
-                           (2 * 10**6, 651.8)]:
+        for X, rss_mib in [(5 * 10**5, 195.4), (10**6, 358.2),
+                           (2 * 10**6, 652.3)]:
             est = circle.norms_estimated_bytes(classical_instance(X)) / 2**20
             assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, X
 
     def test_refused_before_the_sieve(self, monkeypatch):
-        # the all-N count of trivial x3 at X = 2e7 fits (2.02 GiB), its L1
+        # the all-N count of trivial x3 at X = 2e7 fits (1.98 GiB), its L1
         # grid of 241 864 704 points does not
         def no_sieve(*args):
             raise AssertionError("primes listed past the memory gate")
@@ -411,11 +427,11 @@ class TestParseval:
         # peak RSS (ru_maxrss) of parseval_check, one fresh process per
         # instance (tests/measure_peaks.py parseval)
         for name, labels, a, X, rss_mib in [
-                ("trivial", "ee", (1, 1), 10**4, 38.8),
-                ("trivial", "ee", (1, 99), 2000, 100.6),
-                ("trivial", "ee", (1, 499), 1000, 203.6),
-                ("gaussian", "ec", (2, -999), 1000, 375.7),
-                ("s3-cbrt2", "123", (1, 1, 400), 1500, 239.2)]:
+                ("trivial", "ee", (1, 1), 10**4, 39.2),
+                ("trivial", "ee", (1, 99), 2000, 101.0),
+                ("trivial", "ee", (1, 499), 1000, 204.1),
+                ("gaussian", "ec", (2, -999), 1000, 376.2),
+                ("s3-cbrt2", "123", (1, 1, 400), 1500, 239.6)]:
             spec = galois.builtin_spec(name)
             inst = ProblemInstance(tuple(
                 FieldClass(spec, spec.class_by_label(label))
@@ -424,7 +440,7 @@ class TestParseval:
             assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (a, X)
 
     def test_refused_before_the_sieve(self, monkeypatch):
-        # the all-N count of trivial x3 at X = 1e7 fits (1.02 GiB), its
+        # the all-N count of trivial x3 at X = 1e7 fits (1.01 GiB), its
         # grid of 120 000 004 points does not
         def no_sieve(*args):
             raise AssertionError("primes listed past the memory gate")
@@ -573,7 +589,8 @@ class TestCountsAt:
     def test_matches_all_n_counts(self, fields, a, X):
         inst = self.instance(fields, a, X)
         every = circle.weighted_counts(inst)
-        ones = circle._dense(circle._component_primes(inst), X, False, 1)
+        ones = [circle._dense(ps, X, False, 1)
+                for ps in circle._component_primes(inst)]
         exact = circle._exact_convolve(ones, inst.a)
         lo, hi = inst.attainable_range
         Ns = ([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
@@ -665,11 +682,11 @@ class TestCountsAt:
         # component takes 2 or 3 has none)
         inst = self.instance(fields, a, X)
         terms = circle._progression_terms(inst, self.specials(inst))
-        for R, _, g, *_ in terms:
+        for R, g, *_ in terms:
             if R:
                 assert g == math.gcd(*(
                     circle._progression(inst.components[i])[0] for i in R))
-        assert {g for R, _, g, *_ in terms if R} == steps
+        assert {g for R, g, *_ in terms if R} == steps
         self.assert_matches_oracle(inst, (fields, a, X))
 
     @pytest.mark.parametrize("fields, X, Ns, length", [
@@ -716,8 +733,8 @@ class TestCountsAt:
         assert math.gcd(*(circle._progression(fc)[0]
                           for fc in inst.components)) == G
         terms = circle._progression_terms(inst, self.specials(inst))
-        assert [g for _, t, g, *_ in terms if t == 0] == [G]
-        assert all(g % G == 0 for R, _, g, *_ in terms if R)
+        assert [g for R, g, *_ in terms if len(R) == inst.k] == [G]
+        assert all(g % G == 0 for R, g, *_ in terms if R)
 
     @staticmethod
     def transforms(monkeypatch, inst, Ns):
@@ -753,6 +770,17 @@ class TestCountsAt:
         Ns = range(10001, 1490000, 59166)
         assert {N % 6 for N in Ns} == {5}
         assert self.transforms(monkeypatch, inst, Ns) == (4, 4)
+
+    def test_mixed_k4_small_transforms(self, monkeypatch):
+        # the golden mixed-k4-small at its N range: the trivial components
+        # take 2 or 3 in most terms, which leaves heads of one, two or
+        # three components at several steps; terms that differ only in the
+        # shift c build equal heads, each transformed anew
+        inst = self.instance([("trivial", "e"), ("gaussian", "c"),
+                              ("trivial", "e"), ("gaussian", "e")],
+                             (1, -1, 2, 3), 6000)
+        assert self.transforms(monkeypatch, inst, range(-7001, 37001, 1100)) \
+            == (44, 38)
 
     @pytest.mark.parametrize("offset, raises", [(0.2, False), (0.25, True)])
     def test_inexact_head_raises(self, monkeypatch, tmp_path, offset,

@@ -6,7 +6,8 @@ import stat
 
 import pytest
 
-from chebcircle import cli, galois
+from chebcircle import circle, cli, galois
+from chebcircle.instance import classical_instance
 
 
 def run(capsys, *argv):
@@ -336,6 +337,33 @@ class TestVerify:
         inst = write_instance(tmp_path, doc)
         code, _, err = run(capsys, "verify", inst, "--out-dir",
                            str(tmp_path / "out"))
+        assert code == 3
+        assert "GiB" in err
+
+    def test_rows_gate_charges_each_row(self, tmp_path, capsys,
+                                        monkeypatch):
+        # trivial x3 at X = 1e4: 50 rows fit in 64 MiB, 1e5 rows do not
+        # (each row's N, count, main term and CSV line are held at once;
+        # tests/measure_peaks.py verify), and the N range is refused before
+        # it is listed
+        limit = 64 * 2**20
+        inst = classical_instance(10**4)
+        assert circle.rows_estimated_bytes(inst, 50) < limit \
+            < circle.rows_estimated_bytes(inst, 10**5)
+        monkeypatch.setattr(cli.circle, "MAX_BYTES", limit)
+        doc = dict(SMALL_CLASSICAL, X=10**4,
+                   N={"from": 13001, "to": 13101, "step": 2})
+        code, _, err = run(capsys, "verify", write_instance(tmp_path, doc),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 0, err
+
+        def no_sieve(x):
+            raise AssertionError("primes listed past the memory gate")
+
+        monkeypatch.setattr(cli.sieve, "primes_upto", no_sieve)
+        doc["N"] = {"from": 13001, "to": 13001 + 2 * 10**5, "step": 2}
+        code, _, err = run(capsys, "verify", write_instance(tmp_path, doc),
+                           "--out-dir", str(tmp_path / "out"))
         assert code == 3
         assert "GiB" in err
 
