@@ -9,7 +9,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .instance import FieldClass, ProblemInstance
 MAX_BYTES = 4 * 2**30
 # Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
 # and per unit of X and of |a_i| for each distinct (component, a_i), whose
-# embedded array _convolve transforms once; fitted to the peak RSS of
-# weighted_counts on 16 instances (k = 2..4, X = 1e4..4e6, one to four
-# distinct components), each within 4% of its measurement.
+# embedded array _convolve transforms once.  Each group of constants below
+# is fitted to the peak RSS of a table of tests/measure_peaks.py (here
+# all-n), each row within 5% of its measurement.
 BYTES_BASE = 31 * 2**20
 BYTES_PER_FFT_POINT = 32
 BYTES_PER_X = 1
@@ -31,38 +31,23 @@ BYTES_PER_COMPONENT_X = 7
 # The L1 grid of h_flat_norms, on top of the all-N count's peak: np.fft.rfft
 # holds 24 bytes per grid point over the RSS before it (its complex output of
 # M/2 + 1 points and two pocketfft buffers), part of which the all-N
-# estimate already covers.  Fitted to trivial x3 at X = 5e5, 1e6 and 2e6
-# (peaks 195.4, 358.2 and 652.3 MiB), each within 4% of its measurement.
+# estimate already covers (norms).
 BYTES_PER_GRID_POINT = 19
 # The grid of parseval_check, on top of the all-N count's peak: its int64
 # points, complex roots, H and G and the index and phase temporaries of
-# one prime.  Fitted to trivial x2 (1, 1) at X = 1e4, (1, 99) at 2e3 and
-# (1, 499) at 1e3, gaussian (e, c) (2, -999) at 1e3 and s3-cbrt2 (1, 2, 3)
-# (1, 1, 400) at 1.5e3 (peaks 39.2, 101.0, 204.1, 376.2 and 239.6 MiB),
-# each within 4% of its measurement (tests/measure_peaks.py parseval).
+# one prime (parseval).
 BYTES_PER_PARSEVAL_POINT = 81
 # The rows-only counts_at of verify peaks either in the sieve and the
-# classification of the primes <= X, per unit of X and, for an f of degree
-# n > 1, per prime of one galois.CLASSIFY_BLOCK and unit of n^2; or in the
-# count, per unit of X and per point of a head transform, which convolves
-# at most k - 1 components over their primes p >= 5 indexed by p // g, for
-# the gcd g of their classes' _progression steps (6 for the trivial class
-# and s3-cbrt2, 12 for gaussian, 24 for d4-qrt2).  A point costs more the
-# more components the head has and, when a class of the head has two
-# phases and so the head several offsets, the more phase arrays it
-# transforms, whose spectra the heads of a term share; a head array with
-# |a_i| > 1 is spread over |a_i| (X // g) points before its transform.
-# Each row of verify (its N, count, main term and CSV line) costs bytes on
-# top.  Fitted with BYTES_BASE to the 11 counts and 2 verify runs of
-# test_rows_estimate_tracks_measured_peak, each within 4% of its
-# measurement.  Every table is measured by tests/measure_peaks.py.
+# classification of the primes <= X (sieve_bytes) or in the count, per
+# unit of X and per point of one term's transform, head and spread
+# (rows_estimated_bytes); each row of verify (its N, count, main term and
+# CSV line) costs bytes on top (rows and verify, with BYTES_BASE).
 ROWS_SIEVE_PER_X = 3
 ROWS_PER_BLOCK_N2 = 24
-ROWS_PER_FFT_POINT = 20
-ROWS_PER_HEAD_POINT = 9
-ROWS_PER_SPECTRUM_POINT = 6
-ROWS_PER_SPREAD_POINT = 6
-ROWS_PER_X = 1
+ROWS_PER_SPECTRUM_POINT = 4
+ROWS_PER_HEAD_POINT = 15
+ROWS_PER_SPREAD_POINT = 4
+ROWS_PER_X = 2
 ROWS_PER_ROW = 668
 # Largest distance from an integer that a rounded FFT count may have.
 MAX_RESIDUAL = 0.25
@@ -141,11 +126,8 @@ def _convolve(arrays, a) -> np.ndarray:
     first, by FFT.  The factors are grouped by (array, a_i) in order of
     first occurrence; each group is transformed once and multiplied in as
     often as it occurs (_spectra).  The result is a view into the M-point
-    inverse transform.  A copy would release the rest of it (h_flat_norms
-    of trivial x3 at X = 1e6 peaks at 356 MiB either way) but, in a fresh
-    process, takes about 3 000 more page faults: verify of perfbench's
-    classical-fft ran in 103 ms with a copy against 97 ms with the
-    view."""
+    inverse transform: a copy takes about 3 000 more page faults and does
+    not lower h_flat_norms' peak (356 MiB for trivial x3 at X = 1e6)."""
     span = _span(arrays, a)
     M = _fft_len(span)
     ids = [(id(v), ai) for v, ai in zip(arrays, a)]
@@ -212,27 +194,27 @@ def sieve_bytes(X: int, specs) -> int:
     return ROWS_SIEVE_PER_X * (X + 1) + block
 
 
-def rows_estimated_bytes(inst: ProblemInstance, rows: int) -> int:
+def rows_estimated_bytes(inst: ProblemInstance, rows: int,
+                         plan=None) -> int:
     """Estimated peak memory of verify's rows-only counts_at on inst at
-    rows N; allocates nothing.  The larger of sieve_bytes and the count,
-    which holds the prime arrays and one head transform besides the
-    spectra of its term, plus the rows.  The largest head is that of the
-    term in which no component takes 2 or 3, the first k - 1 components
-    at the step G, the gcd of every component's _progression step: it
-    spans sum_{i < k-1} |a_i| (X // G) and transforms one array per phase
-    of each distinct (component, a_i), spread first when |a_i| > 1."""
-    G = math.gcd(*(_progression(fc)[0] for fc in inst.components))
-    head = list(zip(inst.components, inst.a))[:-1]
-    span = sum(abs(ai) for _, ai in head) * (inst.X // G)
-    spread = max(abs(ai) if abs(ai) > 1 else 0 for _, ai in head)
-    phases = [len(_progression(fc)[1]) for fc, _ in dict.fromkeys(head)]
-    kept = sum(phases) if max(phases) > 1 else 0
-    per_point = (ROWS_PER_FFT_POINT + ROWS_PER_HEAD_POINT * len(head)
-                 + ROWS_PER_SPECTRUM_POINT * kept)
-    count = (per_point * _fft_len(span) + ROWS_PER_X * (inst.X + 1)
-             + ROWS_PER_SPREAD_POINT * spread * (inst.X // G))
+    rows N, by the terms of plan (_plan(inst) unless given); allocates
+    nothing.  The rows, plus the larger of sieve_bytes and the count: the
+    prime arrays and, at the term that costs most, per point of its
+    transform the product, the inverse and each phase array that several
+    products use; the head over its span; a head array spread by |a_i|."""
+    def term_bytes(t):
+        uses = Counter(key for products in t.heads.values()
+                       for keys in products for key in set(keys))
+        spread = max((abs(ai) for _, ai in t.head if abs(ai) > 1), default=0)
+        shared = sum(n > 1 for n in uses.values())
+        return (ROWS_PER_SPECTRUM_POINT * (2 + shared) * t.M
+                + ROWS_PER_HEAD_POINT * len(t.head) * (t.span + 1)
+                + ROWS_PER_SPREAD_POINT * spread * (inst.X // t.g))
+
+    count = max(map(term_bytes, plan or _plan(inst)))
     return BYTES_BASE + ROWS_PER_ROW * rows + max(
-        sieve_bytes(inst.X, (fc.spec for fc in inst.components)), count)
+        sieve_bytes(inst.X, (fc.spec for fc in inst.components)),
+        count + ROWS_PER_X * (inst.X + 1))
 
 
 def parseval_estimated_bytes(inst: ProblemInstance) -> int:
@@ -334,59 +316,79 @@ def _rounded(h: np.ndarray, a) -> np.ndarray:
     return counts
 
 
-def _progression_terms(inst: ProblemInstance, specials):
-    """S(N) split by the special prime each component takes: 2 or 3 where
-    specials[i], the primes below 5 of component i's class, holds it, or
-    none; the components R that take none take their primes >= 5.  With
-    c = sum a_i s_i over the special primes s_i taken, such a choice counts
-    sum_R a_i p_i = N - c, weighted by prod log s_i.  Returns
-    [(R, g, c, weights)], one entry per distinct run of (component, a_i)
-    along R and shift c, with g the gcd of the _progression steps over R
-    (1 when R is empty) and weights the prod log s_i of each choice that
-    shares it."""
-    a, k = inst.a, inst.k
+def _specials(inst: ProblemInstance):
+    """Per component, the primes 2 and 3 (those <= X) that its class holds,
+    by classify_batch once per distinct spec: all _plan reads of primes."""
+    small = np.array([p for p in (2, 3) if p <= inst.X], np.int64)
+    labels = {spec: galois.classify_batch(spec, small)
+              for spec in dict.fromkeys(fc.spec for fc in inst.components)}
+    return [tuple(int(p) for p, i in zip(small, labels[fc.spec])
+                  if i == fc.spec.classes.index(fc.cls))
+            for fc in inst.components]
+
+
+class _Term(NamedTuple):
+    R: tuple        # indices of the components that take primes >= 5
+    g: int          # the gcd of their _progression steps (1 when R is empty)
+    c: int          # sum a_i s_i over the special primes s_i taken
+    weights: list   # prod log s_i of each choice that shares the entry
+    head: tuple     # (component, a_i) of R but the last
+    heads: dict     # {offset: {keys: n}}, the products of each offset
+    span: int       # hi - lo of the exponents of a head
+    M: int          # its transform length; 0 when it is not transformed
+
+
+def _plan(inst: ProblemInstance):
+    """The count of counts_at as _Term entries: S(N) split by the special
+    prime, 2 or 3, that each component takes where its class holds it, or
+    none (R, the components that take primes >= 5).  Such a choice counts
+    sum_R a_i p_i = N - c, weighted by prod log s_i over the special
+    primes s_i taken; one entry per distinct run of (component, a_i) along
+    R and shift c.  Its head, R but the last component, has a product per
+    choice of phases phi_i (_progression's residues mod g; a prime g m +
+    phi sits at m) at the offset s = sum a_i phi_i, with a key (j, phi)
+    per array, j the first position of head[j]'s (component, a_j); the
+    choices of an offset that take the same arrays are one product,
+    counted n times.  Reads no prime <= X and no N."""
     runs = {}
-    for taken in itertools.product(*((None, *s) for s in specials)):
-        R = tuple(i for i in range(k) if taken[i] is None)
-        c = sum(ai * s for ai, s in zip(a, taken) if s)
-        run = tuple((inst.components[i], a[i]) for i in R)
+    for taken in itertools.product(*((None, *s) for s in _specials(inst))):
+        R = tuple(i for i, s in enumerate(taken) if s is None)
+        c = sum(ai * s for ai, s in zip(inst.a, taken) if s)
+        run = tuple((inst.components[i], inst.a[i]) for i in R)
         runs.setdefault((run, c), (R, []))[1].append(
             math.prod(math.log(s) for s in taken if s))
-    return [(R,
-             math.gcd(*(_progression(inst.components[i])[0] for i in R)) or 1,
-             c, weights) for (_, c), (R, weights) in runs.items()]
+    plan = []
+    for (run, c), (R, weights) in runs.items():
+        g = math.gcd(*(_progression(fc)[0] for fc, _ in run)) or 1
+        head = run[:-1]
+        ident = [head.index(key) for key in head]
+        heads = {}
+        for phis in itertools.product(*([r % g for r in _progression(fc)[1]]
+                                        for fc, _ in head)):
+            products = heads.setdefault(
+                sum(ai * phi for (_, ai), phi in zip(head, phis)), {})
+            keys = tuple(sorted(zip(ident, phis)))
+            products[keys] = products.get(keys, 0) + 1
+        span = inst.X // g * sum(abs(ai) for _, ai in head)
+        plan.append(_Term(R, g, c, weights, head, heads, span,
+                          _fft_len(span) if len(head) > 1 else 0))
+    return plan
 
 
-def _term_values(inst: ProblemInstance, R, g: int, c: int, Ns, phases):
-    """One entry of _progression_terms at each N of Ns, as (weighted,
-    unweighted) arrays: the prod log p weight and the number of solutions
-    of sum_R a_i p_i = N - c in primes p_i >= 5 of the components R.
-    phases(fc, g) splits fc's primes by phase, their residue phi mod g,
-    each prime g m + phi indexed by m.  The head, all of R but the last
-    component, is keyed by the offset s = sum a_i phi_i of a choice of
-    phases; the choices of one offset that take the same arrays are one
-    product, counted n times.  The plan keeps the heads that reach some N,
-    N - c - a_last psi = s mod g for a phase psi of the last component,
-    whose primes of that phase _rows gathers.  It runs once per channel,
-    one head at a time, by _spectra when the head spans two components
-    or more."""
+def _term_values(inst: ProblemInstance, term: _Term, Ns, phases):
+    """One entry of _plan at each N of Ns, as (weighted, unweighted)
+    arrays: the prod log p weight and the number of solutions of
+    sum_R a_i p_i = N - c in primes p_i >= 5 of the components R, split by
+    phase by phases(fc, g), {phi: primes}.  It builds only the heads that
+    reach some N, N - c - a_last psi = s mod g for a phase psi of the last
+    component, whose primes _rows gathers: once per channel (weighted
+    first), one head at a time, by _spectra when the term's M is not 0."""
+    R, g, c, _, head, heads, span, M = term
     if not R:
         hit = np.array([N == c for N in Ns], np.int64)
         return hit, hit
-    *head, (last, ak) = ((inst.components[i], inst.a[i]) for i in R)
-    # a key (j, phi) names the array of phase phi of head[j], j the first
-    # position of its (component, a_j)
-    first = {}
-    ident = [first.setdefault(key, j) for j, key in enumerate(head)]
-    heads = {}
-    for phis in itertools.product(*(phases(fc, g) for fc, _ in head)):
-        products = heads.setdefault(
-            sum(ai * phi for (_, ai), phi in zip(head, phis)), {})
-        keys = tuple(sorted(zip(ident, phis)))
-        products[keys] = products.get(keys, 0) + 1
-    width = inst.X // g
-    span = width * sum(abs(ai) for _, ai in head)
-    shifted = width * sum(ai for _, ai in head if ai < 0)
+    last, ak = inst.components[R[-1]], inst.a[R[-1]]
+    shifted = inst.X // g * sum(ai for _, ai in head if ai < 0)
     residues = np.array([N % g for N in Ns])
     reach = {}
     for s in heads:
@@ -397,7 +399,6 @@ def _term_values(inst: ProblemInstance, R, g: int, c: int, Ns, phases):
                                for j in rows.tolist()], np.int64)
                 reach.setdefault(s, []).append((rows, Ms - shifted, psi))
     plan = [(s, heads[s]) for s in reach]
-    M = _fft_len(span)
     out = []
     for weighted in (True, False):
         def factor(key):
@@ -408,15 +409,15 @@ def _term_values(inst: ProblemInstance, R, g: int, c: int, Ns, phases):
         vals = np.zeros(len(Ns), np.float64 if weighted else np.int64)
         spectra, gathers = _spectra(plan, factor, M), {}
         for s, products in plan:
-            if not head:
-                h = np.ones(1, vals.dtype)
-            elif len(head) == 1:
-                [[key]] = products
-                h = factor(key)
-            else:
+            if M:
                 h = np.fft.irfft(next(spectra)[1], M)[:span + 1]
                 if not weighted:
                     h = _rounded(h, [ai for _, ai in head])
+            elif head:
+                [[key]] = products
+                h = factor(key)
+            else:
+                h = np.ones(1, vals.dtype)
             for rows, Ms, psi in reach[s]:
                 if psi not in gathers:  # not beside the first transform
                     qs = phases(last, g)[psi]
@@ -431,17 +432,15 @@ def _term_values(inst: ProblemInstance, R, g: int, c: int, Ns, phases):
 
 def counts_at(inst: ProblemInstance, Ns):
     """(weighted, unweighted) S(N) at each N of the sequence Ns, as float64
-    and int64 arrays: the sum over the entries (R, g, c, weights) of
-    _progression_terms of _term_values, counted once per choice that
-    shares it and weighted by each choice's weight.  Refused by
-    rows_estimated_bytes for len(Ns) rows before the sieve, and before Ns
-    is listed.  The two channels alternate per term, and one head is held
-    at a time, besides the spectra its term has transformed.  The weighted
+    and int64 arrays: the sum over the terms of _plan of _term_values,
+    counted once per choice that shares it and weighted by each choice's
+    weight.  Refused by rows_estimated_bytes of the same plan for len(Ns)
+    rows before the sieve, and before Ns is listed.  One head is held at a
+    time, besides the spectra its term has transformed.  The weighted
     value is clamped at 0 against FFT round-off."""
+    plan = _plan(inst)
     comps = dict(zip(inst.components, _component_primes(
-        inst, lambda i: rows_estimated_bytes(i, len(Ns)))))
-    specials = [tuple(int(p) for p in comps[fc][:2] if p < 5)
-                for fc in inst.components]
+        inst, lambda i: rows_estimated_bytes(i, len(Ns), plan))))
     Ns = [int(N) for N in Ns]
     split = {}
 
@@ -456,11 +455,11 @@ def counts_at(inst: ProblemInstance, Ns):
 
     weighted = np.zeros(len(Ns))
     unweighted = np.zeros(len(Ns), np.int64)
-    for R, g, c, weights in _progression_terms(inst, specials):
-        w, u = _term_values(inst, R, g, c, Ns, phases)
-        for x in weights:
+    for term in plan:
+        w, u = _term_values(inst, term, Ns, phases)
+        for x in term.weights:
             weighted += w * x
-        unweighted += u * len(weights)
+        unweighted += u * len(term.weights)
     np.maximum(weighted, 0.0, out=weighted)
     return weighted, unweighted
 

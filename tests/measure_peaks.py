@@ -12,13 +12,30 @@
     python tests/measure_peaks.py genfun    # `chebcircle genfun`'s scan,
                                             # genfun.estimated_bytes
 
-Each row runs in a fresh interpreter, which builds the instance, makes one
-call and reports its ru_maxrss; the script prints that peak in MiB beside
-the estimate and their ratio.  The peaks are the ones held by the
+Each row runs in three fresh interpreters, each of which builds the
+instance, makes one call and reports its ru_maxrss; the script prints the
+median peak in MiB beside the row's stored peak, the estimate and the
+estimate over the measured peak.  One peak moves by up to 2 MiB with
+where the allocator places the same arrays, hence the median.
+
+The tables below are the one list of instances and stored peaks: the
 test_*_estimate_tracks_measured_peak tests of test_circle.py and
-test_genfun.py and the row charge of test_cli.py's rows gate: re-run this
-after a change of transform length or array layout and refit the
-constants of circle.py and genfun.py to its output.
+test_genfun.py read them through estimates() and hold each estimate
+within 5% of its stored peak.  Re-run this after a change of transform
+length or array layout, store the new medians, and refit the constants
+that a table's estimate reads in circle.py (or genfun.py):
+
+    all-n      BYTES_BASE, BYTES_PER_FFT_POINT, BYTES_PER_X,
+               BYTES_PER_COMPONENT_X (BYTES_BASE is shared by every table)
+    rows       ROWS_PER_SPECTRUM_POINT, ROWS_PER_HEAD_POINT,
+               ROWS_PER_SPREAD_POINT, ROWS_PER_X (the count);
+               ROWS_SIEVE_PER_X, ROWS_PER_BLOCK_N2 (sieve_bytes, shared
+               with genfun)
+    verify     ROWS_PER_ROW
+    norms      BYTES_PER_GRID_POINT
+    parseval   BYTES_PER_PARSEVAL_POINT
+    genfun     genfun.SHARP_BYTES_PER_X, and sieve_bytes' constants
+
 pytest does not collect this file.
 """
 
@@ -41,72 +58,89 @@ T, G, S, D = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
 S3 = [(S, "1"), (S, "2"), (S, "3")]
 D4 = [(D, "r"), (D, "s"), (D, "t"), (D, "e")]
 
-# (field-class pairs, a, X) of weighted_counts, the all-N count
+# Each row of a table ends in its peak RSS (ru_maxrss) in MiB, the median
+# of three fresh processes, that the tests check its estimate against.
+
+# (field-class pairs, a, X, MiB) of weighted_counts, the all-N count
 ALL_N = [
-    ([(T, "e")] * 3, (1, 1, 1), 10**4),
-    ([(T, "e")] * 3, (1, 1, 1), 2 * 10**5),
-    ([(T, "e")] * 3, (1, 1, 1), 10**6),
-    ([(T, "e")] * 3, (1, 1, 1), 4 * 10**6),
-    ([(T, "e")] * 2, (1, 1), 4 * 10**6),
-    ([(T, "e")] * 4, (1, 1, 1, 1), 10**6),
-    ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 10**6),
-    ([(G, "e"), (G, "c")], (2, -1), 2 * 10**6),
-    ([(G, "e")] * 2 + [(G, "c")] * 2, (1, 1, 1, 1), 2 * 10**6),
-    (S3, (1, 1, 1), 10**6),
-    (S3, (1, 1, 1), 2 * 10**6),
-    ([(S, "1"), (S, "1"), (S, "2")], (1, 2, 3), 5 * 10**5),
-    (D4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4),
-    (D4, (1, 1, 1, 1), 10**6),
-    ([(D, "r"), (D, "s")] * 2, (1, 1, 1, 1), 10**6),
-    ([(G, "e"), (G, "c")] * 2, (1, 1, 1, 1), 10**6),
+    ([(T, "e")] * 3, (1, 1, 1), 10**4, 32.6),
+    ([(T, "e")] * 3, (1, 1, 1), 2 * 10**5, 52.0),
+    ([(T, "e")] * 3, (1, 1, 1), 10**6, 133.7),
+    ([(T, "e")] * 3, (1, 1, 1), 4 * 10**6, 440.2),
+    ([(T, "e")] * 2, (1, 1), 4 * 10**6, 316.7),
+    ([(T, "e")] * 4, (1, 1, 1, 1), 10**6, 164.6),
+    ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 10**6, 141.3),
+    ([(G, "e"), (G, "c")], (2, -1), 2 * 10**6, 250.5),
+    ([(G, "e")] * 2 + [(G, "c")] * 2, (1, 1, 1, 1), 2 * 10**6, 312.4),
+    (S3, (1, 1, 1), 10**6, 149.0),
+    (S3, (1, 1, 1), 2 * 10**6, 266.0),
+    ([(S, "1"), (S, "1"), (S, "2")], (1, 2, 3), 5 * 10**5, 144.5),
+    (D4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 70.4),
+    (D4, (1, 1, 1, 1), 10**6, 187.6),
+    # interleaved repeats: _convolve releases each spectrum before it
+    # transforms the next
+    ([(D, "r"), (D, "s")] * 2, (1, 1, 1, 1), 10**6, 172.1),
+    ([(G, "e"), (G, "c")] * 2, (1, 1, 1, 1), 10**6, 172.3),
 ]
 
-# (field-class pairs, a, X) of counts_at, the rows-only count of verify, at
-# the 50 rows of rows_of; a fourth entry (r, m) puts the rows at r mod m
+# (field-class pairs, a, X, MiB) of counts_at, the rows-only count of
+# verify, at the 50 rows of rows_of; an entry (r, m) before the peak puts
+# the rows at r mod m
 ROWS = [
-    ([(T, "e")] * 3, (1, 1, 1), 10**6),
-    ([(T, "e")] * 3, (1, 1, 1), 4 * 10**6),
-    ([(T, "e")] * 3, (1, 1, 1), 10**7),
-    (S3, (1, 1, 1), 4 * 10**6),
-    ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 4 * 10**6),
-    ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 10**7),
-    ([(T, "e")] * 4, (1, 1, 1, 1), 10**6),
-    ([(D, "e"), (D, "r"), (D, "s")], (1, 1, 1), 4 * 10**6),
-    # a coefficient |a_i| > 1 spreads its array before the transform
-    (S3, (1, 2, 3), 4 * 10**6, (2, 6)),
-    (S3, (1, 2, 3), 2 * 10**7, (2, 6)),
-    # a head of three components, two classes of two phases each
-    ([(G, "e")] * 2 + [(G, "c")] * 2, (1, 1, 1, 1), 4 * 10**6),
+    ([(T, "e")] * 3, (1, 1, 1), 10**6, 49.2),
+    ([(T, "e")] * 3, (1, 1, 1), 4 * 10**6, 99.0),
+    ([(T, "e")] * 3, (1, 1, 1), 10**7, 196.7),
+    (S3, (1, 1, 1), 4 * 10**6, 84.6),
+    ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 4 * 10**6, 68.1),
+    ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 10**7, 120.0),
+    ([(T, "e")] * 4, (1, 1, 1, 1), 10**6, 59.3),
+    # in the classification of one block of primes
+    ([(D, "e"), (D, "r"), (D, "s")], (1, 1, 1), 4 * 10**6, 66.0),
+    # the head's a_i = 2 spreads its array over twice its length; the rows
+    # are 2 mod 6, the residue with solutions
+    (S3, (1, 2, 3), 4 * 10**6, (2, 6), 114.0),
+    (S3, (1, 2, 3), 2 * 10**7, (2, 6), 449.2),
+    # a head of three components and four phase arrays
+    ([(G, "e")] * 2 + [(G, "c")] * 2, (1, 1, 1, 1), 4 * 10**6, 104.4),
+    # k = 2: a head of one array, gathered without a transform
+    ([(T, "e")] * 2, (1, 1), 4 * 10**6, 50.3),
+    ([(T, "e")] * 2, (1, 1), 10**7, 75.7),
+    ([(G, "e"), (G, "c")], (1, 1), 10**7, 63.2),
 ]
 
-# (field-class pairs, a, X, rows) of `chebcircle verify` over rows odd N
-# from 1.3X, each row's count, main term and CSV line held at once
-VERIFY = [([(T, "e")] * 3, (1, 1, 1), 10**4, rows)
-          for rows in (10**5, 4 * 10**5)]
+# (field-class pairs, a, X, rows, MiB) of `chebcircle verify` over rows odd
+# N from 1.3X, each row's count, main term and CSV line held at once
+VERIFY = [
+    ([(T, "e")] * 3, (1, 1, 1), 10**4, 10**5, 95.4),
+    ([(T, "e")] * 3, (1, 1, 1), 10**4, 4 * 10**5, 284.6),
+]
 
-# (field-class pairs, a, X) of h_flat_norms at z = (log X)^2
-NORMS = [([(T, "e")] * 3, (1, 1, 1), X) for X in (5 * 10**5, 10**6,
-                                                  2 * 10**6)]
+# (field-class pairs, a, X, MiB) of h_flat_norms at z = (log X)^2
+NORMS = [
+    ([(T, "e")] * 3, (1, 1, 1), 5 * 10**5, 195.4),
+    ([(T, "e")] * 3, (1, 1, 1), 10**6, 358.2),
+    ([(T, "e")] * 3, (1, 1, 1), 2 * 10**6, 652.3),
+]
 
-# (field-class pairs, a, X) of parseval_check: a large coefficient makes a
-# large grid from few primes
+# (field-class pairs, a, X, MiB) of parseval_check: a large coefficient
+# makes a large grid from few primes
 PARSEVAL = [
-    ([(T, "e")] * 2, (1, 1), 10**4),
-    ([(T, "e")] * 2, (1, 99), 2000),
-    ([(T, "e")] * 2, (1, 499), 1000),
-    ([(G, "e"), (G, "c")], (2, -999), 1000),
-    ([(S, "1"), (S, "2"), (S, "3")], (1, 1, 400), 1500),
+    ([(T, "e")] * 2, (1, 1), 10**4, 39.2),
+    ([(T, "e")] * 2, (1, 99), 2000, 101.0),
+    ([(T, "e")] * 2, (1, 499), 1000, 204.1),
+    ([(G, "e"), (G, "c")], (2, -999), 1000, 376.2),
+    (S3, (1, 1, 400), 1500, 239.6),
 ]
 
-# (builtin field-class, X) of genfun.minor_arc_scan at z = (log X)^4, over
-# ALPHAS
+# (builtin field-class, X, MiB) of genfun.minor_arc_scan at z = (log X)^4,
+# over ALPHAS
 GENFUN = [
-    ("trivial-e", 10**6),
-    ("trivial-e", 4 * 10**6),
-    ("gaussian-e", 4 * 10**6),
-    ("s3-cbrt2-1", 4 * 10**6),
-    ("d4-qrt2-e", 4 * 10**6),
-    ("trivial-e", 10**7),
+    ("trivial-e", 10**6, 58.1),
+    ("trivial-e", 4 * 10**6, 134.9),
+    ("gaussian-e", 4 * 10**6, 132.7),
+    ("s3-cbrt2-1", 4 * 10**6, 130.5),
+    ("d4-qrt2-e", 4 * 10**6, 138.1),
+    ("trivial-e", 10**7, 287.3),
 ]
 ALPHAS = [0.0, 0.361, 1 / 7]
 
@@ -128,7 +162,7 @@ def context(name, X) -> genfun.GenfunContext:
 
 def rows_of(fields, a, X, at=None):
     """(instance, 50 N from 1.3X to 1.7X times sum(a)/3): N = r mod m for
-    at = (r, m), else of the parity of k (odd for k = 3, even for k = 4),
+    at = (r, m), else of the parity of k (odd for k = 3, else even),
     so that trivial x k has solutions at each."""
     inst = instance(fields, a, X)
     r, m = at or (inst.k % 2, 2)
@@ -173,7 +207,7 @@ TABLES = {
 def child(table: str, i: int):
     """Run row i of table in this process; print seconds and peak MiB."""
     rows, build, call, _ = TABLES[table]
-    made = build(*rows[i])
+    made = build(*rows[i][:-1])
     start = time.perf_counter()
     call(made)
     seconds = time.perf_counter() - start
@@ -181,17 +215,30 @@ def child(table: str, i: int):
     print(f"{seconds:.3f} {peak:.1f}")
 
 
-def measure(table: str):
+def estimates(table: str):
+    """(row, its stored peak MiB, its estimate MiB) for each row of
+    table; measures nothing."""
     rows, build, _, estimate = TABLES[table]
-    print(f"# {table}: row, seconds, peak MiB, estimate MiB, "
+    for *row, peak in rows:
+        yield row, peak, estimate(build(*row)) / 2**20
+
+
+def measure(table: str):
+    """Print each row of table with the median seconds and peak MiB of
+    three fresh processes, its stored peak, its estimate and the estimate
+    over the measured peak."""
+    print(f"# {table}: row, seconds, peak MiB, stored MiB, estimate MiB, "
           f"estimate / peak")
-    for i, row in enumerate(rows):
-        out = subprocess.run([sys.executable, __file__, "--child", table,
-                              str(i)], capture_output=True, text=True,
-                             check=True).stdout.split()
-        seconds, peak = float(out[0]), float(out[1])
-        est = estimate(build(*row)) / 2**20
-        print(f"{row}  {seconds:.2f}  {peak:.1f}  {est:.1f}  "
+    for i, (row, stored, est) in enumerate(estimates(table)):
+        # the median of three by sorting: with statistics imported, the
+        # children (which import this file) placed gaussian (e, e, c) at
+        # 4e6 1.7 MiB higher
+        seconds, peak = (sorted(values)[1] for values in zip(*(
+            map(float, subprocess.run(
+                [sys.executable, __file__, "--child", table, str(i)],
+                capture_output=True, text=True, check=True).stdout.split())
+            for _ in range(3))))
+        print(f"{row}  {seconds:.2f}  {peak:.1f}  {stored}  {est:.1f}  "
               f"{est / peak:.3f}", flush=True)
 
 

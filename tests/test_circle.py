@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import measure_peaks
 import numpy as np
 import pytest
 
@@ -90,76 +91,22 @@ class TestRepresentationCounts:
             circle.weighted_counts(inst)
 
     def test_memory_estimate_tracks_measured_peak(self):
-        # peak RSS (ru_maxrss) of weighted_counts, one fresh process per
-        # instance (tests/measure_peaks.py all-n), about 30 MiB of it the
-        # interpreter and numpy
-        t, g, s, d = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
-        s3 = [(s, "1"), (s, "2"), (s, "3")]
-        d4 = [(d, "r"), (d, "s"), (d, "t"), (d, "e")]
-        peaks = [  # (field-class pairs, a, X, MiB)
-            ([(t, "e")] * 3, (1, 1, 1), 10**4, 32.6),
-            ([(t, "e")] * 3, (1, 1, 1), 2 * 10**5, 52.0),
-            ([(t, "e")] * 3, (1, 1, 1), 10**6, 133.7),
-            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 440.2),
-            ([(t, "e")] * 2, (1, 1), 4 * 10**6, 316.7),
-            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 164.6),
-            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**6, 141.3),
-            ([(g, "e"), (g, "c")], (2, -1), 2 * 10**6, 250.5),
-            ([(g, "e")] * 2 + [(g, "c")] * 2, (1, 1, 1, 1), 2 * 10**6,
-             312.4),
-            (s3, (1, 1, 1), 10**6, 149.0),
-            (s3, (1, 1, 1), 2 * 10**6, 266.0),
-            ([(s, "1"), (s, "1"), (s, "2")], (1, 2, 3), 5 * 10**5, 144.5),
-            (d4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 70.4),
-            (d4, (1, 1, 1, 1), 10**6, 187.6),
-            # interleaved repeats: _convolve releases each spectrum before
-            # it transforms the next
-            ([(d, "r"), (d, "s")] * 2, (1, 1, 1, 1), 10**6, 172.1),
-            ([(g, "e"), (g, "c")] * 2, (1, 1, 1, 1), 10**6, 172.3),
-        ]
-        for fields, a, X, rss_mib in peaks:
-            inst = TestCountsAt.instance(fields, a, X)
-            est = circle.estimated_bytes(inst) / 2**20
-            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (fields, a, X)
+        # peak RSS of weighted_counts (tests/measure_peaks.py all-n), about
+        # 30 MiB of it the interpreter and numpy
+        for row, peak, est in measure_peaks.estimates("all-n"):
+            assert 0.95 * peak <= est <= 1.05 * peak, row
 
     def test_rows_estimate_tracks_measured_peak(self):
-        # peak RSS (ru_maxrss) of counts_at at the 50 rows of
-        # tests/measure_peaks.py, one fresh process per instance
-        # (measure_peaks.py rows)
-        t, g, s, d = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
-        s3 = [(s, "1"), (s, "2"), (s, "3")]
-        peaks = [  # (field-class pairs, a, X, MiB)
-            ([(t, "e")] * 3, (1, 1, 1), 10**6, 49.2),
-            ([(t, "e")] * 3, (1, 1, 1), 4 * 10**6, 99.0),
-            ([(t, "e")] * 3, (1, 1, 1), 10**7, 196.7),
-            (s3, (1, 1, 1), 4 * 10**6, 84.6),
-            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 4 * 10**6, 68.1),
-            ([(g, "e"), (g, "e"), (g, "c")], (1, 1, 1), 10**7, 120.0),
-            ([(t, "e")] * 4, (1, 1, 1, 1), 10**6, 59.3),
-            # in the classification of one block of primes
-            ([(d, "e"), (d, "r"), (d, "s")], (1, 1, 1), 4 * 10**6, 66.0),
-            # the head's a_i = 2 spreads its array over twice its length;
-            # the rows are 2 mod 6, the residue with solutions
-            (s3, (1, 2, 3), 4 * 10**6, 114.0),
-            (s3, (1, 2, 3), 2 * 10**7, 449.2),
-            # a head of three components and four phase arrays
-            ([(g, "e")] * 2 + [(g, "c")] * 2, (1, 1, 1, 1), 4 * 10**6,
-             104.4),
-        ]
-        for fields, a, X, rss_mib in peaks:
-            inst = TestCountsAt.instance(fields, a, X)
-            est = circle.rows_estimated_bytes(inst, 50) / 2**20
-            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (fields, a, X)
-        # `chebcircle verify` of trivial x3 at X = 1e4 over 1e5 and 4e5 odd
-        # N (measure_peaks.py verify): each row's N, count, main term and
-        # CSV line are held at once
-        for rows, rss_mib in [(10**5, 95.4), (4 * 10**5, 284.6)]:
-            est = circle.rows_estimated_bytes(classical_instance(10**4),
-                                              rows) / 2**20
-            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, rows
+        # peak RSS of counts_at at 50 rows (tests/measure_peaks.py rows),
+        # and of `chebcircle verify` of trivial x3 at X = 1e4 over 1e5 and
+        # 4e5 odd N (measure_peaks.py verify), which holds each row's N,
+        # count, main term and CSV line at once
+        for table in ("rows", "verify"):
+            for row, peak, est in measure_peaks.estimates(table):
+                assert 0.95 * peak <= est <= 1.05 * peak, row
 
     def test_rows_gate_admits_what_the_all_n_gate_refuses(self):
-        # arithmetic only: trivial x3 at X = 5e7 needs about 0.9 GiB for
+        # arithmetic only: trivial x3 at X = 5e7 needs about 0.8 GiB for
         # the 20 rows of verify and 5 GiB for every N
         inst = classical_instance(5 * 10**7)
         circle.check_memory(inst,
@@ -188,7 +135,7 @@ class TestRepresentationCounts:
         real = galois.classify_batch
 
         def counting(spec, primes):
-            calls.append(spec)
+            calls.append((spec, len(primes)))
             return real(spec, primes)
 
         monkeypatch.setattr(galois, "classify_batch", counting)
@@ -196,7 +143,9 @@ class TestRepresentationCounts:
         inst = ProblemInstance(tuple(FieldClass(spec, c)
                                      for c in spec.classes), (1, 1, 1), 3000)
         circle.verify_theorem(inst, [4501, 4507])
-        assert calls == [spec]
+        # the plan's classification of 2 and 3, then one of the 430 primes
+        # <= 3000
+        assert calls == [(spec, 2), (spec, 430)]
 
     def test_component_primes_split_only_used_classes(self, monkeypatch):
         # two of the four classes of Q(zeta_5); equal components share one
@@ -327,12 +276,9 @@ class TestFlatNorms:
         assert grid_l2 == pytest.approx(l2, rel=0.01)
 
     def test_norms_estimate_tracks_measured_peak(self):
-        # peak RSS (ru_maxrss) of h_flat_norms at z = (log X)^2, one fresh
-        # process per instance (tests/measure_peaks.py norms)
-        for X, rss_mib in [(5 * 10**5, 195.4), (10**6, 358.2),
-                           (2 * 10**6, 652.3)]:
-            est = circle.norms_estimated_bytes(classical_instance(X)) / 2**20
-            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, X
+        # peak RSS of h_flat_norms (tests/measure_peaks.py norms)
+        for row, peak, est in measure_peaks.estimates("norms"):
+            assert 0.95 * peak <= est <= 1.05 * peak, row
 
     def test_refused_before_the_sieve(self, monkeypatch):
         # the all-N count of trivial x3 at X = 2e7 fits (1.98 GiB), its L1
@@ -424,20 +370,9 @@ class TestParseval:
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
     def test_parseval_estimate_tracks_measured_peak(self):
-        # peak RSS (ru_maxrss) of parseval_check, one fresh process per
-        # instance (tests/measure_peaks.py parseval)
-        for name, labels, a, X, rss_mib in [
-                ("trivial", "ee", (1, 1), 10**4, 39.2),
-                ("trivial", "ee", (1, 99), 2000, 101.0),
-                ("trivial", "ee", (1, 499), 1000, 204.1),
-                ("gaussian", "ec", (2, -999), 1000, 376.2),
-                ("s3-cbrt2", "123", (1, 1, 400), 1500, 239.6)]:
-            spec = galois.builtin_spec(name)
-            inst = ProblemInstance(tuple(
-                FieldClass(spec, spec.class_by_label(label))
-                for label in labels), a, X)
-            est = circle.parseval_estimated_bytes(inst) / 2**20
-            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (a, X)
+        # peak RSS of parseval_check (tests/measure_peaks.py parseval)
+        for row, peak, est in measure_peaks.estimates("parseval"):
+            assert 0.95 * peak <= est <= 1.05 * peak, row
 
     def test_refused_before_the_sieve(self, monkeypatch):
         # the all-N count of trivial x3 at X = 1e7 fits (1.01 GiB), its
@@ -543,12 +478,6 @@ class TestCountsAt:
             spec = galois.builtin_spec(name) if isinstance(name, str) else name
             comps.append(FieldClass(spec, spec.class_by_label(label)))
         return ProblemInstance(tuple(comps), a, X)
-
-    @staticmethod
-    def specials(inst):
-        """Per component, the primes below 5 that its class holds."""
-        return [tuple(int(p) for p in ps[:2] if p < 5)
-                for ps in circle._component_primes(inst)]
 
     @staticmethod
     def assert_matches_oracle(inst, what):
@@ -681,7 +610,7 @@ class TestCountsAt:
         # components R that take primes >= 5 in it (a term in which every
         # component takes 2 or 3 has none)
         inst = self.instance(fields, a, X)
-        terms = circle._progression_terms(inst, self.specials(inst))
+        terms = circle._plan(inst)
         for R, g, *_ in terms:
             if R:
                 assert g == math.gcd(*(
@@ -720,21 +649,36 @@ class TestCountsAt:
         ([(MOD5, "1")] * 3, 10),
         ([(MOD5_SQ, "s")] * 3, 2),
     ])
-    def test_coset_steps_bound_the_progression_steps(self, fields, steps):
+    def test_coset_steps_bound_the_progression_steps(self, monkeypatch,
+                                                     fields, steps):
         # steps is the gcd over the components of the coset step
         # lcm(2, h), h the gcd of D and the differences of a coset's
-        # residues; the wheel steps each class by lcm(6, h), so the gcd G
-        # of the _progression steps is lcm(3, steps).  rows_estimated_bytes
-        # charges the head of the term in which no component takes 2 or 3,
-        # at G; every other term steps by a multiple of G, so its head is
-        # no longer
-        G = math.lcm(3, steps)
+        # residues; the wheel steps each class by lcm(6, h), so every term
+        # of the plan steps by a multiple of lcm(3, steps).  The plan is
+        # read before the sieve: it lists no prime <= X
+        def no_sieve(*args):
+            raise AssertionError("the plan listed primes")
+
+        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
+        monkeypatch.setattr(sieve, "class_primes", no_sieve)
         inst = self.instance(fields, (1, 1, 1), 3000)
+        G = math.lcm(3, steps)
         assert math.gcd(*(circle._progression(fc)[0]
                           for fc in inst.components)) == G
-        terms = circle._progression_terms(inst, self.specials(inst))
-        assert [g for R, g, *_ in terms if len(R) == inst.k] == [G]
-        assert all(g % G == 0 for R, g, *_ in terms if R)
+        assert all(t.g % G == 0 for t in circle._plan(inst) if t.R)
+
+    @pytest.mark.parametrize("X", [2, 3, 4, 100])
+    def test_plan_specials_match_the_sieve(self, X):
+        # the primes below 5 that the plan reads by classifying 2 and 3
+        # are those of the sieved class arrays
+        for fields in [[("trivial", "e"), ("gaussian", "c"),
+                        ("s3-cbrt2", "1")],
+                       [("d4-qrt2", "s"), ("gaussian", "e"),
+                        (self.MOD5, "2"), (self.MOD5_SQ, "n")]]:
+            inst = self.instance(fields, (1,) * len(fields), X)
+            assert circle._specials(inst) == [
+                tuple(int(p) for p in ps[:2] if p < 5)
+                for ps in circle._component_primes(inst)]
 
     @staticmethod
     def transforms(monkeypatch, inst, Ns):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import measure_peaks
 import numpy as np
 import pytest
 
@@ -272,18 +273,9 @@ def test_phase_array_exact_roots():
 
 class TestMemoryGate:
     def test_estimate_tracks_measured_peak(self):
-        # peak RSS (ru_maxrss) of minor_arc_scan at z = (log X)^4, one
-        # fresh process per context (tests/measure_peaks.py genfun)
-        for name, X, rss_mib in [
-                ("trivial-e", 10**6, 58.1),
-                ("trivial-e", 4 * 10**6, 134.9),
-                ("gaussian-e", 4 * 10**6, 132.7),
-                ("s3-cbrt2-1", 4 * 10**6, 130.5),
-                ("d4-qrt2-e", 4 * 10**6, 138.1),
-                ("trivial-e", 10**7, 287.3)]:
-            spec = galois.builtin_spec(name.rsplit("-", 1)[0])
-            est = genfun.estimated_bytes(X, spec) / 2**20
-            assert 0.95 * rss_mib <= est <= 1.05 * rss_mib, (name, X)
+        # peak RSS of minor_arc_scan (tests/measure_peaks.py genfun)
+        for row, peak, est in measure_peaks.estimates("genfun"):
+            assert 0.95 * peak <= est <= 1.05 * peak, row
 
     def test_refused_before_the_sieve(self, monkeypatch):
         # sharp_weights over 0..5e8 alone needs about 13 GiB
