@@ -1,6 +1,7 @@
-"""Representation counts S(N) by convolution over classified primes,
-the brute-force oracle, the sieved coefficient analogue, Parseval norms, and
-the end-to-end comparison against the predicted main term."""
+"""Representation counts S(N) by convolution over classified primes: the
+rows-only count of verify (counts_at), the all-N count (weighted_counts),
+the brute-force oracle, their memory estimates, and the end-to-end
+comparison against the predicted main term."""
 
 from __future__ import annotations
 
@@ -8,14 +9,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import galois, sieve, singular
 from .errors import ResourceLimit
-from .expsum import phase_array
 from .instance import FieldClass, ProblemInstance
 
 MAX_BYTES = 4 * 2**30
@@ -28,15 +27,6 @@ BYTES_BASE = 31 * 2**20
 BYTES_PER_FFT_POINT = 32
 BYTES_PER_X = 1
 BYTES_PER_COMPONENT_X = 7
-# The L1 grid of h_flat_norms, on top of the all-N count's peak: np.fft.rfft
-# holds 24 bytes per grid point over the RSS before it (its complex output of
-# M/2 + 1 points and two pocketfft buffers), part of which the all-N
-# estimate already covers (norms).
-BYTES_PER_GRID_POINT = 19
-# The grid of parseval_check, on top of the all-N count's peak: its int64
-# points, complex roots, H and G and the index and phase temporaries of
-# one prime (parseval).
-BYTES_PER_PARSEVAL_POINT = 81
 # The rows-only counts_at of verify peaks either in the sieve and the
 # classification of the primes <= X (sieve_bytes) or in the count, per
 # unit of X and per point of one term's transform, head and spread
@@ -126,8 +116,9 @@ def _convolve(arrays, a) -> np.ndarray:
     first, by FFT.  The factors are grouped by (array, a_i) in order of
     first occurrence; each group is transformed once and multiplied in as
     often as it occurs (_spectra).  The result is a view into the M-point
-    inverse transform: a copy takes about 3 000 more page faults and does
-    not lower h_flat_norms' peak (356 MiB for trivial x3 at X = 1e6)."""
+    inverse transform: a copy takes about 3 000 more page faults and did
+    not lower the peak of the norms of H - H_sharp (356 MiB for trivial x3
+    at X = 1e6)."""
     span = _span(arrays, a)
     M = _fft_len(span)
     ids = [(id(v), ai) for v, ai in zip(arrays, a)]
@@ -156,18 +147,6 @@ def estimated_bytes(inst: ProblemInstance) -> int:
     lo, hi = inst.attainable_range
     return (BYTES_BASE + BYTES_PER_FFT_POINT * _fft_len(hi - lo)
             + per_x * (inst.X + 1))
-
-
-def _grid_len(inst: ProblemInstance) -> int:
-    """Points of h_flat_norms' L1 grid: at least 4x the attainable N."""
-    lo, hi = inst.attainable_range
-    return _fft_len(4 * (hi - lo + 1) - 1)
-
-
-def norms_estimated_bytes(inst: ProblemInstance) -> int:
-    """Estimated peak memory of h_flat_norms on inst, the all-N count's
-    and its L1 grid's; allocates nothing."""
-    return estimated_bytes(inst) + BYTES_PER_GRID_POINT * _grid_len(inst)
 
 
 def _progression(fc: FieldClass):
@@ -215,13 +194,6 @@ def rows_estimated_bytes(inst: ProblemInstance, rows: int,
     return BYTES_BASE + ROWS_PER_ROW * rows + max(
         sieve_bytes(inst.X, (fc.spec for fc in inst.components)),
         count + ROWS_PER_X * (inst.X + 1))
-
-
-def parseval_estimated_bytes(inst: ProblemInstance) -> int:
-    """Estimated peak memory of parseval_check on inst, the all-N count's
-    and its grid's of 4 points per attainable N; allocates nothing."""
-    lo, hi = inst.attainable_range
-    return estimated_bytes(inst) + BYTES_PER_PARSEVAL_POINT * 4 * (hi - lo + 1)
 
 
 def refuse_above(need: int, what: str):
@@ -276,7 +248,8 @@ def _log_convolution(comps, inst: ProblemInstance) -> np.ndarray:
 def weighted_counts(inst: ProblemInstance) -> np.ndarray:
     """S(N) weighted by the product of log p for every attainable N, index
     0 holding N = attainable_range[0]; clamped at 0 against FFT
-    round-off."""
+    round-off.  No command runs it: it is the reference that the tests
+    check counts_at against."""
     return _log_convolution(_component_primes(inst), inst)
 
 
@@ -496,37 +469,6 @@ def brute_force_all(inst: ProblemInstance):
     return {N: (w, c) for N, (c, w) in out.items()}
 
 
-def h_sharp_array(inst: ProblemInstance, z: float) -> np.ndarray:
-    """Coefficients of H_sharp for every attainable N, indexed like
-    weighted_counts: the prefactor times the convolution of the
-    congruence-sieve weight arrays."""
-    check_memory(inst)
-    arrays = {fc: sieve.sharp_weights(inst.X, z, fc.spec.modulus,
-                                      fc.cls.coset)
-              for fc in dict.fromkeys(inst.components)}
-    vals = _convolve([arrays[fc] for fc in inst.components], inst.a)
-    vals *= float(inst.prefactor)
-    return vals
-
-
-def h_flat_norms(inst: ProblemInstance, z: float):
-    """(L1, L2) of H_flat = H - H_sharp: L2 by Parseval over coefficients,
-    L1 by sampling the difference polynomial at roots of unity at least 4x
-    oversampled; refused by norms_estimated_bytes before the sieve."""
-    check_memory(inst, norms_estimated_bytes)
-    # in place: a separate difference leaves a freed array of every N on
-    # the heap below the grid (357 MiB against 388 at X = 1e6, trivial x3)
-    diff = weighted_counts(inst)
-    diff -= h_sharp_array(inst, z)
-    l2 = float(math.sqrt(np.sum(diff * diff)))
-    M = _grid_len(inst)
-    mags = np.abs(np.fft.rfft(diff, M))
-    # the real diff's values at bins M/2 + 1 .. M - 1 are the conjugates
-    # of those at 1 .. M/2 - 1 (M is even)
-    l1 = float((2 * np.sum(mags) - mags[0] - mags[-1]) / M)
-    return l1, l2
-
-
 @dataclass
 class VerifyRow:
     N: int
@@ -583,27 +525,3 @@ def verify_theorem(inst: ProblemInstance, N_list,
     q90 = devs[min(len(devs) - 1, int(0.9 * len(devs)))] if devs else None
     return VerifyResult(rows, ratios[len(ratios) // 2] if ratios else None,
                         med, q90)
-
-
-def parseval_check(inst: ProblemInstance):
-    """(sum of S(N)^2, quadrature of |H|^2 on the grid alpha = j/M, M four
-    times the number of N) where the grid side evaluates H(alpha) =
-    prod G_i(a_i alpha) from the prime sums directly, independent of the
-    convolution path: one prime at a time, e(a_i p j / M) is read from one
-    table of the M-th roots of unity at (a_i p mod M) j mod M, a product
-    below 2^63 while M < 3e9.  Refused by parseval_estimated_bytes before
-    the sieve."""
-    comps = _component_primes(inst, parseval_estimated_bytes)
-    weighted = _log_convolution(comps, inst)
-    lhs = float(np.sum(weighted ** 2))
-    M = 4 * len(weighted)
-    grid = np.arange(M)
-    roots = phase_array(grid, Fraction(1, M))
-    H = np.ones(M, dtype=complex)
-    for primes, ai in zip(comps, inst.a):
-        G = np.zeros(M, dtype=complex)
-        for p in primes.tolist():
-            G += math.log(p) * roots[(ai * p % M) * grid % M]
-        H *= G
-    rhs = float(np.mean(np.abs(H) ** 2))
-    return lhs, rhs

@@ -452,17 +452,18 @@ def _spec_issues(spec: GaloisSpec) -> list:
             issues.append(("OrderDividesGroup",
                            f"class {c.label}: order {c.element_order} does "
                            f"not divide |G|={G}"))
+    # the distinct cosets hold distinct units, as many as there are units,
+    # before any structure sized by D is built; phi(D) >= sqrt(D/2)
+    # refuses too few before phi factors D
+    cosets = dict.fromkeys(c.coset for c in spec.classes)
+    seen = [r for coset in cosets for r in coset]
+    if (nonunits or len(set(seen)) != len(seen)
+            or 2 * len(seen) ** 2 < D or len(seen) != phi(D)):
+        issues.append(("CosetsNotPartition",
+                       f"cosets do not partition the units mod {D}"))
+    if len({len(coset) for coset in cosets}) > 1:
+        issues.append(("UnequalCosets", "coset sizes differ"))
     if spec.kind == ABELIAN:
-        # distinct units, as many as there are units; phi(D) >= sqrt(D/2)
-        # refuses too few before phi factors D
-        seen = [r for c in spec.classes for r in c.coset]
-        if (nonunits or len(set(seen)) != len(seen)
-                or 2 * len(seen) ** 2 < D or len(seen) != phi(D)):
-            issues.append(("CosetsNotPartition",
-                           f"cosets do not partition the units mod {D}"))
-        sizes = {len(c.coset) for c in spec.classes}
-        if len(sizes) > 1:
-            issues.append(("UnequalCosets", "coset sizes differ"))
         return issues
     # polynomial kind; the checks below read a monic f
     f = spec.coeffs
@@ -519,19 +520,8 @@ def _check_keys(spec, issues):
 
 
 # ---------------------------------------------------------------------------
-# serialization and built-ins
+# JSON specs and built-ins
 # ---------------------------------------------------------------------------
-
-def spec_to_json(spec: GaloisSpec) -> dict:
-    doc = {"kind": spec.kind, "modulus": spec.modulus,
-           "classes": [{"label": c.label, "coset": sorted(c.coset),
-                        "size": c.class_size, "order": c.element_order}
-                       for c in spec.classes]}
-    if spec.kind == POLYNOMIAL:
-        doc["coeffs"] = list(spec.coeffs)
-        doc["group_order"] = spec.group_order
-    return doc
-
 
 def is_json_int(v) -> bool:
     """Whether v is a JSON integer (bool is not)."""

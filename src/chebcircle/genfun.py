@@ -1,30 +1,23 @@
-"""Generating functions over classified primes and over ideals, their
-sieved approximants, and the empirical comparisons between them.
+"""The generating function over classified primes and its sieved
+approximant, compared along a list of alpha: the study of the genfun
+command.
 
-G sums log p * e(alpha p) over primes in a fixed Artin class; F sums the
-ideal von Mangoldt function twisted by chi o N, a Dirichlet character chi
-composed with the norm, against e(alpha * norm) over a quadratic field (or
-over Q itself); the untwisted F takes chi = principal_character(1).  The
-sharp variants replace the prime indicator by congruence data modulo D and
-modulo primes up to z; the flat variants are the differences the
-approximation theorems bound.
+G sums log p * e(alpha p) over the primes <= X in a fixed Artin class;
+G_sharp replaces the prime indicator by congruence data modulo D and
+modulo the primes up to z (sieve.sharp_weights).  minor_arc_scan prints
+|G - G_sharp|, the flat part the approximation theorems bound.  F over
+ideals and the G-vs-F relation are in tests/lemmas.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from . import circle, galois, sieve
-from .arith import factorint, phi
-from .characters import (DirichletCharacter, characters_trivial_on,
-                         principal_character)
-from .errors import UnsupportedInstantiation
-from .expsum import QuadraticField, best_approx, phase_array
+from .expsum import best_approx, phase_array
 
 
 # Peak bytes per n <= X of sieve.sharp_weights: its survivor mask, float64
@@ -86,106 +79,6 @@ def eval_G_sharp(ctx: GenfunContext, alpha) -> complex:
     return complex(np.dot(w, phase_array(ns, alpha)))
 
 
-def eval_G_flat(ctx: GenfunContext, alpha) -> complex:
-    return eval_G(ctx, alpha) - eval_G_sharp(ctx, alpha)
-
-
-def _prime_power_terms(fieldL: Optional[QuadraticField], X: int):
-    """(norms, weights) of all prime-power ideal norms <= X, with the
-    ideal von Mangoldt weight log N(prime) aggregated per norm value.
-
-    With c = chi_d(p), and c = 0 for every p when fieldL is None (the
-    rationals), a prime ideal above p has norm q = p^2 if c = -1, else p,
-    and each norm q^m <= X has weight (1 if c = 0 else 2) * log p: one
-    ideal of log norm log p (ramified, or over Q), two (split), or one of
-    log norm 2 log p (inert).
-    """
-    ps = sieve.primes_upto(X)
-    c = (np.zeros_like(ps) if fieldL is None
-         else fieldL.chi_table[ps % abs(fieldL.d)])
-    q = np.where(c == -1, ps * ps, ps)
-    w = np.where(c == 0, 1.0, 2.0) * np.log(ps.astype(np.float64))
-    norms, weights = [], []
-    qm = q
-    while True:
-        keep = qm <= X
-        q, qm, w = q[keep], qm[keep], w[keep]
-        norms.append(qm)
-        weights.append(w)
-        if len(q) == 0:
-            return np.concatenate(norms), np.concatenate(weights)
-        qm = qm * q
-
-
-def eval_F(fieldL: Optional[QuadraticField], chi: DirichletCharacter, X: int,
-           alpha) -> complex:
-    """Sum over ideals of norm <= X of Lambda_L * chi(norm) * e(alpha *
-    norm); fieldL None evaluates the classical Chebyshev sum over Q."""
-    if X < 2:
-        return 0j
-    norms, weights = _prime_power_terms(fieldL, X)
-    vals = weights * chi.value_table()[norms % chi.modulus]
-    return complex(np.dot(vals, phase_array(norms, alpha)))
-
-
-def _norm_image_subgroup(fieldL: Optional[QuadraticField]):
-    """(modulus m, residues mod m that are norms from L) — the support of
-    the congruence weight for F_sharp."""
-    if fieldL is None:
-        return 1, {0}
-    m = abs(fieldL.d)
-    return m, np.nonzero(fieldL.chi_table == 1)[0]
-
-
-def eval_F_sharp(fieldL: Optional[QuadraticField], chi: DirichletCharacter,
-                 X: int, z: float, alpha) -> complex:
-    """The sieved approximant: the congruence-weighted sum with the
-    z-sieve, twisted by chi(n)."""
-    if X < 1:
-        return 0j
-    w = sieve.sharp_weights(X, z, *_norm_image_subgroup(fieldL))
-    ns = np.nonzero(w)[0]
-    w = w[ns] * chi.value_table()[ns % chi.modulus]
-    return complex(np.dot(w, phase_array(ns, alpha)))
-
-
-def eval_F_flat(fieldL, chi, X, z, alpha) -> complex:
-    return eval_F(fieldL, chi, X, alpha) - \
-        eval_F_sharp(fieldL, chi, X, z, alpha)
-
-
-def gf_relation_residual(ctx: GenfunContext, alpha) -> float:
-    """|G - (|C|/|G|) sum over characters of the matching F| — the residual
-    that grows like sqrt(X).
-
-    K = Q(i) with the identity class is compared against the untwisted
-    ideal sum over Q(i); any other abelian spec against Dirichlet-twisted
-    sums over Q.
-    """
-    spec, cls = ctx.spec, ctx.cls
-    if ctx.X < 2:
-        return 0.0
-    if spec.kind != galois.ABELIAN:
-        raise UnsupportedInstantiation(
-            "the G-vs-F comparison requires an abelian spec")
-    G = eval_G(ctx, alpha)
-    if spec.modulus == 4 and cls.coset == frozenset({1}):
-        F = eval_F(QuadraticField(-4), principal_character(1), ctx.X, alpha)
-        return abs(G - 0.5 * F)
-    D = spec.modulus
-    if D == 1:
-        chars, c, pref = [principal_character(1)], 1, 1.0
-    else:
-        identity_coset = spec.classes[spec.identity_class].coset
-        chars = characters_trivial_on(D, identity_coset)
-        c = min(cls.coset)
-        pref = len(identity_coset) / phi(D)
-    acc = 0j
-    for ch in chars:
-        acc += np.conj(ch(c)) * eval_F(None, ch, ctx.X, alpha)
-    return abs(G - pref * acc)
-
-
 @dataclass
 class ArcScanRow:
     alpha: float
@@ -204,36 +97,3 @@ def minor_arc_scan(ctx: GenfunContext, alphas) -> list:
         rows.append(ArcScanRow(float(a), best_approx(a, 10**4).q, G, Gs,
                                abs(G - Gs) / ctx.X))
     return rows
-
-
-@dataclass
-class ZeroRatio:
-    ratio: float
-    expected_r: int
-
-
-def F_at_zero_ratio(fieldL: Optional[QuadraticField], chi: DirichletCharacter,
-                    Y: int) -> ZeroRatio:
-    """F(0)/Y against the density r: r = 1 when chi o N is trivial as a
-    function on ideals (chi is 1 on every attainable norm residue), else
-    r = 0."""
-    if Y < 2:
-        return ZeroRatio(0.0, 0)
-    val = eval_F(fieldL, chi, Y, 0.0).real / Y
-    expected = 1 if _trivial_on_ideals(fieldL, chi) else 0
-    return ZeroRatio(val, expected)
-
-
-def _trivial_on_ideals(fieldL: Optional[QuadraticField],
-                       chi: DirichletCharacter) -> bool:
-    """Whether chi(N(a)) = 1 for every ideal a prime to chi's modulus m, read
-    on prime ideals, whose norms mod L = lcm(m, |d|) are the units r with
-    chi_d(r) = 1, the squares of the other units and the primes q | d."""
-    if fieldL is None:
-        return chi.is_principal
-    m, dd = chi.modulus, abs(fieldL.d)
-    L = math.lcm(m, dd)
-    norms = [r if fieldL.chi_table[r % dd] == 1 else r * r
-             for r in range(1, L) if math.gcd(r, L) == 1]
-    norms += [q for q in factorint(dd) if m % q]
-    return all(abs(chi(n) - 1) <= 1e-9 for n in norms)

@@ -1,11 +1,15 @@
-"""Prime lists, the local weight functions, and smooth-number counting.
+"""Prime lists, the sieved weights, and smooth-number counting: the primes
+of a class (class_primes) that verify and genfun count over, the sieved
+model of a class (sharp_weights) that genfun compares against, and the
+squarefree smooth count of the smooth command.
 
 The one sieve is Eratosthenes' striking of the multiples of a list of
 primes (_survivors): sieve_survivor_mask strikes by the primes <= z, and
 primes_upto(X) is the survivors of z = sqrt(X) together with the primes
 <= sqrt(X), found the same way.  Each routine lists the primes it needs.
 Everything else (Moebius walks, squarefree smooth enumeration) is derived
-from these lists or from direct enumeration.
+from these lists or from direct enumeration.  lambda_z is the scalar
+oracle of the sieve weight; the scalar class weight is in tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -68,15 +72,6 @@ def c_of_z_float(z: float) -> float:
     where the exact rational would be astronomically large."""
     ps = primes_upto(z).astype(np.float64)
     return float(np.exp(-np.sum(np.log1p(-1.0 / ps))))
-
-
-def lambda_kc(spec: galois.GaloisSpec, cls: galois.ClassSpec,
-              n: int) -> Fraction:
-    """phi(D)/|H| on the class coset mod the spec's modulus, else 0."""
-    D = spec.modulus
-    if n % D in cls.coset:
-        return Fraction(phi(D), len(cls.coset))
-    return Fraction(0)
 
 
 def smooth_count(z: float, Y: float) -> int:

@@ -5,10 +5,6 @@
     python tests/measure_peaks.py rows      # counts_at, rows_estimated_bytes
     python tests/measure_peaks.py verify    # `chebcircle verify` of many
                                             # rows, rows_estimated_bytes
-    python tests/measure_peaks.py norms     # h_flat_norms,
-                                            # norms_estimated_bytes
-    python tests/measure_peaks.py parseval  # parseval_check,
-                                            # parseval_estimated_bytes
     python tests/measure_peaks.py genfun    # `chebcircle genfun`'s scan,
                                             # genfun.estimated_bytes
 
@@ -18,12 +14,12 @@ median peak in MiB beside the row's stored peak, the estimate and the
 estimate over the measured peak.  One peak moves by up to 2 MiB with
 where the allocator places the same arrays, hence the median.
 
-The tables below are the one list of instances and stored peaks: the
-test_*_estimate_tracks_measured_peak tests of test_circle.py and
+The four tables below are the one list of instances and stored peaks:
+the test_*_estimate_tracks_measured_peak tests of test_circle.py and
 test_genfun.py read them through estimates() and hold each estimate
 within 5% of its stored peak.  Re-run this after a change of transform
 length or array layout, store the new medians, and refit the constants
-that a table's estimate reads in circle.py (or genfun.py):
+that a table's estimate reads in circle.py (or genfun.py), 12 in all:
 
     all-n      BYTES_BASE, BYTES_PER_FFT_POINT, BYTES_PER_X,
                BYTES_PER_COMPONENT_X (BYTES_BASE is shared by every table)
@@ -32,8 +28,6 @@ that a table's estimate reads in circle.py (or genfun.py):
                ROWS_SIEVE_PER_X, ROWS_PER_BLOCK_N2 (sieve_bytes, shared
                with genfun)
     verify     ROWS_PER_ROW
-    norms      BYTES_PER_GRID_POINT
-    parseval   BYTES_PER_PARSEVAL_POINT
     genfun     genfun.SHARP_BYTES_PER_X, and sieve_bytes' constants
 
 pytest does not collect this file.
@@ -115,23 +109,6 @@ VERIFY = [
     ([(T, "e")] * 3, (1, 1, 1), 10**4, 4 * 10**5, 284.6),
 ]
 
-# (field-class pairs, a, X, MiB) of h_flat_norms at z = (log X)^2
-NORMS = [
-    ([(T, "e")] * 3, (1, 1, 1), 5 * 10**5, 195.4),
-    ([(T, "e")] * 3, (1, 1, 1), 10**6, 358.2),
-    ([(T, "e")] * 3, (1, 1, 1), 2 * 10**6, 652.3),
-]
-
-# (field-class pairs, a, X, MiB) of parseval_check: a large coefficient
-# makes a large grid from few primes
-PARSEVAL = [
-    ([(T, "e")] * 2, (1, 1), 10**4, 39.2),
-    ([(T, "e")] * 2, (1, 99), 2000, 101.0),
-    ([(T, "e")] * 2, (1, 499), 1000, 204.1),
-    ([(G, "e"), (G, "c")], (2, -999), 1000, 376.2),
-    (S3, (1, 1, 400), 1500, 239.6),
-]
-
 # (builtin field-class, X, MiB) of genfun.minor_arc_scan at z = (log X)^4,
 # over ALPHAS
 GENFUN = [
@@ -193,11 +170,6 @@ TABLES = {
     "verify": (VERIFY, lambda *row: row, lambda row: verify(*row),
                lambda row: circle.rows_estimated_bytes(instance(*row[:3]),
                                                        row[3])),
-    "norms": (NORMS, instance,
-              lambda inst: circle.h_flat_norms(inst, math.log(inst.X) ** 2),
-              circle.norms_estimated_bytes),
-    "parseval": (PARSEVAL, instance, circle.parseval_check,
-                 circle.parseval_estimated_bytes),
     "genfun": (GENFUN, context,
                lambda ctx: genfun.minor_arc_scan(ctx, ALPHAS),
                lambda ctx: genfun.estimated_bytes(ctx.X, ctx.spec)),

@@ -7,12 +7,12 @@ import random
 import time
 from fractions import Fraction
 
+import lemmas
 import numpy as np
 import pytest
+from lemmas import QuadraticField, kronecker_character, principal_character
 
 from chebcircle import circle, ecapp, expsum, galois, genfun, sieve, singular
-from chebcircle.expsum import QuadraticField
-from chebcircle.characters import kronecker_character, principal_character
 from chebcircle.instance import (FieldClass, ProblemInstance,
                                  classical_instance, uniform_instance)
 
@@ -144,7 +144,7 @@ def test_relation_residual_grows_no_faster_than_sqrt():
         ctx_e = genfun.GenfunContext(X, z, spec, spec.class_by_label("e"))
         ctx_c = genfun.GenfunContext(X, z, spec, spec.class_by_label("c"))
         for route, ctx in (("field", ctx_e), ("dirichlet", ctx_c)):
-            vals = sorted(genfun.gf_relation_residual(ctx, a)
+            vals = sorted(lemmas.gf_relation_residual(ctx, a)
                           for a in alphas)
             medians[route][X] = vals[len(vals) // 2]
     for route in ("field", "dirichlet"):
@@ -154,7 +154,7 @@ def test_relation_residual_grows_no_faster_than_sqrt():
 
 def test_ideal_sum_density_at_zero_trivial_character():
     K = QuadraticField(-4)
-    zr = genfun.F_at_zero_ratio(K, principal_character(1), 10**6)
+    zr = lemmas.F_at_zero_ratio(K, principal_character(1), 10**6)
     assert 0.98 <= zr.ratio <= 1.02
 
 
@@ -164,13 +164,13 @@ def test_twisted_ideal_sum_cancellation_at_zero():
     # L(s, chi_{-3}) L(s, chi_{12}), with no pole at s = 1, so the prime
     # ideal theorem for Hecke characters makes F(0)/Y tend to 0.
     K = QuadraticField(-4)
-    zr = genfun.F_at_zero_ratio(K, kronecker_character(-3), 10**6)
+    zr = lemmas.F_at_zero_ratio(K, kronecker_character(-3), 10**6)
     assert zr.expected_r == 0
     assert abs(zr.ratio) <= 0.02
     # chi_{-4} composed with the norm cannot cancel: an odd sum of two
     # squares is 1 mod 4, so it is 1 on every ideal prime to (1+i) and
     # the sum keeps the density 1 of the trivial character.
-    zr = genfun.F_at_zero_ratio(K, kronecker_character(-4), 10**6)
+    zr = lemmas.F_at_zero_ratio(K, kronecker_character(-4), 10**6)
     assert zr.expected_r == 1
     assert abs(zr.ratio - 1) <= 0.02
 
@@ -182,7 +182,7 @@ def test_flat_generating_function_decay_on_fixed_grid():
         maxima = []
         for X in (10**4, 10**5, 10**6):
             ctx = genfun.GenfunContext(X, math.log(X) ** 4, spec, cls)
-            maxima.append(max(abs(genfun.eval_G_flat(ctx, a)) *
+            maxima.append(max(abs(lemmas.eval_G_flat(ctx, a)) *
                               math.log(X) / X for a in GRID_116))
         assert maxima[0] >= maxima[1] >= maxima[2]
 
@@ -222,7 +222,7 @@ def test_smooth_count_matches_dfs_enumeration():
 
 def test_parseval_identity_classical():
     inst = classical_instance(10**3)
-    lhs, rhs = circle.parseval_check(inst)
+    lhs, rhs = lemmas.parseval_check(inst)
     assert abs(rhs - lhs) <= 1e-12 * lhs
 
 

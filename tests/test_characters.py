@@ -1,22 +1,21 @@
 import math
 
+import lemmas
 import pytest
-
-from chebcircle import characters
 
 
 class TestKronecker:
     def test_mod4_character(self):
-        vals = [characters.kronecker(-4, n) for n in range(8)]
+        vals = [lemmas.kronecker(-4, n) for n in range(8)]
         assert vals == [0, 1, 0, -1, 0, 1, 0, -1]
 
     def test_complete_multiplicativity(self):
         for d in (-4, -3, 5, 8, 12):
             for m in range(1, 30):
                 for n in range(1, 30):
-                    assert (characters.kronecker(d, m * n) ==
-                            characters.kronecker(d, m) *
-                            characters.kronecker(d, n))
+                    assert (lemmas.kronecker(d, m * n) ==
+                            lemmas.kronecker(d, m) *
+                            lemmas.kronecker(d, n))
 
     def test_euler_criterion(self):
         # (d|q) for odd prime q is the Legendre symbol
@@ -26,7 +25,7 @@ class TestKronecker:
                     continue
                 euler = pow(d % q, (q - 1) // 2, q)
                 expect = 1 if euler == 1 else -1
-                assert characters.kronecker(d, q) == expect
+                assert lemmas.kronecker(d, q) == expect
 
 
 class TestDirichletGroup:
@@ -34,12 +33,12 @@ class TestDirichletGroup:
     def test_group_size_is_phi(self, D):
         phi = sum(1 for r in range(1, max(D, 2)) if math.gcd(r, D) == 1) \
             if D > 1 else 1
-        assert len(characters.dirichlet_characters(D)) == phi
+        assert len(lemmas.dirichlet_characters(D)) == phi
 
     @pytest.mark.parametrize("D", [3, 4, 5, 8, 12, 15])
     def test_multiplicativity(self, D):
         units = [u for u in range(D) if math.gcd(u, D) == 1]
-        for ch in characters.dirichlet_characters(D):
+        for ch in lemmas.dirichlet_characters(D):
             for u in units:
                 for v in units:
                     assert ch(u * v) == pytest.approx(ch(u) * ch(v),
@@ -47,7 +46,7 @@ class TestDirichletGroup:
 
     @pytest.mark.parametrize("D", [3, 4, 5, 8, 12])
     def test_orthogonality(self, D):
-        chars = characters.dirichlet_characters(D)
+        chars = lemmas.dirichlet_characters(D)
         phi = len(chars)
         for ch in chars:
             total = sum(ch(r) for r in range(D))
@@ -57,26 +56,26 @@ class TestDirichletGroup:
                 assert abs(total) < 1e-9
 
     def test_principal(self):
-        ch = characters.principal_character(6)
+        ch = lemmas.principal_character(6)
         assert ch(1) == 1 and ch(5) == 1
         assert ch(2) == 0 and ch(3) == 0
         assert ch.is_principal
 
     def test_kronecker_character_matches_symbol(self):
-        ch = characters.kronecker_character(-4)
+        ch = lemmas.kronecker_character(-4)
         for n in range(20):
-            assert ch(n) == characters.kronecker(-4, n)
+            assert ch(n) == lemmas.kronecker(-4, n)
 
     def test_trivial_on_subgroup(self):
         # characters mod 4 trivial on {1}: both of them
-        sel = characters.characters_trivial_on(4, [1])
+        sel = lemmas.characters_trivial_on(4, [1])
         assert len(sel) == 2
         # trivial on all units: only the principal one
-        sel = characters.characters_trivial_on(8, [1, 3, 5, 7])
+        sel = lemmas.characters_trivial_on(8, [1, 3, 5, 7])
         assert len(sel) == 1 and sel[0].is_principal
 
     def test_value_table_shape(self):
-        ch = characters.kronecker_character(-4)
+        ch = lemmas.kronecker_character(-4)
         t = ch.value_table()
         assert t.shape == (4,)
         assert t[3] == -1

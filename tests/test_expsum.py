@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import lemmas
 import numpy as np
 import pytest
+from lemmas import principal_character
 
 from chebcircle import expsum
-from chebcircle.characters import principal_character
 from chebcircle.errors import DegenerateAlpha, DomainError
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -44,16 +45,16 @@ class TestBestApprox:
 
 class TestDenominatorInRange:
     def test_pi(self):
-        ra = expsum.has_denominator_in_range(math.pi, 1, 10)
+        ra = lemmas.has_denominator_in_range(math.pi, 1, 10)
         assert (ra.a, ra.q) == (22, 7)
 
     def test_half_has_none(self):
-        assert expsum.has_denominator_in_range(Fraction(1, 2), 3, 100) is None
+        assert lemmas.has_denominator_in_range(Fraction(1, 2), 3, 100) is None
 
     def test_golden_denominators(self):
         qs = set()
         for qmin in range(10, 100):
-            ra = expsum.has_denominator_in_range(PHI, qmin, 100)
+            ra = lemmas.has_denominator_in_range(PHI, qmin, 100)
             if ra is not None:
                 qs.add(ra.q)
         assert qs == {13, 21, 34, 55, 89}
@@ -84,7 +85,7 @@ class TestDenominatorInRange:
             qmax = rng.choice([qmax, int(qmax) + 1])
             qmin = rng.choice([0, rng.uniform(-1, qmax),
                                rng.randrange(int(qmax) + 1)])
-            ra = expsum.has_denominator_in_range(alpha, qmin, qmax)
+            ra = lemmas.has_denominator_in_range(alpha, qmin, qmax)
             got = None if ra is None else (ra.a, ra.q)
             assert got == exhaustive_denominator(alpha, qmin, qmax), \
                 (alpha, qmin, qmax)
@@ -93,22 +94,22 @@ class TestDenominatorInRange:
         assert outcomes == {None, True, False}
 
     def test_intermediate_fractions_past_ten_thousand(self):
-        ra = expsum.has_denominator_in_range(math.sqrt(2), 16608, 19608)
+        ra = lemmas.has_denominator_in_range(math.sqrt(2), 16608, 19608)
         assert (ra.a, ra.q) == (27720, 19601)
         assert ra.err < 0.71 / ra.q**2
-        ra = expsum.has_denominator_in_range(0.6855436987230825, 6124, 10392)
+        ra = lemmas.has_denominator_in_range(0.6855436987230825, 6124, 10392)
         assert ra.q == 6198
 
     def test_intermediate_edge_cases(self):
         # 47/53 is no convergent: it comes from a consecutive pair of them
         alpha = Fraction(362238, 408641)
-        ra = expsum.has_denominator_in_range(alpha, 45.7, 120.7)
+        ra = lemmas.has_denominator_in_range(alpha, 45.7, 120.7)
         assert (ra.a, ra.q) == (47, 53)
         assert (47, 53) not in expsum.convergents(alpha)
         # phi's convergents 1/1 and 2/1 give the candidate (2 - 1)/(1 - 1)
-        ra = expsum.has_denominator_in_range(PHI, 0, 3)
+        ra = lemmas.has_denominator_in_range(PHI, 0, 3)
         assert (ra.a, ra.q) == (1, 1)
-        assert expsum.has_denominator_in_range(PHI, -1, 1) is None
+        assert lemmas.has_denominator_in_range(PHI, -1, 1) is None
 
 
 def exhaustive_denominator(alpha, qmin, qmax):
@@ -129,32 +130,32 @@ def exhaustive_denominator(alpha, qmin, qmax):
 
 class TestBadMultiples:
     def test_half(self):
-        assert expsum.bad_multiple_count(Fraction(1, 2), 10, 1, 100) == 5
+        assert lemmas.bad_multiple_count(Fraction(1, 2), 10, 1, 100) == 5
 
     def test_empty(self):
-        assert expsum.bad_multiple_count(PHI, 0, 2, 10**4) == 0
+        assert lemmas.bad_multiple_count(PHI, 0, 2, 10**4) == 0
 
     def test_golden_matches_direct_scan(self):
         direct = sum(
             1 for n in range(1, 101)
-            if expsum.has_denominator_in_range(n * Fraction(PHI), 2,
+            if lemmas.has_denominator_in_range(n * Fraction(PHI), 2,
                                                10**4 / 2) is None)
-        assert expsum.bad_multiple_count(PHI, 100, 2, 10**4) == direct
+        assert lemmas.bad_multiple_count(PHI, 100, 2, 10**4) == direct
 
 
 class TestStructureSet:
     def test_integer_alpha_rejected(self):
         with pytest.raises(DegenerateAlpha):
-            expsum.structure_set(0, 10**4, 2, 50, 100)
+            lemmas.structure_set(0, 10**4, 2, 50, 100)
 
     def test_requires_b_gap(self):
         with pytest.raises(DomainError):
-            expsum.structure_set(PHI, 10**4, 10, 50, 15)
+            lemmas.structure_set(PHI, 10**4, 10, 50, 15)
 
     def test_covering_property(self):
         for alpha in (PHI, math.sqrt(2), math.pi):
-            ss = expsum.structure_set(alpha, 10**5, 2, 200, 30)
-            assert expsum.covering_holds(ss, alpha)
+            ss = lemmas.structure_set(alpha, 10**5, 2, 200, 30)
+            assert lemmas.covering_holds(ss, alpha)
             assert ss.min_element >= 1
 
     def test_reciprocal_sum_fit(self):
@@ -166,7 +167,7 @@ class TestStructureSet:
             B = 2 * A + rng.randint(1, 20)
             X = 10 ** rng.randint(4, 6)
             try:
-                ss = expsum.structure_set(alpha, X, A, 100, B)
+                ss = lemmas.structure_set(alpha, X, A, 100, B)
             except DegenerateAlpha:
                 continue
             formula = A * A / B + A ** 4 * 100 / X
@@ -177,13 +178,13 @@ class TestStructureSet:
 
 class TestNormCounts:
     def test_gaussian_small(self):
-        r = expsum.norm_counts(expsum.QuadraticField(-4), 10)
+        r = lemmas.norm_counts(lemmas.QuadraticField(-4), 10)
         assert list(r[:11]) == [0, 1, 1, 0, 1, 2, 0, 0, 1, 1, 2]
 
     def test_sum_of_two_squares_oracle(self):
         # ideals of Z[i] of norm m <-> representations up to units
         X = 2000
-        r = expsum.norm_counts(expsum.QuadraticField(-4), X)
+        r = lemmas.norm_counts(lemmas.QuadraticField(-4), X)
         counts = np.zeros(X + 1, dtype=np.int64)
         for a in range(1, int(X**0.5) + 1):
             for b in range(0, int(X**0.5) + 1):
@@ -193,51 +194,51 @@ class TestNormCounts:
         assert np.array_equal(r[1:], counts[1:])
 
     def test_shared_and_read_only(self):
-        K = expsum.QuadraticField(-4)
-        r = expsum.norm_counts(K, 50)
-        assert expsum.norm_counts(expsum.QuadraticField(-4), 50) is r
+        K = lemmas.QuadraticField(-4)
+        r = lemmas.norm_counts(K, 50)
+        assert lemmas.norm_counts(lemmas.QuadraticField(-4), 50) is r
         with pytest.raises(ValueError):
             r[1] = 7
 
     def test_not_fundamental(self):
         with pytest.raises(DomainError):
-            expsum.QuadraticField(-3 * 4)
+            lemmas.QuadraticField(-3 * 4)
 
     def test_recip_sum(self):
-        K = expsum.QuadraticField(-4)
-        got = expsum.norm_divisible_recip_sum(K, 1, 10)
+        K = lemmas.QuadraticField(-4)
+        got = lemmas.norm_divisible_recip_sum(K, 1, 10)
         want = 1 + 1 / 2 + 1 / 4 + 2 / 5 + 1 / 8 + 1 / 9 + 2 / 10
         assert got == pytest.approx(want, rel=1e-12)
-        assert expsum.norm_divisible_recip_sum(K, 3, 8) == 0.0
-        assert expsum.norm_divisible_recip_sum(K, 11, 10) == 0.0
+        assert lemmas.norm_divisible_recip_sum(K, 3, 8) == 0.0
+        assert lemmas.norm_divisible_recip_sum(K, 11, 10) == 0.0
 
 
 class TestIdealExpSum:
     def test_zero_alpha_counts_ideals(self):
-        K = expsum.QuadraticField(-4)
-        got = expsum.ideal_exp_sum(K, ONE, 0.0, 10)
+        K = lemmas.QuadraticField(-4)
+        got = lemmas.ideal_exp_sum(K, ONE, 0.0, 10)
         assert got == pytest.approx(9)
 
     def test_half_alpha(self):
-        K = expsum.QuadraticField(-4)
-        got = expsum.ideal_exp_sum(K, ONE, 0.5, 4)
+        K = lemmas.QuadraticField(-4)
+        got = lemmas.ideal_exp_sum(K, ONE, 0.5, 4)
         assert got == pytest.approx(1 + 0j, abs=1e-9)
 
     def test_rational_alpha_reads_roots_of_unity(self):
-        K = expsum.QuadraticField(-4)
-        r = expsum.norm_counts(K, 60)
+        K = lemmas.QuadraticField(-4)
+        r = lemmas.norm_counts(K, 60)
         want = sum(int(r[m]) * cmath.exp(2j * cmath.pi * (3 * m % 7) / 7)
                    for m in range(1, 61))
-        got = expsum.ideal_exp_sum(K, ONE, Fraction(3, 7), 60)
+        got = lemmas.ideal_exp_sum(K, ONE, Fraction(3, 7), 60)
         assert got == pytest.approx(want, abs=1e-12)
         roots = np.exp(2j * np.pi * np.arange(7) / 7)
         assert got == complex(np.dot(r[1:].astype(np.float64),
                                      roots[3 * np.arange(1, 61) % 7]))
 
     def test_gauss_circle_constant(self):
-        K = expsum.QuadraticField(-4)
+        K = lemmas.QuadraticField(-4)
         X = 10**6
-        got = expsum.ideal_exp_sum(K, ONE, 0.0, X).real / X
+        got = lemmas.ideal_exp_sum(K, ONE, 0.0, X).real / X
         assert got == pytest.approx(math.pi / 4, rel=0.01)
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import random
@@ -5,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import lemmas
 import numpy as np
 import pytest
 
@@ -294,6 +296,26 @@ class TestValidateSpec:
         assert codes == ["CosetsNotPartition"]
         assert peak < 2**20
 
+    def test_polynomial_partition_checked_before_the_keys(self):
+        # f = x^2 - D with cosets {1} and {2} mod D = 10**7 + 19: refused
+        # from its residues, before _check_keys classifies primes through
+        # a lookup of 3 x D int64 (229 MiB)
+        D = 10**7 + 19
+        spec = galois.spec_from_json({
+            "kind": "polynomial", "modulus": D, "coeffs": [-D, 0, 1],
+            "group_order": 2,
+            "classes": [{"label": "e", "coset": [1], "size": 1, "order": 1},
+                        {"label": "c", "coset": [2], "size": 1,
+                         "order": 2}]})
+        tracemalloc.start()
+        try:
+            codes = issue_codes(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes == ["CosetsNotPartition"]
+        assert peak < 2**20
+
     def test_partition_check_bounds_the_modulus_before_phi(self,
                                                             monkeypatch):
         # one residue mod D near 10**18: phi(D) >= sqrt(D/2) > 1, so the
@@ -338,7 +360,8 @@ class TestValidateSpec:
         # disc(x^3 - 2) = -108: 3 divides it, 5 does not
         spec = galois.GaloisSpec("polynomial", 15, s3().classes,
                                  coeffs=s3().coeffs, group_order=6)
-        assert issue_codes(spec) == ["ModulusRamification"]
+        assert issue_codes(spec) == ["CosetsNotPartition",
+                                     "ModulusRamification"]
 
     def test_modulus_ramification_read_by_gcds(self):
         # D = 3 q1 q2 with q1 q2 near 10**18 is not factored: dividing out
@@ -348,7 +371,8 @@ class TestValidateSpec:
                                  coeffs=s3().coeffs, group_order=6)
         with pytest.raises(ValidationError, match=f"factor {q},"):
             galois.validate_spec(spec)
-        assert issue_codes(spec) == ["ModulusRamification"]
+        assert issue_codes(spec) == ["CosetsNotPartition",
+                                     "ModulusRamification"]
         spec = galois.GaloisSpec("polynomial", 9, s3().classes,
                                  coeffs=s3().coeffs, group_order=6)
         assert "ModulusRamification" not in issue_codes(spec)
@@ -385,7 +409,7 @@ class TestSpecFromJson:
                                      "a spec takes a JSON object")]
 
     def test_json_text_is_parsed(self):
-        doc = galois.spec_to_json(gaussian())
+        doc = lemmas.spec_to_json(gaussian())
         assert galois.spec_from_json(json.dumps(doc)) == gaussian()
         with pytest.raises(ValidationError) as exc:
             galois.spec_from_json('"gaussian"')
@@ -570,6 +594,40 @@ def test_package_exports_resolve():
         assert getattr(chebcircle, name) is not None, name
 
 
+# the top-level definitions of src that nothing in src names: reference
+# implementations that the tests check the fast paths against
+KEPT_UNREFERENCED = {
+    "brute_force_all": "the S(N) oracle of counts_at",
+    "_exact_convolve": "the exact big-integer product of _convolve",
+    "weighted_counts": "the all-N count that counts_at is tested against",
+    "c_p": "the local factor at one p that the Euler rows are tested against",
+    "c_p_bruteforce": "c_p by counting solutions mod p",
+    "c_infinity_ternary": "the closed form of C_inf for a = (1, 1, 1)",
+    "lambda_z": "the scalar oracle of the sieve weight",
+}
+
+
+def test_src_defines_only_what_src_runs():
+    # a name counts as used when another top-level statement of a src
+    # module names it, as a name, an attribute or an import
+    src = Path(chebcircle.__file__).parent
+    defined, named = [], set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(own)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        None)
+                names = ([a.name for a in node.names]
+                         if isinstance(node, ast.ImportFrom) else [name])
+                named.update(n for n in names if n and n != own)
+    unused = {n for n in defined if n not in named} - set(chebcircle.__all__)
+    assert unused == set(KEPT_UNREFERENCED)
+
+
 def sylvester_resultant(f, g):
     """Integer resultant: the determinant of the Sylvester matrix by
     Gaussian elimination over Fractions."""
@@ -668,5 +726,5 @@ class TestDiscriminant:
 def test_json_roundtrip():
     for name in galois.BUILTIN_NAMES:
         spec = galois.builtin_spec(name)
-        again = galois.spec_from_json(galois.spec_to_json(spec))
+        again = galois.spec_from_json(lemmas.spec_to_json(spec))
         assert again == spec

@@ -2,16 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import lemmas
 import measure_peaks
 import numpy as np
 import pytest
+from lemmas import (QuadraticField, dirichlet_characters, kronecker_character,
+                    norm_counts, principal_character)
 
 from chebcircle import galois, genfun, sieve
 from chebcircle.arith import is_prime
 from chebcircle.errors import ResourceLimit, UnsupportedInstantiation
-from chebcircle.expsum import QuadraticField, norm_counts
-from chebcircle.characters import (dirichlet_characters, kronecker_character,
-                                   principal_character)
 
 ONE = principal_character(1)
 
@@ -52,22 +52,22 @@ class TestEvalG:
 
 class TestEvalF:
     def test_chebyshev_psi(self):
-        got = genfun.eval_F(None, ONE, 10, 0.0)
+        got = lemmas.eval_F(None, ONE, 10, 0.0)
         want = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
         assert got.real == pytest.approx(want)
 
     def test_gaussian_small_cutoff(self):
-        got = genfun.eval_F(QuadraticField(-4), ONE, 5, 0.0)
+        got = lemmas.eval_F(QuadraticField(-4), ONE, 5, 0.0)
         want = 2 * math.log(2) + 2 * math.log(5)
         assert got.real == pytest.approx(want)
 
     def test_integer_alpha(self):
         K = QuadraticField(-4)
-        assert genfun.eval_F(K, ONE, 100, Fraction(3)) \
-            == pytest.approx(genfun.eval_F(K, ONE, 100, 0.0))
+        assert lemmas.eval_F(K, ONE, 100, Fraction(3)) \
+            == pytest.approx(lemmas.eval_F(K, ONE, 100, 0.0))
 
     def test_below_two(self):
-        assert genfun.eval_F(None, ONE, 1, 0.3) == 0j
+        assert lemmas.eval_F(None, ONE, 1, 0.3) == 0j
 
     def test_gaussian_lattice_walk_oracle(self):
         # enumerate the prime elements of Z[i] directly: one associate per
@@ -94,7 +94,7 @@ class TestEvalF:
                 while pe <= X:
                     weights[pe] = weights.get(pe, 0.0) + w
                     pe *= n
-        norms, wts = genfun._prime_power_terms(QuadraticField(-4), X)
+        norms, wts = lemmas._prime_power_terms(QuadraticField(-4), X)
         got = {}
         for n, w in zip(norms, wts):
             got[int(n)] = got.get(int(n), 0.0) + float(w)
@@ -111,7 +111,7 @@ class TestEvalF:
         fieldL = None if d is None else QuadraticField(d)
         r = (np.ones(X + 1) if d is None
              else norm_counts(fieldL, X).astype(np.float64))
-        norms, wts = genfun._prime_power_terms(fieldL, X)
+        norms, wts = lemmas._prime_power_terms(fieldL, X)
         W = np.zeros(X + 1)
         np.add.at(W, norms, wts)
         conv = np.zeros(X + 1)
@@ -136,27 +136,27 @@ class TestSharpApproximants:
         assert genfun.eval_G_sharp(ctx, 0.0).real == pytest.approx(6)
 
     def test_f_sharp_norm_residues(self):
-        got = genfun.eval_F_sharp(QuadraticField(-4), ONE, 10, 2.0,
+        got = lemmas.eval_F_sharp(QuadraticField(-4), ONE, 10, 2.0,
                                   0.0)
         assert got.real == pytest.approx(12)
 
     def test_flat_is_exact_difference(self):
         ctx = ctx_for("gaussian", "e", 1000)
         for alpha in (0.0, 0.37, PHI % 1):
-            assert genfun.eval_G_flat(ctx, alpha) == \
+            assert lemmas.eval_G_flat(ctx, alpha) == \
                 genfun.eval_G(ctx, alpha) - genfun.eval_G_sharp(ctx, alpha)
 
     def test_flat_small_at_zero(self):
         # full-mass cancellation at the central point needs z < sqrt(X)
         ctx = ctx_for("trivial", "e", 10**5, z=math.log(10**5) ** 2)
-        assert abs(genfun.eval_G_flat(ctx, 0.0)) / 10**5 < 0.1
+        assert abs(lemmas.eval_G_flat(ctx, 0.0)) / 10**5 < 0.1
 
 
 class TestRelationResidual:
     def test_dirichlet_route_requires_abelian(self):
         ctx = ctx_for("s3-cbrt2", "1", 100)
         with pytest.raises(UnsupportedInstantiation):
-            genfun.gf_relation_residual(ctx, 0.3)
+            lemmas.gf_relation_residual(ctx, 0.3)
 
     def test_sqrt_x_bound_both_routes(self):
         rng = random.Random(23)
@@ -166,13 +166,13 @@ class TestRelationResidual:
         ctx_c = ctx_for("gaussian", "c", X)
         for _ in range(64):
             alpha = rng.random()
-            assert genfun.gf_relation_residual(ctx_e, alpha) <= bound
-            assert genfun.gf_relation_residual(ctx_c, alpha) <= bound
+            assert lemmas.gf_relation_residual(ctx_e, alpha) <= bound
+            assert lemmas.gf_relation_residual(ctx_c, alpha) <= bound
 
     def test_trivial_spec_dirichlet_route(self):
         ctx = ctx_for("trivial", "e", 10**4)
         # G has primes only, F has prime powers: difference is O(sqrt X)
-        assert genfun.gf_relation_residual(ctx, 0.0) <= 10 * math.sqrt(10**4)
+        assert lemmas.gf_relation_residual(ctx, 0.0) <= 10 * math.sqrt(10**4)
 
 
 class TestMinorArcScan:
@@ -187,7 +187,7 @@ class TestMinorArcScan:
             G, Gs = genfun.eval_G(ctx, a), genfun.eval_G_sharp(ctx, a)
             assert (r.alpha, r.q) == (float(a), genfun.best_approx(a, 10**4).q)
             assert (r.G, r.G_sharp) == (G, Gs)
-            assert r.flat_ratio == abs(genfun.eval_G_flat(ctx, a)) / ctx.X
+            assert r.flat_ratio == abs(lemmas.eval_G_flat(ctx, a)) / ctx.X
 
     def test_rational_grid_three_decades(self):
         rats = [a / q for q in range(3, 21, 4) for a in range(1, 5)
@@ -210,7 +210,7 @@ class TestFlatDecay:
         vals = []
         for X in (10**4, 10**5, 10**6):
             z = math.log(X) ** 4
-            vals.append(max(abs(genfun.eval_F_flat(K, ONE, X, z, a))
+            vals.append(max(abs(lemmas.eval_F_flat(K, ONE, X, z, a))
                             * math.log(X) / X for a in grid))
         assert vals[0] >= vals[1] >= vals[2]
 
@@ -218,24 +218,24 @@ class TestFlatDecay:
 class TestFAtZero:
     def test_trivial_character(self):
         K = QuadraticField(-4)
-        zr = genfun.F_at_zero_ratio(K, ONE, 10**4)
+        zr = lemmas.F_at_zero_ratio(K, ONE, 10**4)
         assert zr.expected_r == 1
         assert zr.ratio == pytest.approx(1.0, abs=0.05)
 
     def test_chi_minus4_of_norm_is_trivial_on_ideals(self):
         # every coprime norm in Z[i] is 1 mod 4, so the twist is invisible
         K = QuadraticField(-4)
-        zr = genfun.F_at_zero_ratio(K, kronecker_character(-4), 10**4)
+        zr = lemmas.F_at_zero_ratio(K, kronecker_character(-4), 10**4)
         assert zr.expected_r == 1
         assert zr.ratio == pytest.approx(1.0, abs=0.05)
 
     def test_genuinely_twisted_rational_sum_cancels(self):
-        zr = genfun.F_at_zero_ratio(None, kronecker_character(-4), 10**4)
+        zr = lemmas.F_at_zero_ratio(None, kronecker_character(-4), 10**4)
         assert zr.expected_r == 0
         assert abs(zr.ratio) <= 0.02
 
     def test_tiny_cutoff(self):
-        zr = genfun.F_at_zero_ratio(QuadraticField(-4), ONE, 1)
+        zr = lemmas.F_at_zero_ratio(QuadraticField(-4), ONE, 1)
         assert zr.ratio == 0.0
 
 
@@ -259,7 +259,7 @@ def test_trivial_on_ideals_matches_norm_scan():
         for m in range(1, 25):
             for chi in dirichlet_characters(m):
                 want = scan_trivial_on_ideals(K, chi)
-                assert genfun._trivial_on_ideals(K, chi) == want, (d, chi)
+                assert lemmas._trivial_on_ideals(K, chi) == want, (d, chi)
                 trivial += want
     assert trivial > 8 * 24
 

@@ -69,6 +69,11 @@ def test_verify_output_unchanged(tmp_path, capsys, name, instance):
      ["genfun", "--builtin", "gaussian-e", "--X", "3000",
       "--alpha", "0", "1/7", "0.361", "--no-timestamp"]),
     ("ec-construct/gaussian.json", ["ec-construct", "--field", "gaussian"]),
+    ("expsum/square-one-seventh.csv",
+     ["expsum", "--coeffs", "0,0,1", "--alpha", "1/7", "--X", "1000"]),
+    ("smooth/z30-y1e5.txt", ["smooth", "--z", "30", "--Y", "100000"]),
+    ("ratapprox/alpha0.361-q1000.txt",
+     ["ratapprox", "--alpha", "0.361", "--qmax", "1000"]),
 ])
 def test_stdout_unchanged(capsys, path, argv):
     assert cli.main(argv) == 0

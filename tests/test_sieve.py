@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import lemmas
 import numpy as np
 import pytest
+from lemmas import QuadraticField
 
-from chebcircle import galois, genfun, sieve
+from chebcircle import galois, sieve
 from chebcircle.arith import factorint, is_prime
-from chebcircle.expsum import QuadraticField
 
 
 class TestPrimes:
@@ -89,10 +90,10 @@ class TestLambdaFamily:
     def test_lambda_kc(self):
         spec = galois.builtin_spec("gaussian")
         e = spec.class_by_label("e")
-        assert sieve.lambda_kc(spec, e, 5) == 2
-        assert sieve.lambda_kc(spec, e, 7) == 0
+        assert lemmas.lambda_kc(spec, e, 5) == 2
+        assert lemmas.lambda_kc(spec, e, 7) == 0
         triv = galois.builtin_spec("trivial")
-        assert sieve.lambda_kc(triv, triv.classes[0], 12345) == 1
+        assert lemmas.lambda_kc(triv, triv.classes[0], 12345) == 1
 
 
 class TestSmoothCount:
@@ -202,7 +203,7 @@ def test_sieve_params_linkage():
 
 def test_sharp_weights_match_scalar_definitions():
     # every built-in class, and Q(i)'s norm image as an abelian class
-    m, H = genfun._norm_image_subgroup(QuadraticField(-4))
+    m, H = lemmas._norm_image_subgroup(QuadraticField(-4))
     norm_image = galois.GaloisSpec(galois.ABELIAN, m,
                                    (galois.ClassSpec("N", frozenset(H)),))
     pairs = [(norm_image, norm_image.classes[0])]
@@ -214,7 +215,7 @@ def test_sharp_weights_match_scalar_definitions():
     for z in (1.5, 2, 7.5, 30):
         for spec, cls in pairs:
             w = sieve.sharp_weights(X, z, spec.modulus, cls.coset)
-            want = [float(sieve.lambda_kc(spec, cls, n) * sieve.lambda_z(z, n))
+            want = [float(lemmas.lambda_kc(spec, cls, n) * sieve.lambda_z(z, n))
                     for n in range(1, X + 1)]
             assert w[0] == 0.0
             assert list(w[1:]) == pytest.approx(want, rel=1e-12, abs=0)

@@ -7,10 +7,11 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import lemmas
 import numpy as np
 import pytest
 
-from chebcircle import characters, galois, sieve, singular
+from chebcircle import galois, sieve, singular
 from chebcircle.errors import DomainError
 from chebcircle.instance import (FieldClass, ProblemInstance,
                                  classical_instance, uniform_instance)
@@ -192,8 +193,8 @@ class TestCD:
         # S_5 from x^5 - x - 1: D = 2869, cosets the Jacobi symbol
         # (r / 2869) = +1 and -1; classes (12345), (1234), (123)
         D = 2869
-        even = [r for r in range(D) if characters.kronecker(r, D) == 1]
-        odd = [r for r in range(D) if characters.kronecker(r, D) == -1]
+        even = [r for r in range(D) if lemmas.kronecker(r, D) == 1]
+        odd = [r for r in range(D) if lemmas.kronecker(r, D) == -1]
         cosets = [even, odd, even]
         table = singular.c_D(cosets, a, D)
         spectrum = np.prod([np.fft.fft(np.bincount(
