@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .circle import BYTES_BASE, refuse_above
 from .errors import DomainError
 
 
@@ -124,10 +125,15 @@ def weyl_sum(coeffs, alpha, X: int) -> complex:
     """Sum over x = 1..X of e(alpha * P(x)), P given by ascending integer
     coefficients: alpha is read as the exact a/q it stores, r = a*P(x) mod q
     by exact finite differences (no drift at any degree or range), and
-    e(r/q) through phase_array, with no large-argument trigonometry."""
+    e(r/q) through phase_array, with no large-argument trigonometry.
+    Refused before any array when the arrays would pass MAX_BYTES: per x,
+    the int64 r and up to 32 bytes in phase_array, and 32 bytes per root
+    while phase_array builds its table of q roots."""
     c = _nonconstant(coeffs)
     alpha = _as_fraction(alpha)
     q = alpha.denominator
+    roots = 32 * q if q <= _ROOT_LIMIT else 0
+    refuse_above(BYTES_BASE + 40 * max(X, 0) + roots, f"expsum at X={X}")
     t = [(alpha.numerator * d) % q for d in _difference_table(c)]
     # above 2^63 keep the top 63 bits of r and q: r/q moves by < 2^-61
     s = max(q.bit_length() - 63, 0)

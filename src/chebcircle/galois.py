@@ -9,10 +9,11 @@ acting on the roots of f, which is the lcm of the degrees of the
 irreducible factors of f mod p, and the residue of p mod D.  An abelian
 spec has no f and is keyed by its residue alone.
 
-The batch classifier reads the order from the Frobenius matrix of
-GF(p)[x]/(f), for whole arrays of primes at once; the scalar oracle
-frobenius_class reads it from a distinct-degree factorization of f mod p,
-which is squarefree at every unramified p.
+The batch classifier reads the class from p mod D where one class holds
+that residue, else the order from the Frobenius matrix of GF(p)[x]/(f),
+for whole arrays of primes at once; the scalar oracle frobenius_class
+reads it from a distinct-degree factorization of f mod p, which is
+squarefree at every unramified p.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import DomainError, InconsistentSpec, ValidationError
 
 ABELIAN = "abelian"
 POLYNOMIAL = "polynomial"
-# Primes per call of _frobenius_orders_batch in classify_batch, whose n x n
+# Primes per call of _frobenius_orders_batch in _classes_by_key, whose n x n
 # Frobenius matrices and temporaries take about 300 bytes per prime for a
 # cubic f: classifying in blocks bounds that memory by the block, not X.
 CLASSIFY_BLOCK = 2**16
@@ -256,35 +257,44 @@ def frobenius_class(spec: GaloisSpec, p: int) -> int:
 def classify_batch(spec: GaloisSpec, primes) -> np.ndarray:
     """Class index (position in spec.classes) per prime; -1 for ramified.
 
-    Vectorized over blocks of CLASSIFY_BLOCK unramified primes; must
-    agree with frobenius_class prime by prime.  Takes primes below 2**31
-    only (DomainError otherwise), where a product of two residues mod p
-    stays below 2**62; frobenius_class classifies any prime.
+    A residue mod D that one class's coset holds names that class, by a
+    table of D entries; only the primes at the other residues go through
+    the Frobenius kernel, in _classes_by_key.  So a prime on an owned
+    residue is not checked against its class's order (validate_spec reads
+    the keys of 25 primes).  Agrees with frobenius_class on a valid spec.
+    Takes primes below 2**31 only (DomainError otherwise), where a product
+    of two residues mod p stays below 2**62; frobenius_class takes any.
     """
     ps = np.asarray(primes, dtype=np.int64)
     _batch_p_max(ps)  # DomainError from 2**31 on, before any arithmetic
-    out = np.full(ps.shape, -1, dtype=np.int64)
-    unram = _residues(spec.ramified_modulus, ps) != 0
-    good = ps[unram]
-    orders = np.empty(len(good), dtype=np.int64)
-    for lo in range(0, len(good), CLASSIFY_BLOCK):
-        block = good[lo:lo + CLASSIFY_BLOCK]
+    table = np.full(spec.modulus, -3, dtype=np.int64)  # -2: shared, -3: none
+    for (_, r), i in spec.class_keys():
+        table[r] = i if table[r] in (-3, i) else -2
+    out = table[ps % spec.modulus]
+    out[_residues(spec.ramified_modulus, ps) == 0] = -1
+    shared = np.flatnonzero(out < -1)
+    out[shared] = _classes_by_key(spec, ps[shared])
+    return out
+
+
+def _classes_by_key(spec: GaloisSpec, ps) -> np.ndarray:
+    """Class index per unramified prime of ps by its key, its Frobenius
+    order (over blocks of CLASSIFY_BLOCK primes) and residue mod D;
+    InconsistentSpec names the first prime whose key no class has."""
+    orders = np.empty(len(ps), dtype=np.int64)
+    for lo in range(0, len(ps), CLASSIFY_BLOCK):
+        block = ps[lo:lo + CLASSIFY_BLOCK]
         orders[lo:lo + len(block)] = _frobenius_orders_batch(spec.poly, block)
-    residues = good % spec.modulus
-    # no prime has an order above the largest one observed
-    top = int(orders.max(initial=0))
-    lookup = np.full((top + 1, spec.modulus), -2, dtype=np.int64)
-    for (d, r), i in spec.class_keys():
-        if d <= top:
-            lookup[d, r] = i
-    mapped = lookup[orders, residues]
+    D = spec.modulus
+    keys = {d * D + r: i for (d, r), i in spec.class_keys()}
+    codes, at = np.unique(orders * D + ps % D, return_inverse=True)
+    mapped = np.array([keys.get(c, -2) for c in codes.tolist()], np.int64)[at]
     missing = np.flatnonzero(mapped == -2)
     if missing.size:
         k = missing[0]
-        key = (int(orders[k]), int(residues[k]))
-        raise InconsistentSpec(f"no class has the key {key} of p={good[k]}")
-    out[unram] = mapped
-    return out
+        key = (int(orders[k]), int(ps[k] % D))
+        raise InconsistentSpec(f"no class has the key {key} of p={ps[k]}")
+    return mapped
 
 
 def _residues(n: int, ps) -> np.ndarray:
@@ -509,12 +519,12 @@ def _has_rational_root(f, disc):
 
 def _check_keys(spec, issues):
     """Each of the first 25 unramified primes matches exactly one class:
-    the keys are distinct, so classify_batch finds at most one, and it
-    names the least prime that matches none."""
-    primes = list(itertools.islice(_primes_prime_to(spec.ramified_modulus),
-                                   25))
+    the keys are distinct, so _classes_by_key finds at most one for each,
+    owned residue or not, and names the least prime that matches none."""
+    primes = np.fromiter(itertools.islice(
+        _primes_prime_to(spec.ramified_modulus), 25), dtype=np.int64)
     try:
-        classify_batch(spec, primes)
+        _classes_by_key(spec, primes)
     except InconsistentSpec as exc:
         issues.append(("MissingClass", str(exc)))
 

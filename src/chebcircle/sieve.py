@@ -76,10 +76,18 @@ def c_of_z_float(z: float) -> float:
 
 def smooth_count(z: float, Y: float) -> int:
     """Number of squarefree z-smooth n <= Y (n=1 included), by depth-first
-    product enumeration; never materializes non-smooth integers."""
+    product enumeration over the primes <= min(z, Y), the only ones that
+    divide an n <= Y; never materializes non-smooth integers.  Refused
+    before the sieve when listing those primes would pass MAX_BYTES: a
+    mask byte per n <= x, and per prime (fewer than 1.26 x / log x, by
+    Rosser and Schoenfeld) two int64, a list slot and an int object."""
     if not (math.isfinite(z) and math.isfinite(Y)):
         raise DomainError("z and Y must be finite")
-    primes = primes_upto(z).tolist()
+    from .circle import BYTES_BASE, refuse_above  # circle imports sieve
+    x = max(min(z, Y), 2)
+    refuse_above(BYTES_BASE + x + 48 * 1.26 * x / math.log(x),
+                 f"smooth to {x:.6g}")
+    primes = primes_upto(min(z, Y)).tolist()
 
     def walk(i, prod):
         count = 1
@@ -97,8 +105,14 @@ def class_primes(spec: galois.GaloisSpec, X: int, indices) -> list:
     """The primes <= X of the classes of spec at indices (positions in
     spec.classes): one ascending int64 array per index, from one sieve and
     one classification, and one pass over the primes per index.  Ramified
-    primes lie in no class."""
+    primes lie in no class.  The primes at residues mod D that no class
+    at indices holds are dropped first, so that classify_batch neither
+    labels them nor runs its Frobenius kernel on them."""
     ps = primes_upto(X)
+    D = spec.modulus
+    held = np.zeros(D, dtype=bool)
+    held[[r % D for i in indices for r in spec.classes[i].coset]] = True
+    ps = ps[held[ps % D]]
     labels = galois.classify_batch(spec, ps)
     return [ps[labels == i] for i in indices]
 

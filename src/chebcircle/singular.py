@@ -125,16 +125,6 @@ def c_p_bruteforce(p: int, a, N: int) -> Fraction:
     return Fraction(p * count, (p - 1) ** len(a))
 
 
-def _log_cp_table(ps, ks) -> np.ndarray:
-    """log C_p in a len(ps) x 2 table, for p dividing N and not, where
-    ks[i] counts the coefficients ps[i] does not divide; -inf where C_p
-    vanishes.  int / int rounds each exact ratio of _closed_cp once, as
-    float(Fraction) does."""
-    return np.array([[math.log(n / q) if n else -math.inf
-                      for n in (n_div, n_not)]
-                     for n_div, n_not, q in map(_closed_cp, ps, ks)])
-
-
 def _euler_rows(a, Ns, D: int, P_max: int):
     """(product of C_p, first vanishing prime or 0) for each N in Ns, over
     the primes p <= P_max and then the primes above P_max that divide a
@@ -143,9 +133,11 @@ def _euler_rows(a, Ns, D: int, P_max: int):
     Each row of a rows x primes matrix of log C_p is summed in ascending p
     by np.cumsum, which adds sequentially as a scalar loop per N would, so
     the values do not depend on the other N; a vanishing C_p enters as
-    -inf.  Every column takes one of the two values of _log_cp_table for
-    its own count of coefficients p does not divide, by whether p divides
-    N.
+    -inf.  One pass gives log C_p for p dividing neither N nor any
+    coefficient, and _closed_cp, over the coefficients p does not divide,
+    both values at each p that divides a coefficient or an N of the
+    block.  int / int rounds each exact ratio once, as float(Fraction)
+    does.
     What factorint leaves of |a_i| after trial division to P_max is 1 or,
     below P_max**2, a prime; a larger cofactor raises DomainError.  The
     matrix is built over blocks of at most 2**18 entries."""
@@ -167,16 +159,28 @@ def _euler_rows(a, Ns, D: int, P_max: int):
     if not ps:
         return np.ones(len(Ns)), np.zeros(len(Ns), dtype=np.int64)
 
-    closed = _log_cp_table(ps, [len(a) - divides[p] for p in ps])
-    vanishes = (closed == -math.inf).any(axis=1)
+    k, sign = len(a), (-1) ** len(a)
+    log_not = np.array([math.log((q - sign) / q) if q != sign else -math.inf
+                        for q in [(p - 1) ** k for p in ps]])
+    log_div = np.full(len(ps), np.nan)  # nan until closed sets it
+
+    def closed(cols):  # both values at the columns cols, by _closed_cp
+        for j in cols:
+            n_div, n_not, q = _closed_cp(ps[j], k - divides[ps[j]])
+            log_div[j], log_not[j] = (math.log(n / q) if n else -math.inf
+                                      for n in (n_div, n_not))
+
+    closed([j for j, p in enumerate(ps) if p in divides])
     prow = np.array(ps, dtype=np.int64)
     logs = np.empty(len(Ns))
     bad = np.zeros(len(Ns), dtype=np.int64)
     step = 2**18 // len(ps) or 1
     for s in range(0, len(Ns), step):
         block = slice(s, s + step)
-        M = np.where(Ns[block, None] % prow == 0, closed[:, 0], closed[:, 1])
-        for j in np.flatnonzero(vanishes)[::-1]:
+        hit = Ns[block, None] % prow == 0
+        closed(np.flatnonzero(hit.any(axis=0) & np.isnan(log_div)))
+        M = np.where(hit, log_div, log_not)
+        for j in np.flatnonzero(np.fmin(log_div, log_not) == -math.inf)[::-1]:
             bad[block][M[:, j] == -math.inf] = ps[j]
         logs[block] = np.cumsum(M, axis=1, out=M)[:, -1]
     return np.array([math.exp(x) for x in logs.tolist()]), bad

@@ -145,8 +145,8 @@ class TestRepresentationCounts:
                                      for c in spec.classes), (1, 1, 1), 3000)
         circle.verify_theorem(inst, [4501, 4507])
         # the plan's classification of 2 and 3, then one of the 430 primes
-        # <= 3000
-        assert calls == [(spec, 2), (spec, 430)]
+        # <= 3000 but 3, whose residue 0 mod 3 no class holds
+        assert calls == [(spec, 2), (spec, 429)]
 
     def test_component_primes_split_only_used_classes(self, monkeypatch):
         # two of the four classes of Q(zeta_5); equal components share one

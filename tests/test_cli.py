@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import lemmas
 import pytest
@@ -37,6 +38,24 @@ class TestSimpleCommands:
         code, out, _ = run(capsys, "smooth", "--z", "3", "--Y", "10")
         assert code == 0
         assert out.strip() == "4"
+
+    def test_smooth_sieves_only_to_y(self, capsys):
+        # no prime above Y divides an n <= Y: z = 1e10 lists the primes
+        # <= 10 only
+        assert run(capsys, "smooth", "--z", "1e10", "--Y", "10") == \
+            run(capsys, "smooth", "--z", "10", "--Y", "10")
+
+    def test_smooth_memory_gate_exit_3_before_the_sieve(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "smooth", "--z", "1e10", "--Y",
+                                 "1e10")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "GiB" in err and out == ""
+        assert peak < 2**20
 
     def test_ratapprox(self, capsys):
         code, out, _ = run(capsys, "ratapprox", "--alpha",
@@ -100,6 +119,19 @@ class TestSimpleCommands:
         mag = abs(complex(float(vals["sum_re"]), float(vals["sum_im"])))
         assert mag == pytest.approx(math.sqrt(5), abs=1e-5)
         assert int(vals["q"]) == 5
+
+    def test_expsum_memory_gate_exit_3_before_the_sum(self, capsys):
+        # an int64, an index and a complex128 per x: about 30 GiB
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "expsum", "--coeffs", "0,0,1",
+                                 "--alpha", "1/7", "--X", "1000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "GiB" in err and out == ""
+        assert peak < 2**20
 
     def test_expsum_evaluates_the_sum_once(self, capsys, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import lemmas
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from lemmas import principal_character
 
-from chebcircle import expsum
-from chebcircle.errors import DegenerateAlpha, DomainError
+from chebcircle import circle, expsum
+from chebcircle.errors import DegenerateAlpha, DomainError, ResourceLimit
 
 PHI = (1 + math.sqrt(5)) / 2
 ONE = principal_character(1)
@@ -251,6 +252,24 @@ class TestWeylSum:
         for q in (5, 13, 17, 29):
             s = expsum.weyl_sum((0, 0, 1), Fraction(1, q), q)
             assert abs(s) == pytest.approx(math.sqrt(q), rel=1e-10)
+
+    def test_gate_charges_at_least_the_traced_peak(self, monkeypatch):
+        # the charge counts the arrays, not the call's few kB of other
+        # objects (BYTES_BASE holds those): a limit above BYTES_BASE by 99%
+        # of the traced peak refuses the call, with a table of 7 roots, of
+        # 2**20 roots and with none
+        for alpha in (Fraction(1, 7), Fraction(3, 2**20), 0.361):
+            tracemalloc.start()
+            try:
+                expsum.weyl_sum((0, 0, 1), alpha, 10**5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            monkeypatch.setattr(circle, "MAX_BYTES",
+                                circle.BYTES_BASE + 0.99 * peak)
+            with pytest.raises(ResourceLimit):
+                expsum.weyl_sum((0, 0, 1), alpha, 10**5)
+            monkeypatch.undo()
 
     def test_alpha_zero(self):
         assert expsum.weyl_sum((0, 1), 0.0, 7) == pytest.approx(7)

@@ -36,6 +36,24 @@ QUINTIC = (-1, -1, 0, 0, 0, 1)  # x^5 - x - 1: group S5, discriminant 2869
 PHI5 = (1, 1, 1, 1, 1)  # x^4 + x^3 + x^2 + x + 1, the fifth cyclotomic
 
 
+def s5_quintic():
+    """x^5 - x - 1 with its seven classes by cycle type, (label, coset,
+    size, order): Frobenius is even where disc = 2869 is a square mod p,
+    that is where (p | 2869) = 1, so the four even classes share those
+    residues mod 2869 and the three odd ones the rest."""
+    units = [r for r in range(2869) if math.gcd(r, 2869) == 1]
+    even = frozenset(r for r in units if lemmas.kronecker(r, 2869) == 1)
+    odd = frozenset(units) - even
+    classes = [("1", even, 1, 1), ("(12)(34)", even, 15, 2),
+               ("(123)", even, 20, 3), ("(12345)", even, 24, 5),
+               ("(12)", odd, 10, 2), ("(1234)", odd, 30, 4),
+               ("(123)(45)", odd, 20, 6)]
+    return galois.GaloisSpec(
+        "polynomial", 2869,
+        tuple(galois.ClassSpec(*c) for c in classes),
+        coeffs=QUINTIC, group_order=120)
+
+
 def primes_below(n, count):
     """The count largest primes below n, by trial division."""
     small = sieve.primes_upto(math.isqrt(n))
@@ -216,8 +234,10 @@ class TestValidateSpec:
         [(code, text)] = exc.value.issues
         assert code == "MissingClass"
         assert text == "no class has the key (2, 2) of p=5"
+        # classify_batch labels p = 5 from its residue, which class "3"
+        # alone holds; the key check that validation runs reads its order
         with pytest.raises(InconsistentSpec, match=r"\(2, 2\) of p=5"):
-            galois.classify_batch(spec, [5])
+            galois._classes_by_key(spec, np.array([5]))
 
     def test_validation_runs_the_batch_classifier_only(self, tmp_path,
                                                        monkeypatch, capsys):
@@ -474,6 +494,53 @@ class TestBatchClassifier:
             ps = sieve.primes_upto(2000)
             assert galois.classify_batch(spec, ps).tolist() == [
                 galois.frobenius_class(spec, int(p)) for p in ps]
+
+    @pytest.mark.parametrize("spec, X", [
+        *((galois.builtin_spec(name), 2 * 10**4)
+          for name in galois.BUILTIN_NAMES),
+        (s3_sextic(), 2 * 10**4), (s5_quintic(), 3000)],
+        ids=[*galois.BUILTIN_NAMES, "s3-sextic", "s5"])
+    def test_residue_first_matches_scalar(self, spec, X):
+        # owned residues (all of gaussian's and trivial's, 2 mod 3, 3, 5
+        # and 7 mod 8) and shared ones (1 mod 3, 1 mod 8, every residue
+        # of the quintic's, whose scalar oracle reads 9 450 keys a prime)
+        galois.validate_spec(spec)
+        ps = sieve.primes_upto(X)
+        assert galois.classify_batch(spec, ps).tolist() == [
+            galois.frobenius_class(spec, p) for p in ps.tolist()]
+
+    def test_kernel_sees_only_the_primes_at_shared_residues(self,
+                                                            monkeypatch):
+        seen = []
+        real = galois._frobenius_orders_batch
+
+        def recording(coeffs, ps):
+            seen.extend(np.asarray(ps).tolist())
+            return real(coeffs, ps)
+
+        monkeypatch.setattr(galois, "_frobenius_orders_batch", recording)
+        X = 2 * 10**4
+        ps = sieve.primes_upto(X).tolist()
+        # class_primes drops the residues its classes do not hold first
+        for name, labels, want in (
+                ("s3-cbrt2", "123", [p for p in ps if p % 3 == 1]),
+                ("d4-qrt2", ("e", "r", "s"), [p for p in ps if p % 8 == 1]),
+                ("d4-qrt2", "rst", []),
+                ("gaussian", "ec", []),
+                ("trivial", "e", [])):
+            spec = galois.builtin_spec(name)
+            seen.clear()
+            sieve.class_primes(spec, X, [
+                spec.classes.index(spec.class_by_label(label))
+                for label in labels])
+            assert seen == want, (name, labels)
+        seen.clear()
+        galois.classify_batch(s5_quintic(), ps)
+        assert seen == [p for p in ps if p not in (19, 151)]
+        # validation reads the key of each of its 25 primes
+        seen.clear()
+        galois.validate_spec(s3())
+        assert seen == [p for p in ps if p > 3][:25]
 
     def test_blocks_match_scalar(self, monkeypatch):
         # blocks of 7 unramified primes, so that the primes below 2000 of

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import lemmas
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 from lemmas import QuadraticField
 
-from chebcircle import galois, sieve
+from chebcircle import circle, galois, sieve
 from chebcircle.arith import factorint, is_prime
+from chebcircle.errors import ResourceLimit
 
 
 class TestPrimes:
@@ -129,6 +131,19 @@ class TestSmoothCount:
             ok &= ~large_prime_factor
             ok[1] = True
             assert sieve.smooth_count(z, Y) == int(ok.sum())
+
+    def test_gate_charges_at_least_the_traced_peak(self, monkeypatch):
+        # a limit one byte above BYTES_BASE and below the call's traced
+        # peak refuses it
+        tracemalloc.start()
+        try:
+            sieve.smooth_count(10**6, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(circle, "MAX_BYTES", circle.BYTES_BASE + peak - 1)
+        with pytest.raises(ResourceLimit):
+            sieve.smooth_count(10**6, 10**6)
 
     def test_growth_regression(self):
         # S(z, Y) * Y^-(1 - 1/(2B)) stays bounded by exp(c sqrt(log X))

@@ -376,6 +376,19 @@ class TestEulerProduct:
                               + [0, 1, 2, 6, 30, 210], dtype=np.int64)
                 self.check_rows(a, Ns, D, 10**3)
 
+    def test_rows_with_coefficient_primes_match_scalar_oracle(self):
+        # up to seven coefficients up to 60: many p divide one or several
+        # of them, and C_p then differs from the one-pass value; some rows
+        # are products of many p, and no row is 0, which every p divides
+        rng = random.Random(7)
+        for _ in range(30):
+            a = tuple(rng.choice([-1, 1]) * rng.randint(1, 60)
+                      for _ in range(rng.randint(2, 7)))
+            Ns = np.array([rng.randint(-10**6, 10**6) for _ in range(6)]
+                          + [30030, 17 * 19 * 23 * 29 * 31, 1999],
+                          dtype=np.int64)
+            self.check_rows(a, Ns, 1, 2000)
+
     def test_even_rows_vanish_at_two_for_odd_k(self):
         Ns = np.arange(10**5, 10**5 + 20, dtype=np.int64)
         values, bad = singular._euler_rows((1, 1, 1), Ns, 3, 10**3)
@@ -398,23 +411,6 @@ class TestEulerProduct:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-
-
-def test_log_cp_table_entries_are_logs_of_c_p():
-    rng = random.Random(7)
-    ps = sieve.primes_upto(2000).tolist()
-    for _ in range(30):
-        a = tuple(rng.choice([-1, 1]) * rng.randint(1, 60)
-                  for _ in range(rng.randint(2, 7)))
-        ks = [sum(v % p != 0 for v in a) for p in ps]
-        table = singular._log_cp_table(ps, ks)
-        for p, row in zip(ps, table.tolist()):
-            for N, got in zip((p * rng.randint(-9, 9),
-                               p * rng.randint(-9, 9) + rng.randint(1, p - 1)),
-                              row):
-                c = singular.c_p(p, a, N)
-                assert got == (math.log(float(c)) if c else -math.inf), \
-                    (p, a, N)
 
 
 @functools.lru_cache(maxsize=None)
