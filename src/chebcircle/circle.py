@@ -1,6 +1,6 @@
 """Representation counts S(N) by convolution over classified primes: the
-rows-only count of verify (counts_at), the all-N count (weighted_counts),
-the brute-force oracle, their memory estimates, and the end-to-end
+rows-only count of verify (counts_at) and its memory estimate, the all-N
+count (weighted_counts), the brute-force oracle, and the end-to-end
 comparison against the predicted main term."""
 
 from __future__ import annotations
@@ -14,26 +14,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import galois, sieve, singular
-from .errors import ResourceLimit
+from .errors import BYTES_BASE, ResourceLimit, refuse_above
 from .instance import FieldClass, ProblemInstance
 
-MAX_BYTES = 4 * 2**30
-# Peak bytes of the interpreter and numpy, per FFT point, per unit of X,
-# and per unit of X and of |a_i| for each distinct (component, a_i), whose
-# embedded array _convolve transforms once.  Each group of constants below
-# is fitted to the peak RSS of a table of tests/measure_peaks.py (here
-# all-n), each row within 5% of its measurement.
-BYTES_BASE = 31 * 2**20
-BYTES_PER_FFT_POINT = 32
-BYTES_PER_X = 1
-BYTES_PER_COMPONENT_X = 7
 # The rows-only counts_at of verify peaks either in the sieve and the
-# classification of the primes <= X (sieve_bytes) or in the count, per
-# unit of X and per point of one term's transform, head and spread
+# classification of the primes <= X (sieve.sieve_bytes) or in the count,
+# per unit of X and per point of one term's transform, head and spread
 # (rows_estimated_bytes); each row of verify (its N, count, main term and
-# CSV line) costs bytes on top (rows and verify, with BYTES_BASE).
-ROWS_SIEVE_PER_X = 3
-ROWS_PER_BLOCK_N2 = 24
+# CSV line) costs bytes on top.  Fitted to the peak RSS of the rows and
+# verify tables of tests/measure_peaks.py, each row within 5% of its
+# measurement.
 ROWS_PER_SPECTRUM_POINT = 4
 ROWS_PER_HEAD_POINT = 15
 ROWS_PER_SPREAD_POINT = 4
@@ -139,16 +129,6 @@ def _exact_convolve(arrays, a) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").astype(np.int64)
 
 
-def estimated_bytes(inst: ProblemInstance) -> int:
-    """Estimated peak memory of the all-N count weighted_counts on inst,
-    prime lists included; allocates nothing."""
-    embedded = sum(abs(ai) for _, ai in set(zip(inst.components, inst.a)))
-    per_x = BYTES_PER_X + BYTES_PER_COMPONENT_X * embedded
-    lo, hi = inst.attainable_range
-    return (BYTES_BASE + BYTES_PER_FFT_POINT * _fft_len(hi - lo)
-            + per_x * (inst.X + 1))
-
-
 def _progression(fc: FieldClass):
     """(g, residues): every prime p >= 5 of fc's class is one of residues
     mod g.  classify_batch puts p in the class only when p mod D lies in
@@ -163,24 +143,15 @@ def _progression(fc: FieldClass):
     return g, [r for r in range(r0 % h, g, h) if r % 2 and r % 3]
 
 
-def sieve_bytes(X: int, specs) -> int:
-    """Estimated peak bytes, over BYTES_BASE, of the sieve of X and the
-    classification by each spec's f, of degree n, which holds about n^2
-    int64 per prime of one block of galois.CLASSIFY_BLOCK primes when
-    n > 1; allocates nothing."""
-    n = max(len(spec.poly) - 1 for spec in specs)
-    block = ROWS_PER_BLOCK_N2 * n * n * galois.CLASSIFY_BLOCK if n > 1 else 0
-    return ROWS_SIEVE_PER_X * (X + 1) + block
-
-
 def rows_estimated_bytes(inst: ProblemInstance, rows: int,
                          plan=None) -> int:
     """Estimated peak memory of verify's rows-only counts_at on inst at
     rows N, by the terms of plan (_plan(inst) unless given); allocates
-    nothing.  The rows, plus the larger of sieve_bytes and the count: the
-    prime arrays and, at the term that costs most, per point of its
-    transform the product, the inverse and each phase array that several
-    products use; the head over its span; a head array spread by |a_i|."""
+    nothing.  The rows, plus the larger of sieve.sieve_bytes and the
+    count: the prime arrays and, at the term that costs most, per point
+    of its transform the product, the inverse and each phase array that
+    several products use; the head over its span; a head array spread by
+    |a_i|."""
     def term_bytes(t):
         uses = Counter(key for products in t.heads.values()
                        for keys in products for key in set(keys))
@@ -192,29 +163,14 @@ def rows_estimated_bytes(inst: ProblemInstance, rows: int,
 
     count = max(map(term_bytes, plan or _plan(inst)))
     return BYTES_BASE + ROWS_PER_ROW * rows + max(
-        sieve_bytes(inst.X, (fc.spec for fc in inst.components)),
+        sieve.sieve_bytes(inst.X, (fc.spec for fc in inst.components)),
         count + ROWS_PER_X * (inst.X + 1))
 
 
-def refuse_above(need: int, what: str):
-    """Raise ResourceLimit when need, in bytes, is above MAX_BYTES."""
-    if need > MAX_BYTES:
-        raise ResourceLimit(f"{what} needs about {need / 2**30:.1f} GiB; "
-                            f"the limit is {MAX_BYTES / 2**30:.0f} GiB")
-
-
-def check_memory(inst: ProblemInstance, estimate=estimated_bytes):
-    """Raise ResourceLimit when inst would need more than MAX_BYTES by
-    estimate (the all-N one unless given)."""
-    refuse_above(estimate(inst), f"X={inst.X}, a={inst.a}")
-
-
-def _component_primes(inst: ProblemInstance, estimate=estimated_bytes):
-    """The primes <= X of each component's class, after check_memory by
-    estimate, so that a too-large instance is refused before the sieve of
-    X.  Each distinct spec is classified once, only the classes the
-    components use are split out, and equal components share one array."""
-    check_memory(inst, estimate)
+def _component_primes(inst: ProblemInstance):
+    """The primes <= X of each component's class.  Each distinct spec is
+    classified once, only the classes the components use are split out,
+    and equal components share one array."""
     by_spec = {}
     for fc in dict.fromkeys(inst.components):
         by_spec.setdefault(fc.spec, []).append(fc)
@@ -249,7 +205,8 @@ def weighted_counts(inst: ProblemInstance) -> np.ndarray:
     """S(N) weighted by the product of log p for every attainable N, index
     0 holding N = attainable_range[0]; clamped at 0 against FFT
     round-off.  No command runs it: it is the reference that the tests
-    check counts_at against."""
+    check counts_at against, at sizes they fix, so it has no memory
+    gate."""
     return _log_convolution(_component_primes(inst), inst)
 
 
@@ -412,8 +369,9 @@ def counts_at(inst: ProblemInstance, Ns):
     time, besides the spectra its term has transformed.  The weighted
     value is clamped at 0 against FFT round-off."""
     plan = _plan(inst)
-    comps = dict(zip(inst.components, _component_primes(
-        inst, lambda i: rows_estimated_bytes(i, len(Ns), plan))))
+    refuse_above(rows_estimated_bytes(inst, len(Ns), plan),
+                 f"X={inst.X}, a={inst.a}")
+    comps = dict(zip(inst.components, _component_primes(inst)))
     Ns = [int(N) for N in Ns]
     split = {}
 
@@ -440,7 +398,8 @@ def counts_at(inst: ProblemInstance, Ns):
 def brute_force_all(inst: ProblemInstance):
     """{N: (weighted, unweighted) S(N)} for every N with a solution, by
     meet-in-the-middle enumeration over the classified prime lists; the
-    oracle path.  N absent from the dict has S(N) = (0.0, 0)."""
+    oracle path, ungated like weighted_counts.  N absent from the dict has
+    S(N) = (0.0, 0)."""
     comps = _component_primes(inst)
     half = (inst.k + 1) // 2
 

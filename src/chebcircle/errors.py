@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory limit that
+every command checks before the allocations it guards."""
+
+# The limit, and the peak bytes of the interpreter and numpy that every
+# memory estimate starts from (fitted with the tables of
+# tests/measure_peaks.py).
+MAX_BYTES = 4 * 2**30
+BYTES_BASE = 31 * 2**20
 
 
 class ChebCircleError(Exception):
@@ -33,6 +40,13 @@ class DegenerateAlpha(ChebCircleError):
 
 class ResourceLimit(ChebCircleError):
     """The requested computation exceeds the configured size limits."""
+
+
+def refuse_above(need: int, what: str):
+    """Raise ResourceLimit when need, in bytes, is above MAX_BYTES."""
+    if need > MAX_BYTES:
+        raise ResourceLimit(f"{what} needs about {need / 2**30:.1f} GiB; "
+                            f"the limit is {MAX_BYTES / 2**30:.0f} GiB")
 
 
 class NotFoundWithinLimit(ChebCircleError):

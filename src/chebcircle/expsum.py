@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import BYTES_BASE, refuse_above
-from .errors import DomainError
+from .errors import BYTES_BASE, DomainError, refuse_above
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,15 @@ class GaloisSpec:
                 for i, c in enumerate(self.classes) for r in c.coset]
 
     @cached_property
+    def class_of_key(self) -> dict:
+        """{key: class index} of class_keys, built once per spec."""
+        return dict(self.class_keys())
+
+    @cached_property
     def identity_class(self) -> int:
         """Index in classes of the class of the identity, keyed (1, 1 mod
         D): Frobenius fixes every root and p = 1 mod D."""
-        index = dict(self.class_keys()).get((1, 1 % self.modulus))
+        index = self.class_of_key.get((1, 1 % self.modulus))
         if index is None:
             raise DomainError("spec has no identity class")
         return index
@@ -248,7 +253,7 @@ def frobenius_class(spec: GaloisSpec, p: int) -> int:
     if spec.ramified_modulus % p == 0:
         return -1
     key = (math.lcm(*poly_factor_degrees(spec.poly, p)), p % spec.modulus)
-    index = dict(spec.class_keys()).get(key)
+    index = spec.class_of_key.get(key)
     if index is None:
         raise InconsistentSpec(f"no class has the key {key} of p={p}")
     return index
@@ -286,9 +291,9 @@ def _classes_by_key(spec: GaloisSpec, ps) -> np.ndarray:
         block = ps[lo:lo + CLASSIFY_BLOCK]
         orders[lo:lo + len(block)] = _frobenius_orders_batch(spec.poly, block)
     D = spec.modulus
-    keys = {d * D + r: i for (d, r), i in spec.class_keys()}
     codes, at = np.unique(orders * D + ps % D, return_inverse=True)
-    mapped = np.array([keys.get(c, -2) for c in codes.tolist()], np.int64)[at]
+    mapped = np.array([spec.class_of_key.get(divmod(c, D), -2)
+                       for c in codes.tolist()], np.int64)[at]
     missing = np.flatnonzero(mapped == -2)
     if missing.size:
         k = missing[0]

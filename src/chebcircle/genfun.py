@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import circle, galois, sieve
+from . import galois, sieve
+from .errors import BYTES_BASE, refuse_above
 from .expsum import best_approx, phase_array
 
 
@@ -33,8 +34,8 @@ def estimated_bytes(X: int, spec: galois.GaloisSpec) -> int:
     """Estimated peak memory of a study of spec's primes <= X: the larger of
     the sieve and classification of X and sharp_weights over 0..X;
     allocates nothing."""
-    return circle.BYTES_BASE + max(circle.sieve_bytes(X, [spec]),
-                                   SHARP_BYTES_PER_X * (X + 1))
+    return BYTES_BASE + max(sieve.sieve_bytes(X, [spec]),
+                            SHARP_BYTES_PER_X * (X + 1))
 
 
 @dataclass
@@ -48,8 +49,8 @@ class GenfunContext:
     cls: galois.ClassSpec
 
     def __post_init__(self):
-        circle.refuse_above(estimated_bytes(self.X, self.spec),
-                            f"genfun at X={self.X}")
+        refuse_above(estimated_bytes(self.X, self.spec),
+                     f"genfun at X={self.X}")
 
     @cached_property
     def primes(self) -> np.ndarray:

@@ -21,7 +21,14 @@ import numpy as np
 
 from . import galois
 from .arith import phi
-from .errors import DomainError
+from .errors import BYTES_BASE, DomainError, refuse_above
+
+# Peak bytes of class_primes over BYTES_BASE (sieve_bytes): per unit of X
+# for the sieve and, for an f of degree n > 1, per n^2 per prime of one
+# classification block.  Fitted, with the count's constants in circle, to
+# the rows table of tests/measure_peaks.py.
+ROWS_SIEVE_PER_X = 3
+ROWS_PER_BLOCK_N2 = 17
 
 
 def primes_upto(x) -> np.ndarray:
@@ -83,7 +90,6 @@ def smooth_count(z: float, Y: float) -> int:
     Rosser and Schoenfeld) two int64, a list slot and an int object."""
     if not (math.isfinite(z) and math.isfinite(Y)):
         raise DomainError("z and Y must be finite")
-    from .circle import BYTES_BASE, refuse_above  # circle imports sieve
     x = max(min(z, Y), 2)
     refuse_above(BYTES_BASE + x + 48 * 1.26 * x / math.log(x),
                  f"smooth to {x:.6g}")
@@ -115,6 +121,16 @@ def class_primes(spec: galois.GaloisSpec, X: int, indices) -> list:
     ps = ps[held[ps % D]]
     labels = galois.classify_batch(spec, ps)
     return [ps[labels == i] for i in indices]
+
+
+def sieve_bytes(X: int, specs) -> int:
+    """Estimated peak bytes, over BYTES_BASE, of class_primes of X by each
+    spec: the sieve of X and the classification by f, of degree n, which
+    holds about n^2 int64 per prime of one block of galois.CLASSIFY_BLOCK
+    primes when n > 1; allocates nothing."""
+    n = max(len(spec.poly) - 1 for spec in specs)
+    block = ROWS_PER_BLOCK_N2 * n * n * galois.CLASSIFY_BLOCK if n > 1 else 0
+    return ROWS_SIEVE_PER_X * (X + 1) + block
 
 
 def sieve_survivor_mask(X: int, z: float) -> np.ndarray:

@@ -11,9 +11,10 @@ runs them, so they live here, beside the tests that check them.
   identity sum S(N)^2 = integral |H|^2;
 - the class weight Lambda_{K,C} at one n, and a spec as its JSON document.
 
-Tests call these at fixed sizes, so nothing here checks a memory limit
-beyond the all-N count's own.  Import it as the tests do (`import
-lemmas`): pytest puts this directory on the path.
+Tests call these at fixed sizes, so nothing here checks a memory limit,
+and neither do the all-N count and the prime lists they read from circle.
+Import it as the tests do (`import lemmas`): pytest puts this directory
+on the path.
 """
 
 from __future__ import annotations

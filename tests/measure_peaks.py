@@ -1,7 +1,7 @@
-"""Measure the peak memory that circle's memory estimates are checked against.
+"""Measure the peak memory that the count's and genfun's memory estimates
+are checked against.
 
     python tests/measure_peaks.py           # every table
-    python tests/measure_peaks.py all-n     # weighted_counts, estimated_bytes
     python tests/measure_peaks.py rows      # counts_at, rows_estimated_bytes
     python tests/measure_peaks.py verify    # `chebcircle verify` of many
                                             # rows, rows_estimated_bytes
@@ -14,20 +14,19 @@ median peak in MiB beside the row's stored peak, the estimate and the
 estimate over the measured peak.  One peak moves by up to 2 MiB with
 where the allocator places the same arrays, hence the median.
 
-The four tables below are the one list of instances and stored peaks:
+The three tables below are the one list of instances and stored peaks:
 the test_*_estimate_tracks_measured_peak tests of test_circle.py and
 test_genfun.py read them through estimates() and hold each estimate
 within 5% of its stored peak.  Re-run this after a change of transform
 length or array layout, store the new medians, and refit the constants
-that a table's estimate reads in circle.py (or genfun.py), 12 in all:
+that a table's estimate reads, 9 in all:
 
-    all-n      BYTES_BASE, BYTES_PER_FFT_POINT, BYTES_PER_X,
-               BYTES_PER_COMPONENT_X (BYTES_BASE is shared by every table)
-    rows       ROWS_PER_SPECTRUM_POINT, ROWS_PER_HEAD_POINT,
+    rows       circle.ROWS_PER_SPECTRUM_POINT, ROWS_PER_HEAD_POINT,
                ROWS_PER_SPREAD_POINT, ROWS_PER_X (the count);
-               ROWS_SIEVE_PER_X, ROWS_PER_BLOCK_N2 (sieve_bytes, shared
-               with genfun)
-    verify     ROWS_PER_ROW
+               sieve.ROWS_SIEVE_PER_X, ROWS_PER_BLOCK_N2 (sieve_bytes,
+               shared with genfun); errors.BYTES_BASE (shared by every
+               table)
+    verify     circle.ROWS_PER_ROW
     genfun     genfun.SHARP_BYTES_PER_X, and sieve_bytes' constants
 
 pytest does not collect this file.
@@ -50,32 +49,9 @@ from chebcircle.instance import FieldClass, ProblemInstance  # noqa: E402
 
 T, G, S, D = "trivial", "gaussian", "s3-cbrt2", "d4-qrt2"
 S3 = [(S, "1"), (S, "2"), (S, "3")]
-D4 = [(D, "r"), (D, "s"), (D, "t"), (D, "e")]
 
 # Each row of a table ends in its peak RSS (ru_maxrss) in MiB, the median
 # of three fresh processes, that the tests check its estimate against.
-
-# (field-class pairs, a, X, MiB) of weighted_counts, the all-N count
-ALL_N = [
-    ([(T, "e")] * 3, (1, 1, 1), 10**4, 32.6),
-    ([(T, "e")] * 3, (1, 1, 1), 2 * 10**5, 52.0),
-    ([(T, "e")] * 3, (1, 1, 1), 10**6, 133.7),
-    ([(T, "e")] * 3, (1, 1, 1), 4 * 10**6, 440.2),
-    ([(T, "e")] * 2, (1, 1), 4 * 10**6, 316.7),
-    ([(T, "e")] * 4, (1, 1, 1, 1), 10**6, 164.6),
-    ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 10**6, 141.3),
-    ([(G, "e"), (G, "c")], (2, -1), 2 * 10**6, 250.5),
-    ([(G, "e")] * 2 + [(G, "c")] * 2, (1, 1, 1, 1), 2 * 10**6, 312.4),
-    (S3, (1, 1, 1), 10**6, 149.0),
-    (S3, (1, 1, 1), 2 * 10**6, 266.0),
-    ([(S, "1"), (S, "1"), (S, "2")], (1, 2, 3), 5 * 10**5, 144.5),
-    (D4, (1, 1, 1, 1), 2 * 10**5 + 5 * 10**4, 70.4),
-    (D4, (1, 1, 1, 1), 10**6, 187.6),
-    # interleaved repeats: _convolve releases each spectrum before it
-    # transforms the next
-    ([(D, "r"), (D, "s")] * 2, (1, 1, 1, 1), 10**6, 172.1),
-    ([(G, "e"), (G, "c")] * 2, (1, 1, 1, 1), 10**6, 172.3),
-]
 
 # (field-class pairs, a, X, MiB) of counts_at, the rows-only count of
 # verify, at the 50 rows of rows_of; an entry (r, m) before the peak puts
@@ -89,7 +65,7 @@ ROWS = [
     ([(G, "e"), (G, "e"), (G, "c")], (1, 1, 1), 10**7, 120.0),
     ([(T, "e")] * 4, (1, 1, 1, 1), 10**6, 59.3),
     # in the classification of one block of primes
-    ([(D, "e"), (D, "r"), (D, "s")], (1, 1, 1), 4 * 10**6, 66.0),
+    ([(D, "e"), (D, "r"), (D, "s")], (1, 1, 1), 4 * 10**6, 59.1),
     # the head's a_i = 2 spreads its array over twice its length; the rows
     # are 2 mod 6, the residue with solutions
     (S3, (1, 2, 3), 4 * 10**6, (2, 6), 114.0),
@@ -162,8 +138,6 @@ def verify(fields, a, X, rows):
 
 # table -> (rows, what a row builds, the call measured, its estimate)
 TABLES = {
-    "all-n": (ALL_N, instance, circle.weighted_counts,
-              circle.estimated_bytes),
     "rows": (ROWS, rows_of, lambda made: circle.counts_at(*made),
              lambda made: circle.rows_estimated_bytes(made[0],
                                                       len(made[1]))),

@@ -9,7 +9,7 @@ import measure_peaks
 import numpy as np
 import pytest
 
-from chebcircle import circle, cli, galois, sieve
+from chebcircle import circle, cli, errors, galois, sieve
 from chebcircle.errors import ResourceLimit, ValidationError
 from chebcircle.instance import (FieldClass, ProblemInstance,
                                  classical_instance, uniform_instance)
@@ -85,17 +85,20 @@ class TestRepresentationCounts:
         _, u2 = circle.counts_at(ProblemInstance(fcs[::-1], a, 300), Ns)
         assert np.array_equal(u1, u2)
 
-    def test_resource_limit(self):
+    def test_resource_limit(self, monkeypatch):
+        # a trivial instance with huge |a_i|: the head's spread by 10^5 and
+        # its span are priced at about 15 GiB, refused before the sieve
+        def no_sieve(x):
+            raise AssertionError("primes listed past the memory gate")
+
+        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
         inst = uniform_instance("trivial", "e", 3, (100, 100, 1), 10**4)
         inst.a = (10**5, 10**5, 1)  # bypass gcd guard to hit the size guard
         with pytest.raises(ResourceLimit):
-            circle.weighted_counts(inst)
-
-    def test_memory_estimate_tracks_measured_peak(self):
-        # peak RSS of weighted_counts (tests/measure_peaks.py all-n), about
-        # 30 MiB of it the interpreter and numpy
-        for row, peak, est in measure_peaks.estimates("all-n"):
-            assert 0.95 * peak <= est <= 1.05 * peak, row
+            circle.counts_at(inst, [10**9 + 1])
+        # while trivial x3 at X = 5e7 is admitted for 20 rows (0.8 GiB)
+        assert circle.rows_estimated_bytes(
+            classical_instance(5 * 10**7), 20) < 0.25 * errors.MAX_BYTES
 
     def test_rows_estimate_tracks_measured_peak(self):
         # peak RSS of counts_at at 50 rows (tests/measure_peaks.py rows),
@@ -105,31 +108,6 @@ class TestRepresentationCounts:
         for table in ("rows", "verify"):
             for row, peak, est in measure_peaks.estimates(table):
                 assert 0.95 * peak <= est <= 1.05 * peak, row
-
-    def test_rows_gate_admits_what_the_all_n_gate_refuses(self):
-        # arithmetic only: trivial x3 at X = 5e7 needs about 0.8 GiB for
-        # the 20 rows of verify and 5 GiB for every N
-        inst = classical_instance(5 * 10**7)
-        circle.check_memory(inst,
-                            lambda i: circle.rows_estimated_bytes(i, 20))
-        with pytest.raises(ResourceLimit):
-            circle.check_memory(inst)
-
-    def test_weighted_counts_keeps_all_n_gate(self, monkeypatch):
-        def no_sieve(x):
-            raise AssertionError("primes listed past the memory gate")
-
-        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
-        inst = classical_instance(5 * 10**7)
-        with pytest.raises(ResourceLimit):
-            circle.weighted_counts(inst)
-
-    def test_memory_gate_allocates_nothing(self):
-        inst = classical_instance(10**9)
-        assert circle.estimated_bytes(inst) > circle.MAX_BYTES
-        with pytest.raises(ResourceLimit):
-            circle.check_memory(inst)
-        circle.check_memory(classical_instance(10**6))
 
     def test_one_classification_per_spec(self, monkeypatch):
         calls = []

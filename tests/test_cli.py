@@ -8,7 +8,7 @@ import tracemalloc
 import lemmas
 import pytest
 
-from chebcircle import circle, cli, galois
+from chebcircle import circle, cli, errors, galois
 from chebcircle.instance import classical_instance
 
 
@@ -349,7 +349,7 @@ class TestVerify:
         def no_sieve(x):
             raise AssertionError("primes listed past the memory gate")
 
-        monkeypatch.setattr(cli.circle, "MAX_BYTES", 2**16)
+        monkeypatch.setattr(errors, "MAX_BYTES", 2**16)
         monkeypatch.setattr(cli.sieve, "primes_upto", no_sieve)
         inst = write_instance(tmp_path, SMALL_CLASSICAL)
         code, _, err = run(capsys, "verify", inst, "--out-dir",
@@ -383,7 +383,7 @@ class TestVerify:
         inst = classical_instance(10**4)
         assert circle.rows_estimated_bytes(inst, 50) < limit \
             < circle.rows_estimated_bytes(inst, 10**5)
-        monkeypatch.setattr(cli.circle, "MAX_BYTES", limit)
+        monkeypatch.setattr(errors, "MAX_BYTES", limit)
         doc = dict(SMALL_CLASSICAL, X=10**4,
                    N={"from": 13001, "to": 13101, "step": 2})
         code, _, err = run(capsys, "verify", write_instance(tmp_path, doc),

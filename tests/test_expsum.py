@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from lemmas import principal_character
 
-from chebcircle import circle, expsum
+from chebcircle import errors, expsum
 from chebcircle.errors import DegenerateAlpha, DomainError, ResourceLimit
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -265,8 +265,8 @@ class TestWeylSum:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            monkeypatch.setattr(circle, "MAX_BYTES",
-                                circle.BYTES_BASE + 0.99 * peak)
+            monkeypatch.setattr(errors, "MAX_BYTES",
+                                errors.BYTES_BASE + 0.99 * peak)
             with pytest.raises(ResourceLimit):
                 expsum.weyl_sum((0, 0, 1), alpha, 10**5)
             monkeypatch.undo()

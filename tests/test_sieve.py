@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from lemmas import QuadraticField
 
-from chebcircle import circle, galois, sieve
+from chebcircle import errors, galois, sieve
 from chebcircle.arith import factorint, is_prime
 from chebcircle.errors import ResourceLimit
 
@@ -141,7 +141,7 @@ class TestSmoothCount:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(circle, "MAX_BYTES", circle.BYTES_BASE + peak - 1)
+        monkeypatch.setattr(errors, "MAX_BYTES", errors.BYTES_BASE + peak - 1)
         with pytest.raises(ResourceLimit):
             sieve.smooth_count(10**6, 10**6)
 
