@@ -17,18 +17,6 @@ from . import galois, sieve, singular
 from .errors import BYTES_BASE, ResourceLimit, refuse_above
 from .instance import FieldClass, ProblemInstance
 
-# The rows-only counts_at of verify peaks either in the sieve and the
-# classification of the primes <= X (sieve.sieve_bytes) or in the count,
-# per unit of X and per point of one term's transform, head and spread
-# (rows_estimated_bytes); each row of verify (its N, count, main term and
-# CSV line) costs bytes on top.  Fitted to the peak RSS of the rows and
-# verify tables of tests/measure_peaks.py, each row within 5% of its
-# measurement.
-ROWS_PER_SPECTRUM_POINT = 4
-ROWS_PER_HEAD_POINT = 15
-ROWS_PER_SPREAD_POINT = 4
-ROWS_PER_X = 2
-ROWS_PER_ROW = 668
 # Largest distance from an integer that a rounded FFT count may have.
 MAX_RESIDUAL = 0.25
 
@@ -146,25 +134,33 @@ def _progression(fc: FieldClass):
 def rows_estimated_bytes(inst: ProblemInstance, rows: int,
                          plan=None) -> int:
     """Estimated peak memory of verify's rows-only counts_at on inst at
-    rows N, by the terms of plan (_plan(inst) unless given); allocates
-    nothing.  The rows, plus the larger of sieve.sieve_bytes and the
-    count: the prime arrays and, at the term that costs most, per point
-    of its transform the product, the inverse and each phase array that
-    several products use; the head over its span; a head array spread by
-    |a_i|."""
-    def term_bytes(t):
-        uses = Counter(key for products in t.heads.values()
-                       for keys in products for key in set(keys))
-        spread = max((abs(ai) for _, ai in t.head if abs(ai) > 1), default=0)
-        shared = sum(n > 1 for n in uses.values())
-        return (ROWS_PER_SPECTRUM_POINT * (2 + shared) * t.M
-                + ROWS_PER_HEAD_POINT * len(t.head) * (t.span + 1)
-                + ROWS_PER_SPREAD_POINT * spread * (inst.X // t.g))
+    rows N, by the arrays that the terms of plan (_plan(inst) unless
+    given) hold at once (README, memory limits); allocates nothing."""
+    pi = sieve.prime_bound(inst.X)
+    primes = {fc: pi * fc.spec.class_density(fc.cls)
+              for fc in inst.components}
 
-    count = max(map(term_bytes, plan or _plan(inst)))
-    return BYTES_BASE + ROWS_PER_ROW * rows + max(
-        sieve.sieve_bytes(inst.X, (fc.spec for fc in inst.components)),
-        count + ROWS_PER_X * (inst.X + 1))
+    def term_bytes(t):
+        last = 16 * primes[inst.components[t.R[-1]]] if t.R else 0
+        if not t.M:
+            return 8 * (inst.X // t.g + 1) * bool(t.head) + 2 * last
+        seq = [key for keys in itertools.chain(*t.heads.values())
+               for key in keys]
+        live = {(seq.index(k), len(seq) - seq[::-1].index(k)) for k in seq}
+        kept = max(sum(a <= j < b - 1 for a, b in live)
+                   for j in range(len(seq)))
+        # per point: each kept spectrum, the product, its inverse and
+        # pocketfft's plan and scratch (2 M float64 that tracemalloc does
+        # not see); per point of the span, the rounded head
+        return 8 * t.M * (kept + 4) + 8 * (t.span + 1) + last
+
+    count = 16 * sum(primes.values()) + max(map(term_bytes,
+                                                plan or _plan(inst)))
+    classes = [(fc.spec, fc.cls) for fc in inst.components]
+    # a row: a VerifyRow and a LocalFactorReport (64 + 96 bytes each in
+    # CPython 3.11), 6 numbers, its flags and a slot in 7 lists
+    return int(BYTES_BASE + rows * (2 * (64 + 96) + 6 * 32 + 80 + 7 * 8)
+               + max(sieve.sieve_bytes(inst.X, classes), count))
 
 
 def _component_primes(inst: ProblemInstance):

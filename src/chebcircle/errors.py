@@ -2,8 +2,8 @@
 every command checks before the allocations it guards."""
 
 # The limit, and the peak bytes of the interpreter and numpy that every
-# memory estimate starts from (fitted with the tables of
-# tests/measure_peaks.py).
+# memory estimate starts from: the one measured constant of the estimates,
+# which otherwise count the bytes of the arrays a call holds.
 MAX_BYTES = 4 * 2**30
 BYTES_BASE = 31 * 2**20
 
@@ -28,14 +28,6 @@ class ValidationError(ChebCircleError):
     def __init__(self, issues):
         self.issues = list(issues)
         super().__init__("; ".join(f"{code}: {msg}" for code, msg in self.issues))
-
-
-class UnsupportedInstantiation(ChebCircleError):
-    """The G-vs-F comparison is not implemented for this field/class pair."""
-
-
-class DegenerateAlpha(ChebCircleError):
-    """alpha does not admit the rational-approximation structure required."""
 
 
 class ResourceLimit(ChebCircleError):

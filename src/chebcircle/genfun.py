@@ -21,21 +21,16 @@ from .errors import BYTES_BASE, refuse_above
 from .expsum import best_approx, phase_array
 
 
-# Peak bytes per n <= X of sieve.sharp_weights: its survivor mask, float64
-# weights, int64 arange (its remainder taken in place) and gathered coset
-# weights.  Fitted to minor_arc_scan of trivial-e at X = 1e6, 4e6 and 1e7
-# and of gaussian-e, s3-cbrt2-1 and d4-qrt2-e at 4e6 (peaks 58.1, 134.9,
-# 287.3, 132.7, 130.5 and 138.1 MiB), each within 3% of its measurement;
-# tests/measure_peaks.py genfun measures them.
-SHARP_BYTES_PER_X = 27
-
-
-def estimated_bytes(X: int, spec: galois.GaloisSpec) -> int:
-    """Estimated peak memory of a study of spec's primes <= X: the larger of
-    the sieve and classification of X and sharp_weights over 0..X;
-    allocates nothing."""
-    return BYTES_BASE + max(sieve.sieve_bytes(X, [spec]),
-                            SHARP_BYTES_PER_X * (X + 1))
+def estimated_bytes(X: int, spec: galois.GaloisSpec,
+                    cls: galois.ClassSpec) -> int:
+    """Estimated peak memory of a study of the primes <= X of spec's class
+    cls, by the arrays it makes (README, memory limits): the sieve's, whose
+    pages stay resident, beside sharp_weights' 25 bytes per n <= X and the
+    class's primes; allocates nothing."""
+    pi = sieve.prime_bound(X)
+    return int(BYTES_BASE + max(
+        sieve.sieve_bytes(X, [(spec, cls)]),
+        26 * (X + 1) + 16 * pi + 8 * pi * spec.class_density(cls)))
 
 
 @dataclass
@@ -49,7 +44,7 @@ class GenfunContext:
     cls: galois.ClassSpec
 
     def __post_init__(self):
-        refuse_above(estimated_bytes(self.X, self.spec),
+        refuse_above(estimated_bytes(self.X, self.spec, self.cls),
                      f"genfun at X={self.X}")
 
     @cached_property

@@ -15,6 +15,7 @@ oracle of the sieve weight; the scalar class weight is in tests/lemmas.py.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +24,11 @@ from . import galois
 from .arith import phi
 from .errors import BYTES_BASE, DomainError, refuse_above
 
-# Peak bytes of class_primes over BYTES_BASE (sieve_bytes): per unit of X
-# for the sieve and, for an f of degree n > 1, per n^2 per prime of one
-# classification block.  Fitted, with the count's constants in circle, to
-# the rows table of tests/measure_peaks.py.
-ROWS_SIEVE_PER_X = 3
-ROWS_PER_BLOCK_N2 = 17
+
+def prime_bound(x: float) -> float:
+    """An upper bound on the number of primes <= x: x / (log x - 3/2)
+    (Rosser and Schoenfeld, 1962), and x below e^(5/2)."""
+    return x / max(math.log(max(x, 1)) - 1.5, 1)
 
 
 def primes_upto(x) -> np.ndarray:
@@ -86,13 +86,12 @@ def smooth_count(z: float, Y: float) -> int:
     product enumeration over the primes <= min(z, Y), the only ones that
     divide an n <= Y; never materializes non-smooth integers.  Refused
     before the sieve when listing those primes would pass MAX_BYTES: a
-    mask byte per n <= x, and per prime (fewer than 1.26 x / log x, by
-    Rosser and Schoenfeld) two int64, a list slot and an int object."""
+    mask byte per n <= x, and per prime (prime_bound) two int64, a list
+    slot and an int object."""
     if not (math.isfinite(z) and math.isfinite(Y)):
         raise DomainError("z and Y must be finite")
     x = max(min(z, Y), 2)
-    refuse_above(BYTES_BASE + x + 48 * 1.26 * x / math.log(x),
-                 f"smooth to {x:.6g}")
+    refuse_above(BYTES_BASE + x + 48 * prime_bound(x), f"smooth to {x:.6g}")
     primes = primes_upto(min(z, Y)).tolist()
 
     def walk(i, prod):
@@ -123,14 +122,24 @@ def class_primes(spec: galois.GaloisSpec, X: int, indices) -> list:
     return [ps[labels == i] for i in indices]
 
 
-def sieve_bytes(X: int, specs) -> int:
-    """Estimated peak bytes, over BYTES_BASE, of class_primes of X by each
-    spec: the sieve of X and the classification by f, of degree n, which
-    holds about n^2 int64 per prime of one block of galois.CLASSIFY_BLOCK
-    primes when n > 1; allocates nothing."""
-    n = max(len(spec.poly) - 1 for spec in specs)
-    block = ROWS_PER_BLOCK_N2 * n * n * galois.CLASSIFY_BLOCK if n > 1 else 0
-    return ROWS_SIEVE_PER_X * (X + 1) + block
+def sieve_bytes(X: int, classes) -> int:
+    """Peak bytes over BYTES_BASE of class_primes of X for the (spec,
+    class) pairs classes, by the arrays each step holds at once (README,
+    memory limits); allocates nothing."""
+    pi, by_spec = prime_bound(X), {}
+    for spec, cls in classes:
+        by_spec.setdefault(spec, set()).update(cls.coset)
+    peak = X + 1 + 16 * pi
+    for spec, held in by_spec.items():
+        keys = Counter(r for (_, r), _ in spec.class_keys())
+        share, n = pi / len(keys), len(spec.poly) - 1
+        shared = share * sum(keys[r] > 1 for r in held)
+        # classify_batch: five int64 per held prime, or two beside three
+        # per shared one and np.unique's 7 or the kernel's 2 (n + 1)^2
+        kernel = 16 * (n + 1) ** 2 * min(shared, galois.CLASSIFY_BLOCK)
+        peak = max(peak, 40 * share * len(held), 16 * share * len(held)
+                   + 24 * shared + max(56 * shared, kernel * (n > 1)))
+    return int(peak)
 
 
 def sieve_survivor_mask(X: int, z: float) -> np.ndarray:

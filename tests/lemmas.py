@@ -31,12 +31,19 @@ import numpy as np
 
 from chebcircle import circle, galois, sieve
 from chebcircle.arith import factorint, phi
-from chebcircle.errors import (DegenerateAlpha, DomainError,
-                               UnsupportedInstantiation)
+from chebcircle.errors import ChebCircleError, DomainError
 from chebcircle.expsum import (RationalApprox, _as_fraction, convergents,
                                phase_array)
 from chebcircle.genfun import GenfunContext, eval_G, eval_G_sharp
 from chebcircle.instance import ProblemInstance
+
+
+class UnsupportedInstantiation(ChebCircleError):
+    """The G-vs-F comparison is not implemented for this field/class pair."""
+
+
+class DegenerateAlpha(ChebCircleError):
+    """alpha does not admit the rational-approximation structure required."""
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,32 @@ class TestRepresentationCounts:
         assert circle.rows_estimated_bytes(
             classical_instance(5 * 10**7), 20) < 0.25 * errors.MAX_BYTES
 
+    @pytest.mark.parametrize("fields, a, at", [
+        ([("trivial", "e")] * 3, (1, 1, 1), None),
+        ([("trivial", "e")] * 2, (1, 1), None),
+        ([("trivial", "e")] * 5, (1,) * 5, None),
+        ([("gaussian", "e")] * 2 + [("gaussian", "c")] * 2, (1,) * 4, None),
+        ([("s3-cbrt2", c) for c in "123"], (1, 2, 3), (2, 6)),
+        ([("d4-qrt2", c) for c in "ers"], (1, 1, 1), None),
+        ([("d4-qrt2", c) for c in "rst"], (1, 1, 1), None)])
+    def test_gate_charges_at_least_the_traced_peak(self, monkeypatch,
+                                                   fields, a, at):
+        # the traced peak of counts_at at 50 rows, plus pocketfft's plan
+        # and scratch (2 M float64 at the longest transform), which
+        # tracemalloc does not see: a limit one byte below it refuses
+        inst, Ns = measure_peaks.rows_of(fields, a, 2 * 10**5, at)
+        tracemalloc.start()
+        try:
+            circle.counts_at(inst, Ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = 16 * max(t.M for t in circle._plan(inst))
+        monkeypatch.setattr(errors, "MAX_BYTES",
+                            errors.BYTES_BASE + peak + scratch - 1)
+        with pytest.raises(ResourceLimit):
+            circle.counts_at(inst, Ns)
+
     def test_rows_estimate_tracks_measured_peak(self):
         # peak RSS of counts_at at 50 rows (tests/measure_peaks.py rows),
         # and of `chebcircle verify` of trivial x3 at X = 1e4 over 1e5 and

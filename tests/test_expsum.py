@@ -7,10 +7,10 @@ from fractions import Fraction
 import lemmas
 import numpy as np
 import pytest
-from lemmas import principal_character
+from lemmas import DegenerateAlpha, principal_character
 
 from chebcircle import errors, expsum
-from chebcircle.errors import DegenerateAlpha, DomainError, ResourceLimit
+from chebcircle.errors import DomainError, ResourceLimit
 
 PHI = (1 + math.sqrt(5)) / 2
 ONE = principal_character(1)

@@ -1,17 +1,19 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import lemmas
 import measure_peaks
 import numpy as np
 import pytest
-from lemmas import (QuadraticField, dirichlet_characters, kronecker_character,
-                    norm_counts, principal_character)
+from lemmas import (QuadraticField, UnsupportedInstantiation,
+                    dirichlet_characters, kronecker_character, norm_counts,
+                    principal_character)
 
-from chebcircle import galois, genfun, sieve
+from chebcircle import errors, galois, genfun, sieve
 from chebcircle.arith import is_prime
-from chebcircle.errors import ResourceLimit, UnsupportedInstantiation
+from chebcircle.errors import ResourceLimit
 
 ONE = principal_character(1)
 
@@ -276,6 +278,22 @@ class TestMemoryGate:
         # peak RSS of minor_arc_scan (tests/measure_peaks.py genfun)
         for row, peak, est in measure_peaks.estimates("genfun"):
             assert 0.95 * peak <= est <= 1.05 * peak, row
+
+    @pytest.mark.parametrize("name", ["trivial-e", "s3-cbrt2-1",
+                                      "d4-qrt2-e"])
+    def test_gate_charges_at_least_the_traced_peak(self, monkeypatch, name):
+        # a limit one byte below BYTES_BASE and the traced peak of the
+        # scan refuses the context
+        tracemalloc.start()
+        try:
+            genfun.minor_arc_scan(measure_peaks.context(name, 10**6),
+                                  measure_peaks.ALPHAS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(errors, "MAX_BYTES", errors.BYTES_BASE + peak - 1)
+        with pytest.raises(ResourceLimit):
+            measure_peaks.context(name, 10**6)
 
     def test_refused_before_the_sieve(self, monkeypatch):
         # sharp_weights over 0..5e8 alone needs about 13 GiB

@@ -157,6 +157,25 @@ class TestSmoothCount:
 
 
 class TestClassPrimes:
+    @pytest.mark.parametrize("name, labels", [
+        ("s3-cbrt2", ["1", "2", "3"]), ("s3-cbrt2", ["1"]),
+        ("d4-qrt2", ["e", "r", "s"]), ("d4-qrt2", ["r", "s", "t"])])
+    def test_sieve_bytes_charges_at_least_the_traced_peak(self, name,
+                                                          labels):
+        # X = 2e6 puts more primes than one CLASSIFY_BLOCK at the residue
+        # that s3-cbrt2's classes 1 and 3 share
+        spec = galois.builtin_spec(name)
+        classes = [spec.class_by_label(label) for label in labels]
+        tracemalloc.start()
+        try:
+            sieve.class_primes(spec, 2 * 10**6,
+                               [spec.classes.index(c) for c in classes])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sieve.sieve_bytes(2 * 10**6,
+                                 [(spec, c) for c in classes]) >= peak
+
     def test_trivial(self):
         spec = galois.builtin_spec("trivial")
         [ps] = sieve.class_primes(spec, 10, [0])
