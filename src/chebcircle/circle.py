@@ -55,28 +55,47 @@ def _span(arrays, a) -> int:
     return sum(abs(ai) * (len(v) - 1) for v, ai in zip(arrays, a))
 
 
+def _keeps(plan):
+    """(key, keep, held) for each use of a key by the products of plan,
+    entries (offset, {keys: n}), in the order _spectra makes them: keep
+    when a later product uses the key again, so that its spectrum is held
+    until then, and held the number of spectra so held after this use.
+    The one rule for how long a spectrum lives; rows_estimated_bytes
+    reads held."""
+    uses = Counter(key for _, products in plan for keys in products
+                   for key in keys)
+    held = set()
+    for _, products in plan:
+        for keys in products:
+            for key in keys:
+                uses[key] -= 1
+                if uses[key]:
+                    held.add(key)
+                else:
+                    held.discard(key)
+                yield key, key in held, len(held)
+
+
 def _spectra(plan, factor, M: int):
     """For each entry (offset, {keys: n}) of plan, (offset, the sum over
     its keys of n prod_key rfft(factor(key), M)), one entry at a time.
     Each key is transformed once, at its first use, and released, or
-    multiplied into the product in place, at its last; the sum is handed
-    over, so that no spectrum outlives its use."""
-    uses = Counter(key for _, products in plan for keys in products
-                   for key in keys)
-    cache = {}
+    multiplied into the product in place, at its last (_keeps); the sum
+    is handed over, so that no spectrum outlives its use."""
+    keeps, cache = _keeps(plan), {}
 
     def summed(products):
         total = None
         for keys, n in products.items():
             term = None
-            for key in keys:
+            for key, keep, _ in itertools.islice(keeps, len(keys)):
                 if key not in cache:
                     cache[key] = np.fft.rfft(factor(key), M)
-                uses[key] -= 1
+                spectrum = cache[key] if keep else cache.pop(key)
                 if term is None:
-                    term = cache[key].copy() if uses[key] else cache.pop(key)
+                    term = spectrum.copy() if keep else spectrum
                 else:
-                    term *= cache[key] if uses[key] else cache.pop(key)
+                    term *= spectrum
             if n > 1:
                 term *= n
             if total is None:
@@ -131,36 +150,39 @@ def _progression(fc: FieldClass):
     return g, [r for r in range(r0 % h, g, h) if r % 2 and r % 3]
 
 
+# Float64 per transform point that pocketfft holds beside an rfft's or
+# irfft's output, unseen by tracemalloc (VmHWM: three times the output).
+FFT_SCRATCH = 2
+# Bytes a verify row holds, in pymalloc's 16-byte blocks: a slotted
+# VerifyRow and LocalFactorReport, 7 floats and 2 ints (a row past the
+# range holds its flags, 80, in place of 3 floats) and 7 list slots.
+ROW_BYTES = 112 + 96 + 9 * 32 + 7 * 8
+
+
 def rows_estimated_bytes(inst: ProblemInstance, rows: int,
                          plan=None) -> int:
     """Estimated peak memory of verify's rows-only counts_at on inst at
     rows N, by the arrays that the terms of plan (_plan(inst) unless
     given) hold at once (README, memory limits); allocates nothing."""
-    pi = sieve.prime_bound(inst.X)
-    primes = {fc: pi * fc.spec.class_density(fc.cls)
+    primes = {fc: sieve.prime_bound(inst.X) * fc.spec.class_density(fc.cls)
               for fc in inst.components}
 
     def term_bytes(t):
+        # a head factor: its dense array and its copy spread by |a_i| > 1
+        spread = 8 * (inst.X // t.g + 1) * max(
+            (abs(ai) + (abs(ai) > 1) for _, ai in t.head), default=0)
         last = 16 * primes[inst.components[t.R[-1]]] if t.R else 0
         if not t.M:
-            return 8 * (inst.X // t.g + 1) * bool(t.head) + 2 * last
-        seq = [key for keys in itertools.chain(*t.heads.values())
-               for key in keys]
-        live = {(seq.index(k), len(seq) - seq[::-1].index(k)) for k in seq}
-        kept = max(sum(a <= j < b - 1 for a, b in live)
-                   for j in range(len(seq)))
-        # per point: each kept spectrum, the product, its inverse and
-        # pocketfft's plan and scratch (2 M float64 that tracemalloc does
-        # not see); per point of the span, the rounded head
-        return 8 * t.M * (kept + 4) + 8 * (t.span + 1) + last
+            return spread + 2 * last  # the gathers and one row's gather
+        # per point: the kept spectra, the product, an output, its scratch
+        kept = max(held for *_, held in _keeps(t.heads.items()))
+        return (8 * t.M * (kept + 2 + FFT_SCRATCH) + last
+                + max(spread, 8 * (t.span + 1)))
 
     count = 16 * sum(primes.values()) + max(map(term_bytes,
                                                 plan or _plan(inst)))
-    classes = [(fc.spec, fc.cls) for fc in inst.components]
-    # a row: a VerifyRow and a LocalFactorReport (64 + 96 bytes each in
-    # CPython 3.11), 6 numbers, its flags and a slot in 7 lists
-    return int(BYTES_BASE + rows * (2 * (64 + 96) + 6 * 32 + 80 + 7 * 8)
-               + max(sieve.sieve_bytes(inst.X, classes), count))
+    return int(BYTES_BASE + rows * ROW_BYTES + max(count, sieve.sieve_bytes(
+        inst.X, [(fc.spec, fc.cls) for fc in primes])))
 
 
 def _component_primes(inst: ProblemInstance):
@@ -424,7 +446,7 @@ def brute_force_all(inst: ProblemInstance):
     return {N: (w, c) for N, (c, w) in out.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyRow:
     N: int
     S_unweighted: int

@@ -2,8 +2,8 @@
 every command checks before the allocations it guards."""
 
 # The limit, and the peak bytes of the interpreter and numpy that every
-# memory estimate starts from: the one measured constant of the estimates,
-# which otherwise count the bytes of the arrays a call holds.
+# memory estimate starts from: the one constant of the estimates read off
+# a resident peak; they otherwise count the bytes that a call holds.
 MAX_BYTES = 4 * 2**30
 BYTES_BASE = 31 * 2**20
 

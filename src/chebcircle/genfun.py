@@ -23,10 +23,9 @@ from .expsum import best_approx, phase_array
 
 def estimated_bytes(X: int, spec: galois.GaloisSpec,
                     cls: galois.ClassSpec) -> int:
-    """Estimated peak memory of a study of the primes <= X of spec's class
-    cls, by the arrays it makes (README, memory limits): the sieve's, whose
-    pages stay resident, beside sharp_weights' 25 bytes per n <= X and the
-    class's primes; allocates nothing."""
+    """Estimated peak memory of a study of spec's class cls to X, without
+    allocating: the sieve's arrays, whose pages stay resident, beside
+    sharp_weights' 25 bytes per n <= X and the class's primes (README)."""
     pi = sieve.prime_bound(X)
     return int(BYTES_BASE + max(
         sieve.sieve_bytes(X, [(spec, cls)]),

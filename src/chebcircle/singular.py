@@ -198,7 +198,7 @@ def _tail_bound(k: int, N: int, P_max: int) -> float:
 # assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class LocalFactorReport:
     prefactor: Fraction
     C_inf: float

@@ -70,19 +70,24 @@ ROWS = [
     # are 2 mod 6, the residue with solutions
     (S3, (1, 2, 3), 4 * 10**6, (2, 6), 115.5),
     (S3, (1, 2, 3), 2 * 10**7, (2, 6), 451.0),
+    # the estimate sits 2-3% below the peaks above, which hold pages the
+    # allocator kept of the sieve's arrays, and 3% above this one
+    (S3, (1, 2, 3), 4 * 10**7, (2, 6), 821.1),
     # a head of three components and four phase arrays
     ([(G, "e")] * 2 + [(G, "c")] * 2, (1, 1, 1, 1), 4 * 10**6, 105.8),
     # k = 2: a head of one array, gathered without a transform
     ([(T, "e")] * 2, (1, 1), 4 * 10**6, 49.7),
     ([(T, "e")] * 2, (1, 1), 10**7, 75.0),
     ([(G, "e"), (G, "c")], (1, 1), 10**7, 59.5),
+    # k = 2 with a_0 = 3: the head array spread over three times its length
+    ([(T, "e")] * 2, (3, 1), 10**7, 113.0),
 ]
 
 # (field-class pairs, a, X, rows, MiB) of `chebcircle verify` over rows odd
-# N from 1.3X, each row's count, main term and CSV line held at once
+# N from 1.3X, each row's VerifyRow and LocalFactorReport held at once
 VERIFY = [
-    ([(T, "e")] * 3, (1, 1, 1), 10**4, 10**5, 95.1),
-    ([(T, "e")] * 3, (1, 1, 1), 10**4, 4 * 10**5, 284.3),
+    ([(T, "e")] * 3, (1, 1, 1), 10**4, 10**5, 84.4),
+    ([(T, "e")] * 3, (1, 1, 1), 10**4, 4 * 10**5, 241.6),
 ]
 
 # (builtin field-class, X, MiB) of genfun.minor_arc_scan at z = (log X)^4,

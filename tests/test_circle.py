@@ -100,9 +100,21 @@ class TestRepresentationCounts:
         assert circle.rows_estimated_bytes(
             classical_instance(5 * 10**7), 20) < 0.25 * errors.MAX_BYTES
 
+    def test_resource_limit_of_a_spread_head(self, monkeypatch):
+        # k = 2 takes no transform, but its head array spread by a_0 =
+        # 10^4 is about 13 GB at X = 1e6: refused before the sieve
+        def no_sieve(x):
+            raise AssertionError("primes listed past the memory gate")
+
+        monkeypatch.setattr(sieve, "primes_upto", no_sieve)
+        inst = uniform_instance("trivial", "e", 2, (10**4, 1), 10**6)
+        with pytest.raises(ResourceLimit):
+            circle.counts_at(inst, [10**10])
+
     @pytest.mark.parametrize("fields, a, at", [
         ([("trivial", "e")] * 3, (1, 1, 1), None),
         ([("trivial", "e")] * 2, (1, 1), None),
+        ([("trivial", "e")] * 2, (3, 1), None),
         ([("trivial", "e")] * 5, (1,) * 5, None),
         ([("gaussian", "e")] * 2 + [("gaussian", "c")] * 2, (1,) * 4, None),
         ([("s3-cbrt2", c) for c in "123"], (1, 2, 3), (2, 6)),
@@ -110,9 +122,9 @@ class TestRepresentationCounts:
         ([("d4-qrt2", c) for c in "rst"], (1, 1, 1), None)])
     def test_gate_charges_at_least_the_traced_peak(self, monkeypatch,
                                                    fields, a, at):
-        # the traced peak of counts_at at 50 rows, plus pocketfft's plan
-        # and scratch (2 M float64 at the longest transform), which
-        # tracemalloc does not see: a limit one byte below it refuses
+        # the traced peak of counts_at at 50 rows, plus pocketfft's
+        # scratch at the longest transform, which tracemalloc does not
+        # see: a limit one byte below it refuses
         inst, Ns = measure_peaks.rows_of(fields, a, 2 * 10**5, at)
         tracemalloc.start()
         try:
@@ -120,11 +132,40 @@ class TestRepresentationCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        scratch = 16 * max(t.M for t in circle._plan(inst))
+        scratch = 8 * circle.FFT_SCRATCH * max(t.M for t in
+                                               circle._plan(inst))
         monkeypatch.setattr(errors, "MAX_BYTES",
                             errors.BYTES_BASE + peak + scratch - 1)
         with pytest.raises(ResourceLimit):
             circle.counts_at(inst, Ns)
+
+    @pytest.mark.parametrize("first, flags", [
+        (13001, ""), (40001, "boundary+vanishing")])
+    def test_row_charge_covers_the_traced_row(self, monkeypatch, first,
+                                              flags):
+        # the bytes per row that verify_theorem holds at its last row,
+        # traced over 500 and 1 500 odd N from first of trivial x3 at
+        # X = 1e4, rated or past the range: at most ROW_BYTES, which
+        # also rounds each object up to pymalloc's 16-byte blocks
+        held, row = [0], circle.VerifyRow
+
+        def traced(*args):
+            held[0] = tracemalloc.get_traced_memory()[0]
+            return row(*args)
+
+        inst, per_rows = classical_instance(10**4), []
+        circle.verify_theorem(inst, [first])  # fills the caches untraced
+        monkeypatch.setattr(circle, "VerifyRow", traced)
+        for rows in (500, 1500):
+            tracemalloc.start()
+            try:
+                res = circle.verify_theorem(inst,
+                                            range(first, first + 2 * rows, 2))
+                per_rows.append(held[0])
+            finally:
+                tracemalloc.stop()
+        assert {r.flags for r in res.rows} == {flags}
+        assert (per_rows[1] - per_rows[0]) / 1000 <= circle.ROW_BYTES
 
     def test_rows_estimate_tracks_measured_peak(self):
         # peak RSS of counts_at at 50 rows (tests/measure_peaks.py rows),
