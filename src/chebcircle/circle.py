@@ -1,7 +1,6 @@
 """Representation counts S(N) by convolution over classified primes: the
-rows-only count of verify (counts_at) and its memory estimate, the all-N
-count (weighted_counts), the brute-force oracle, and the end-to-end
-comparison against the predicted main term."""
+rows-only count of verify (counts_at), its memory estimate, and the
+end-to-end comparison against the predicted main term."""
 
 from __future__ import annotations
 
@@ -48,11 +47,6 @@ def _fft_len(span: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _span(arrays, a) -> int:
-    """hi - lo of the exponents of prod_i sum_n arrays[i][n] x^(a_i n)."""
-    return sum(abs(ai) * (len(v) - 1) for v, ai in zip(arrays, a))
 
 
 def _keeps(plan):
@@ -106,34 +100,6 @@ def _spectra(plan, factor, M: int):
 
     for offset, products in plan:
         yield offset, summed(products)
-
-
-def _convolve(arrays, a) -> np.ndarray:
-    """Coefficients of prod_i sum_n arrays[i][n] x^(a_i n), lowest exponent
-    first, by FFT.  The factors are grouped by (array, a_i) in order of
-    first occurrence; each group is transformed once and multiplied in as
-    often as it occurs (_spectra).  The result is a view into the M-point
-    inverse transform: a copy takes about 3 000 more page faults and did
-    not lower the peak of the norms of H - H_sharp (356 MiB for trivial x3
-    at X = 1e6)."""
-    span = _span(arrays, a)
-    M = _fft_len(span)
-    ids = [(id(v), ai) for v, ai in zip(arrays, a)]
-    keys = tuple(sorted(ids.index(key) for key in ids))
-    [(_, spec)] = _spectra([(0, {keys: 1})],
-                           lambda i: _embed(arrays[i], a[i]), M)
-    return np.fft.irfft(spec, M)[:span + 1]
-
-
-def _exact_convolve(arrays, a) -> np.ndarray:
-    """_convolve by big-integer multiplication (Kronecker substitution,
-    base 2^64); exact for nonnegative integer entries, and the reference
-    that the rounded FFT counts are tested against."""
-    acc = math.prod(int.from_bytes(_embed(v, ai).astype("<u8").tobytes(),
-                                   "little")
-                    for v, ai in zip(arrays, a))
-    data = acc.to_bytes((_span(arrays, a) + 1) * 8, "little")
-    return np.frombuffer(data, dtype="<u8").astype(np.int64)
 
 
 def _progression(fc: FieldClass):
@@ -205,27 +171,6 @@ def _dense(ps, X: int, weighted: bool, step: int) -> np.ndarray:
     v = np.zeros(X // step + 1, np.float64 if weighted else np.uint8)
     v[ps // step] = np.log(ps.astype(np.float64)) if weighted else 1
     return v
-
-
-def _log_convolution(comps, inst: ProblemInstance) -> np.ndarray:
-    """S(N) weighted by the product of log p, from the component primes
-    comps, for every attainable N; clamped at 0 against FFT round-off.
-    Equal components share one dense array, which _convolve transforms
-    once."""
-    dense = {id(ps): ps for ps in comps}
-    dense = {key: _dense(ps, inst.X, True, 1) for key, ps in dense.items()}
-    weighted = _convolve([dense[id(ps)] for ps in comps], inst.a)
-    np.maximum(weighted, 0.0, out=weighted)
-    return weighted
-
-
-def weighted_counts(inst: ProblemInstance) -> np.ndarray:
-    """S(N) weighted by the product of log p for every attainable N, index
-    0 holding N = attainable_range[0]; clamped at 0 against FFT
-    round-off.  No command runs it: it is the reference that the tests
-    check counts_at against, at sizes they fix, so it has no memory
-    gate."""
-    return _log_convolution(_component_primes(inst), inst)
 
 
 def _rows(h, Ms, last, ak: int, weights=None) -> np.ndarray:
@@ -411,39 +356,6 @@ def counts_at(inst: ProblemInstance, Ns):
         unweighted += u * len(term.weights)
     np.maximum(weighted, 0.0, out=weighted)
     return weighted, unweighted
-
-
-def brute_force_all(inst: ProblemInstance):
-    """{N: (weighted, unweighted) S(N)} for every N with a solution, by
-    meet-in-the-middle enumeration over the classified prime lists; the
-    oracle path, ungated like weighted_counts.  N absent from the dict has
-    S(N) = (0.0, 0)."""
-    comps = _component_primes(inst)
-    half = (inst.k + 1) // 2
-
-    def sums(idx):
-        """partial sum over the components idx -> (solution count,
-        product of log p)"""
-        acc = {0: (1, 1.0)}
-        for i in idx:
-            nxt = {}
-            ps = comps[i]
-            logs = np.log(ps.astype(np.float64))
-            for s, (cnt, wt) in acc.items():
-                for p, lg in zip(ps, logs):
-                    key = s + inst.a[i] * int(p)
-                    c0, w0 = nxt.get(key, (0, 0.0))
-                    nxt[key] = (c0 + cnt, w0 + wt * lg)
-            acc = nxt
-        return acc
-
-    left, right = sums(range(half)), sums(range(half, inst.k))
-    out = {}
-    for s, (cnt, wt) in left.items():
-        for t, (c1, w1) in right.items():
-            c0, w0 = out.get(s + t, (0, 0.0))
-            out[s + t] = (c0 + cnt * c1, w0 + wt * w1)
-    return {N: (w, c) for N, (c, w) in out.items()}
 
 
 @dataclass(slots=True)

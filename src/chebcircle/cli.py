@@ -36,10 +36,14 @@ BUILTIN_INSTANCES = {
 
 def _parse_alpha(text: str):
     try:
-        return Fraction(text) if "/" in text else float(text)
+        alpha = Fraction(text) if "/" in text else float(text)
     except ZeroDivisionError:
         raise ValidationError([("BadAlpha", f"alpha {text!r} has a zero "
                                             "denominator")])
+    if isinstance(alpha, float) and not math.isfinite(alpha):
+        raise ValidationError([("BadAlpha", f"alpha {text!r} is not "
+                                            "finite")])
+    return alpha
 
 
 def _read_json(path: str):

@@ -34,7 +34,7 @@ from .errors import DomainError, InconsistentSpec, ValidationError
 ABELIAN = "abelian"
 POLYNOMIAL = "polynomial"
 # Primes per call of _frobenius_orders_batch in _classes_by_key, whose n x n
-# Frobenius matrices and temporaries take about 300 bytes per prime for a
+# Frobenius matrices and temporaries take about 200 bytes per prime for a
 # cubic f: classifying in blocks bounds that memory by the block, not X.
 CLASSIFY_BLOCK = 2**16
 
@@ -392,6 +392,7 @@ def _frobenius_orders_batch(coeffs, ps):
         for j, c, _ in f:
             times_x[j] = (times_x[j] + xp[-1] * c) % ps
         xp += (ps >> bit & 1) * (times_x - xp)
+    del times_x  # not held beside Q
     Q = np.zeros((n, n, N), dtype=np.int64)
     Q[0, 0] = 1
     Q[1] = xp
@@ -399,16 +400,11 @@ def _frobenius_orders_batch(coeffs, ps):
         Q[i] = _batch_mulmod(Q[i - 1], xp, f, ps, p_max)
     e_x = np.eye(n, 1, -1, dtype=np.int64)
     orders = np.zeros(N, dtype=np.int64)
-    cols = np.arange(N)
     v = xp
     for d in range(1, math.lcm(*range(1, n + 1)) + 1):
-        fixed = (v == e_x).all(axis=0)
-        orders[cols[fixed]] = d
-        if fixed.all():
+        orders[(orders == 0) & (v == e_x).all(axis=0)] = d
+        if orders.all():
             break
-        keep = np.flatnonzero(~fixed)
-        cols, v, Q, ps = (cols[keep], v.take(keep, axis=1),
-                          Q.take(keep, axis=2), ps[keep])
         w, bound = np.zeros_like(v), [0] * n
         for i in range(n):
             _accumulate(w, bound, 0, v[i] * Q[i], (p_max - 1) ** 2, ps)

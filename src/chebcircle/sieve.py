@@ -8,15 +8,14 @@ primes (_survivors): sieve_survivor_mask strikes by the primes <= z, and
 primes_upto(X) is the survivors of z = sqrt(X) together with the primes
 <= sqrt(X), found the same way.  Each routine lists the primes it needs.
 Everything else (Moebius walks, squarefree smooth enumeration) is derived
-from these lists or from direct enumeration.  lambda_z is the scalar
-oracle of the sieve weight; the scalar class weight is in tests/lemmas.py.
+from these lists or from direct enumeration.  The scalar sieve weight
+is in tests/oracles.py, the scalar class weight in tests/lemmas.py.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,21 +56,6 @@ def level(X: int, A=1.0, B=None):
     if B is None:
         B = 4.0 * A
     return B, math.log(X) ** B
-
-
-def lambda_z(z: float, n: int) -> Fraction:
-    """0 if n has a prime factor p <= z, else C(z)."""
-    for p in primes_upto(z).tolist():
-        if n % p == 0:
-            return Fraction(0)
-    return c_of_z(z)
-
-
-def c_of_z(z: float) -> Fraction:
-    out = Fraction(1)
-    for p in primes_upto(z).tolist():
-        out *= Fraction(p, p - 1)
-    return out
 
 
 def c_of_z_float(z: float) -> float:
@@ -135,8 +119,13 @@ def sieve_bytes(X: int, classes) -> int:
         share, n = pi / len(keys), len(spec.poly) - 1
         shared = share * sum(keys[r] > 1 for r in held)
         # classify_batch: five int64 per held prime, or two beside three
-        # per shared one and np.unique's 7 or the kernel's 2 (n + 1)^2
-        kernel = 16 * (n + 1) ** 2 * min(shared, galois.CLASSIFY_BLOCK)
+        # per shared one and np.unique's 7 or the kernel's: its Frobenius
+        # matrix (n^2), x^p and three more polynomials of its order steps,
+        # the orders, and a residue per nonzero low coefficient of f and
+        # one more
+        low = sum(c != 0 for c in spec.poly[:-1])
+        kernel = 8 * (n * n + 4 * n + 2 + low) * min(shared,
+                                                     galois.CLASSIFY_BLOCK)
         peak = max(peak, 40 * share * len(held), 16 * share * len(held)
                    + 24 * shared + max(56 * shared, kernel * (n > 1)))
     return int(peak)
@@ -144,7 +133,7 @@ def sieve_bytes(X: int, classes) -> int:
 
 def sieve_survivor_mask(X: int, z: float) -> np.ndarray:
     """Boolean mask over 0..X of n with no prime factor <= z (n=1 counts);
-    the support of lambda_z."""
+    the support of Lambda_z."""
     return _survivors(X, primes_upto(min(z, X)))
 
 

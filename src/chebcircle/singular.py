@@ -60,17 +60,6 @@ def c_infinity(a, X: float, N: float) -> float:
     return total / (L ** (k - 1) * math.factorial(k - 1) * math.prod(b))
 
 
-def c_infinity_ternary(N: float, X: float) -> float:
-    """Closed-form cross-check for k=3, a=(1,1,1)."""
-    if N < 0 or N > 3 * X:
-        return 0.0
-
-    def pos2(t):
-        return t * t if t > 0 else 0.0
-
-    return 0.5 * (pos2(N) - 3 * pos2(N - X) + 3 * pos2(N - 2 * X))
-
-
 # ---------------------------------------------------------------------------
 # congruence factors
 # ---------------------------------------------------------------------------
@@ -109,20 +98,6 @@ def _closed_cp(p: int, k: int):
     otherwise."""
     q, sign = (p - 1) ** k, (-1) ** k
     return q + sign * (p - 1), q - sign, q
-
-
-def c_p(p: int, a, N: int) -> Fraction:
-    """Local factor at an unramified prime, p * (solution count over units)
-    / (p-1)^k, in the closed form of _closed_cp."""
-    n_div, n_not, q = _closed_cp(p, sum(v % p != 0 for v in a))
-    return Fraction(n_not if N % p else n_div, q)
-
-
-def c_p_bruteforce(p: int, a, N: int) -> Fraction:
-    """Exhaustive unit-tuple enumeration; the oracle for c_p."""
-    count = sum(1 for xs in itertools.product(range(1, p), repeat=len(a))
-                if sum(ai * x for ai, x in zip(a, xs)) % p == N % p)
-    return Fraction(p * count, (p - 1) ** len(a))
 
 
 def _euler_rows(a, Ns, D: int, P_max: int):
@@ -227,7 +202,10 @@ class LocalFactorReport:
 def main_terms(inst: ProblemInstance, Ns,
                P_max: int = P_MAX) -> list:
     """One LocalFactorReport per N in Ns, from one pass of the Euler loop
-    and one table of C_D over the residues mod D, read at N mod D."""
+    and one table of C_D over the residues mod D, read at N mod D.  A zero
+    main term names its reason: CD_zero, else Cp_zero(p), else Cinf_zero
+    (N outside the attainable range or at its corners), where the report
+    keeps its Euler value and tail bound."""
     D = inst.modulus
     pref = inst.prefactor
     values, bad = _euler_rows(inst.a, Ns, D, P_max)
@@ -247,6 +225,7 @@ def main_terms(inst: ProblemInstance, Ns,
             value = float(value)
             mt = float(pref) * cinf * float(cd) * value
             rep = LocalFactorReport(pref, cinf, cd, value, P_max,
-                                    _tail_bound(inst.k, N, P_max), mt)
+                                    _tail_bound(inst.k, N, P_max), mt,
+                                    None if cinf else "Cinf_zero")
         out.append(rep)
     return out

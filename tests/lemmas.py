@@ -12,7 +12,8 @@ runs them, so they live here, beside the tests that check them.
 - the class weight Lambda_{K,C} at one n, and a spec as its JSON document.
 
 Tests call these at fixed sizes, so nothing here checks a memory limit,
-and neither do the all-N count and the prime lists they read from circle.
+and neither do the all-N count and the convolution they read from
+tests/oracles.py, nor the prime lists they read from circle.
 Import it as the tests do (`import lemmas`): pytest puts this directory
 on the path.
 """
@@ -28,6 +29,7 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
+import oracles
 
 from chebcircle import circle, galois, sieve
 from chebcircle.arith import factorint, phi
@@ -482,7 +484,7 @@ def h_sharp_array(inst: ProblemInstance, z: float) -> np.ndarray:
     arrays = {fc: sieve.sharp_weights(inst.X, z, fc.spec.modulus,
                                       fc.cls.coset)
               for fc in dict.fromkeys(inst.components)}
-    vals = circle._convolve([arrays[fc] for fc in inst.components], inst.a)
+    vals = oracles._convolve([arrays[fc] for fc in inst.components], inst.a)
     vals *= float(inst.prefactor)
     return vals
 
@@ -493,7 +495,7 @@ def h_flat_norms(inst: ProblemInstance, z: float):
     transform length of at least 4x the attainable N."""
     # in place: a separate difference leaves a freed array of every N on
     # the heap below the grid (357 MiB against 388 at X = 1e6, trivial x3)
-    diff = circle.weighted_counts(inst)
+    diff = oracles.weighted_counts(inst)
     diff -= h_sharp_array(inst, z)
     l2 = float(math.sqrt(np.sum(diff * diff)))
     lo, hi = inst.attainable_range
@@ -513,7 +515,7 @@ def parseval_check(inst: ProblemInstance):
     table of the M-th roots of unity at (a_i p mod M) j mod M, a product
     below 2^63 while M < 3e9."""
     comps = circle._component_primes(inst)
-    weighted = circle._log_convolution(comps, inst)
+    weighted = oracles.weighted_counts(inst, comps)
     lhs = float(np.sum(weighted ** 2))
     M = 4 * len(weighted)
     grid = np.arange(M)

@@ -63,7 +63,7 @@ ROWS = [
     ([(T, "e")] * 4, (1, 1, 1, 1), 4 * 10**6, 140.6),
     ([(T, "e")] * 5, (1, 1, 1, 1, 1), 10**6, 66.8),
     # in the classification of one block of primes
-    ([(D, "e"), (D, "r"), (D, "s")], (1, 1, 1), 4 * 10**6, 59.0),
+    ([(D, "e"), (D, "r"), (D, "s")], (1, 1, 1), 4 * 10**6, 55.4),
     # each residue mod 8 of r, s and t names one class: no kernel runs
     ([(D, "r"), (D, "s"), (D, "t")], (1, 1, 1), 4 * 10**6, 55.5),
     # the head's a_i = 2 spreads its array over twice its length; the rows

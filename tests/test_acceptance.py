@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import lemmas
 import numpy as np
+import oracles
 import pytest
 from lemmas import QuadraticField, kronecker_character, principal_character
 
@@ -39,9 +40,9 @@ def test_convolution_matches_brute_force_on_random_instances():
             cls = spec.class_by_label(rng.choice(labels[name]))
             comps.append(FieldClass(spec, cls))
         inst = ProblemInstance(tuple(comps), a, X)
-        oracle = circle.brute_force_all(inst)
+        oracle = oracles.brute_force_all(inst)
         lo, hi = inst.attainable_range
-        every = circle.weighted_counts(inst)
+        every = oracles.weighted_counts(inst)
         assert len(every) == hi - lo + 1
         Ns = range(lo - 1, hi + 2)
         for N, sw, su in zip(Ns, *circle.counts_at(inst, Ns)):
@@ -87,7 +88,7 @@ def test_gaussian_identity_congruence_and_ratios():
     X = 2 * 10**5
     inst = uniform_instance("gaussian", "e", 3, (1, 1, 1), X)
     # three primes 1 mod 4 sum to 3 mod 4: every other N has no solution
-    every = circle.weighted_counts(inst)
+    every = oracles.weighted_counts(inst)
     ns = np.arange(len(every)) + inst.attainable_range[0]
     assert np.all(every[ns % 4 != 3] <= 1e-6 * every.max())
     Ns = [n for n in range(1, 3 * X, 997) if n % 4 != 3]
@@ -129,7 +130,7 @@ def test_local_factor_exactness_grids():
                             ai * units[None, :]).ravel() % p
                 counts = np.bincount(sums, minlength=p)
                 for N in range(p):
-                    assert singular.c_p(p, a, N) == \
+                    assert oracles.c_p(p, a, N) == \
                         Fraction(p * int(counts[N]), (p - 1) ** k)
     assert time.time() - t0 < 10
 
@@ -247,7 +248,7 @@ def test_difference_instance_average_deviation_decreases():
         inst = uniform_instance("trivial", "e", 2, (1, -1), X)
         lo = inst.attainable_range[0]
         Ns = np.arange(2, X + 1, dtype=np.int64)
-        S = circle.weighted_counts(inst)[Ns - lo]
+        S = oracles.weighted_counts(inst)[Ns - lo]
         S[S < 1e-6 * S.max()] = 0.0   # FFT round-off floor
         c_inf = (X - Ns).astype(np.float64)
         euler = singular._euler_rows((1, -1), Ns, 1, 10**4)[0]

@@ -175,6 +175,8 @@ class TestSimpleCommands:
         ["local-factors", "INSTANCE", "--pmax", "0"],
         ["verify", "PMAX1", "--out-dir", "OUT"],
         ["local-factors", "PMAX1"],
+        ["genfun", "--builtin", "gaussian-e", "--X", "100", "--alpha", "inf"],
+        ["genfun", "--builtin", "gaussian-e", "--X", "100", "--alpha", "nan"],
     ])
     def test_bad_numeric_argument_exit_2(self, tmp_path, capsys, monkeypatch,
                                          argv):

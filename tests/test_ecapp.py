@@ -33,12 +33,18 @@ class TestPrimality:
 
 class TestDiscriminantIdentity:
     def test_random_triples(self):
+        # -16(4A^3 + 27B^2) = -p^2 q^3 (p + 432 n^2 q) for any p, q, n: the
+        # discriminant that a certificate reports is its model's
         rng = random.Random(77)
         for _ in range(100):
             p = rng.randint(1, 10**6)
             q = rng.randint(1, 10**6)
             n = rng.randint(1, 100)
-            assert ecapp.discriminant_identity(p, q, n)
+            cert = ecapp.CurveCertificate(p, q, p + 432 * n * n * q, n)
+            assert cert.discriminant == \
+                -16 * (4 * cert.A**3 + 27 * cert.B**2)
+            assert cert.discriminant_integral == \
+                -16 * (4 * cert.A_integral**3 + 27 * cert.B_integral**2)
 
     def test_certificate_properties(self):
         cert = ecapp.CurveCertificate(p=13, q=2, r=877, n=1)

@@ -682,22 +682,10 @@ def test_package_exports_resolve():
         assert getattr(chebcircle, name) is not None, name
 
 
-# the top-level definitions of src that nothing in src names: reference
-# implementations that the tests check the fast paths against
-KEPT_UNREFERENCED = {
-    "brute_force_all": "the S(N) oracle of counts_at",
-    "_exact_convolve": "the exact big-integer product of _convolve",
-    "weighted_counts": "the all-N count that counts_at is tested against",
-    "c_p": "the local factor at one p that the Euler rows are tested against",
-    "c_p_bruteforce": "c_p by counting solutions mod p",
-    "c_infinity_ternary": "the closed form of C_inf for a = (1, 1, 1)",
-    "lambda_z": "the scalar oracle of the sieve weight",
-}
-
-
 def test_src_defines_only_what_src_runs():
     # a name counts as used when another top-level statement of a src
-    # module names it, as a name, an attribute or an import
+    # module names it, as a name, an attribute or an import; references
+    # that only the tests run live in tests/oracles.py
     src = Path(chebcircle.__file__).parent
     defined, named = [], set()
     for path in sorted(src.glob("*.py")):
@@ -713,7 +701,7 @@ def test_src_defines_only_what_src_runs():
                          if isinstance(node, ast.ImportFrom) else [name])
                 named.update(n for n in names if n and n != own)
     unused = {n for n in defined if n not in named} - set(chebcircle.__all__)
-    assert unused == set(KEPT_UNREFERENCED)
+    assert unused == set()
 
 
 def sylvester_resultant(f, g):

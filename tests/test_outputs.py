@@ -74,6 +74,8 @@ def test_verify_output_unchanged(tmp_path, capsys, name, instance):
     ("smooth/z30-y1e5.txt", ["smooth", "--z", "30", "--Y", "100000"]),
     ("ratapprox/alpha0.361-q1000.txt",
      ["ratapprox", "--alpha", "0.361", "--qmax", "1000"]),
+    ("local-factors/classical-vinogradov-outside.json",
+     ["local-factors", "classical-vinogradov", "--N", "600001"]),
 ])
 def test_stdout_unchanged(capsys, path, argv):
     assert cli.main(argv) == 0

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import lemmas
 import numpy as np
+import oracles
 import pytest
 
 from chebcircle import galois, sieve, singular
@@ -37,7 +38,7 @@ class TestCInfinity:
         X = 50.0
         for N in range(0, 151, 7):
             got = singular.c_infinity((1, 1, 1), X, N)
-            want = singular.c_infinity_ternary(N, X)
+            want = oracles.c_infinity_ternary(N, X)
             assert got == pytest.approx(want, abs=1e-5 * max(1.0, want))
 
     def test_lattice_point_oracle(self):
@@ -168,7 +169,7 @@ class TestCD:
         table = singular.c_D([range(1, p)] * len(a), a, p)
         assert len(table) == p
         for r in range(p):
-            assert table[r] == singular.c_p(p, a, r), (p, a, r)
+            assert table[r] == oracles.c_p(p, a, r), (p, a, r)
 
     def test_table_matches_closed_form(self):
         # k_p of the k coefficients are units mod p, the rest multiples
@@ -233,11 +234,11 @@ class TestCD:
 
 class TestCP:
     def test_classical_values(self):
-        assert singular.c_p(3, (1, 1, 1), 3) == Fraction(3, 4)
-        assert singular.c_p(3, (1, 1, 1), 1) == Fraction(9, 8)
+        assert oracles.c_p(3, (1, 1, 1), 3) == Fraction(3, 4)
+        assert oracles.c_p(3, (1, 1, 1), 1) == Fraction(9, 8)
         # matches the 1 - (p-1)^-2 / 1 + (p-1)^-3 shapes
-        assert singular.c_p(3, (1, 1, 1), 0) == 1 - Fraction(1, 4)
-        assert singular.c_p(3, (1, 1, 1), 2) == 1 + Fraction(1, 8)
+        assert oracles.c_p(3, (1, 1, 1), 0) == 1 - Fraction(1, 4)
+        assert oracles.c_p(3, (1, 1, 1), 2) == 1 + Fraction(1, 8)
 
     @staticmethod
     def exhaustive_counts(p, a):
@@ -255,7 +256,7 @@ class TestCP:
                 for a in ((1,) * k, tuple(range(1, k + 1))):
                     counts = self.exhaustive_counts(p, a)
                     for N in range(p):
-                        assert singular.c_p(p, a, N) == \
+                        assert oracles.c_p(p, a, N) == \
                             Fraction(p * int(counts[N]), (p - 1) ** k)
 
     def test_library_brute_force_path(self):
@@ -263,8 +264,8 @@ class TestCP:
             for k in (2, 3):
                 for a in ((1,) * k, tuple(range(1, k + 1))):
                     for N in range(p):
-                        assert singular.c_p(p, a, N) == \
-                            singular.c_p_bruteforce(p, a, N)
+                        assert oracles.c_p(p, a, N) == \
+                            oracles.c_p_bruteforce(p, a, N)
 
     def test_divisible_coefficient_path(self):
         # p divides a coefficient: the closed form over the k_p
@@ -273,8 +274,8 @@ class TestCP:
                           (7, ((1, 7, 2), (3, 7, 14)))):
             for a in coeffs:
                 for N in range(p):
-                    assert singular.c_p(p, a, N) == \
-                        singular.c_p_bruteforce(p, a, N), (p, a, N)
+                    assert oracles.c_p(p, a, N) == \
+                        oracles.c_p_bruteforce(p, a, N), (p, a, N)
 
 
 class TestEulerProduct:
@@ -417,7 +418,7 @@ class TestEulerProduct:
 def log_cp_by_residue(p, a, r):
     """math.log(float(c_p)), or None where c_p vanishes; c_p depends on N
     only through N mod p."""
-    c = singular.c_p(p, a, r)
+    c = oracles.c_p(p, a, r)
     return math.log(float(c)) if c else None
 
 
@@ -454,15 +455,19 @@ class TestMainTerm:
         assert rep.main_term == 0.0
 
     def test_main_terms_rows_are_independent(self):
-        # live, CD_zero and Cp_zero(2) rows in one N list: each row gets
-        # the report it gets alone
+        # live, CD_zero, Cp_zero(2) and Cinf_zero rows in one N list: each
+        # row gets the report it gets alone; CD_zero and Cp_zero take
+        # precedence over Cinf_zero outside the range and at its corners
         gauss = uniform_instance("gaussian", "e", 3, (1, 1, 1), 10**4)
         diff = uniform_instance("trivial", "e", 3, (1, 1, -1), 10**4)
         for inst, Ns, reasons in (
-                (gauss, [10**4 + 3, 10**4 + 1, 10**4 + 7, 10**4 + 5],
-                 [None, "CD_zero", None, "CD_zero"]),
-                (diff, [1, 0, 3, 2],
-                 [None, "Cp_zero(2)", None, "Cp_zero(2)"])):
+                (gauss, [10**4 + 3, 10**4 + 1, 10**4 + 7, 10**4 + 5,
+                         3 * 10**4 + 3, 3 * 10**4 + 1, 3 * 10**4 + 7, -1],
+                 [None, "CD_zero", None, "CD_zero",
+                  "Cinf_zero", "CD_zero", "Cinf_zero", "Cinf_zero"]),
+                (diff, [1, 0, 3, 2, 2 * 10**4 + 1, -10**4 - 1, 2 * 10**4],
+                 [None, "Cp_zero(2)", None, "Cp_zero(2)",
+                  "Cinf_zero", "Cinf_zero", "Cp_zero(2)"])):
             reps = singular.main_terms(inst, Ns)
             assert [r.vanishing_reason for r in reps] == reasons
             for N, rep in zip(Ns, reps):
@@ -470,6 +475,10 @@ class TestMainTerm:
                 assert rep.C_inf == singular.c_infinity(inst.a, inst.X, N)
                 if rep.vanishing_reason is None:
                     assert rep.main_term > 0 and rep.tail_bound > 0
+                elif rep.vanishing_reason == "Cinf_zero":
+                    # the Euler value and tail bound of a live row
+                    assert rep.main_term == rep.C_inf == 0.0
+                    assert rep.euler_truncated > 0 and rep.tail_bound > 0
                 else:
                     assert rep.main_term == rep.euler_truncated == 0.0
         # the live Goldbach-type rows differ only at p = 3, which divides
