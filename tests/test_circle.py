@@ -562,7 +562,8 @@ class TestCountsAt:
         lo, hi = inst.attainable_range
         Ns = [(lo + hi) // 2 + 2 * i + 1 for i in range(20)]
         peaks = []
-        for run in (oracles.weighted_counts, lambda i: circle.counts_at(i, Ns)):
+        for run in (oracles.weighted_counts,
+                    lambda i: circle.counts_at(i, Ns)):
             tracemalloc.start()
             try:
                 run(inst)

@@ -250,8 +250,8 @@ def test_sharp_weights_match_scalar_definitions():
     for z in (1.5, 2, 7.5, 30):
         for spec, cls in pairs:
             w = sieve.sharp_weights(X, z, spec.modulus, cls.coset)
-            want = [float(lemmas.lambda_kc(spec, cls, n) * oracles.lambda_z(z, n))
-                    for n in range(1, X + 1)]
+            want = [float(lemmas.lambda_kc(spec, cls, n)
+                          * oracles.lambda_z(z, n)) for n in range(1, X + 1)]
             assert w[0] == 0.0
             assert list(w[1:]) == pytest.approx(want, rel=1e-12, abs=0)
 
