@@ -49,20 +49,39 @@ def _span(arrays, a) -> int:
     return sum(abs(ai) * (len(v) - 1) for v, ai in zip(arrays, a))
 
 
+def _length(span: int) -> int:
+    """The least even M > span with no prime factor above 5: an M-point
+    cyclic product wraps none of the span + 1 coefficients, and pocketfft
+    transforms such an M by its radix passes alone."""
+    M = span + 2 - span % 2
+    while True:
+        m = M
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return M
+        M += 2
+
+
 def _convolve(arrays, a) -> np.ndarray:
     """Coefficients of prod_i sum_n arrays[i][n] x^(a_i n), lowest exponent
-    first, by FFT over the least power of two above the span.  Each
-    distinct (array, a_i) is transformed once and multiplied in as often
-    as it occurs."""
+    first, by FFT over _length(span) points.  Each distinct (array, a_i)
+    is transformed once and multiplied in as often as it occurs; the
+    first one's spectrum starts the product, so that at most two spectra
+    are held at once."""
     span = _span(arrays, a)
-    M = 1 << span.bit_length()
+    M = _length(span)
     by_id = {id(v): v for v in arrays}
-    product = np.ones(M // 2 + 1, complex)
+    product = None
     for (key, ai), n in Counter((id(v), ai)
                                 for v, ai in zip(arrays, a)).items():
         spectrum = np.fft.rfft(_spread(by_id[key], ai), M)
+        if product is None:
+            product, n = spectrum.copy(), n - 1
         for _ in range(n):
             product *= spectrum
+    del spectrum
     return np.fft.irfft(product, M)[:span + 1]
 
 
